@@ -9,8 +9,7 @@ valued regularized values, exact normal forms, and local log expansions.
 
 from .curve_genus0 import (DeRhamClass, Differential, PoleSet,
                            RationalFunction, Section, d, de_rham_alphabet,
-                           de_rham_letter, decompose, dlog, h_word,
-                           project_deRham)
+                           de_rham_letter, decompose, dlog, h_word)
 from .errors import (AlphabetError, CurvelogError, DomainError, InputError,
                      NumericError, PathError)
 from .hyperlog import (HyperlogValue, RegularizedWord, eval_L, eval_batch,
@@ -18,17 +17,16 @@ from .hyperlog import (HyperlogValue, RegularizedWord, eval_L, eval_batch,
                        word_for_exponents, zero_label)
 from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, LineSeg,
                       Path, chain_rule_check, integrate_h_words,
-                      integrate_word, integrate_words, j_element,
-                      kz_specialization_check, label_words, nabla_sigma,
-                      plan_path, shuffle_identity_check)
-from .local_expansion import (LogLaurentExpansion, evaluate_expansion,
-                              expand_at, monodromy_substitution)
+                      integrate_words, j_element, kz_specialization_check,
+                      label_words, nabla_sigma, plan_path,
+                      shuffle_identity_check)
+from .local_expansion import (LogLaurentExpansion, expand_at,
+                              monodromy_substitution)
 from .monodromy import (Loop, MonodromyOperator, circle_loop, loop_around,
                         monodromy_operator, pairing, period_matrix,
-                        unipotence_check, word_basis)
+                        unipotence_check)
 from .reduce import (KernelWitness, NormalForm, d_map, decompose_subker,
-                     default_basepoint, eval_normal_form, kernel_member,
-                     normal_form, sigma_word)
+                     default_basepoint, kernel_member, normal_form)
 from .scalars import QI, parse_exact_complex
 from .shuffle_core import (Letter, ShuffleTensor, antipode, coradical_member,
                            deconcat, deconcat_multi, deriv_right, r_xi,

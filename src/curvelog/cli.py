@@ -150,6 +150,8 @@ def _parse_point(text: str) -> complex:
         return complex(parse_exact_complex(text))
     except CurvelogError:
         pass
+    except OverflowError as exc:
+        raise InputError(f"point {text!r} overflows a float") from exc
     try:
         return complex(text.replace("i", "j"))
     except ValueError as exc:
@@ -282,13 +284,9 @@ def _cmd_expand(args, conf) -> int:
     word = _require_word(args, ps)
     if not args.point:
         raise InputError("expand needs --point (the expansion center)")
-    center = args.point
-    order = args.weight if args.weight is not None else conf.get("weight")
-    cfg = IntegratorConfig(
-        rtol=float(_setting(args, conf, "rtol", 1e-10)),
-        atol=float(_setting(args, conf, "atol", 1e-12)))
-    exp = expand_at(word, ps, center, order=int(order) if order else 24,
-                    cfg=cfg)
+    order = int(_setting(args, conf, "weight", 24))
+    exp = expand_at(word, ps, args.point, order=order,
+                    cfg=_make_cfg(args, conf))
     _emit(exp.to_json())
     return 0
 

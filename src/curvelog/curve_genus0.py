@@ -579,11 +579,6 @@ def d(f: RationalFunction) -> Differential:
     return Differential(f.differentiate())
 
 
-def project_deRham(w: Differential) -> DeRhamClass:
-    """Residue class of a differential."""
-    return w.project()
-
-
 def decompose(w: Differential, section: Section):
     """Split a differential as section(class) + df; returns (class, f).
 

@@ -16,11 +16,11 @@ from functools import lru_cache
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
+from .iterint import IntegratorConfig, Path, integrate_h_words, plan_chain
+from .local_expansion import expand_at, series_values
 from .monodromy import Loop
 from .scalars import QI
-from .shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
-                           word_sort_key)
+from .shuffle_core import ShuffleTensor, shuffle, shuffle_power
 
 _SERIES_TERMS = 80
 
@@ -147,62 +147,6 @@ def reference_point(ps: PoleSet) -> complex:
     return complex(r / 2.0)
 
 
-def taylor_coefficients(word, ps: PoleSet, terms: int = _SERIES_TERMS):
-    """Power series at the origin of an admissible word, by termwise
-    integration letter by letter.  Returns the coefficient list."""
-    word = tuple(word)
-    if not is_admissible(word, ps):
-        raise DomainError(f"word {word!r} is not admissible at the origin")
-    cache = {(): [1.0 + 0j] + [0j] * terms}
-    return _prefix_series_cached(word, ps, terms, cache)[word]
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _taylor_values(words, ps: PoleSet, z1: complex, terms: int) -> dict:
-    vals = {(): 1.0 + 0j}
-    cache: dict = {(): [1.0 + 0j] + [0j] * terms}
-    for w in sorted(set(map(tuple, words)), key=word_sort_key):
-        series = _prefix_series_cached(w, ps, terms, cache)
-        for p, coeffs in series.items():
-            if p not in vals:
-                vals[p] = _horner(coeffs, z1)
-    return vals
-
-
-def _prefix_series_cached(word, ps, terms, cache) -> dict:
-    zlab = zero_label(ps)
-    out = {}
-    for k in range(0, len(word) + 1):
-        prefix = word[:k]
-        if prefix in cache:
-            out[prefix] = cache[prefix]
-            continue
-        prev = cache[word[:k - 1]]
-        lab = prefix[-1]
-        new = [0j] * (terms + 1)
-        if lab == zlab:
-            for m in range(1, terms + 1):
-                new[m] = prev[m] / m
-        else:
-            t = complex(ps.points[ps.index(lab)])
-            inv = 1.0 / t
-            geom = [-(inv ** (b + 1)) for b in range(terms)]
-            for m in range(terms):
-                acc = 0j
-                for a in range(m + 1):
-                    acc += prev[a] * geom[m - a]
-                new[m + 1] = acc / (m + 1)
-        cache[prefix] = new
-        out[prefix] = new
-    return out
-
-
 def _assemble(parts, taylors, endpoint_vals, logz) -> complex:
     total = 0j
     for k, tensor in parts:
@@ -216,6 +160,40 @@ def _assemble(parts, taylors, endpoint_vals, logz) -> complex:
     return total
 
 
+def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
+    """Values of the words at the points, visited in order along one chain
+    of planned paths from the reference point.  A tail path closed at the
+    last point is traversed before the values at that point are read."""
+    zlab = zero_label(ps)
+    regs = {w: regularize(w, ps) for w in set(words)}
+    admissible = set()
+    for reg in regs.values():
+        for _, t in reg.parts:
+            admissible.update(t.terms)
+    suffixes = {w[k:] for w in admissible for k in range(len(w) + 1)}
+    suffixes.add((zlab,))
+
+    if any(z == 0 for z in pts):
+        raise DomainError("evaluation at the origin is the regularization point")
+    z1 = reference_point(ps)
+    path, marks = plan_chain(z1, pts, ps)
+    if tail is not None:
+        path = path + tail
+        marks[-1] = len(path.segments) - 1
+    section = Section.standard(ps)
+    vals_end, caps = integrate_h_words(
+        path, suffixes, section, cfg, capture_after=[m for m in marks if m >= 0])
+    taylors = series_values(admissible, ps, z1, _SERIES_TERMS)
+    base_vals = {w: (1.0 + 0j if not w else 0j) for w in vals_end}
+    out = []
+    for m in marks:
+        vals = base_vals if m < 0 else caps[m]
+        logz = cmath.log(z1) + vals[(zlab,)]
+        out.append({w: _assemble(regs[w].parts, taylors, vals, logz)
+                    for w in words})
+    return out
+
+
 def eval_L(word, z, poles, cfg: IntegratorConfig | None = None,
            loop: Loop | None = None) -> HyperlogValue:
     """The regularized hyperlogarithm of a label word at a point.
@@ -227,30 +205,14 @@ def eval_L(word, z, poles, cfg: IntegratorConfig | None = None,
     ps = PoleSet.of(poles)
     z = complex(z)
     word = tuple(word)
-    zlab = zero_label(ps)
-    if z == 0:
-        raise DomainError("evaluation at the origin is the regularization point")
-    reg = regularize(word, ps)
-    z1 = reference_point(ps)
-    path = plan_path(z1, z, ps)
     path_class = "principal"
     if loop is not None:
         scale = max(1.0, abs(z))
         if abs(loop.base - z) > 1e-9 * scale:
             raise DomainError("continuation loop must be based at the point")
-        path = path + loop.path
         path_class = f"principal*{loop.label}"
-    admissible = set()
-    for _, t in reg.parts:
-        admissible.update(t.terms)
-    suffixes = {w[k:] for w in admissible for k in range(len(w) + 1)}
-    suffixes.add((zlab,))
-    section = Section.standard(ps)
-    vals, _ = integrate_h_words(path, suffixes, section, cfg)
-    taylors = _taylor_values(admissible, ps, z1, _SERIES_TERMS)
-    logz = cmath.log(z1) + vals[(zlab,)]
-    value = _assemble(reg.parts, taylors, vals, logz)
-    return HyperlogValue(value, word, z, path_class)
+    [row] = _evaluate([word], [z], ps, cfg, loop.path if loop else None)
+    return HyperlogValue(row[word], word, z, path_class)
 
 
 def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
@@ -265,48 +227,11 @@ def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
     pts = [complex(p) for p in points]
     if not pts:
         return []
-    zlab = zero_label(ps)
-    regs = {w: regularize(w, ps) for w in set(words)}
-    admissible = set()
-    for reg in regs.values():
-        for _, t in reg.parts:
-            admissible.update(t.terms)
-    suffixes = {w[k:] for w in admissible for k in range(len(w) + 1)}
-    suffixes.add((zlab,))
-
-    z1 = reference_point(ps)
-    segs: list = []
-    marks = []
-    cur = z1
-    for z in pts:
-        if z == 0:
-            raise DomainError("evaluation at the origin is the regularization point")
-        leg = plan_path(cur, z, ps)
-        segs.extend(leg.segments)
-        marks.append(len(segs) - 1)
-        cur = z
-    path = Path(tuple(segs), z1)
-    section = Section.standard(ps)
-    capture = {m for m in marks if m >= 0}
-    vals_end, caps = integrate_h_words(path, suffixes, section, cfg,
-                                       capture_after=sorted(capture))
-    taylors = _taylor_values(admissible, ps, z1, _SERIES_TERMS)
-    base_vals = {w: (1.0 + 0j if not w else 0j) for w in vals_end}
-    out = []
-    for z, m in zip(pts, marks):
-        vals = base_vals if m < 0 else caps[m]
-        logz = cmath.log(z1) + vals[(zlab,)]
-        row = {}
-        for w in words:
-            row[w] = _assemble(regs[w].parts, taylors, vals, logz)
-        out.append(row)
-    return out
+    return _evaluate(words, pts, ps, cfg)
 
 
 @lru_cache(maxsize=None)
 def _limit_at_one(word: tuple, order: int) -> complex:
-    from .local_expansion import expand_at
-
     ps = PoleSet.of("0,1")
     exp = expand_at(word, ps, center=1, order=order)
     return exp.coeff(0, 0)

@@ -203,6 +203,8 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     close to the segment.  Detours are half circles on the left of the travel
     direction, which is above the poles for rightward travel."""
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"cannot plan a path from {a!r} to {b!r}")
     if a == b:
         return Path((), a)
     guard = ps.guard
@@ -239,6 +241,20 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     return path
 
 
+def plan_chain(start: complex, points, ps: PoleSet):
+    """One continuous planned path from start visiting the points in order,
+    and for each point the index of the segment ending its leg (-1 while
+    the chain has not yet left the start)."""
+    segs: list = []
+    marks = []
+    cur = start
+    for z in points:
+        segs.extend(plan_path(cur, z, ps).segments)
+        marks.append(len(segs) - 1)
+        cur = z
+    return Path(tuple(segs), start), marks
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
@@ -247,8 +263,9 @@ class IntegratorConfig:
     weight: int = 6
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise DomainError("tolerances must be positive")
+        for tol in (self.rtol, self.atol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise DomainError("tolerances must be positive and finite")
         if self.max_steps < 1 or self.weight < 0:
             raise DomainError("bad integrator limits")
 
@@ -373,10 +390,21 @@ def _run(system: _WordSystem, path: Path, cfg: IntegratorConfig,
     return y, captured, rows
 
 
-def _omega_form(letter) -> RationalFunction:
-    if isinstance(letter, Differential):
-        return letter.f
-    raise DomainError(f"not a differential letter: {letter!r}")
+def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
+               cfg: IntegratorConfig | None, capture_after=(), trace=False):
+    """The one integration body behind the typed front doors: clearance,
+    the joint word system with letters resolved by form_of, the run, and
+    every value vector unpacked into a word-keyed dict."""
+    cfg = cfg or IntegratorConfig()
+    path.check_clearance(poles)
+    system = _WordSystem(words, form_of)
+    y, captured, rows = _run(system, path, cfg, capture_after, trace)
+
+    def unpack(vec):
+        return {w: vec[i] for w, i in system.index.items()}
+
+    caps = {si: unpack(vec) for si, vec in captured.items()}
+    return unpack(y), caps, [(t, unpack(vec)) for t, vec in rows]
 
 
 def integrate_words(path: Path, words: Iterable[tuple], poles: PoleSet,
@@ -387,42 +415,23 @@ def integrate_words(path: Path, words: Iterable[tuple], poles: PoleSet,
     Returns (values at the endpoint, values captured after the listed
     segment indices, trace rows).  Values cover the full prefix closure.
     """
-    cfg = cfg or IntegratorConfig()
-    path.check_clearance(poles)
-    system = _WordSystem(words, _omega_form)
-    for w in system.words:
-        for letter in w:
-            if letter.poles.key != poles.key:
-                raise DomainError(
-                    f"letter {letter.label} lives over poles "
-                    f"{letter.poles.key}; the clearance check covers "
-                    f"{poles.key}")
-    y, captured, rows = _run(system, path, cfg, capture_after, trace)
-    vals = {w: y[i] for w, i in system.index.items()}
-    caps = {si: {w: vec[i] for w, i in system.index.items()}
-            for si, vec in captured.items()}
-    traced = [(t, {w: vec[system.index[w]] for w in system.words}) for t, vec in rows]
-    return vals, caps, traced
+    def form_of(letter) -> RationalFunction:
+        if not isinstance(letter, Differential):
+            raise DomainError(f"not a differential letter: {letter!r}")
+        if letter.poles.key != poles.key:
+            raise DomainError(
+                f"letter {letter.label} lives over poles "
+                f"{letter.poles.key}; the clearance check covers "
+                f"{poles.key}")
+        return letter.f
 
-
-def integrate_word(path: Path, word, poles: PoleSet | None = None,
-                   cfg: IntegratorConfig | None = None):
-    """Integrate one word of differentials; returns (value, prefix values)."""
-    word = tuple(word)
-    if not word:
-        return 1.0 + 0j, {(): 1.0 + 0j}
-    if poles is None:
-        poles = word[0].poles
-    vals, _, _ = integrate_words(path, [word], poles, cfg)
-    return vals[word], vals
+    return _integrate(path, words, poles, form_of, cfg, capture_after, trace)
 
 
 def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
                       cfg: IntegratorConfig | None = None, capture_after=()):
     """Joint integration of residue-class label words through a section."""
-    cfg = cfg or IntegratorConfig()
     ps = section.poles
-    path.check_clearance(ps)
     forms = {lab: section.form(lab).f for lab in ps.labels}
 
     def form_of(lab):
@@ -431,11 +440,7 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
         except KeyError:
             raise DomainError(f"unknown class letter {lab!r}") from None
 
-    system = _WordSystem([tuple(w) for w in words], form_of)
-    y, captured, _ = _run(system, path, cfg, capture_after)
-    vals = {w: y[i] for w, i in system.index.items()}
-    caps = {si: {w: vec[i] for w, i in system.index.items()}
-            for si, vec in captured.items()}
+    vals, caps, _ = _integrate(path, words, ps, form_of, cfg, capture_after)
     return vals, caps
 
 
@@ -548,7 +553,7 @@ def chain_rule_check(path1: Path, path2: Path, word,
         return 0.0
     if poles is None:
         poles = _poles_of_words([word]) or PoleSet(())
-    full, _ = integrate_word(path1 + path2, word, poles, cfg)
+    full = integrate_words(path1 + path2, [word], poles, cfg)[0][word]
     pre, _, _ = integrate_words(path1, [word], poles, cfg)
     sufs = {word[k:] for k in range(len(word) + 1)}
     suf, _, _ = integrate_words(path2, sufs, poles, cfg)

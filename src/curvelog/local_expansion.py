@@ -1,11 +1,13 @@
 """Local expansions of hyperlogarithms around exact points.
 
 Around any exact center the value of a label word is a polynomial in the
-local logarithm with meromorphic-free coefficients: a finite double sum of
-x^j log(x)^k over j at least zero.  The coefficients come from termwise
-integration of the letter series; integration constants are exact zeros at
-the origin and are matched numerically against the continued function at
-other centers.
+local logarithm with holomorphic coefficients: a finite double sum of
+x^j log(x)^k over j at least zero.  This is the package's one series
+engine: a series is held densely as one coefficient array over j for each
+power of the logarithm, each letter multiplies by its own series and
+integrates termwise, and one routine sums the result.  Integration
+constants are exact zeros at the origin and are matched numerically
+against the continued function at other centers.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .curve_genus0 import PoleSet
 from .errors import DomainError, NumericError
@@ -48,6 +52,14 @@ class LogLaurentExpansion:
     def log_degree(self) -> int:
         return max((k for (_, k) in self.coeffs), default=0)
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        width = max((j for (j, _) in self.coeffs), default=0) + 1
+        rows = np.zeros((self.log_degree + 1, width), dtype=complex)
+        for (j, k), c in self.coeffs.items():
+            rows[k, j] = c
+        return rows
+
     def evaluate(self, z: complex) -> complex:
         x = complex(z) - self.center
         if x == 0:
@@ -57,11 +69,7 @@ class LogLaurentExpansion:
             raise DomainError(
                 f"point lies outside the disk of radius {self.radius:.3g} "
                 f"around {self.center}")
-        lx = cmath.log(x)
-        acc = 0j
-        for (j, k), c in self.coeffs.items():
-            acc += c * x ** j * lx ** k
-        return acc
+        return _series_sum(self._rows, x)
 
     def substitute_log_shift(self, delta: complex) -> "LogLaurentExpansion":
         """Replace log(x) by log(x) + delta and re-expand binomially."""
@@ -91,55 +99,70 @@ def monodromy_substitution(exp: LogLaurentExpansion) -> LogLaurentExpansion:
 
 
 def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
-    """Coefficients of 1/(z - pole) in the local variable, as a j-indexed
-    map; the jump to j = -1 happens only for the letter at the center."""
+    """Multiplication by 1/(z - pole) in the local variable x, as the matrix
+    taking coefficients over x^j to coefficients over x^(i - 1), for i and j
+    in 0..order: entry (j, i) is the letter's coefficient of x^(i - 1 - j).
+    The letter at the center is 1/x itself, the identity."""
+    n = order + 1
     p = ps.points[ps.index(lab)]
     if p == center:
-        return {-1: 1.0 + 0j}
-    u = complex(center - p)
-    inv = 1.0 / u
-    return {n: -((-inv) ** (n + 1)) for n in range(order + 1)}
+        return np.eye(n, dtype=complex)
+    inv = 1.0 / complex(center - p)
+    g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
+    lag = np.arange(n) - np.arange(1, n + 1)[:, None]
+    return np.where(lag >= 0, g[lag], 0)
 
 
-def _multiply(cur: dict, letter: dict, order: int) -> dict:
-    out: dict = {}
-    for (j, k), c in cur.items():
-        for n, g in letter.items():
-            jj = j + n
-            if jj > order:
-                continue
-            key = (jj, k)
-            out[key] = out.get(key, 0j) + c * g
-    return out
-
-
-def _integrate(cur: dict, order: int) -> dict:
-    out: dict = {}
-
-    def add(key, v):
-        if v != 0:
-            out[key] = out.get(key, 0j) + v
-
-    for (j, k), c in cur.items():
-        if j == -1:
-            add((0, k + 1), c / (k + 1))
-            continue
-        if j + 1 > order:
-            continue
-        fall = 1.0
+def _letter_step(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:
+    """Multiply a series by one letter's series, then integrate termwise
+    from the center with a zero constant.  rows[k, j] is the coefficient of
+    x^j log(x)^k; a new top row that stays zero is dropped."""
+    prod = rows @ letter
+    inv = 1.0 / np.arange(1, rows.shape[1])
+    out = np.zeros((len(rows) + 1, rows.shape[1]), dtype=complex)
+    for k, p in enumerate(prod):
+        # x^-1 log^k integrates to log^(k+1) / (k+1); x^(i-1) log^k to
+        # x^i times the sum over m of (-1)^m k!/(k-m)! log^(k-m) / i^(m+1)
+        out[k + 1, 0] = p[0] / (k + 1)
+        term = p[1:] * inv
         for m in range(k + 1):
-            if m > 0:
-                fall *= (k - m + 1)
-            add((j + 1, k - m), c * (-1) ** m * fall / (j + 1) ** (m + 1))
+            out[k - m, 1:] += term
+            term = term * (-(k - m) * inv)
+    if not out[-1].any():
+        out = out[:-1]
     return out
 
 
-def _series_value(coeffs: dict, x: complex) -> complex:
+def _series_sum(rows: np.ndarray, x: complex) -> complex:
+    """The value of the sum of rows[k, j] x^j log(x)^k at a nonzero
+    displacement x, by Horner's rule in x and then in the principal log."""
     lx = cmath.log(x)
-    acc = 0j
-    for (j, k), c in coeffs.items():
-        acc += c * x ** j * lx ** k
-    return acc
+    total = 0j
+    for row in rows[::-1]:
+        acc = 0j
+        for c in reversed(row.tolist()):
+            acc = acc * x + c
+        total = total * lx + acc
+    return total
+
+
+def series_values(words, ps: PoleSet, z: complex, order: int) -> dict:
+    """Values at a point z near the origin of every prefix of the words,
+    summed from their series at the origin with every integration constant
+    zero, the regularization convention; shared prefixes are stepped once."""
+    letters = {lab: _letter_series(ps, lab, QI.of(0), order)
+               for lab in ps.labels}
+    series = {(): np.eye(1, order + 1, dtype=complex)}
+    vals = {(): 1.0 + 0j}
+    for w in words:
+        for k in range(1, len(w) + 1):
+            prefix = w[:k]
+            if prefix in series:
+                continue
+            series[prefix] = _letter_step(series[w[:k - 1]],
+                                          letters[prefix[-1]])
+            vals[prefix] = _series_sum(series[prefix], z)
+    return vals
 
 
 def expand_at(word, poles, center, order: int = 24,
@@ -176,29 +199,22 @@ def expand_at(word, poles, center, order: int = 24,
 
     at_origin = c_exact == QI.of(0)
     prefixes = [word[:k] for k in range(1, len(word) + 1)]
-    vals_ref = vals_chk = None
     x_ref = radius / 2.0
     if not at_origin and prefixes:
         z_ref = c_num + x_ref
         z_chk = c_num + 0.45 * radius * cmath.exp(0.25j * math.pi)
-        rows = eval_batch(prefixes, [z_ref, z_chk], ps, cfg)
-        vals_ref, vals_chk = rows[0], rows[1]
+        vals_ref, vals_chk = eval_batch(prefixes, [z_ref, z_chk], ps, cfg)
 
-    cur = {(0, 0): 1.0 + 0j}
+    rows = np.eye(1, order + 1, dtype=complex)
     for n, lab in enumerate(word):
-        prefix = word[:n + 1]
-        letter = _letter_series(ps, lab, c_exact, order)
-        cur = _integrate(_multiply(cur, letter, order), order)
-        if at_origin:
-            continue
-        const = vals_ref[prefix] - _series_value(cur, x_ref)
-        if const != 0:
-            cur[(0, 0)] = cur.get((0, 0), 0j) + const
-    exp = LogLaurentExpansion(
-        word, c_num, radius, order,
-        tuple(sorted((jk, v) for jk, v in cur.items() if v != 0)))
+        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, order))
+        if not at_origin:
+            rows[0, 0] += vals_ref[word[:n + 1]] - _series_sum(rows, x_ref)
+    terms = (((j, k), c) for k, row in enumerate(rows)
+             for j, c in enumerate(row.tolist()) if c != 0)
+    exp = LogLaurentExpansion(word, c_num, radius, order,
+                              tuple(sorted(terms)))
     if check and not at_origin and word:
-        z_chk = c_num + 0.45 * radius * cmath.exp(0.25j * math.pi)
         got = exp.evaluate(z_chk)
         want = vals_chk[word]
         if abs(got - want) > _CHECK_TOL * max(1.0, abs(want)):
@@ -207,7 +223,3 @@ def expand_at(word, poles, center, order: int = 24,
                 f"control point (difference {abs(got - want):.3g})")
     return exp
 
-
-def evaluate_expansion(exp: LogLaurentExpansion, z: complex) -> complex:
-    """Value of a stored expansion inside its disk of validity."""
-    return exp.evaluate(z)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
 from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, Path,
-                      integrate_h_words, label_words, plan_path)
-from .shuffle_core import word_sort_key
+                      integrate_h_words, j_element, label_words, plan_path)
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,9 @@ def pairing(loop: Loop, section: Section, weight: int | None = None,
             cfg: IntegratorConfig | None = None) -> GroupLikeSeries:
     """Integrals of all class words up to a weight bound around a loop."""
     cfg = cfg or IntegratorConfig()
-    weight = cfg.weight if weight is None else int(weight)
-    ps = section.poles
-    words = label_words(ps, weight)
-    vals, _ = integrate_h_words(loop.path, words, section, cfg)
-    return GroupLikeSeries(weight, vals, ps.labels)
+    if weight is not None:
+        cfg = replace(cfg, weight=int(weight))
+    return j_element(loop.path, section, cfg)
 
 
 class MonodromyOperator:
@@ -242,8 +239,3 @@ def period_matrix(section: Section, radius: float | None = None,
         for col, w in enumerate(words):
             P[i, col] = vals[w]
     return P
-
-
-def word_basis(ps: PoleSet, weight: int):
-    """Canonically ordered class words up to the weight bound."""
-    return sorted(label_words(ps, weight), key=word_sort_key)

@@ -268,12 +268,6 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
     return NormalForm(ps, section, x0, terms)
 
 
-def eval_normal_form(nf: NormalForm, z: complex, path: Path | None = None,
-                     cfg: IntegratorConfig | None = None) -> complex:
-    """Numeric value of a normal form at a point."""
-    return nf.evaluate(z, path, cfg)
-
-
 def _mul_into_first(f: RationalFunction, word):
     """f times a word: multiply f into the first letter's function part."""
     prod = word[0].f * f
@@ -354,11 +348,6 @@ def kernel_member(t, section: Section, x0=None) -> bool:
     """Exact membership test: the tensor integrates to zero identically
     precisely when its normal form vanishes."""
     return normal_form(t, section, x0).is_zero
-
-
-def sigma_word(section: Section, labels) -> tuple:
-    """The differential word realizing a class word through the section."""
-    return section.word(labels)
 
 
 def decompose_subker(t, section: Section, x0=None):

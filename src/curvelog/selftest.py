@@ -21,11 +21,11 @@ import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .hyperlog import eval_L, eval_batch, mzv
-from .iterint import (IntegratorConfig, Path, chain_rule_check, integrate_word,
+from .iterint import (IntegratorConfig, Path, chain_rule_check,
                       integrate_words, integrate_h_words, nabla_sigma,
-                      kz_specialization_check, plan_path, shuffle_identity_check)
-from .local_expansion import (evaluate_expansion, expand_at,
-                              monodromy_substitution)
+                      kz_specialization_check, plan_chain, plan_path,
+                      shuffle_identity_check)
+from .local_expansion import expand_at, monodromy_substitution
 from .monodromy import (circle_loop, loop_around, monodromy_operator, pairing,
                         period_matrix, unipotence_check)
 from .reduce import d_map, decompose_subker, default_basepoint, normal_form
@@ -85,20 +85,6 @@ def _rand_point(rng: random.Random, ps: PoleSet, clearance: float = 0.35):
         if all(abs(z - p) >= clearance for p in ps.as_complex):
             return z
     raise RuntimeError("could not sample a clear point")
-
-
-def _chain_through(start: complex, points, ps: PoleSet):
-    """One continuous path visiting the points in order; returns the path
-    and the segment index ending each leg."""
-    segs: list = []
-    marks = []
-    cur = start
-    for z in points:
-        leg = plan_path(cur, z, ps)
-        segs.extend(leg.segments)
-        marks.append(len(segs) - 1)
-        cur = z
-    return Path(tuple(segs), start), marks
 
 
 def _crit_mzv(seed: int):
@@ -240,7 +226,7 @@ def _crit_reduction(seed: int):
                 filtration_ok = False
 
     zs = [_rand_point(rng, ps) for _ in range(5)]
-    chain, marks = _chain_through(complex(x0), zs, ps)
+    chain, marks = plan_chain(complex(x0), zs, ps)
     omega_words = sorted({w for t in tensors for w in t.terms},
                          key=word_sort_key)
     _, caps_o, _ = integrate_words(chain, omega_words, ps, _TIGHT,
@@ -345,11 +331,11 @@ def _crit_local(seed: int):
         rows = eval_batch(words, zs, ps)
         for row, z in zip(rows, zs):
             for w in words:
-                worst = max(worst, abs(evaluate_expansion(exps[w], z) - row[w]))
+                worst = max(worst, abs(exps[w].evaluate(z) - row[w]))
         z0 = zs[1]
         loop = loop_around(ps, center, z0)
         for w in words:
-            shifted = evaluate_expansion(monodromy_substitution(exps[w]), z0)
+            shifted = monodromy_substitution(exps[w]).evaluate(z0)
             looped = eval_L(w, z0, ps, loop=loop)
             worst_mono = max(worst_mono, abs(shifted - complex(looped)))
     ok = worst < 1e-6 and worst_mono < 1e-6 and logdeg_ok
@@ -369,7 +355,7 @@ def _crit_connection(seed: int):
         f = _rand_rf(rng, ps, max_order=1)
         a = ShuffleTensor.from_word(u)
         z0 = _rand_point(rng, ps, clearance=0.45)
-        chain, marks = _chain_through(x0, [z0 - h, z0, z0 + h], ps)
+        chain, marks = plan_chain(x0, [z0 - h, z0, z0 + h], ps)
         pool = {u, u[:-1]}
         _, caps = integrate_h_words(chain, pool, sec, _TIGHT,
                                     capture_after=marks)
@@ -423,8 +409,8 @@ def _crit_homotopy(seed: int):
         closed = p1 + p2.reverse()
         if any(_winding(closed, p) != 0 for p in ps.as_complex):
             continue
-        v1, _ = integrate_word(p1, w, ps, _TIGHT)
-        v2, _ = integrate_word(p2, w, ps, _TIGHT)
+        v1 = integrate_words(p1, [w], ps, _TIGHT)[0][w]
+        v2 = integrate_words(p2, [w], ps, _TIGHT)[0][w]
         worst = max(worst, abs(v1 - v2))
         cases += 1
     return worst < 1e-8, f"max deformed-path disagreement {worst:.2e} over 20 cases"

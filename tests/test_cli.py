@@ -169,6 +169,24 @@ def test_exit_code_domain_errors(capsys):
     capsys.readouterr()
 
 
+def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
+    assert main(["eval", "--poles", "0,1", "--word", "0,1",
+                 "--point", "nan"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["eval", "--poles", "0,1", "--word", "0,1",
+                 "--point", "1e400"]) == 1
+    capsys.readouterr()
+    assert main(["eval", "--poles", "0,1", "--word", "1",
+                 "--point", "-1e400+2i"]) == 1
+    capsys.readouterr()
+
+
+def test_expand_order_zero_is_rejected(capsys):
+    assert main(["expand", "--poles", "0,1", "--word", "0", "--point", "0",
+                 "--weight", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_code_numeric_errors(monkeypatch, capsys):
     def boom(word, order=30):
         raise NumericError("forced")

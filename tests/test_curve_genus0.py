@@ -15,7 +15,6 @@ from curvelog import (
     d,
     decompose,
     dlog,
-    project_deRham,
 )
 
 
@@ -92,14 +91,14 @@ def test_differential_labels(ps):
     w = dlog(ps, "0")
     assert w.label == "((1)/(z-(0)))dz"
     assert w.poles is ps
-    assert project_deRham(w) == DeRhamClass.basis(ps, "0")
+    assert w.project() == DeRhamClass.basis(ps, "0")
 
 
 def test_projection_kills_exact_forms(ps):
     f = rf_pole(ps, "0", 3) + RationalFunction.coordinate(ps)
-    assert project_deRham(d(f)).is_zero
+    assert d(f).project().is_zero
     mixed = Differential(rf_pole(ps, "0", 1, 2) + f.differentiate())
-    assert project_deRham(mixed) == DeRhamClass.basis(ps, "0").scale(QI(2))
+    assert mixed.project() == DeRhamClass.basis(ps, "0").scale(QI(2))
 
 
 def test_standard_section_forms(ps):

@@ -17,7 +17,6 @@ from curvelog import (
     chain_rule_check,
     d,
     dlog,
-    integrate_word,
     integrate_words,
     j_element,
     kz_specialization_check,
@@ -76,7 +75,8 @@ def test_plan_path_detours_and_stays_left():
     p.check_clearance(PS0)
     # the detour bulges to the left of the travel direction (upper half here),
     # so continuing log across it loses i*pi rather than gaining it
-    val, _ = integrate_word(p, (dlog(PS0, "0"),), PS0)
+    w = (dlog(PS0, "0"),)
+    val = integrate_words(p, [w], PS0)[0][w]
     assert abs(val - (-1j * math.pi)) < 1e-9
     with pytest.raises(PathError):
         plan_path(0, 1, PoleSet.of("0,1"))  # endpoint sits on a pole
@@ -86,13 +86,15 @@ def test_exact_form_integrates_to_difference():
     ps = PoleSet.of("0,1")
     f = RationalFunction.coordinate(ps)
     path = Path.line(2 + 2j, 3 - 1j)
-    val, prefixes = integrate_word(path, (d(f),), ps)
-    assert abs(val - (3 - 1j - (2 + 2j))) < 1e-10
-    assert prefixes[()] == 1.0
+    w = (d(f),)
+    vals, _, _ = integrate_words(path, [w], ps)
+    assert abs(vals[w] - (3 - 1j - (2 + 2j))) < 1e-10
+    assert vals[()] == 1.0
 
 
 def test_log_two():
-    val, _ = integrate_word(Path.line(1, 2), (dlog(PS0, "0"),), PS0)
+    w = (dlog(PS0, "0"),)
+    val = integrate_words(Path.line(1, 2), [w], PS0)[0][w]
     assert abs(val - LOG2) < 1e-11
 
 
@@ -119,25 +121,30 @@ def test_integrate_words_capture_and_trace():
 def test_word_letters_must_share_the_pole_set():
     other = PoleSet.of("0,1")
     with pytest.raises(DomainError):
-        integrate_word(Path.line(2, 3), (dlog(other, "0"),), PS0)
+        integrate_words(Path.line(2, 3), [(dlog(other, "0"),)], PS0)
 
 
 def test_pole_collision_rejected():
     with pytest.raises(PathError):
-        integrate_word(Path.line(-1, 1), (dlog(PS0, "0"),), PS0)
+        integrate_words(Path.line(-1, 1), [(dlog(PS0, "0"),)], PS0)
 
 
 def test_step_budget_is_enforced():
     from curvelog import NumericError
     cfg = IntegratorConfig(max_steps=2)
     with pytest.raises(NumericError):
-        integrate_word(Path.line(1, 100), (dlog(PS0, "0"), dlog(PS0, "0")),
-                       PS0, cfg)
+        integrate_words(Path.line(1, 100), [(dlog(PS0, "0"), dlog(PS0, "0"))],
+                        PS0, cfg)
 
 
 def test_integrator_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(rtol=-1)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(DomainError):
+            IntegratorConfig(rtol=bad)
+        with pytest.raises(DomainError):
+            IntegratorConfig(atol=bad)
     with pytest.raises(DomainError):
         IntegratorConfig(weight=-1)
     assert IntegratorConfig(weight=0).weight == 0

@@ -16,8 +16,8 @@ from curvelog import (
     monodromy_operator,
     pairing,
     period_matrix,
+    label_words,
     unipotence_check,
-    word_basis,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -66,7 +66,7 @@ def test_loop_around_far_base_shrinks(ps, sec):
 
 def test_monodromy_operator_weight_one(ps, sec):
     op = monodromy_operator(circle_loop(ps, "0"), sec, weight=1)
-    assert op.basis == tuple(word_basis(ps, 1))
+    assert op.basis == tuple(label_words(ps, 1))
     assert abs(op.entry((), ()) - 1) < 1e-12
     assert abs(op.entry(("0",), ()) - TWO_PI_I) < 1e-9
     assert abs(op.entry(("0",), ("0",)) - 1) < 1e-9
@@ -108,7 +108,7 @@ def test_unipotence_is_structural(ps, sec):
 
 
 def test_unipotence_negative_control(ps):
-    basis = word_basis(ps, 1)
+    basis = label_words(ps, 1)
     m = np.eye(len(basis), dtype=complex)
     m[0, 0] = 2.0  # not unit on the diagonal
     bad = MonodromyOperator(basis, m, ps)
@@ -119,10 +119,10 @@ def test_unipotence_negative_control(ps):
 
 
 def test_operator_shape_validation(ps):
-    basis = word_basis(ps, 1)
+    basis = label_words(ps, 1)
     with pytest.raises(DomainError):
         MonodromyOperator(basis, np.eye(2), ps)
-    other = word_basis(ps, 2)
+    other = label_words(ps, 2)
     a = MonodromyOperator(basis, np.eye(len(basis)), ps)
     b = MonodromyOperator(other, np.eye(len(other)), ps)
     with pytest.raises(DomainError):

@@ -19,11 +19,9 @@ from curvelog import (
     default_basepoint,
     dlog,
     eval_L,
-    eval_normal_form,
     kernel_member,
     normal_form,
     plan_path,
-    sigma_word,
 )
 
 PS = PoleSet.of("0,1")
@@ -48,12 +46,12 @@ def test_default_basepoint_is_far_from_the_poles():
 
 
 def test_sigma_word_of_the_standard_section():
-    w = sigma_word(SEC, ("0", "1"))
+    w = SEC.word(("0", "1"))
     assert w == (omega("0"), omega("1"))
 
 
 def test_normal_form_of_a_section_word_is_itself():
-    t = ShuffleTensor.from_word(sigma_word(SEC, ("0", "1")), QI(3))
+    t = ShuffleTensor.from_word(SEC.word(("0", "1")), QI(3))
     nf = normal_form(t, SEC)
     assert nf.terms == ((("0", "1"), RationalFunction.const(PS, 3)),)
     assert nf.weight == 2
@@ -149,7 +147,7 @@ def test_normal_form_evaluate_matches_direct_integration(tight):
     vals, _, _ = integrate_words(path, list(t.terms), PS, tight)
     want = sum(complex(c) * vals[w] for w, c in t.terms.items())
     assert abs(got - want) < 1e-9
-    assert abs(eval_normal_form(nf, z, cfg=tight) - got) < 1e-12
+    assert abs(nf.evaluate(z, cfg=tight) - got) < 1e-12
 
 
 def test_normal_form_evaluate_rejects_foreign_paths(tight):
@@ -162,7 +160,7 @@ def test_normal_form_evaluate_rejects_foreign_paths(tight):
 
 
 def test_decompose_subker_on_a_pure_section_word():
-    t = ShuffleTensor.from_word(sigma_word(SEC, ("1", "0")), QI(2))
+    t = ShuffleTensor.from_word(SEC.word(("1", "0")), QI(2))
     sub, ker = decompose_subker(t, SEC, X0)
     assert sub == t
     assert ker.is_zero
@@ -180,7 +178,7 @@ def test_decompose_subker_mixed():
     f = RationalFunction.coordinate(PS)
     gen = d_map(ShuffleTensor.from_word((omega("0"),)), f,
                 ShuffleTensor.from_word((omega("1"),)), X0)
-    rep = ShuffleTensor.from_word(sigma_word(SEC, ("0",)), QI(Fraction(1, 2)))
+    rep = ShuffleTensor.from_word(SEC.word(("0",)), QI(Fraction(1, 2)))
     t = gen + rep
     sub, ker = decompose_subker(t, SEC, X0)
     assert sub + ker == t
