@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--path-json", dest="path_json",
                         help="integration path payload, inline or @file")
         sp.add_argument("--weight", type=int, help="truncation weight or order")
-        sp.add_argument("--rtol", type=float, help="relative stepper tolerance")
-        sp.add_argument("--atol", type=float, help="absolute stepper tolerance")
+        sp.add_argument("--rtol", type=float, help="relative integrator tolerance")
+        sp.add_argument("--atol", type=float, help="absolute integrator tolerance")
         sp.add_argument("--csv", action="store_true",
                         help="emit CSV instead of JSON where supported")
         sp.add_argument("--seed", type=int, help="seed for randomized checks")

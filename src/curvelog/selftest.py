@@ -34,7 +34,7 @@ from .shuffle_core import ShuffleTensor, coradical_member, word_sort_key
 
 DEFAULT_SEED = 1729
 
-# numeric criteria at 1e-8 or tighter lean on a stricter stepper budget
+# numeric criteria at 1e-8 or tighter lean on a stricter integrator tolerance
 _TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
 

@@ -179,6 +179,9 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["eval", "--poles", "0,1", "--word", "1",
                  "--point", "-1e400+2i"]) == 1
     capsys.readouterr()
+    assert main(["eval", "--poles", "0,1", "--word", "1",
+                 "--point", "1e300"]) in (0, 2)
+    capsys.readouterr()
 
 
 def test_expand_order_zero_is_rejected(capsys):

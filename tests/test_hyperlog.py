@@ -1,6 +1,8 @@
 import cmath
 import math
+import time
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,6 +141,33 @@ def test_non_finite_points_rejected():
             eval_L(("0", "1"), z, PS)
         with pytest.raises(DomainError):
             eval_batch([("0", "1")], [0.3, z], PS)
+
+
+def test_huge_finite_point_is_evaluated():
+    # the planned path passes above the puncture 1, so the value sits on the
+    # sheet of log(z - 1) - i*pi
+    z = 1e12
+    want = cmath.log(z - 1) - 1j * math.pi
+    assert abs(eval_L(("1",), z, PS).value - want) <= 1e-12 * abs(want)
+
+
+def test_extreme_finite_point_finishes_promptly():
+    z = 1e300
+    start = time.perf_counter()
+    try:
+        value = eval_L(("1",), z, PS).value
+    except DomainError:
+        value = None
+    assert time.perf_counter() - start < 1.0
+    if value is not None:
+        want = cmath.log(z) - 1j * math.pi
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.3, -0.7 + 0.2j, 2.5 + 0.5j])
+def test_dilog_at_the_default_config_matches_mpmath(z):
+    want = -complex(mpmath.polylog(2, mpmath.mpc(z)))
+    assert abs(eval_L(("1", "0"), z, PS).value - want) <= 1e-13
 
 
 def test_shuffle_law_at_a_point(tight):

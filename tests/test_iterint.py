@@ -1,6 +1,8 @@
 import cmath
 import math
+import time
 
+import numpy as np
 import pytest
 
 from curvelog import (
@@ -8,6 +10,7 @@ from curvelog import (
     DomainError,
     IntegratorConfig,
     LineSeg,
+    NumericError,
     Path,
     PathError,
     PoleSet,
@@ -68,6 +71,15 @@ def test_plan_path_straight_when_clear():
     p = plan_path(-1 + 1j, 2 + 1j, ps)
     assert p.base == -1 + 1j and p.end == 2 + 1j
     p.check_clearance(ps)
+
+
+def test_long_segment_distance_does_not_overflow():
+    assert LineSeg(0.5, 1e300).min_distance(1) < 1e-12
+    ps = PoleSet.of("0,1")
+    p = plan_path(0.5, 1e300, ps)
+    assert any(isinstance(seg, ArcSeg) and seg.center == 1
+               for seg in p.segments)
+    assert p.min_distance_to([1]) >= ps.guard
 
 
 def test_plan_path_detours_and_stays_left():
@@ -135,6 +147,24 @@ def test_step_budget_is_enforced():
     with pytest.raises(NumericError):
         integrate_words(Path.line(1, 100), [(dlog(PS0, "0"), dlog(PS0, "0"))],
                         PS0, cfg)
+
+
+def test_unreachable_tolerance_fails_promptly():
+    # with the default budget too: bisection stops at the resolution of t
+    for cfg in (IntegratorConfig(rtol=1e-300, atol=1e-300, max_steps=500),
+                IntegratorConfig(rtol=1e-300, atol=1e-300)):
+        start = time.perf_counter()
+        with pytest.raises(NumericError):
+            integrate_words(Path.line(1, 2), [(dlog(PS0, "0"),)], PS0, cfg)
+        assert time.perf_counter() - start < 2.0
+
+
+def test_spectral_integration_matrix_integrates_exp():
+    from curvelog.iterint import _spectral
+    x, st, _ = _spectral()
+    assert x[0] == -1.0 and x[-1] == 1.0
+    err = np.exp(x) @ st - (np.exp(x) - math.exp(-1.0))
+    assert np.max(np.abs(err)) <= 1e-14
 
 
 def test_integrator_config_validation():
