@@ -19,7 +19,8 @@ from .errors import CurvelogError, DomainError, InputError, NumericError
 from .hyperlog import eval_L, mzv
 from .iterint import IntegratorConfig, Path, integrate_words
 from .local_expansion import expand_at
-from .monodromy import Loop, circle_loop, monodromy_operator, period_matrix
+from .monodromy import (Loop, check_view_budget, circle_loop,
+                        monodromy_operator, period_matrix)
 from .reduce import default_basepoint, normal_form
 from .shuffle_core import tensor_from_json, word_label, word_sort_key
 
@@ -257,6 +258,7 @@ def _cmd_kernel(args, conf) -> int:
 def _cmd_monodromy(args, conf) -> int:
     ps = _require_poles(args, conf)
     cfg = _make_cfg(args, conf)
+    check_view_budget(len(ps.labels), cfg.weight)
     if args.path_json:
         loop = Loop(_parse_path(args))
     else:

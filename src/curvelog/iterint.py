@@ -25,7 +25,7 @@ from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import DomainError, NumericError, PathError
 from .scalars import QI
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, shuffle,
-                           shuffle_words, word_sort_key)
+                           shuffle_words)
 
 
 @dataclass(frozen=True)
@@ -335,26 +335,24 @@ class _WordSystem:
             w = tuple(w)
             for k in range(1, len(w) + 1):
                 closure.setdefault(w[:k], None)
-        order = sorted(closure, key=word_sort_key)
+        order = sorted(closure, key=len)
         self.words = order
         self.index = {w: i for i, w in enumerate(order)}
         self.n = len(order)
         evaluators = []
         slot_of: dict = {}
-        parents = [0] * self.n
-        slots = [0] * self.n
-        for i, w in enumerate(order):
-            if not w:
-                continue
-            parents[i] = self.index[w[:-1]]
-            f = form_of(w[-1])
+        letter_slot = {}
+        for letter in dict.fromkeys(w[-1] for w in order[1:]):
+            f = form_of(letter)
             key = (f.poles.key, f.poly, f.principal)
             if key not in slot_of:
                 slot_of[key] = len(evaluators)
                 evaluators.append(f.compiled())
-            slots[i] = slot_of[key]
-        self.parents = np.asarray(parents, dtype=np.intp)
-        self.slots = np.asarray(slots, dtype=np.intp)
+            letter_slot[letter] = slot_of[key]
+        self.parents = np.asarray(
+            [0] + [self.index[w[:-1]] for w in order[1:]], dtype=np.intp)
+        self.slots = np.asarray(
+            [0] + [letter_slot[w[-1]] for w in order[1:]], dtype=np.intp)
         self.evaluators = evaluators
         bounds = [i for i in range(1, self.n)
                   if len(order[i]) != len(order[i - 1])] + [self.n]
@@ -507,27 +505,50 @@ class GroupLikeSeries:
         return worst
 
     def convolve(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
-        """Series of a concatenated loop via the deconcatenation coproduct."""
+        """Series of a concatenated loop via the deconcatenation coproduct:
+        the value of w is the sum over w = u v of self's u times other's v."""
         weight = min(self.weight, other.weight)
-        out = {}
-        for w in self.values:
-            if len(w) > weight:
-                continue
-            acc = 0j
-            for k in range(len(w) + 1):
-                left, right = w[:k], w[k:]
-                if left in self.values and right in other.values:
-                    acc += self.values[left] * other.values[right]
-            out[w] = acc
-        return GroupLikeSeries(weight, out, self.letters)
+        cuts = word_cuts(self.letters, weight)
+        out = cut_sum(cuts, on_basis(self.values, cuts[0]),
+                      on_basis(other.values, cuts[0]))
+        return GroupLikeSeries(weight, dict(zip(cuts[0], out.tolist())),
+                               self.letters)
 
 
 def label_words(ps: PoleSet, weight: int):
     """All class words of weight at most ``weight``, canonically ordered."""
-    out = [()]
-    for k in range(1, weight + 1):
-        out.extend(product(ps.labels, repeat=k))
-    return sorted(out, key=word_sort_key)
+    return list(word_cuts(ps.labels, weight)[0])
+
+
+@lru_cache(maxsize=8)
+def word_cuts(letters: tuple, weight: int):
+    """The label words up to ``weight`` in word_sort_key order, and every
+    cut w = u v as flat arrays of basis indices (w, u, v), word by word from
+    u = () on.  Read as base-m label ranks c, the length-k word has prefix
+    c // m^(k-j) and suffix c % m^(k-j), offset by the shorter words."""
+    m = len(letters)
+    basis = tuple(w for k in range(weight + 1)
+                  for w in product(sorted(letters), repeat=k))
+    start = np.array([sum(m ** i for i in range(k)) for k in range(weight + 2)])
+    cuts = []
+    for k in range(weight + 1):
+        code, j = np.arange(m ** k)[:, None], np.arange(k + 1)
+        cuts.append(np.stack(np.broadcast_arrays(
+            start[k] + code, start[j] + code // m ** (k - j),
+            start[k - j] + code % m ** (k - j))).reshape(3, -1))
+    cuts = np.concatenate(cuts, axis=1)
+    cuts.setflags(write=False)
+    return (basis, *cuts)
+
+
+def on_basis(values, basis) -> np.ndarray:
+    return np.array([values[w] for w in basis], dtype=complex)
+
+
+def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For every basis word w, the sum over w = u v of a[u] b[v]."""
+    _, _, prefix, suffix = cuts
+    return np.add.reduceat(a[prefix] * b[suffix], np.flatnonzero(prefix == 0))
 
 
 def j_element(path: Path, section: Section, cfg: IntegratorConfig | None = None

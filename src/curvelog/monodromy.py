@@ -1,9 +1,9 @@
 """Monodromy of iterated integrals around the punctures.
 
-A closed loop acts on the span of class words through the pairing that
-integrates prefixes around the loop.  The action is lower unitriangular in
-the weight grading, hence unipotent, and composes contravariantly with
-loop concatenation.
+A closed loop acts on class words through its Chen series, the loop
+integrals of all words: w = u v picks up u's value times v (unipotent, and
+contravariant in loop concatenation).  Operators hold that series; their
+dense matrix is a lazy view, capped at MATRIX_VIEW_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -11,13 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
 from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, Path,
-                      integrate_h_words, j_element, label_words, plan_path)
+                      cut_sum, integrate_h_words, j_element, on_basis,
+                      plan_path, word_cuts)
 
 
 @dataclass(frozen=True)
@@ -132,95 +134,126 @@ def pairing(loop: Loop, section: Section, weight: int | None = None,
     return j_element(loop.path, section, cfg)
 
 
-class MonodromyOperator:
-    """The matrix of a loop acting on class words up to a weight bound.
+# The largest dense view, 16 n^2 bytes on n words: weight 7 on three
+# punctures (3,280 words, 172 MB) fits, weight 8 does not.
+MATRIX_VIEW_MAX_BYTES = 1 << 28
 
-    Rows and columns are indexed by the canonically ordered word basis;
-    the entry at (w, v) is the loop integral of the prefix u whenever
-    w = u v, and zero when v is not a suffix of w.
+
+def check_view_budget(letters: int, weight: int) -> int:
+    """The number of words up to ``weight`` over ``letters`` letters, counted
+    without building them (and past weight 64, where two letters already
+    pass the cap, not at all); DomainError when the dense operator on them
+    would pass MATRIX_VIEW_MAX_BYTES."""
+    n = (1 + letters * weight if letters < 2
+         else (letters ** (min(weight, 64) + 1) - 1) // (letters - 1))
+    if 16 * n * n > MATRIX_VIEW_MAX_BYTES:
+        raise DomainError(f"a dense operator on {n:.3g} words exceeds the "
+                          f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB matrix cap")
+    return n
+
+
+class MonodromyOperator:
+    """A loop acting on class words up to a weight bound, held as the loop's
+    Chen series: by deconcatenation the entry at (w, v) is the loop integral
+    of the prefix u whenever w = u v, and zero when v is not a suffix of w.
+    ``@`` convolves the series, ``act`` sums over cuts, ``entry`` looks up
+    the prefix, and ``matrix`` is a dense view on the canonically ordered
+    word basis, built on first use and refused above MATRIX_VIEW_MAX_BYTES.
+    An operator built from an explicit matrix keeps it and the dense paths.
     """
 
     def __init__(self, basis, matrix, poles: PoleSet):
         self.basis = tuple(tuple(w) for w in basis)
-        self.index = {w: i for i, w in enumerate(self.basis)}
+        self.poles, self.series = poles, None
+        self._cuts = word_cuts(poles.labels, max(map(len, self.basis), default=0))
         self.matrix = np.asarray(matrix, dtype=complex)
+        if self.basis != self._cuts[0]:
+            raise DomainError("operator basis is not the canonical word basis")
         if self.matrix.shape != (len(self.basis), len(self.basis)):
             raise DomainError("matrix shape does not match the word basis")
-        self.poles = poles
+
+    @classmethod
+    def of_series(cls, series: GroupLikeSeries, poles: PoleSet):
+        op = cls.__new__(cls)
+        op.poles, op.series = poles, series
+        op._cuts = word_cuts(series.letters, series.weight)
+        op.basis, op._values = op._cuts[0], on_basis(series.values, op._cuts[0])
+        return op
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = check_view_budget(len(self.series.letters), self.weight)
+        _, word, prefix, suffix = self._cuts
+        m = np.zeros((n, n), dtype=complex)
+        m[word, suffix] = self._values[prefix]
+        return m
 
     @property
     def weight(self) -> int:
-        return max((len(w) for w in self.basis), default=0)
+        return len(self.basis[-1])
 
     def entry(self, w, v) -> complex:
-        return self.matrix[self.index[tuple(w)], self.index[tuple(v)]]
+        w, v = tuple(w), tuple(v)
+        if self.series is None:
+            index = {x: i for i, x in enumerate(self.basis)}
+            return self.matrix[index[w], index[v]]
+        values, k = self.series.values, len(w) - len(v)
+        if w not in values or v not in values:
+            raise KeyError((w, v))
+        return values[w[:k]] if k >= 0 and w[k:] == v else 0j
 
     def __matmul__(self, other: "MonodromyOperator") -> "MonodromyOperator":
         if self.basis != other.basis:
             raise DomainError("operators over different word bases")
-        return MonodromyOperator(self.basis, self.matrix @ other.matrix,
-                                 self.poles)
+        if self.series is None or other.series is None:
+            return MonodromyOperator(self.basis, self.matrix @ other.matrix,
+                                     self.poles)
+        return MonodromyOperator.of_series(self.series.convolve(other.series),
+                                           self.poles)
 
     def act(self, values: dict) -> dict:
         """Push a word-indexed value vector through the operator."""
-        vec = np.array([values[w] for w in self.basis], dtype=complex)
-        out = self.matrix @ vec
-        return {w: out[i] for i, w in enumerate(self.basis)}
-
-    def deviation(self) -> np.ndarray:
-        return self.matrix - np.eye(len(self.basis))
+        vec = on_basis(values, self.basis)
+        out = (self.matrix @ vec if self.series is None
+               else cut_sum(self._cuts, self._values, vec))
+        return dict(zip(self.basis, out))
 
     def unipotence_residual(self) -> float:
         """Largest entry of (M - Id)^(weight + 1); zero for a true action."""
-        n = self.deviation()
-        power = np.eye(len(self.basis), dtype=complex)
-        for _ in range(self.weight + 1):
-            power = power @ n
-        return float(np.max(np.abs(power))) if power.size else 0.0
+        power = np.linalg.matrix_power(self.matrix - np.eye(len(self.basis)),
+                                       self.weight + 1)
+        return float(np.max(np.abs(power)))
 
     def is_unitriangular(self, tol: float = 0.0) -> bool:
-        for i, w in enumerate(self.basis):
-            for j, v in enumerate(self.basis):
-                e = self.matrix[i, j]
-                if i == j:
-                    if e != 1:
-                        return False
-                elif len(v) > len(w) or not _is_suffix(v, w):
-                    if abs(e) > tol:
-                        return False
-        return True
-
-
-def _is_suffix(v, w) -> bool:
-    return len(v) <= len(w) and w[len(w) - len(v):] == v
+        """Every entry finite, the diagonal exactly 1 and nothing above tol
+        off the suffix pattern.  The series fills only the pattern, so on it
+        this checks the stored values: all finite, the empty word's 1."""
+        if self.series is not None:
+            return bool(self._values[0] == 1
+                        and np.all(np.isfinite(self._values)))
+        m, (_, word, _, suffix) = self.matrix, self._cuts
+        off = np.ones(m.shape, dtype=bool)
+        off[word, suffix] = False
+        return bool(np.all(np.isfinite(m)) and np.all(np.diagonal(m) == 1)
+                    and np.all(np.abs(m[off]) <= tol))
 
 
 def monodromy_operator(loop: Loop, section: Section,
                        weight: int | None = None,
                        cfg: IntegratorConfig | None = None
                        ) -> MonodromyOperator:
-    """Integrate every class word around the loop and assemble the action.
-
-    Continuing around the loop first, a word's integral picks up the loop
-    integral of each prefix against the remaining suffix, so the operator
-    row of a word collects the pairing values of its prefixes."""
-    series = pairing(loop, section, weight, cfg)
-    basis = label_words(section.poles, series.weight)
-    n = len(basis)
-    index = {w: i for i, w in enumerate(basis)}
-    M = np.zeros((n, n), dtype=complex)
-    for w in basis:
-        i = index[w]
-        for k in range(len(w) + 1):
-            prefix, suffix = w[:k], w[k:]
-            M[i, index[suffix]] += series.values[prefix]
-    return MonodromyOperator(basis, M, section.poles)
+    """The operator of the loop's series: continuing around the loop first,
+    a word picks up the loop integral of each prefix times its suffix."""
+    return MonodromyOperator.of_series(pairing(loop, section, weight, cfg),
+                                       section.poles)
 
 
 def unipotence_check(op: MonodromyOperator) -> bool:
-    """True when the stored array is unit lower triangular in weight and its
-    deviation from the identity is nilpotent as honest array arithmetic."""
-    return op.is_unitriangular(tol=0.0) and op.unipotence_residual() == 0.0
+    """True when the operator is unit lower triangular in weight.  For the
+    series, finite values make (M - Id)^(weight + 1) = 0 by construction; a
+    dense operator must also pass that power as honest array arithmetic."""
+    return op.is_unitriangular(tol=0.0) and (
+        op.series is not None or op.unipotence_residual() == 0.0)
 
 
 def period_matrix(section: Section, radius: float | None = None,

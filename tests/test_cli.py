@@ -129,6 +129,32 @@ def test_monodromy_command(capsys):
     assert abs(re) < 1e-8 and abs(im - 2 * math.pi) < 1e-8
 
 
+def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
+        capsys, monkeypatch):
+    import tracemalloc
+
+    from curvelog import cli, iterint
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a basis over the matrix cap")
+
+    monkeypatch.setattr(iterint, "_run", never)
+    monkeypatch.setattr(cli, "monodromy_operator", never)
+    tracemalloc.start()
+    try:
+        rc = main(["monodromy", "--poles", "0,1,-1", "--word", "0",
+                   "--point", "0.5", "--weight", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "matrix cap" in captured.err
+    assert peak < 8 * 2 ** 20
+
+
 def test_expand_command(capsys):
     data = run_json(capsys, "expand", "--poles", "0,1", "--word", "0",
                     "--point", "0")

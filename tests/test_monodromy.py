@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from curvelog import (
     period_matrix,
     label_words,
     unipotence_check,
+    word_sort_key,
 )
+from curvelog.monodromy import MATRIX_VIEW_MAX_BYTES, check_view_budget
 
 TWO_PI_I = 2j * math.pi
 
@@ -118,6 +121,20 @@ def test_unipotence_negative_control(ps):
     assert not MonodromyOperator(basis, skew, ps).is_unitriangular()
 
 
+def test_non_finite_entries_are_rejected(ps):
+    basis = label_words(ps, 1)
+    n = len(basis)
+    nan_off = np.eye(n, dtype=complex)
+    nan_off[0, n - 1] = np.nan  # the empty word's row hits a longer word
+    inf_on = np.eye(n, dtype=complex)
+    inf_on[basis.index(("0",)), basis.index(())] = np.inf  # a prefix value
+    for m in (nan_off, inf_on):
+        bad = MonodromyOperator(basis, m, ps)
+        assert not bad.is_unitriangular()
+        assert not bad.is_unitriangular(tol=1.0)
+        assert not unipotence_check(bad)
+
+
 def test_operator_shape_validation(ps):
     basis = label_words(ps, 1)
     with pytest.raises(DomainError):
@@ -127,6 +144,11 @@ def test_operator_shape_validation(ps):
     b = MonodromyOperator(other, np.eye(len(other)), ps)
     with pytest.raises(DomainError):
         a @ b
+    with pytest.raises(DomainError):
+        MonodromyOperator(basis[::-1], np.eye(len(basis)), ps)
+    assert a.entry(("0",), ("0",)) == 1 and a.entry(("0",), ()) == 0
+    with pytest.raises(KeyError):
+        a.entry(("0",), ("2",))
 
 
 def test_loops_compose_only_at_a_common_base(ps):
@@ -154,3 +176,79 @@ def test_loop_json_round_trip(ps):
     assert back.label == lp.label
     assert abs(back.path.base - lp.path.base) < 1e-12
     assert len(back.path.segments) == len(lp.path.segments)
+
+
+def dense_reference(series, ps):
+    """The dense assembly the operator once used: row w collects the loop
+    value of every prefix u at the column of the suffix v, w = u v."""
+    basis = label_words(ps, series.weight)
+    index = {w: i for i, w in enumerate(basis)}
+    m = np.zeros((len(basis), len(basis)), dtype=complex)
+    for w in basis:
+        for k in range(len(w) + 1):
+            m[index[w], index[w[k:]]] += series.values[w[:k]]
+    return m
+
+
+def test_series_operator_matches_the_dense_reference():
+    ps3 = PoleSet.of("0,1,-1")
+    sec3 = Section.standard(ps3)
+    base = 0.5 + 0.5j
+    loops = (loop_around(ps3, "0", base), loop_around(ps3, "-1", base))
+    m0, m1 = (monodromy_operator(g, sec3, weight=4) for g in loops)
+    assert m0.basis == tuple(sorted(m0.basis, key=word_sort_key))
+    refs = [dense_reference(m.series, ps3) for m in (m0, m1)]
+    for m, ref in zip((m0, m1), refs):
+        assert np.array_equal(m.matrix, ref)
+        for i, w in enumerate(m.basis):
+            for j, v in enumerate(m.basis):
+                assert m.entry(w, v) == ref[i, j]
+    product = refs[0] @ refs[1]
+    scale = np.max(np.abs(product))
+    assert np.max(np.abs((m0 @ m1).matrix - product)) <= 1e-14 * scale
+    vec = {w: (0.3 - 0.2j) ** len(w) * (1 + i % 3) for i, w in
+           enumerate(m0.basis)}
+    want = refs[0] @ np.array([vec[w] for w in m0.basis])
+    moved = m0.act(vec)
+    got = np.array([moved[w] for w in m0.basis])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(KeyError):
+        m0.entry(("0",), ("2",))
+
+
+def test_weight_eight_operator_builds_no_dense_matrix():
+    ps3 = PoleSet.of("0,1,-1")
+    sec3 = Section.standard(ps3)
+    base = 0.5 + 0.5j
+    n = len(label_words(ps3, 8))
+    assert n == 9841
+    tracemalloc.start()
+    try:
+        m0 = monodromy_operator(loop_around(ps3, "0", base), sec3, weight=8)
+        m1 = monodromy_operator(loop_around(ps3, "1", base), sec3, weight=8)
+        both = m0 @ m1
+        moved = both.act({w: 1.0 for w in both.basis})
+        e = both.entry(("0", "1", "0"), ("0",))
+        ok = unipotence_check(both) and unipotence_check(m0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert e == both.series.values[("0", "1")]
+    assert both.entry(("0",), ("1",)) == 0
+    assert len(moved) == n
+    for op in (m0, m1, both):
+        assert "matrix" not in vars(op)
+    assert peak < n * n * 16 / 20
+    with pytest.raises(DomainError):
+        both.matrix
+
+
+def test_matrix_view_budget():
+    # weight 7 on three letters is the largest benchmark view: 172 MB
+    assert check_view_budget(3, 7) == 3280
+    assert 16 * 3280 ** 2 <= MATRIX_VIEW_MAX_BYTES
+    for letters, weight in ((3, 8), (3, 10), (2, 10 ** 9), (1, 10 ** 9)):
+        with pytest.raises(DomainError):
+            check_view_budget(letters, weight)
+    assert check_view_budget(0, 10 ** 9) == 1
