@@ -215,16 +215,8 @@ class RationalFunction:
         return cls(ps, (), (((i, order), QI.of(coeff)),))
 
     @property
-    def principal_map(self) -> dict:
-        return dict(self.principal)
-
-    @property
     def is_zero(self) -> bool:
         return not self.poly and not self.principal
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.principal and len(self.poly) <= 1
 
     @property
     def constant_term(self) -> QI:

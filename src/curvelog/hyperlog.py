@@ -4,19 +4,20 @@ Words over the puncture labels integrate from the origin once the divergent
 leading letter is split off: every word decomposes into admissible pieces
 shuffled against powers of the single zero letter, and the zero letter is
 assigned the principal logarithm.  Admissible pieces are carried from the
-origin to a nearby reference point by power series, then continued along
-planned paths by the cut formula for concatenated paths.
+origin to a nearby reference point by power series, and these values are
+the initial value of one integration along the planned paths.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import IntegratorConfig, Path, integrate_h_words, plan_chain
+from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
+                      plan_chain)
 from .local_expansion import expand_at, series_values
 from .monodromy import Loop
 from .scalars import QI
@@ -80,10 +81,7 @@ class RegularizedWord:
         return dict(self.parts)
 
     def tensor(self, k: int) -> ShuffleTensor:
-        for kk, t in self.parts:
-            if kk == k:
-                return t
-        return ShuffleTensor.zero()
+        return self.by_power.get(k, ShuffleTensor.zero())
 
     @property
     def max_log_power(self) -> int:
@@ -99,44 +97,37 @@ class RegularizedWord:
 
 
 def regularize(word, ps: PoleSet) -> RegularizedWord:
-    """Split off the divergence at the origin.
+    """Split off the divergence at the origin, in closed form.
 
-    Peeling one leading zero letter at a time: shuffling the zero letter
-    into the tail counts the leading block once per slot plus interior
-    insertions, and solving for the word expresses it through words with
-    strictly fewer leading zeros.
+    The shuffle algebra is a polynomial ring in the zero letter z over the
+    admissible words.  For a word z^n b v with b not z, the part of log
+    power i is (-1)^(n-i) / i! times b followed by the shuffle of z^(n-i)
+    with v; the word z^n alone is 1/n! times the empty word at power n.
     """
     word = tuple(word)
     z = zero_label(ps)
     for lab in word:
         ps.index(lab)  # validate letters early
-
-    memo: dict = {}
-
-    def rec(w: tuple) -> dict:
-        if w in memo:
-            return memo[w]
-        if not w or w[0] != z:
-            out = {0: ShuffleTensor.from_word(w)}
-        else:
-            k = 0
-            while k < len(w) and w[k] == z:
-                k += 1
-            tail = rec(w[1:])
-            out = {p + 1: t for p, t in tail.items()}
-            body = w[1:]
-            for i in range(k, len(body) + 1):
-                inserted = body[:i] + (z,) + body[i:]
-                for p, t in rec(inserted).items():
-                    out[p] = out.get(p, ShuffleTensor.zero()) - t
-            inv = QI.of(1) / QI.of(k)
-            out = {p: t.scale(inv) for p, t in out.items() if not t.is_zero}
-        memo[w] = out
-        return out
-
-    parts = rec(word)
-    pairs = tuple(sorted((k, t) for k, t in parts.items() if not t.is_zero))
-    return RegularizedWord(word, pairs)
+    n = next((k for k, lab in enumerate(word) if lab != z), len(word))
+    if n == len(word):
+        return RegularizedWord(word, ((n, ShuffleTensor.from_word(
+            (), QI.of(1) / factorial(n))),))
+    b, v = word[n], word[n + 1:]
+    shuffles = [{v: 1}]  # z^j shuffled with v, as word -> multiplicity
+    for j in range(1, n + 1):
+        # a z inserted at every slot counts each new word j times
+        grown: dict = {}
+        for u, mult in shuffles[-1].items():
+            for p in range(len(u) + 1):
+                w = u[:p] + (z,) + u[p:]
+                grown[w] = grown.get(w, 0) + mult
+        shuffles.append({w: mult // j for w, mult in grown.items()})
+    parts = []
+    for i in range(n + 1):
+        c = QI.of((-1) ** (n - i)) / factorial(i)
+        parts.append((i, ShuffleTensor(
+            {(b,) + w: c * mult for w, mult in shuffles[n - i].items()})))
+    return RegularizedWord(word, tuple(parts))
 
 
 def reference_point(ps: PoleSet) -> complex:
@@ -147,31 +138,25 @@ def reference_point(ps: PoleSet) -> complex:
     return complex(r / 2.0)
 
 
-def _assemble(parts, taylors, endpoint_vals, logz) -> complex:
+def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
+    """The sum over k of part k's value times logz^k, by Horner's rule, so
+    a part's 1/k! meets the log before logz^k can overflow."""
     total = 0j
-    for k, tensor in parts:
-        piece = 0j
-        for u, c in tensor.terms.items():
-            acc = 0j
-            for cut in range(len(u) + 1):
-                acc += taylors[u[:cut]] * endpoint_vals[u[cut:]]
-            piece += complex(c) * acc
-        total += piece * logz ** k
+    for k in range(reg.max_log_power, -1, -1):
+        total = total * logz + _tensor_value(reg.tensor(k), vals)
     return total
 
 
 def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     """Values of the words at the points, visited in order along one chain
     of planned paths from the reference point.  A tail path closed at the
-    last point is traversed before the values at that point are read."""
+    last point is traversed before the values at that point are read.
+    The admissible words and the zero letter start at their Taylor values
+    at the reference point and are integrated once along the chain."""
     zlab = zero_label(ps)
     regs = {w: regularize(w, ps) for w in set(words)}
-    admissible = set()
-    for reg in regs.values():
-        for _, t in reg.parts:
-            admissible.update(t.terms)
-    suffixes = {w[k:] for w in admissible for k in range(len(w) + 1)}
-    suffixes.add((zlab,))
+    admissible = {u for reg in regs.values() for _, t in reg.parts
+                  for u in t.terms}
 
     if any(z == 0 for z in pts):
         raise DomainError("evaluation at the origin is the regularization point")
@@ -180,18 +165,13 @@ def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     if tail is not None:
         path = path + tail
         marks[-1] = len(path.segments) - 1
-    section = Section.standard(ps)
-    vals_end, caps = integrate_h_words(
-        path, suffixes, section, cfg, capture_after=[m for m in marks if m >= 0])
-    taylors = series_values(admissible, ps, z1, _SERIES_TERMS)
-    base_vals = {w: (1.0 + 0j if not w else 0j) for w in vals_end}
-    out = []
-    for m in marks:
-        vals = base_vals if m < 0 else caps[m]
-        logz = cmath.log(z1) + vals[(zlab,)]
-        out.append({w: _assemble(regs[w].parts, taylors, vals, logz)
-                    for w in words})
-    return out
+    start = series_values(admissible | {(zlab,)}, ps, z1, _SERIES_TERMS)
+    _, caps = integrate_h_words(
+        path, list(start), Section.standard(ps), cfg,
+        capture_after=[m for m in marks if m >= 0], start=start)
+    rows = [start if m < 0 else caps[m] for m in marks]
+    return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}
+            for vals in rows]
 
 
 def eval_L(word, z, poles, cfg: IntegratorConfig | None = None,

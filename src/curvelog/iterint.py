@@ -359,15 +359,13 @@ class _WordSystem:
         self.levels = list(zip(bounds, bounds[1:]))
 
 
-def _run(system: _WordSystem, path: Path, cfg: IntegratorConfig,
-         punctures, capture_after=(), trace=False):
+def _run(system: _WordSystem, y: np.ndarray, path: Path,
+         cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
     x, ST, tail = _spectral()
     s = 0.5 * (1.0 + x)
     n = system.n
-    y = np.zeros(n, dtype=complex)
-    y[0] = 1.0
     Y = np.empty((n, _NODES), dtype=complex)
-    Y[0] = 1.0
+    Y[0] = y[0]
     G = np.empty((len(system.evaluators), _NODES), dtype=complex)
     width = max((hi - lo for lo, hi in system.levels), default=0)
     P = np.empty((width, _NODES), dtype=complex)
@@ -421,14 +419,17 @@ def _run(system: _WordSystem, path: Path, cfg: IntegratorConfig,
 
 
 def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
-               cfg: IntegratorConfig | None, capture_after=(), trace=False):
+               cfg: IntegratorConfig | None, capture_after=(), trace=False,
+               start=None):
     """The one integration body behind the typed front doors: clearance,
-    the joint word system with letters resolved by form_of, the run, and
-    every value vector unpacked into a word-keyed dict."""
+    the joint word system with letters resolved by form_of, the run from
+    start (the unit when None), and every vector unpacked into a dict."""
     cfg = cfg or IntegratorConfig()
     path.check_clearance(poles)
     system = _WordSystem(words, form_of)
-    y, captured, rows = _run(system, path, cfg, poles.as_complex,
+    y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
+          np.array([start[w] for w in system.words], dtype=complex))
+    y, captured, rows = _run(system, y0, path, cfg, poles.as_complex,
                              capture_after, trace)
 
     def unpack(vec):
@@ -460,8 +461,11 @@ def integrate_words(path: Path, words: Iterable[tuple], poles: PoleSet,
 
 
 def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
-                      cfg: IntegratorConfig | None = None, capture_after=()):
-    """Joint integration of residue-class label words through a section."""
+                      cfg: IntegratorConfig | None = None, capture_after=(),
+                      start: dict | None = None):
+    """Joint integration of residue-class label words through a section,
+    from start, the values at path.base of the words' prefix closure, or by
+    default from the unit (1 on the empty word, 0 elsewhere)."""
     ps = section.poles
     forms = {lab: section.form(lab).f for lab in ps.labels}
 
@@ -471,7 +475,8 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
         except KeyError:
             raise DomainError(f"unknown class letter {lab!r}") from None
 
-    vals, caps, _ = _integrate(path, words, ps, form_of, cfg, capture_after)
+    vals, caps, _ = _integrate(path, words, ps, form_of, cfg, capture_after,
+                               start=start)
     return vals, caps
 
 

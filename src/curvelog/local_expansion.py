@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,6 +98,7 @@ def monodromy_substitution(exp: LogLaurentExpansion) -> LogLaurentExpansion:
     return exp.substitute_log_shift(2j * math.pi)
 
 
+@lru_cache(maxsize=32)
 def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
     """Multiplication by 1/(z - pole) in the local variable x, as the matrix
     taking coefficients over x^j to coefficients over x^(i - 1), for i and j
@@ -105,12 +106,14 @@ def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
     The letter at the center is 1/x itself, the identity."""
     n = order + 1
     p = ps.points[ps.index(lab)]
-    if p == center:
-        return np.eye(n, dtype=complex)
-    inv = 1.0 / complex(center - p)
-    g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
-    lag = np.arange(n) - np.arange(1, n + 1)[:, None]
-    return np.where(lag >= 0, g[lag], 0)
+    out = np.eye(n, dtype=complex)
+    if p != center:
+        inv = 1.0 / complex(center - p)
+        g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
+        lag = np.arange(n) - np.arange(1, n + 1)[:, None]
+        out = np.where(lag >= 0, g[lag], 0)
+    out.setflags(write=False)
+    return out
 
 
 def _letter_step(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:

@@ -120,8 +120,6 @@ class QI:
         return str(self)
 
 
-ZERO = QI()
-ONE = QI(Fraction(1))
 IMAG = QI(Fraction(0), Fraction(1))
 
 

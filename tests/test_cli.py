@@ -210,6 +210,28 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     capsys.readouterr()
 
 
+def test_many_zeros_at_a_huge_point_print_a_finite_value(capsys):
+    zeros = ",".join(["0"] * 120)
+    rc = main(["eval", "--poles", "0,1", "--word", zeros, "--point", "1e300"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    re, im = json.loads(captured.out)["value"]
+    assert math.isfinite(re) and math.isfinite(im)
+    want = math.exp(120 * math.log(math.log(1e300)) - math.lgamma(121))
+    assert abs(re - want) <= 1e-10 * want
+
+
+def test_a_long_zero_word_evaluates(capsys):
+    zeros = ",".join(["0"] * 1200)
+    rc = main(["eval", "--poles", "0,1", "--word", zeros, "--point", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    re, im = json.loads(captured.out)["value"]
+    assert abs(complex(re, im)) < 1e-300
+
+
 def test_expand_order_zero_is_rejected(capsys):
     assert main(["expand", "--poles", "0,1", "--word", "0", "--point", "0",
                  "--weight", "0"]) == 2

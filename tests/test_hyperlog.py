@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import time
 
@@ -12,10 +13,12 @@ from curvelog import (
     DomainError,
     HyperlogValue,
     PoleSet,
+    Section,
     ShuffleTensor,
     eval_L,
     eval_batch,
     expand_at,
+    integrate_h_words,
     is_admissible,
     loop_around,
     mzv,
@@ -24,6 +27,7 @@ from curvelog import (
     word_for_exponents,
     zero_label,
 )
+from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
@@ -69,12 +73,39 @@ def test_regularize_double_zero():
             assert not w or w[0] != "0"
 
 
+def test_regularize_long_zero_runs_promptly():
+    # z^(12-i) shuffled with z^12 is one word; a shuffle that enumerates
+    # all C(24, 12) interleavings takes seconds here
+    word = ("0",) * 12 + ("1",) + ("0",) * 12
+    start = time.perf_counter()
+    r = regularize(word, PS)
+    assert time.perf_counter() - start < 1.0
+    assert r.max_log_power == 12
+    for i in range(13):
+        c = QI.of((-1) ** (12 - i) * math.comb(24 - i, 12)) / math.factorial(i)
+        assert r.tensor(i) == ShuffleTensor.from_word(
+            ("1",) + ("0",) * (24 - i), c)
+
+
 words01 = st.lists(st.sampled_from(["0", "1"]), max_size=4).map(tuple)
 
 
 @given(words01)
 def test_regularize_reassembles(word):
     assert regularize(word, PS).reassemble(PS) == ShuffleTensor.from_word(word)
+
+
+def test_many_zeros_at_a_huge_point_do_not_overflow():
+    # log(1e300)^120 overflows a float; the 1/120! must apply first
+    v = eval_L(("0",) * 120, 1e300, PS).value
+    want = math.exp(120 * math.log(math.log(1e300)) - math.lgamma(121))
+    assert abs(v - want) <= 1e-10 * want
+
+
+def test_a_long_zero_word_needs_no_recursion():
+    # 1200 leading zeros: log(1/2)^1200 / 1200! underflows to zero
+    v = eval_L(("0",) * 1200, 0.5, "0,1").value
+    assert abs(v) < 1e-300
 
 
 def test_eval_log(tight):
@@ -367,3 +398,97 @@ def test_series_engine_matches_the_laurent_recurrence_at_one():
         for key in set(want) | set(got):
             diff = abs(got.get(key, 0j) - want.get(key, 0j))
             assert diff <= 1e-14 * scale, (w, key)
+
+
+# The regularizer below is the recursive peeler the package used before the
+# closed form: it splits off one leading zero letter at a time, solving the
+# shuffle of the zero letter into the tail for the word.
+
+def _regularize_reference(word, ps):
+    z = zero_label(ps)
+    memo = {}
+
+    def rec(w):
+        if w in memo:
+            return memo[w]
+        if not w or w[0] != z:
+            out = {0: ShuffleTensor.from_word(w)}
+        else:
+            k = 0
+            while k < len(w) and w[k] == z:
+                k += 1
+            out = {p + 1: t for p, t in rec(w[1:]).items()}
+            body = w[1:]
+            for i in range(k, len(body) + 1):
+                inserted = body[:i] + (z,) + body[i:]
+                for p, t in rec(inserted).items():
+                    out[p] = out.get(p, ShuffleTensor.zero()) - t
+            inv = QI.of(1) / QI.of(k)
+            out = {p: t.scale(inv) for p, t in out.items() if not t.is_zero}
+        memo[w] = out
+        return out
+
+    parts = rec(tuple(word))
+    return tuple(sorted((k, t) for k, t in parts.items() if not t.is_zero))
+
+
+@pytest.mark.parametrize("poles,weight", [("0,1", 7), ("0,1,-1", 6)])
+def test_closed_form_regularization_matches_the_recursion(poles, weight):
+    ps = PoleSet.of(poles)
+    count = 0
+    for n in range(weight + 1):
+        for word in itertools.product(ps.labels, repeat=n):
+            assert regularize(word, ps).parts == \
+                _regularize_reference(word, ps), word
+            count += 1
+    assert count == (255 if poles == "0,1" else 1093)
+
+
+# The evaluation below is the one the package used before the single
+# initial-value run: every suffix of the admissible words integrated from
+# unit initial values along the chain, then joined with the Taylor values
+# at the reference point by the cut formula for concatenated paths.
+
+def _cut_sum_reference(words, pts, ps):
+    zlab = zero_label(ps)
+    regs = {w: _regularize_reference(w, ps) for w in words}
+    admissible = {u for parts in regs.values() for _, t in parts
+                  for u in t.terms}
+    suffixes = {u[k:] for u in admissible for k in range(len(u) + 1)}
+    suffixes.add((zlab,))
+    z1 = reference_point(ps)
+    path, marks = plan_chain(z1, pts, ps)
+    _, caps = integrate_h_words(path, suffixes, Section.standard(ps),
+                                capture_after=marks)
+    taylors = series_values(admissible, ps, z1, 80)
+    rows = []
+    for m in marks:
+        vals = caps[m]
+        logz = cmath.log(z1) + vals[(zlab,)]
+        row = {}
+        for w, parts in regs.items():
+            total = 0j
+            for k, t in parts:
+                piece = 0j
+                for u, c in t.terms.items():
+                    acc = 0j
+                    for cut in range(len(u) + 1):
+                        acc += taylors[u[:cut]] * vals[u[cut:]]
+                    piece += complex(c) * acc
+                total += piece * logz ** k
+            row[w] = total
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_initial_value_run_matches_the_cut_sum_assembly(poles):
+    ps = PoleSet.of(poles)
+    words = _eval_point_words(ps)
+    pts = [0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.6j, 0.6 - 0.3j]
+    got = eval_batch(words, pts, ps)
+    want = _cut_sum_reference(words, pts, ps)
+    for row_got, row_want in zip(got, want):
+        for w in words:
+            v = row_want[w]
+            assert abs(row_got[w] - v) <= 1e-13 * max(1.0, abs(v)), w
