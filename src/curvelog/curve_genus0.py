@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .scalars import QI
+from .scalars import QI, accumulate
 from .shuffle_core import Letter
 
 
@@ -180,22 +180,20 @@ class RationalFunction:
                            _trim(tuple(QI.of(c) for c in self.poly)))
         raw = (self.principal.items()
                if isinstance(self.principal, Mapping) else self.principal)
-        cleaned: dict = {}
+        items = []
         for key, c in raw:
             i, k = int(key[0]), int(key[1])
             c = QI.of(c)
             if c.is_zero:
                 continue
+            # every key is checked before summing, even one that cancels
             if k < 1:
                 raise DomainError("principal part orders start at 1")
             if not 0 <= i < len(self.poles):
                 raise DomainError(f"pole index {i} out of range")
-            prev = cleaned.get((i, k), QI.of(0)) + c
-            if prev.is_zero:
-                cleaned.pop((i, k), None)
-            else:
-                cleaned[(i, k)] = prev
-        object.__setattr__(self, "principal", tuple(sorted(cleaned.items())))
+            items.append(((i, k), c))
+        object.__setattr__(self, "principal",
+                           tuple(sorted(accumulate(items).items())))
 
     @classmethod
     def zero(cls, ps: PoleSet) -> "RationalFunction":
@@ -230,15 +228,8 @@ class RationalFunction:
         if isinstance(other, (int, Fraction, QI)):
             other = RationalFunction.const(self.poles, other)
         self._check(other)
-        pp = dict(self.principal)
-        for key, c in other.principal:
-            total = pp.get(key, QI.of(0)) + c
-            if total.is_zero:
-                pp.pop(key, None)
-            else:
-                pp[key] = total
         return RationalFunction(self.poles, _poly_add(self.poly, other.poly),
-                                tuple(pp.items()))
+                                self.principal + other.principal)
 
     def __neg__(self):
         return RationalFunction(self.poles, tuple(-c for c in self.poly),
@@ -263,20 +254,14 @@ class RationalFunction:
         self._check(other)
         ps = self.poles
         poly = list(_poly_mul(self.poly, other.poly))
-        princ: dict = {}
+        princ: list = []
 
         def add_poly(p):
             nonlocal poly
             poly = list(_poly_add(tuple(poly), p))
 
         def add_pp(i, k, c):
-            if c.is_zero:
-                return
-            total = princ.get((i, k), QI.of(0)) + c
-            if total.is_zero:
-                princ.pop((i, k), None)
-            else:
-                princ[(i, k)] = total
+            princ.append(((i, k), c))
 
         def poly_times_pp(polyc, i, k, c):
             # p(z) * c/(z-s)^k, re-expanded around s
@@ -317,7 +302,7 @@ class RationalFunction:
                     coeff = sign * math.comb(k + m - 1, m) * _pow(t - s, -(k + m))
                     add_pp(j, b, cd * coeff)
 
-        return RationalFunction(ps, tuple(poly), tuple(princ.items()))
+        return RationalFunction(ps, tuple(poly), princ)
 
     __rmul__ = __mul__
 

@@ -21,7 +21,7 @@ from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
 from .local_expansion import expand_at, series_values
 from .monodromy import Loop
 from .scalars import QI
-from .shuffle_core import ShuffleTensor, shuffle, shuffle_power
+from .shuffle_core import ShuffleTensor, shuffle, shuffle_power, shuffle_words
 
 _SERIES_TERMS = 80
 
@@ -113,20 +113,12 @@ def regularize(word, ps: PoleSet) -> RegularizedWord:
         return RegularizedWord(word, ((n, ShuffleTensor.from_word(
             (), QI.of(1) / factorial(n))),))
     b, v = word[n], word[n + 1:]
-    shuffles = [{v: 1}]  # z^j shuffled with v, as word -> multiplicity
-    for j in range(1, n + 1):
-        # a z inserted at every slot counts each new word j times
-        grown: dict = {}
-        for u, mult in shuffles[-1].items():
-            for p in range(len(u) + 1):
-                w = u[:p] + (z,) + u[p:]
-                grown[w] = grown.get(w, 0) + mult
-        shuffles.append({w: mult // j for w, mult in grown.items()})
     parts = []
     for i in range(n + 1):
         c = QI.of((-1) ** (n - i)) / factorial(i)
         parts.append((i, ShuffleTensor(
-            {(b,) + w: c * mult for w, mult in shuffles[n - i].items()})))
+            {(b,) + w: c * mult
+             for w, mult in shuffle_words((z,) * (n - i), v).items()})))
     return RegularizedWord(word, tuple(parts))
 
 

@@ -19,7 +19,7 @@ from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
                            decompose)
 from .errors import DomainError, InputError
 from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
-from .scalars import QI
+from .scalars import QI, accumulate
 from .shuffle_core import ShuffleTensor, word_label, word_sort_key
 
 
@@ -214,17 +214,7 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
                         for w, g in expanded for piece, c in pieces]
         queue.extend(expanded)
 
-    out: dict = {}
-
-    def emit(word, g: RationalFunction):
-        if g.is_zero:
-            return
-        prev = out.get(word)
-        total = g if prev is None else prev + g
-        if total.is_zero:
-            out.pop(word, None)
-        else:
-            out[word] = total
+    out: list = []  # (class word, coefficient) pairs, summed at the end
 
     def push_product(prefix, base_letter, f: RationalFunction, suffix,
                      g: RationalFunction):
@@ -246,13 +236,13 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
         pos = next((i for i, letter in enumerate(word)
                     if isinstance(letter, _ExactLetter)), None)
         if pos is None:
-            emit(word, g)
+            out.append((word, g))
             continue
         f = word[pos].f
         L = len(word)
         if L == 1:
             c0 = f.evaluate_exact(x0)
-            emit((), g * (f - RationalFunction.const(ps, c0)))
+            out.append(((), g * (f - RationalFunction.const(ps, c0))))
         elif pos == L - 1:
             queue.append((word[:-1], g * f))
             push_product(word[:L - 2], word[L - 2], f, (), g.scale(-1))
@@ -264,8 +254,7 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
             push_product(word[:pos - 1], word[pos - 1], f, word[pos + 1:],
                          g.scale(-1))
 
-    terms = tuple((w, f) for w, f in out.items())
-    return NormalForm(ps, section, x0, terms)
+    return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
 
 
 def _mul_into_first(f: RationalFunction, word):
@@ -296,30 +285,23 @@ def d_map(s, f: RationalFunction, s_prime, x0=None) -> ShuffleTensor:
     ps = f.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
     df = Differential(f.differentiate())
-    out: dict = {}
-
-    def add(word, c: QI):
-        if c.is_zero:
-            return
-        out[word] = out.get(word, QI.of(0)) + c
-
+    out: list = []
     for u, cu in s.terms.items():
         for v, cv in s_prime.terms.items():
             c = cu * cv
             if not df.is_zero:
-                add(u + (df,) + v, c)
+                out.append((u + (df,) + v, c))
             fv = _mul_into_first(f, v)
             if fv is not None:
-                add(u + fv, -c)
+                out.append((u + fv, -c))
             if u:
                 last = u[-1]
                 prod = last.f * f
                 if not prod.is_zero:
-                    add(u[:-1] + (Differential(prod),) + v, c)
+                    out.append((u[:-1] + (Differential(prod),) + v, c))
             else:
-                add(v, c * f.evaluate_exact(x0))
-    cleaned = {w: c for w, c in out.items() if not c.is_zero}
-    return ShuffleTensor(cleaned)
+                out.append((v, c * f.evaluate_exact(x0)))
+    return ShuffleTensor(out)
 
 
 @dataclass(frozen=True)
@@ -384,11 +366,7 @@ def decompose_subker(t, section: Section, x0=None):
         # that are lower in the (weight, nonconstant coefficient) order
         for piece in pieces:
             sub = sub + piece
-            for w, g in normal_form(piece, section, x0).terms:
-                total = acc.get(w, RationalFunction.zero(ps)) - g
-                if total.is_zero:
-                    acc.pop(w, None)
-                else:
-                    acc[w] = total
+            accumulate(((w, -g) for w, g in
+                        normal_form(piece, section, x0).terms), acc)
     ker = t - sub
     return sub, ker

@@ -123,6 +123,21 @@ class QI:
 IMAG = QI(Fraction(0), Fraction(1))
 
 
+def accumulate(pairs, into: dict | None = None) -> dict:
+    """Sum (key, value) pairs by key, dropping every key whose total is
+    zero.  Values need ``+`` and ``.is_zero``; ``into`` is updated in place
+    and returned."""
+    out = {} if into is None else into
+    for key, c in pairs:
+        prev = out.get(key)
+        total = c if prev is None else prev + c
+        if total.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return out
+
+
 def parse_exact_complex(text: str) -> QI:
     """Parse literals like ``3/2``, ``-i``, ``1/2+i``, ``2-3i``, ``1/2i``."""
     t = text.strip().replace(" ", "")

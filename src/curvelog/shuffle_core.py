@@ -9,12 +9,12 @@ as the coradical filtration of the coalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import AlphabetError
-from .scalars import QI
+from .scalars import QI, accumulate
 
 # Words are plain tuples.  A letter is any hashable object exposing a string
 # ``label`` (used for canonical ordering and display) and, optionally, an
@@ -56,31 +56,27 @@ class ShuffleTensor:
     __slots__ = ("_terms", "alphabet")
 
     def __init__(self, terms=None, alphabet: str | None = None):
-        data: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for word, coeff in items:
-                word = tuple(word)
-                coeff = QI.of(coeff)
-                if coeff.is_zero:
+        items = []
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        for word, coeff in terms or ():
+            word = tuple(word)
+            coeff = QI.of(coeff)
+            if coeff.is_zero:
+                continue
+            # every word is checked before summing, even one that cancels
+            for letter in word:
+                a = _letter_alphabet(letter)
+                if a is None:
                     continue
-                for letter in word:
-                    a = _letter_alphabet(letter)
-                    if a is None:
-                        continue
-                    if alphabet is None:
-                        alphabet = a
-                    elif a != alphabet:
-                        raise AlphabetError(
-                            f"letter {_letter_label(letter)!r} belongs to "
-                            f"{a!r}, tensor is over {alphabet!r}")
-                prev = data.get(word)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero:
-                    data.pop(word, None)
-                else:
-                    data[word] = total
-        self._terms = data
+                if alphabet is None:
+                    alphabet = a
+                elif a != alphabet:
+                    raise AlphabetError(
+                        f"letter {_letter_label(letter)!r} belongs to "
+                        f"{a!r}, tensor is over {alphabet!r}")
+            items.append((word, coeff))
+        self._terms = accumulate(items)
         self.alphabet = alphabet
 
     @classmethod
@@ -135,14 +131,8 @@ class ShuffleTensor:
 
     def __add__(self, other: "ShuffleTensor") -> "ShuffleTensor":
         alpha = self._join_alphabet(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            total = out.get(w, QI.of(0)) + c
-            if total.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = total
-        return ShuffleTensor(out, alpha)
+        return ShuffleTensor(chain(self._terms.items(), other._terms.items()),
+                             alpha)
 
     def __neg__(self) -> "ShuffleTensor":
         return ShuffleTensor({w: -c for w, c in self._terms.items()}, self.alphabet)
@@ -181,43 +171,36 @@ class ShuffleTensor:
 
 
 def shuffle_words(u: Word, v: Word) -> dict:
-    """Shuffles of two bare words, as a map word -> integer multiplicity."""
+    """Shuffles of two bare words, as a map word -> integer multiplicity.
+
+    Filled in over suffix pairs by au ш bv = a(u ш bv) + b(au ш v), merging
+    equal words as they form, so the cost follows the distinct output
+    rather than the C(m+n, m) interleavings.
+    """
     u, v = tuple(u), tuple(v)
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    n, total = len(u), len(u) + len(v)
-    acc: dict = {}
-    for spots in combinations(range(total), n):
-        word = []
-        ui = vi = 0
-        spotset = set(spots)
-        for k in range(total):
-            if k in spotset:
-                word.append(u[ui])
-                ui += 1
-            else:
-                word.append(v[vi])
-                vi += 1
-        key = tuple(word)
-        acc[key] = acc.get(key, 0) + 1
-    return acc
+    if not u or not v:
+        return {u + v: 1}
+    # below[j] holds u[i+1:] ш v[j:], starting from the exhausted u
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        a = (u[i],)
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            cell = {a + w: c for w, c in below[j].items()}
+            b = (v[j],)
+            for w, c in row[j + 1].items():
+                cell[b + w] = cell.get(b + w, 0) + c
+            row[j] = cell
+        below = row
+    return below[0]
 
 
 def shuffle(a: ShuffleTensor, b: ShuffleTensor) -> ShuffleTensor:
     alpha = a._join_alphabet(b)
-    out: dict = {}
-    for u, cu in a._terms.items():
-        for v, cv in b._terms.items():
-            c = cu * cv
-            for w, mult in shuffle_words(u, v).items():
-                total = out.get(w, QI.of(0)) + c * mult
-                if total.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = total
-    return ShuffleTensor(out, alpha)
+    return ShuffleTensor(((w, cu * cv * mult)
+                          for u, cu in a._terms.items()
+                          for v, cv in b._terms.items()
+                          for w, mult in shuffle_words(u, v).items()), alpha)
 
 
 def shuffle_power(t: ShuffleTensor, k: int) -> ShuffleTensor:
@@ -229,34 +212,23 @@ def shuffle_power(t: ShuffleTensor, k: int) -> ShuffleTensor:
 
 def deconcat(a: ShuffleTensor) -> dict:
     """Deconcatenation coproduct, as a map (left word, right word) -> scalar."""
-    out: dict = {}
-    for w, c in a._terms.items():
-        for k in range(len(w) + 1):
-            key = (w[:k], w[k:])
-            total = out.get(key, QI.of(0)) + c
-            if total.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out
+    return accumulate(((w[:k], w[k:]), c)
+                      for w, c in a._terms.items() for k in range(len(w) + 1))
+
+
+def _pieces(w: Word, cuts) -> tuple:
+    """The pieces of a word between the given cut positions."""
+    bounds = (0,) + cuts + (len(w),)
+    return tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
 
 
 def deconcat_multi(a: ShuffleTensor, parts: int) -> dict:
     """Iterated coproduct into ``parts`` ordered (possibly empty) pieces."""
     if parts < 1:
         raise ValueError("need at least one part")
-    out: dict = {}
-    for w, c in a._terms.items():
-        L = len(w)
-        for cuts in combinations_with_replacement(range(L + 1), parts - 1):
-            bounds = (0,) + cuts + (L,)
-            pieces = tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
-            total = out.get(pieces, QI.of(0)) + c
-            if total.is_zero:
-                out.pop(pieces, None)
-            else:
-                out[pieces] = total
-    return out
+    return accumulate((_pieces(w, cuts), c) for w, c in a._terms.items()
+                      for cuts in combinations_with_replacement(
+                          range(len(w) + 1), parts - 1))
 
 
 def antipode(a: ShuffleTensor) -> ShuffleTensor:
@@ -269,32 +241,14 @@ def antipode(a: ShuffleTensor) -> ShuffleTensor:
 
 def deriv_right(a: ShuffleTensor) -> dict:
     """Right derivation: strip the last letter.  Map (word, letter) -> scalar."""
-    out: dict = {}
-    for w, c in a._terms.items():
-        if not w:
-            continue
-        key = (w[:-1], w[-1])
-        total = out.get(key, QI.of(0)) + c
-        if total.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return out
+    return accumulate(((w[:-1], w[-1]), c) for w, c in a._terms.items() if w)
 
 
 def r_xi(a: ShuffleTensor, xi: Callable) -> ShuffleTensor:
     """Contract the last letter with the functional ``xi`` (letter -> scalar)."""
-    out: dict = {}
-    for (w, letter), c in deriv_right(a).items():
-        val = QI.of(xi(letter))
-        if val.is_zero:
-            continue
-        total = out.get(w, QI.of(0)) + c * val
-        if total.is_zero:
-            out.pop(w, None)
-        else:
-            out[w] = total
-    return ShuffleTensor(out, a.alphabet)
+    return ShuffleTensor(((w, c * QI.of(xi(letter)))
+                          for (w, letter), c in deriv_right(a).items()),
+                         a.alphabet)
 
 
 def coradical_member(t: ShuffleTensor, n: int) -> bool:
@@ -307,16 +261,9 @@ def coradical_member(t: ShuffleTensor, n: int) -> bool:
     """
     if n < 0:
         return t.is_zero
-    acc: dict = {}
-    for w, c in t._terms.items():
-        L = len(w)
-        if L < n + 1:
-            continue
-        for cuts in combinations(range(1, L), n):
-            bounds = (0,) + cuts + (L,)
-            pieces = tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
-            acc[pieces] = acc.get(pieces, QI.of(0)) + c
-    return all(v.is_zero for v in acc.values())
+    return not accumulate((_pieces(w, cuts), c) for w, c in t._terms.items()
+                          if len(w) > n
+                          for cuts in combinations(range(1, len(w)), n))
 
 
 def tensor_to_json(t: ShuffleTensor, encode_letter: Callable) -> dict:

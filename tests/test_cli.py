@@ -155,6 +155,55 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
     assert peak < 8 * 2 ** 20
 
 
+def test_matrix_output_is_streamed_byte_identically(capsys):
+    from curvelog import (IntegratorConfig, PoleSet, Section, circle_loop,
+                          monodromy_operator)
+
+    rc, out = run_cli(capsys, "monodromy", "--poles", "0,1,-1", "--word",
+                      "0", "--weight", "3")
+    assert rc == 0
+    ps = PoleSet.of("0,1,-1")
+    loop = circle_loop(ps, "0")
+    op = monodromy_operator(loop, Section.standard(ps), 3,
+                            IntegratorConfig(weight=3))
+    m = op.matrix
+    full = {"loop": loop.label, "basis": [list(w) for w in op.basis],
+            "matrix": [[[m[i, j].real, m[i, j].imag]
+                        for j in range(m.shape[1])]
+                       for i in range(m.shape[0])]}
+    assert out == json.dumps(full) + "\n"
+
+
+def test_matrix_output_builds_no_nested_lists(monkeypatch):
+    import sys
+    import tracemalloc
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = main(["monodromy", "--poles", "0,1,-1", "--word", "0",
+                   "--weight", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.size > 10 ** 6
+    # the 364 x 364 complex matrix is 2.1 MB; nested lists of its entries
+    # and the whole JSON string held at once take over 20 MB
+    assert peak < 8 * 2 ** 20
+
+
 def test_expand_command(capsys):
     data = run_json(capsys, "expand", "--poles", "0,1", "--word", "0",
                     "--point", "0")

@@ -61,6 +61,13 @@ def test_rational_function_partial_fractions(ps):
     assert sq == rf_pole(ps, "0", 2)
 
 
+def test_a_cancelling_bad_principal_key_is_still_rejected(ps):
+    with pytest.raises(DomainError):
+        RationalFunction(ps, (), (((0, 0), 1), ((0, 0), -1)))
+    with pytest.raises(DomainError):
+        RationalFunction(ps, (), (((5, 1), 1), ((5, 1), -1)))
+
+
 def test_rational_function_calculus(ps):
     f = rf_pole(ps, "0", 2, QI(3)) + RationalFunction.coordinate(ps)
     anti = f.antiderivative()

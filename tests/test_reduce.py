@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +24,9 @@ from curvelog import (
     kernel_member,
     normal_form,
     plan_path,
+    tensor_to_json,
 )
+from curvelog.selftest import _letter_pool_omega, _rand_tensor
 
 PS = PoleSet.of("0,1")
 SEC = Section.standard(PS)
@@ -248,3 +252,29 @@ def test_normal_form_weight_two_exact_square():
     zq = QI(3)
     want = (zq - QI(2)) * (zq - QI(2)) / QI(2)
     assert f.evaluate_exact(zq) == want
+
+
+# sha256 of the outputs below, recorded before the coefficient sums were
+# routed through scalars.accumulate; exact results must not move
+GOLDEN_SHA256 = ("70c2f9c9b6ed3018610e8f5d9d7d3aeb"
+                 "2d35b683d0af9cef9cd6da8734f18db2")
+
+
+def test_exact_outputs_match_the_golden_digest():
+    def encode(letter):
+        return letter.f.to_json()
+
+    digest = hashlib.sha256()
+    for spec, seed in (("0,1", 11), ("0,1,-1/2,i", 12)):
+        ps = PoleSet.of(spec)
+        sec = Section.standard(ps)
+        x0 = default_basepoint(ps)
+        rng = random.Random(seed)
+        pool = _letter_pool_omega(ps)
+        for _ in range(25):
+            t = _rand_tensor(rng, pool)
+            sub, ker = decompose_subker(t, sec, x0)
+            obj = [normal_form(t, sec, x0).to_json(),
+                   tensor_to_json(sub, encode), tensor_to_json(ker, encode)]
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

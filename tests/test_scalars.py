@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvelog import QI, InputError, parse_exact_complex
+from curvelog import (QI, InputError, PoleSet, RationalFunction,
+                      parse_exact_complex)
+from curvelog.scalars import accumulate
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12)
@@ -89,3 +91,25 @@ def test_division_inverts(a):
 @given(scalars)
 def test_parse_round_trip(a):
     assert parse_exact_complex(str(a)) == a
+
+
+def test_accumulate_sums_by_key_and_drops_zeros():
+    out = accumulate([("a", QI(1)), ("b", QI(2)), ("a", QI(-1)),
+                      ("c", QI(0)), ("b", QI(0, 1))])
+    assert out == {"b": QI(2, 1)}
+    assert accumulate([]) == {}
+
+
+def test_accumulate_updates_in_place():
+    acc = {"a": QI(1), "b": QI(3)}
+    result = accumulate([("a", QI(-1)), ("c", QI(5))], into=acc)
+    assert result is acc
+    assert acc == {"b": QI(3), "c": QI(5)}
+
+
+def test_accumulate_sums_rational_functions():
+    ps = PoleSet.of("0,1")
+    f = RationalFunction.pole_power(ps, 0, 1)
+    g = RationalFunction.coordinate(ps)
+    out = accumulate([("u", f), ("v", g), ("u", g), ("v", -g)])
+    assert out == {"u": f + g}

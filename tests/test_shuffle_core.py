@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -13,8 +15,10 @@ from curvelog import (
     coradical_member,
     deconcat,
     deconcat_multi,
+    PoleSet,
     deriv_right,
     r_xi,
+    regularize,
     shuffle,
     shuffle_power,
     shuffle_words,
@@ -41,6 +45,55 @@ def test_shuffle_words_basics():
     assert shuffle_words((), ("a", "b")) == {("a", "b"): 1}
     assert shuffle_words(("a", "b"), ("c",)) == {
         ("c", "a", "b"): 1, ("a", "c", "b"): 1, ("a", "b", "c"): 1}
+
+
+def enumerated_shuffle(u, v):
+    """The former shuffle_words: count every one of the C(m+n, m)
+    interleavings, kept as the reference for the suffix-pair table."""
+    u, v = tuple(u), tuple(v)
+    if not u:
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    n, total = len(u), len(u) + len(v)
+    acc: dict = {}
+    for spots in combinations(range(total), n):
+        word = []
+        ui = vi = 0
+        spotset = set(spots)
+        for k in range(total):
+            if k in spotset:
+                word.append(u[ui])
+                ui += 1
+            else:
+                word.append(v[vi])
+                vi += 1
+        key = tuple(word)
+        acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+short_words = st.lists(letters, max_size=5).map(tuple)
+
+
+@given(short_words, short_words)
+def test_shuffle_words_matches_the_enumeration(u, v):
+    assert shuffle_words(u, v) == enumerated_shuffle(u, v)
+
+
+def test_shuffle_of_repeated_letters_is_prompt():
+    # C(22, 11) = 705432 interleavings, all equal to one word
+    start = time.perf_counter()
+    assert shuffle_words(("0",) * 11, ("0",) * 11) == {("0",) * 22: 705432}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reassembling_a_long_regularized_word_is_prompt():
+    ps = PoleSet.of("0,1")
+    word = ("0",) * 8 + ("1",) + ("0",) * 8
+    start = time.perf_counter()
+    assert regularize(word, ps).reassemble(ps) == ShuffleTensor.from_word(word)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tensor_container_behavior():
@@ -71,6 +124,12 @@ def test_alphabet_mixing_is_rejected():
         shuffle(a, b)
     with pytest.raises(AlphabetError):
         ShuffleTensor.from_word((Letter("x", "one"), Letter("y", "two")))
+
+
+def test_a_cancelling_mixed_word_is_still_rejected():
+    word = (Letter("x", "one"), Letter("y", "two"))
+    with pytest.raises(AlphabetError):
+        ShuffleTensor([(word, 1), (word, -1)])
 
 
 def test_deconcat_example():
