@@ -176,20 +176,27 @@ class RationalFunction:
     principal: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "poly",
-                           _trim(tuple(QI.of(c) for c in self.poly)))
-        raw = (self.principal.items()
-               if isinstance(self.principal, Mapping) else self.principal)
+        object.__setattr__(self, "poly", _trim(tuple(
+            c if type(c) is QI else QI.of(c) for c in self.poly)))
+        raw = self.principal
+        if not isinstance(raw, (tuple, list)) and isinstance(raw, Mapping):
+            raw = raw.items()
+        n = len(self.poles)
         items = []
         for key, c in raw:
-            i, k = int(key[0]), int(key[1])
-            c = QI.of(c)
+            i, k = key[0], key[1]
+            if type(i) is not int:
+                i = int(i)
+            if type(k) is not int:
+                k = int(k)
+            if type(c) is not QI:
+                c = QI.of(c)
             if c.is_zero:
                 continue
             # every key is checked before summing, even one that cancels
             if k < 1:
                 raise DomainError("principal part orders start at 1")
-            if not 0 <= i < len(self.poles):
+            if not 0 <= i < n:
                 raise DomainError(f"pole index {i} out of range")
             items.append(((i, k), c))
         object.__setattr__(self, "principal",
@@ -526,13 +533,18 @@ class Section:
     def is_standard(self) -> bool:
         return all(g.is_zero for g in self.corrections)
 
+    @cached_property
+    def forms(self) -> tuple:
+        """The representative of each class, in pole order."""
+        out = []
+        for i, g in enumerate(self.corrections):
+            base = RationalFunction.pole_power(self.poles, i, 1)
+            out.append(Differential(
+                base if g.is_zero else base + g.differentiate()))
+        return tuple(out)
+
     def form(self, which) -> Differential:
-        i = self.poles.index(which)
-        base = RationalFunction.pole_power(self.poles, i, 1)
-        g = self.corrections[i]
-        if g.is_zero:
-            return Differential(base)
-        return Differential(base + g.differentiate())
+        return self.forms[self.poles.index(which)]
 
     def apply(self, h: DeRhamClass) -> Differential:
         if h.poles != self.poles:

@@ -21,7 +21,8 @@ from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
 from .local_expansion import expand_at, series_values
 from .monodromy import Loop
 from .scalars import QI
-from .shuffle_core import ShuffleTensor, shuffle, shuffle_power, shuffle_words
+from .shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
+                           suffix_shuffles)
 
 _SERIES_TERMS = 80
 
@@ -113,12 +114,12 @@ def regularize(word, ps: PoleSet) -> RegularizedWord:
         return RegularizedWord(word, ((n, ShuffleTensor.from_word(
             (), QI.of(1) / factorial(n))),))
     b, v = word[n], word[n + 1:]
+    zshuffles = suffix_shuffles((z,) * n, v)  # entry k is z^k ш v
     parts = []
     for i in range(n + 1):
         c = QI.of((-1) ** (n - i)) / factorial(i)
         parts.append((i, ShuffleTensor(
-            {(b,) + w: c * mult
-             for w, mult in shuffle_words((z,) * (n - i), v).items()})))
+            {(b,) + w: c * mult for w, mult in zshuffles[n - i].items()})))
     return RegularizedWord(word, tuple(parts))
 
 

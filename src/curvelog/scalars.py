@@ -1,14 +1,18 @@
 """Exact Gaussian rational scalars.
 
-The symbolic layers keep every coefficient as a + b*i with rational a and b,
-so zero tests and normal forms are bit-exact.  Values convert to ``complex``
-only at the numerical boundary.
+The symbolic layers keep every coefficient exact, so zero tests and normal
+forms are bit-exact.  A scalar (a + b*i)/d is three Python ints in lowest
+terms: d > 0 and gcd(a, b, d) = 1, so equal values have equal fields.  Both
+parts share the one denominator, as in FLINT's common-denominator
+polynomials, and every operation works on the ints and reduces with a
+single gcd.  The parts are read back as ``Fraction`` properties, and values
+convert to ``complex`` only at the numerical boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputError
 
@@ -26,37 +30,75 @@ def _frac(x) -> Fraction:
     raise InputError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
 class QI:
-    """A Gaussian rational ``re + im*i`` with exact ``Fraction`` parts."""
+    """A Gaussian rational ``re + im*i`` with exact rational parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    # (a, b, d) with d > 0 and gcd(a, b, d) = 1: the value (a + b*i)/d
+    __slots__ = ("_abd",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(self, re=0, im=0):
+        re, im = _frac(re), _frac(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        d = q * s // gcd(q, s)
+        # with both parts in lowest terms, the lcm leaves no common factor
+        _set_abd(self, (p * (d // q), r * (d // s), d))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: QI is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: QI is immutable")
+
+    def __reduce__(self):
+        return (QI, (self.re, self.im))
 
     @staticmethod
     def of(value) -> "QI":
-        if isinstance(value, QI):
+        if type(value) is QI:
             return value
-        if isinstance(value, (int, Fraction)):
-            return QI(Fraction(value))
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         if isinstance(value, str):
             return parse_exact_complex(value)
         if isinstance(value, tuple) and len(value) == 2:
             return QI(_frac(value[0]), _frac(value[1]))
         raise InputError(f"not an exact complex value: {value!r}")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
+
+    def __eq__(self, other):
+        if type(other) is not QI:
+            return NotImplemented
+        return self._abd == other._abd
+
+    def __hash__(self):
+        return hash(self._abd)
+
     def __add__(self, other):
-        other = QI.of(other)
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = QI.of(other)
+        a, b, d = self._abd
+        e, f, g = other._abd
+        if d == g:
+            return _make(a + e, b + f, d)
+        return _make(a * g + e * d, b * g + f * d, d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        a, b, d = self._abd
+        return _make(-a, -b, d)
 
     def __sub__(self, other):
         return self + (-QI.of(other))
@@ -65,59 +107,86 @@ class QI:
         return QI.of(other) + (-self)
 
     def __mul__(self, other):
-        other = QI.of(other)
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is not QI:
+            other = QI.of(other)
+        a, b, d = self._abd
+        e, f, g = other._abd
+        return _make(a * e - b * f, a * f + b * e, d * g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.of(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not QI:
+            other = QI.of(other)
+        a, b, d = self._abd
+        e, f, g = other._abd
+        n = e * e + f * f
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return QI((self.re * other.re + self.im * other.im) / n,
-                  (self.im * other.re - self.re * other.im) / n)
+        # (a + bi)/d * g(e - fi)/(e^2 + f^2)
+        return _make(g * (a * e + b * f), g * (b * e - a * f), d * n)
 
     def __rtruediv__(self, other):
         return QI.of(other) / self
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        a, b, d = self._abd
+        return _make(a, -b, d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        a, b, _ = self._abd
+        return a == 0 and b == 0
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._abd[1] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division, as Fraction.__float__ does: correctly rounded
+        # whether or not a/d and b/d are in lowest terms
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def sort_key(self):
         return (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if im == 1:
             imag = "i"
-        elif self.im == -1:
+        elif im == -1:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if self.re == 0:
+            imag = f"{im}i"
+        if re == 0:
             return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{imag}"
 
     def __repr__(self):
         return str(self)
+
+
+_set_abd = QI._abd.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> QI:
+    """The scalar (a + b*i)/d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    q = _new(QI)
+    _set_abd(q, (a, b, d))
+    return q
 
 
 IMAG = QI(Fraction(0), Fraction(1))

@@ -170,18 +170,19 @@ class ShuffleTensor:
         return " + ".join(bits)
 
 
-def shuffle_words(u: Word, v: Word) -> dict:
-    """Shuffles of two bare words, as a map word -> integer multiplicity.
+def suffix_shuffles(u: Word, v: Word) -> list:
+    """The shuffles of every suffix of u with v: entry k is the map
+    word -> integer multiplicity of (the last k letters of u) ш v.
 
     Filled in over suffix pairs by au ш bv = a(u ш bv) + b(au ш v), merging
     equal words as they form, so the cost follows the distinct output
-    rather than the C(m+n, m) interleavings.
+    rather than the C(m+n, m) interleavings.  The whole-v cell of each row
+    is one entry, so one table holds them all.
     """
     u, v = tuple(u), tuple(v)
-    if not u or not v:
-        return {u + v: 1}
     # below[j] holds u[i+1:] ш v[j:], starting from the exhausted u
     below = [{v[j:]: 1} for j in range(len(v) + 1)]
+    out = [below[0]]
     for i in range(len(u) - 1, -1, -1):
         a = (u[i],)
         row = [None] * len(v) + [{u[i:]: 1}]
@@ -192,7 +193,16 @@ def shuffle_words(u: Word, v: Word) -> dict:
                 cell[b + w] = cell.get(b + w, 0) + c
             row[j] = cell
         below = row
-    return below[0]
+        out.append(row[0])
+    return out
+
+
+def shuffle_words(u: Word, v: Word) -> dict:
+    """Shuffles of two bare words, as a map word -> integer multiplicity."""
+    u, v = tuple(u), tuple(v)
+    if not u or not v:
+        return {u + v: 1}
+    return suffix_shuffles(u, v)[-1]
 
 
 def shuffle(a: ShuffleTensor, b: ShuffleTensor) -> ShuffleTensor:

@@ -87,6 +87,20 @@ def test_regularize_long_zero_runs_promptly():
             ("1",) + ("0",) * (24 - i), c)
 
 
+def test_regularize_reads_every_zero_shuffle_off_one_table():
+    # one table over the suffix pairs of z^40 and v holds every z^k ш v;
+    # building a fresh table for each log power costs about ten times more
+    word = ("0",) * 40 + ("1",) + ("0",) * 40
+    start = time.perf_counter()
+    r = regularize(word, PS)
+    assert time.perf_counter() - start < 1.0
+    assert r.max_log_power == 40
+    for i in (0, 1, 39, 40):
+        c = QI.of((-1) ** (40 - i) * math.comb(80 - i, 40)) / math.factorial(i)
+        assert r.tensor(i) == ShuffleTensor.from_word(
+            ("1",) + ("0",) * (80 - i), c)
+
+
 words01 = st.lists(st.sampled_from(["0", "1"]), max_size=4).map(tuple)
 
 

@@ -278,3 +278,53 @@ def test_exact_outputs_match_the_golden_digest():
                    tensor_to_json(sub, encode), tensor_to_json(ker, encode)]
             digest.update(json.dumps(obj, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _gaussian(rng):
+    """A Gaussian rational with parts of denominator up to 12."""
+    return QI(Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+              Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+
+
+def _corrected_section(rng, ps):
+    """A section with a correction g at every pole, so each form is
+    dz/(z - s) + dg with both a polynomial and a principal part in dg."""
+    n = len(ps)
+    return Section(ps, tuple(
+        RationalFunction(ps, (QI(0), _gaussian(rng), _gaussian(rng)),
+                         ((((i + 1) % n, 1), _gaussian(rng)),))
+        for i in range(n)))
+
+
+# sha256 of the outputs below, recorded on the Fraction-backed scalars:
+# a corrected section, Gaussian coefficients and non-real basepoints
+GOLDEN_CORRECTED_SHA256 = ("2fc9f3d340bf5eebd34a0784a8f4b393"
+                           "0d76427582794cbd35cb6bb8b1620ddb")
+
+
+def test_corrected_section_outputs_match_the_golden_digest():
+    def encode(letter):
+        return letter.f.to_json()
+
+    digest = hashlib.sha256()
+    for spec, seed, x0 in (("0,1", 21, QI(Fraction(1, 3), Fraction(-5, 7))),
+                           ("0,1,-1/2,i", 22, QI(Fraction(-2, 3), 2))):
+        ps = PoleSet.of(spec)
+        rng = random.Random(seed)
+        sec = _corrected_section(rng, ps)
+        pool = [Differential(rf_pole(i % len(ps), k, _gaussian(rng), ps))
+                for i, k in ((0, 1), (1, 1), (0, 2), (1, 2), (2, 1))]
+        pool.append(Differential(RationalFunction(ps, (_gaussian(rng),))))
+        z = QI(Fraction(5, 11), Fraction(-3, 4))
+        for _ in range(12):
+            t = ShuffleTensor.zero()
+            for _ in range(2):
+                w = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+                t = t + ShuffleTensor.from_word(w, _gaussian(rng))
+            nf = normal_form(t, sec, x0)
+            sub, ker = decompose_subker(t, sec, x0)
+            obj = [nf.to_json(), tensor_to_json(sub, encode),
+                   tensor_to_json(ker, encode),
+                   [str(f.evaluate_exact(z)) for _, f in nf.terms]]
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_CORRECTED_SHA256

@@ -1,11 +1,14 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvelog import (QI, InputError, PoleSet, RationalFunction,
-                      parse_exact_complex)
+from curvelog import (QI, InputError, PoleSet, RationalFunction, Section,
+                      ShuffleTensor, dlog, normal_form, parse_exact_complex,
+                      tensor_to_json)
 from curvelog.scalars import accumulate
 
 rationals = st.fractions(
@@ -113,3 +116,115 @@ def test_accumulate_sums_rational_functions():
     g = RationalFunction.coordinate(ps)
     out = accumulate([("u", f), ("v", g), ("u", g), ("v", -g)])
     assert out == {"u": f + g}
+
+
+# A reference model: the value as a pair of Fractions, with the formatting
+# rules of the scalars written out on the pair.
+wide = st.fractions(max_denominator=10**20)
+pairs = st.tuples(wide, wide)
+
+
+def pair_str(re, im):
+    if im == 0:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re == 0:
+        return imag
+    return f"{re}{'+' if im > 0 else ''}{imag}"
+
+
+def matches(q, re, im):
+    return (type(q.re) is Fraction and type(q.im) is Fraction
+            and (q.re, q.im) == (re, im) and q == QI(re, im))
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_the_fraction_pair_model(x, y):
+    (a, b), (c, d) = x, y
+    p, q = QI(a, b), QI(c, d)
+    assert matches(p + q, a + c, b + d)
+    assert matches(p - q, a - c, b - d)
+    assert matches(p * q, a * c - b * d, a * d + b * c)
+    assert matches(-p, -a, -b)
+    assert matches(p.conjugate(), a, -b)
+    n = c * c + d * d
+    if n == 0:
+        with pytest.raises(ZeroDivisionError):
+            p / q
+    else:
+        assert matches(p / q, (a * c + b * d) / n, (b * c - a * d) / n)
+    assert p.is_zero == (a == 0 and b == 0)
+    assert p.is_real == (b == 0)
+
+
+@given(pairs, wide, st.integers(-10**6, 10**6))
+def test_mixed_operands_match_the_model(x, r, k):
+    a, b = x
+    p = QI(a, b)
+    assert matches(p + k, a + k, b)
+    assert matches(k - p, k - a, -b)
+    assert matches(p * r, a * r, b * r)
+    if r:
+        assert matches(p / r, a / r, b / r)
+    if a or b:
+        n = a * a + b * b
+        assert matches(k / p, k * a / n, -k * b / n)
+
+
+@given(pairs)
+def test_boundary_outputs_match_the_model(x):
+    a, b = x
+    q = QI(a, b)
+    z = complex(q)
+    want = complex(float(a), float(b))
+    assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert str(q) == repr(q) == pair_str(a, b)
+    assert q.sort_key() == (a, b)
+    assert all(type(part) is Fraction for part in q.sort_key())
+    t = ShuffleTensor.from_word(("x",), q)
+    want_terms = [] if q.is_zero else [
+        {"word": ["x"], "coeff": {"re": str(a), "im": str(b)}}]
+    assert tensor_to_json(t, str) == {"terms": want_terms}
+
+
+def test_equal_values_hash_alike_across_spellings():
+    half = [QI(Fraction(2, 4)), QI.of("1/2"), QI(1) / 2,
+            QI.of(Fraction(1, 2)), QI.of((Fraction(1, 2), 0)), QI("2/4", 0)]
+    assert all(q == half[0] for q in half)
+    assert len({hash(q) for q in half}) == 1
+    assert len({QI(0, 2) / 4, QI.of("1/2i"), QI(0, 1) * QI(Fraction(1, 2))}) == 1
+    assert QI(3) - QI(3) == QI() and hash(QI(3) - QI(3)) == hash(QI())
+
+
+def test_scalars_are_immutable():
+    q = QI(1, 2)
+    for name in ("re", "im", "_abd", "other"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, 5)
+    with pytest.raises(AttributeError):
+        del q._abd
+    assert q == QI(1, 2)
+
+
+def test_scalars_never_equal_plain_numbers():
+    assert (QI(1) == 1) is False
+    assert (QI(Fraction(1, 2)) == Fraction(1, 2)) is False
+    assert QI(1) != 1
+
+
+def test_copies_and_pickles_round_trip():
+    ps = PoleSet.of("0,1,1/2+i")
+    q = QI(Fraction(-3, 4), Fraction(5, 6))
+    f = (RationalFunction(ps, (q, QI(2)), (((2, 2), q),))
+         + RationalFunction.pole_power(ps, "0", 1, QI(0, 1)))
+    t = (ShuffleTensor.from_word((dlog(ps, "0"), dlog(ps, "1")), q)
+         + ShuffleTensor.from_word((dlog(ps, "1/2+i"),), 3))
+    nf = normal_form(t, Section.standard(ps), QI(2, 2))
+    for value in (q, QI(), f, t, nf):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value
+            assert str(clone) == str(value)
+    assert hash(pickle.loads(pickle.dumps(q))) == hash(q)
+    assert copy.deepcopy(f).to_json() == f.to_json()
