@@ -92,7 +92,7 @@ def _load_config() -> dict:
             conf = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(conf, dict):
         raise InputError(f"config {path!r} must hold a JSON object")
@@ -149,7 +149,7 @@ def _payload(text: str) -> dict:
             raise InputError(f"cannot read {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON payload: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .scalars import QI, accumulate
 from .shuffle_core import Letter
 
@@ -409,8 +409,10 @@ class RationalFunction:
         poly = tuple(QI.of(c) for c in obj.get("poly", []))
         pp = []
         for item in obj.get("principal", []):
-            i = ps.index(item["pole"])
-            pp.append(((i, int(item["order"])), QI.of(item["coeff"])))
+            i, k = ps.index(item["pole"]), item["order"]
+            if type(k) is not int:
+                raise InputError(f"pole order {k!r} is not an integer")
+            pp.append(((i, k), QI.of(item["coeff"])))
         return cls(ps, poly, tuple(pp))
 
 
@@ -571,12 +573,21 @@ def d(f: RationalFunction) -> Differential:
 def decompose(w: Differential, section: Section):
     """Split a differential as section(class) + df; returns (class, f).
 
-    f is normalized by the zero-constant antiderivative convention, so the
-    pair is unique.
+    The class is the residue vector c.  The section represents the class at
+    s by dz/(z - s) + dg_s, so f is the antiderivative of w without its
+    simple poles minus c_s g_s for each s, every term taken without its
+    constant: that zero-constant convention makes the pair unique.
     """
+    if w.poles != section.poles:
+        raise DomainError("class and section live over different pole sets")
     h = w.project()
-    rem = w.f - section.apply(h).f
-    return h, rem.antiderivative()
+    f = RationalFunction(w.poles, w.f.poly, tuple(
+        item for item in w.f.principal if item[0][1] > 1)).antiderivative()
+    for i, c in h.nonzero():
+        g = section.corrections[i]
+        if not g.is_zero:
+            f = f - (g - g.constant_term).scale(c)
+    return h, f
 
 
 def de_rham_alphabet(ps: PoleSet) -> str:

@@ -22,6 +22,7 @@ import numpy as np
 from .curve_genus0 import PoleSet
 from .errors import DomainError, NumericError
 from .iterint import IntegratorConfig
+from .monodromy import MATRIX_VIEW_MAX_BYTES
 from .scalars import QI
 
 _CHECK_TOL = 1e-6
@@ -187,6 +188,9 @@ def expand_at(word, poles, center, order: int = 24,
         ps.index(lab)
     if order < 1:
         raise DomainError("expansion order must be at least one")
+    if 16 * (order + 1) ** 2 > MATRIX_VIEW_MAX_BYTES:
+        raise DomainError(f"expansion order {order} needs a letter matrix "
+                          f"over the {MATRIX_VIEW_MAX_BYTES >> 20} MiB cap")
     if section is not None and not getattr(section, "is_standard", False):
         raise DomainError("expansions are tied to the dlog representatives; "
                           "corrected sections are not supported")

@@ -134,8 +134,9 @@ def pairing(loop: Loop, section: Section, weight: int | None = None,
     return j_element(loop.path, section, cfg)
 
 
-# The largest dense view, 16 n^2 bytes on n words: weight 7 on three
-# punctures (3,280 words, 172 MB) fits, weight 8 does not.
+# The largest dense complex matrix, 16 n^2 bytes: the view on n words
+# (weight 7 on three punctures, 3,280 words and 172 MB, fits; weight 8 does
+# not) and an expansion's letter matrix to order n - 1 (up to 4,095).
 MATRIX_VIEW_MAX_BYTES = 1 << 28
 
 

@@ -1,11 +1,13 @@
 """Exact reduction of differential words to function-times-class form.
 
 Any word of differentials integrates to a function-linear combination of
-class-word integrals.  The reduction decomposes every letter against the
-section, then eliminates exact letters by three weight-decreasing rewrites
-(leading, interior, trailing), all in exact arithmetic.  On top of that sit
-the kernel generators, the membership test, and the splitting of a tensor
-into a canonical complement plus a kernel part.
+class-word integrals.  The reduction folds each word left to right with the
+one operation that generates the algebra, F mapsto integral of F omega: a
+form times a function splits against the section into class letters plus an
+exact part, and the exact part is integrated by parts, one letter shorter
+each turn, all in exact arithmetic.  On top of that sit the kernel
+generators, the membership test, and the splitting of a tensor into a
+canonical complement plus a kernel part.
 """
 
 from __future__ import annotations
@@ -21,17 +23,6 @@ from .errors import DomainError, InputError
 from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
 from .scalars import QI, accumulate
 from .shuffle_core import ShuffleTensor, word_label, word_sort_key
-
-
-@dataclass(frozen=True)
-class _ExactLetter:
-    """Internal letter standing for the exact differential of a function."""
-
-    f: RationalFunction
-
-    @property
-    def label(self) -> str:
-        return f"d({self.f})"
 
 
 def default_basepoint(ps: PoleSet) -> QI:
@@ -153,7 +144,7 @@ class NormalForm:
         return cls(ps, section, x0, terms)
 
 
-def _as_omega_tensor(t, ps: PoleSet | None = None) -> ShuffleTensor:
+def _as_omega_tensor(t) -> ShuffleTensor:
     if isinstance(t, ShuffleTensor):
         return t
     if isinstance(t, Differential):
@@ -166,16 +157,6 @@ def _as_omega_tensor(t, ps: PoleSet | None = None) -> ShuffleTensor:
     return ShuffleTensor.from_word(word)
 
 
-def _letter_pieces(w: Differential, section: Section):
-    """Decompose one differential letter into section letters plus at most
-    one exact letter; returns pairs (letter, exact coefficient)."""
-    h, f = decompose(w, section)
-    pieces = [(section.poles.label(i), c) for i, c in h.nonzero()]
-    if not f.is_zero:
-        pieces.append((_ExactLetter(f), QI.of(1)))
-    return pieces
-
-
 def _check_basepoint(ps: PoleSet, x0) -> QI:
     x0 = QI.of(x0)
     for p in ps.points:
@@ -184,76 +165,53 @@ def _check_basepoint(ps: PoleSet, x0) -> QI:
     return x0
 
 
+def _integrate_term(u: tuple, f: RationalFunction, section: Section, x0: QI,
+                    out: list):
+    """Append the normal form of the integral from x0 of I(u) f dz to out.
+
+    Split f dz as sum c_i sigma_i + dg: the class part extends the word, and
+    by parts I(u) dg integrates to I(u) g minus the integral of
+    I(u') g sigma_last, where u = u' last.  Each turn shortens u; the empty
+    word integrates dg to g - g(x0)."""
+    while not f.is_zero:
+        h, g = decompose(Differential(f), section)
+        for i, c in h.nonzero():
+            out.append((u + (section.poles.label(i),),
+                        RationalFunction.const(section.poles, c)))
+        if g.is_zero:
+            return
+        if not u:
+            out.append(((), g - g.evaluate_exact(x0)))
+            return
+        out.append((u, g))
+        f = -(g * section.form(u[-1]).f)
+        u = u[:-1]
+
+
 def normal_form(t, section: Section, x0=None) -> NormalForm:
     """Rewrite a tensor of differential words into the canonical
     function-times-class-word form.
 
-    Every letter splits as section representative plus exact part; exact
-    letters are then removed left to right.  A lone exact letter integrates
-    directly; a leading one moves its function onto the next letter minus a
-    basepoint correction; an interior or trailing one moves the function
-    onto a neighbor, and a trailing one additionally emits the function as
-    an output coefficient.  Each step shortens the word, so the rewriting
-    terminates.
+    The iterated integral of w omega is the integral of I(w) omega, so each
+    word is a left fold over its letters: it starts as its coefficient on
+    the empty class word, and each letter omega replaces every running term
+    f I(u) by the normal form of the integral of f I(u) omega.
     """
     ps = section.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
-    t = _as_omega_tensor(t)
-
-    # expand each differential letter once
-    queue: list = []
-    for word, coeff in t.terms.items():
-        expanded = [(tuple(), RationalFunction.const(ps, coeff))]
+    out: list = []
+    for word, coeff in _as_omega_tensor(t).terms.items():
+        running = {(): RationalFunction.const(ps, coeff)}
         for letter in word:
             if not isinstance(letter, Differential):
                 raise DomainError(f"not a differential letter: {letter!r}")
             if letter.poles != ps:
                 raise DomainError("letter declared over a different pole set")
-            pieces = _letter_pieces(letter, section)
-            expanded = [(w + (piece,), g.scale(c))
-                        for w, g in expanded for piece, c in pieces]
-        queue.extend(expanded)
-
-    out: list = []  # (class word, coefficient) pairs, summed at the end
-
-    def push_product(prefix, base_letter, f: RationalFunction, suffix,
-                     g: RationalFunction):
-        """Queue the word with base_letter replaced by f times its form."""
-        if isinstance(base_letter, _ExactLetter):
-            form = base_letter.f.differentiate()
-        else:
-            form = section.form(base_letter).f
-        prod = form * f
-        if prod.is_zero:
-            return
-        for piece, c in _letter_pieces(Differential(prod), section):
-            queue.append((prefix + (piece,) + suffix, g.scale(c)))
-
-    while queue:
-        word, g = queue.pop()
-        if g.is_zero:
-            continue
-        pos = next((i for i, letter in enumerate(word)
-                    if isinstance(letter, _ExactLetter)), None)
-        if pos is None:
-            out.append((word, g))
-            continue
-        f = word[pos].f
-        L = len(word)
-        if L == 1:
-            c0 = f.evaluate_exact(x0)
-            out.append(((), g * (f - RationalFunction.const(ps, c0))))
-        elif pos == L - 1:
-            queue.append((word[:-1], g * f))
-            push_product(word[:L - 2], word[L - 2], f, (), g.scale(-1))
-        elif pos == 0:
-            push_product((), word[1], f, word[2:], g)
-            queue.append((word[1:], g.scale(-f.evaluate_exact(x0))))
-        else:
-            push_product(word[:pos], word[pos + 1], f, word[pos + 2:], g)
-            push_product(word[:pos - 1], word[pos - 1], f, word[pos + 1:],
-                         g.scale(-1))
-
+            terms: list = []
+            for u, f in running.items():
+                _integrate_term(u, f * letter.f, section, x0, terms)
+            running = accumulate(terms)
+        out.extend(running.items())
     return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
 
 

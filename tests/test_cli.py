@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelog import NumericError
 from curvelog.cli import main
@@ -236,6 +240,65 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ['"x"', "1.5", "true", '"2"'])
+def test_non_integral_pole_orders_are_input_errors(capsys, order):
+    letter = ('{"rf": {"poly": [], "principal": [{"pole": "0", "order": '
+              + order + ', "coeff": "1"}]}}')
+    tensor = '{"terms": [{"word": [' + letter + '], "coeff": {"re": "1"}}]}'
+    for command in ("reduce", "kernel"):
+        assert main([command, "--poles", "0,1", "--tensor-json", tensor]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pole order" in captured.err
+    # an integer order is read as before
+    tensor = tensor.replace(order, "2")
+    data = run_json(capsys, "reduce", "--poles", "0,1", "--tensor-json", tensor)
+    assert data["terms"][0]["f"]["principal"] == [
+        {"pole": "0", "order": 1, "coeff": "-1"}]
+
+
+# A small grammar of tensor payloads for `reduce` and `kernel`: valid letters
+# and coefficients, mixed with wrong types, bad literals, non-integral or
+# out-of-range orders and unknown poles.  Orders and weights stay at most 3.
+_junk = st.sampled_from([None, True, 1.5, [], {}, "x", "1/0", -1])
+_literal = st.one_of(st.sampled_from(["1", "-1/2", "i", "1/2+i", "0"]),
+                     st.integers(-3, 3), _junk)
+_pole = st.one_of(st.sampled_from(["0", "1", "2", "x"]), st.integers(-1, 2),
+                  _junk)
+_order = st.one_of(st.integers(-1, 3), _junk, st.just("2"))
+_principal = st.fixed_dictionaries(
+    {"pole": _pole, "order": _order, "coeff": _literal})
+_rf = st.one_of(
+    st.fixed_dictionaries({"poly": st.lists(_literal, max_size=2),
+                           "principal": st.lists(_principal, max_size=2)}),
+    _junk)
+_letter = st.one_of(st.fixed_dictionaries({"pole": _pole}),
+                    st.fixed_dictionaries({"rf": _rf}), _junk)
+_coeff = st.one_of(
+    st.fixed_dictionaries({"re": _literal}, optional={"im": _literal}),
+    _junk)
+_term = st.one_of(st.fixed_dictionaries(
+    {"word": st.lists(_letter, max_size=3), "coeff": _coeff}), _junk)
+_payload = st.one_of(
+    st.one_of(st.fixed_dictionaries({"terms": st.lists(_term, max_size=3)}),
+              _junk).map(json.dumps),
+    st.sampled_from(["{bad", "", "[" * 5000 + "]" * 5000, '{"terms": 5}']))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["reduce", "kernel"]), _payload)
+def test_fuzzed_tensor_payloads_never_end_in_a_traceback(command, payload):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--poles", "0,1", "--tensor-json", payload])
+    assert rc in (0, 1, 2, 3)
+    if rc == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
 def test_exit_code_domain_errors(capsys):
     assert main(["mzv", "--word", "1,1"]) == 2     # divergent limit
     capsys.readouterr()
@@ -287,6 +350,29 @@ def test_expand_order_zero_is_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
+    import tracemalloc
+
+    from curvelog import local_expansion
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a letter matrix over the cap")
+
+    monkeypatch.setattr(local_expansion, "_letter_series", never)
+    tracemalloc.start()
+    try:
+        rc = main(["expand", "--poles", "0,1", "--word", "1,0", "--point",
+                   "0", "--weight", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "MiB cap" in captured.err and "Traceback" not in captured.err
+    assert peak < 8 * 2 ** 20
+
+
 def test_exit_code_numeric_errors(monkeypatch, capsys):
     def boom(word, order=30):
         raise NumericError("forced")
@@ -308,10 +394,11 @@ def test_config_file_supplies_defaults(tmp_path, monkeypatch, capsys):
 
 def test_config_file_must_be_json(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "conf.json"
-    conf.write_text("not json")
     monkeypatch.setenv("CURVELOG_CONFIG", str(conf))
-    assert main(["periods", "--poles", "0,1"]) == 1
-    capsys.readouterr()
+    for text in ("not json", "[" * 5000 + "]" * 5000):
+        conf.write_text(text)
+        assert main(["periods", "--poles", "0,1"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_script_is_installed():

@@ -197,11 +197,15 @@ def test_product_evaluation_agrees(data):
     assert (f * g).evaluate_exact(z) == f.evaluate_exact(z) * g.evaluate_exact(z)
 
 
-@given(st.data())
-def test_decompose_reassembles(data):
+@given(st.data(), st.booleans())
+def test_decompose_reassembles(data, corrected):
     ps = PoleSet.of("0,1")
     w = Differential(data.draw(rationals(ps)))
-    sec = Section.standard(ps)
+    sec = (Section(ps, (data.draw(rationals(ps)), data.draw(rationals(ps))))
+           if corrected else Section.standard(ps))
     h, f = decompose(w, sec)
     assert sec.apply(h).f + f.differentiate() == w.f
     assert f.constant_term.is_zero
+    # both halves agree with subtracting the rebuilt class representative
+    assert h == w.project()
+    assert f == (w.f - sec.apply(h).f).antiderivative()

@@ -145,3 +145,26 @@ def test_round_trip_through_literal_constructor():
                                 exp.terms)
     z = 0.3 + 0.1j
     assert clone.evaluate(z) == exp.evaluate(z)
+
+
+def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
+    from curvelog import hyperlog, local_expansion, mzv
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(local_expansion, "_letter_series", reached)
+    monkeypatch.setattr(hyperlog, "eval_batch", reached)
+    # order 4095 is a 4096 x 4096 letter matrix, exactly the cap
+    with pytest.raises(Reached):
+        expand_at(("1", "0"), PS, 0, order=4095)
+    for order in (4096, 100_000):
+        with pytest.raises(DomainError, match="MiB cap"):
+            expand_at(("1", "0"), PS, 0, order=order)
+        with pytest.raises(DomainError, match="MiB cap"):
+            expand_at(("1", "0"), PS, 1, order=order)
+    with pytest.raises(DomainError, match="MiB cap"):
+        mzv(("1", "0"), order=10 ** 6)

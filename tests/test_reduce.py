@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvelog import (
     QI,
@@ -26,6 +28,7 @@ from curvelog import (
     plan_path,
     tensor_to_json,
 )
+from curvelog.scalars import accumulate
 from curvelog.selftest import _letter_pool_omega, _rand_tensor
 
 PS = PoleSet.of("0,1")
@@ -328,3 +331,112 @@ def test_corrected_section_outputs_match_the_golden_digest():
                    [str(f.evaluate_exact(z)) for _, f in nf.terms]]
             digest.update(json.dumps(obj, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_CORRECTED_SHA256
+
+
+# The reference below is the rewriter the package used before the left fold:
+# every letter expanded up front into class letters plus at most one exact
+# letter d(f), with f read off by subtracting section.apply of the class,
+# then exact letters removed from a queue by a lone, trailing, leading or
+# interior rewrite, each of which shortens the word.
+
+class _Exact:
+    def __init__(self, f):
+        self.f = f
+
+
+def _decompose_reference(w, section):
+    h = w.project()
+    return h, (w.f - section.apply(h).f).antiderivative()
+
+
+def _pieces_reference(w, section):
+    h, f = _decompose_reference(w, section)
+    pieces = [(section.poles.label(i), c) for i, c in h.nonzero()]
+    if not f.is_zero:
+        pieces.append((_Exact(f), QI(1)))
+    return pieces
+
+
+def _normal_form_reference(t, section, x0):
+    ps = section.poles
+    queue = []
+    for word, coeff in t.terms.items():
+        expanded = [((), RationalFunction.const(ps, coeff))]
+        for letter in word:
+            pieces = _pieces_reference(letter, section)
+            expanded = [(w + (piece,), g.scale(c))
+                        for w, g in expanded for piece, c in pieces]
+        queue.extend(expanded)
+    out = []
+
+    def push_product(prefix, base, f, suffix, g):
+        form = (base.f.differentiate() if isinstance(base, _Exact)
+                else section.form(base).f)
+        prod = form * f
+        if not prod.is_zero:
+            for piece, c in _pieces_reference(Differential(prod), section):
+                queue.append((prefix + (piece,) + suffix, g.scale(c)))
+
+    while queue:
+        word, g = queue.pop()
+        if g.is_zero:
+            continue
+        pos = next((i for i, letter in enumerate(word)
+                    if isinstance(letter, _Exact)), None)
+        if pos is None:
+            out.append((word, g))
+            continue
+        f, n = word[pos].f, len(word)
+        if n == 1:
+            out.append(((), g * (f - f.evaluate_exact(x0))))
+        elif pos == n - 1:
+            queue.append((word[:-1], g * f))
+            push_product(word[:n - 2], word[n - 2], f, (), g.scale(-1))
+        elif pos == 0:
+            push_product((), word[1], f, word[2:], g)
+            queue.append((word[1:], g.scale(-f.evaluate_exact(x0))))
+        else:
+            push_product(word[:pos], word[pos + 1], f, word[pos + 2:], g)
+            push_product(word[:pos - 1], word[pos - 1], f, word[pos + 1:],
+                         g.scale(-1))
+    return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
+
+
+_small_qi = st.builds(
+    QI, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _rational(draw, ps, max_order=2):
+    poly = tuple(draw(st.lists(_small_qi, max_size=2)))
+    principal = tuple(
+        ((i, k), draw(_small_qi)) for i in range(len(ps))
+        for k in [draw(st.integers(min_value=0, max_value=max_order))] if k)
+    return RationalFunction(ps, poly, principal)
+
+
+@st.composite
+def _reduction_case(draw):
+    ps = PoleSet.of(draw(st.sampled_from(("0,1", "0,1,-1/2,i"))))
+    if draw(st.booleans()):
+        sec = Section.standard(ps)
+    else:
+        sec = Section(ps, tuple(draw(_rational(ps)) for _ in range(len(ps))))
+    x0 = draw(st.builds(QI, st.fractions(-3, 3, max_denominator=3),
+                        st.fractions(-3, 3, max_denominator=3))
+              .filter(lambda z: z not in ps.points))
+    pool = [Differential(RationalFunction.zero(ps)),
+            Differential(RationalFunction.const(ps, draw(_small_qi)))]
+    pool += [Differential(draw(_rational(ps))) for _ in range(3)]
+    t = ShuffleTensor.zero()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        word = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+        t = t + ShuffleTensor.from_word(word, draw(_small_qi))
+    return t, sec, x0
+
+
+@given(_reduction_case())
+def test_normal_form_matches_the_rewriter_reference(case):
+    t, sec, x0 = case
+    assert normal_form(t, sec, x0) == _normal_form_reference(t, sec, x0)
