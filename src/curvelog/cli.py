@@ -343,7 +343,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         conf = _load_config()
-        return _COMMANDS[args.command](args, conf)
+        code = _COMMANDS[args.command](args, conf)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

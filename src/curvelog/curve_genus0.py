@@ -59,7 +59,7 @@ class PoleSet:
         return ";".join(self.labels)
 
     def index(self, which) -> int:
-        if isinstance(which, int):
+        if type(which) is int:
             if not 0 <= which < len(self.points):
                 raise DomainError(f"pole index {which} out of range")
             return which
@@ -406,14 +406,16 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ps: PoleSet, obj) -> "RationalFunction":
-        poly = tuple(QI.of(c) for c in obj.get("poly", []))
+        poly, principal = obj.get("poly", []), obj.get("principal", [])
+        if type(poly) is not list or type(principal) is not list:
+            raise InputError("'poly' and 'principal' must be JSON lists")
         pp = []
-        for item in obj.get("principal", []):
+        for item in principal:
             i, k = ps.index(item["pole"]), item["order"]
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")
             pp.append(((i, k), QI.of(item["coeff"])))
-        return cls(ps, poly, tuple(pp))
+        return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -480,17 +480,47 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
     return vals, caps
 
 
-@dataclass
+# The largest array: a dense complex matrix of 16 n^2 bytes (the view on n
+# words: weight 7 on three punctures, 3,280 words and 172 MB, fits; weight 8
+# does not; an expansion's letter matrix to order n - 1, up to 4,095), or a
+# series' node array or cut table.
+MATRIX_VIEW_MAX_BYTES = 1 << 28
+
+
+def count_words(letters: int, weight: int) -> tuple[int, int]:
+    """The words up to ``weight`` over ``letters`` letters and their cuts
+    w = u v, counted without building them (and past weight 64, where two
+    letters already pass every cap, not at all)."""
+    if letters < 2:
+        return 1 + letters * weight, 1 + letters * weight * (weight + 3) // 2
+    sizes = [letters ** k for k in range(min(weight, 64) + 1)]
+    return sum(sizes), sum((k + 1) * size for k, size in enumerate(sizes))
+
+
+@dataclass(frozen=True, eq=False)
 class GroupLikeSeries:
-    """Endpoint values of all class words up to a weight bound.
+    """Endpoint values of all class words up to a weight bound, one complex
+    vector over the canonical word basis ``word_cuts(letters, weight)[0]``.
 
     The empty word maps to 1; the shuffle of two words maps to the product
-    of their values up to the truncation order (group-likeness).
+    of their values up to the truncation order (group-likeness).  The basis
+    is sorted by length, so a lower weight is a prefix of the vector.
     """
 
     weight: int
-    values: dict
     letters: tuple
+    vector: np.ndarray
+
+    def __post_init__(self):
+        n = count_words(len(self.letters), self.weight)[0]
+        if self.vector.shape != (n,):
+            raise DomainError("series vector does not match its word basis")
+
+    @cached_property
+    def values(self) -> dict:
+        """A read view: word -> value."""
+        basis = word_cuts(self.letters, self.weight)[0]
+        return dict(zip(basis, self.vector.tolist()))
 
     def value(self, word) -> complex:
         return self.values[tuple(word)]
@@ -512,12 +542,13 @@ class GroupLikeSeries:
     def convolve(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
         """Series of a concatenated loop via the deconcatenation coproduct:
         the value of w is the sum over w = u v of self's u times other's v."""
+        if self.letters != other.letters:
+            raise DomainError("series over different letters")
         weight = min(self.weight, other.weight)
         cuts = word_cuts(self.letters, weight)
-        out = cut_sum(cuts, on_basis(self.values, cuts[0]),
-                      on_basis(other.values, cuts[0]))
-        return GroupLikeSeries(weight, dict(zip(cuts[0], out.tolist())),
-                               self.letters)
+        n = len(cuts[0])
+        return GroupLikeSeries(weight, self.letters, cut_sum(
+            cuts, self.vector[:n], other.vector[:n]))
 
 
 def label_words(ps: PoleSet, weight: int):
@@ -546,10 +577,6 @@ def word_cuts(letters: tuple, weight: int):
     return (basis, *cuts)
 
 
-def on_basis(values, basis) -> np.ndarray:
-    return np.array([values[w] for w in basis], dtype=complex)
-
-
 def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """For every basis word w, the sum over w = u v of a[u] b[v]."""
     _, _, prefix, suffix = cuts
@@ -559,12 +586,18 @@ def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def j_element(path: Path, section: Section, cfg: IntegratorConfig | None = None
               ) -> GroupLikeSeries:
     """The universal group-like element: endpoint values of every class word
-    up to the configured weight, integrated through the section."""
+    up to the configured weight, integrated through the section; refused
+    unbuilt when their node array or cut table would pass the cap."""
     cfg = cfg or IntegratorConfig()
     ps = section.poles
+    n, cuts = count_words(len(ps.labels), cfg.weight)
+    if max(16 * _NODES * n, 24 * cuts) > MATRIX_VIEW_MAX_BYTES:
+        raise DomainError(f"a series on {n:.3g} words exceeds the "
+                          f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
     words = label_words(ps, cfg.weight)
     vals, _ = integrate_h_words(path, words, section, cfg)
-    return GroupLikeSeries(cfg.weight, vals, ps.labels)
+    return GroupLikeSeries(cfg.weight, ps.labels,
+                           np.array([vals[w] for w in words], dtype=complex))
 
 
 def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:

@@ -20,9 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .curve_genus0 import PoleSet
-from .errors import DomainError, NumericError
-from .iterint import IntegratorConfig
-from .monodromy import MATRIX_VIEW_MAX_BYTES
+from .errors import DomainError, InputError, NumericError
+from .iterint import MATRIX_VIEW_MAX_BYTES, IntegratorConfig
 from .scalars import QI
 
 _CHECK_TOL = 1e-6
@@ -199,7 +198,10 @@ def expand_at(word, poles, center, order: int = 24,
             f"the word needs logarithm degree up to {len(word)}, above the "
             f"requested bound {log_order}")
     c_exact = QI.of(center)
-    c_num = complex(c_exact)
+    try:
+        c_num = complex(c_exact)
+    except OverflowError as exc:
+        raise InputError(f"center {center!r} overflows a float") from exc
     zero_label(ps)  # regularization needs the origin among the poles
     dists = [abs(c_num - p) for p in ps.as_complex if abs(c_num - p) > 0]
     radius = 0.5 * min(dists) if dists else 1.0

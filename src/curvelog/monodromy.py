@@ -2,8 +2,8 @@
 
 A closed loop acts on class words through its Chen series, the loop
 integrals of all words: w = u v picks up u's value times v (unipotent, and
-contravariant in loop concatenation).  Operators hold that series; their
-dense matrix is a lazy view, capped at MATRIX_VIEW_MAX_BYTES.
+contravariant in loop concatenation).  An operator is that series alone;
+its dense matrix is a lazy view, capped at MATRIX_VIEW_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
-from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, Path,
-                      cut_sum, integrate_h_words, j_element, on_basis,
-                      plan_path, word_cuts)
+from .iterint import (MATRIX_VIEW_MAX_BYTES, ArcSeg, GroupLikeSeries,
+                      IntegratorConfig, Path, count_words, cut_sum,
+                      integrate_h_words, j_element, plan_path, word_cuts)
 
 
 @dataclass(frozen=True)
@@ -134,19 +134,11 @@ def pairing(loop: Loop, section: Section, weight: int | None = None,
     return j_element(loop.path, section, cfg)
 
 
-# The largest dense complex matrix, 16 n^2 bytes: the view on n words
-# (weight 7 on three punctures, 3,280 words and 172 MB, fits; weight 8 does
-# not) and an expansion's letter matrix to order n - 1 (up to 4,095).
-MATRIX_VIEW_MAX_BYTES = 1 << 28
-
-
 def check_view_budget(letters: int, weight: int) -> int:
     """The number of words up to ``weight`` over ``letters`` letters, counted
-    without building them (and past weight 64, where two letters already
-    pass the cap, not at all); DomainError when the dense operator on them
-    would pass MATRIX_VIEW_MAX_BYTES."""
-    n = (1 + letters * weight if letters < 2
-         else (letters ** (min(weight, 64) + 1) - 1) // (letters - 1))
+    without building them; DomainError when the dense operator on them would
+    pass MATRIX_VIEW_MAX_BYTES."""
+    n = count_words(letters, weight)[0]
     if 16 * n * n > MATRIX_VIEW_MAX_BYTES:
         raise DomainError(f"a dense operator on {n:.3g} words exceeds the "
                           f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB matrix cap")
@@ -154,50 +146,30 @@ def check_view_budget(letters: int, weight: int) -> int:
 
 
 class MonodromyOperator:
-    """A loop acting on class words up to a weight bound, held as the loop's
-    Chen series: by deconcatenation the entry at (w, v) is the loop integral
-    of the prefix u whenever w = u v, and zero when v is not a suffix of w.
-    ``@`` convolves the series, ``act`` sums over cuts, ``entry`` looks up
-    the prefix, and ``matrix`` is a dense view on the canonically ordered
-    word basis, built on first use and refused above MATRIX_VIEW_MAX_BYTES.
-    An operator built from an explicit matrix keeps it and the dense paths.
+    """A loop acting on class words up to a weight bound, held only as the
+    loop's Chen series: by deconcatenation the entry at (w, v) is the loop
+    integral of the prefix u whenever w = u v, and zero when v is not a
+    suffix of w.  ``@`` convolves the series, ``act`` sums over cuts,
+    ``entry`` looks up the prefix, and ``matrix`` is a dense view on the
+    canonically ordered word basis, built on first use and refused above
+    MATRIX_VIEW_MAX_BYTES.
     """
 
-    def __init__(self, basis, matrix, poles: PoleSet):
-        self.basis = tuple(tuple(w) for w in basis)
-        self.poles, self.series = poles, None
-        self._cuts = word_cuts(poles.labels, max(map(len, self.basis), default=0))
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.basis != self._cuts[0]:
-            raise DomainError("operator basis is not the canonical word basis")
-        if self.matrix.shape != (len(self.basis), len(self.basis)):
-            raise DomainError("matrix shape does not match the word basis")
-
-    @classmethod
-    def of_series(cls, series: GroupLikeSeries, poles: PoleSet):
-        op = cls.__new__(cls)
-        op.poles, op.series = poles, series
-        op._cuts = word_cuts(series.letters, series.weight)
-        op.basis, op._values = op._cuts[0], on_basis(series.values, op._cuts[0])
-        return op
+    def __init__(self, series: GroupLikeSeries):
+        self.series = series
+        self._cuts = word_cuts(series.letters, series.weight)
+        self.basis = self._cuts[0]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        n = check_view_budget(len(self.series.letters), self.weight)
+        n = check_view_budget(len(self.series.letters), self.series.weight)
         _, word, prefix, suffix = self._cuts
         m = np.zeros((n, n), dtype=complex)
-        m[word, suffix] = self._values[prefix]
+        m[word, suffix] = self.series.vector[prefix]
         return m
-
-    @property
-    def weight(self) -> int:
-        return len(self.basis[-1])
 
     def entry(self, w, v) -> complex:
         w, v = tuple(w), tuple(v)
-        if self.series is None:
-            index = {x: i for i, x in enumerate(self.basis)}
-            return self.matrix[index[w], index[v]]
         values, k = self.series.values, len(w) - len(v)
         if w not in values or v not in values:
             raise KeyError((w, v))
@@ -206,37 +178,19 @@ class MonodromyOperator:
     def __matmul__(self, other: "MonodromyOperator") -> "MonodromyOperator":
         if self.basis != other.basis:
             raise DomainError("operators over different word bases")
-        if self.series is None or other.series is None:
-            return MonodromyOperator(self.basis, self.matrix @ other.matrix,
-                                     self.poles)
-        return MonodromyOperator.of_series(self.series.convolve(other.series),
-                                           self.poles)
+        return MonodromyOperator(self.series.convolve(other.series))
 
     def act(self, values: dict) -> dict:
         """Push a word-indexed value vector through the operator."""
-        vec = on_basis(values, self.basis)
-        out = (self.matrix @ vec if self.series is None
-               else cut_sum(self._cuts, self._values, vec))
-        return dict(zip(self.basis, out))
+        vec = np.array([values[w] for w in self.basis], dtype=complex)
+        return dict(zip(self.basis,
+                        cut_sum(self._cuts, self.series.vector, vec)))
 
     def unipotence_residual(self) -> float:
         """Largest entry of (M - Id)^(weight + 1); zero for a true action."""
         power = np.linalg.matrix_power(self.matrix - np.eye(len(self.basis)),
-                                       self.weight + 1)
+                                       self.series.weight + 1)
         return float(np.max(np.abs(power)))
-
-    def is_unitriangular(self, tol: float = 0.0) -> bool:
-        """Every entry finite, the diagonal exactly 1 and nothing above tol
-        off the suffix pattern.  The series fills only the pattern, so on it
-        this checks the stored values: all finite, the empty word's 1."""
-        if self.series is not None:
-            return bool(self._values[0] == 1
-                        and np.all(np.isfinite(self._values)))
-        m, (_, word, _, suffix) = self.matrix, self._cuts
-        off = np.ones(m.shape, dtype=bool)
-        off[word, suffix] = False
-        return bool(np.all(np.isfinite(m)) and np.all(np.diagonal(m) == 1)
-                    and np.all(np.abs(m[off]) <= tol))
 
 
 def monodromy_operator(loop: Loop, section: Section,
@@ -245,16 +199,15 @@ def monodromy_operator(loop: Loop, section: Section,
                        ) -> MonodromyOperator:
     """The operator of the loop's series: continuing around the loop first,
     a word picks up the loop integral of each prefix times its suffix."""
-    return MonodromyOperator.of_series(pairing(loop, section, weight, cfg),
-                                       section.poles)
+    return MonodromyOperator(pairing(loop, section, weight, cfg))
 
 
 def unipotence_check(op: MonodromyOperator) -> bool:
-    """True when the operator is unit lower triangular in weight.  For the
-    series, finite values make (M - Id)^(weight + 1) = 0 by construction; a
-    dense operator must also pass that power as honest array arithmetic."""
-    return op.is_unitriangular(tol=0.0) and (
-        op.series is not None or op.unipotence_residual() == 0.0)
+    """True when the operator is unit lower triangular in weight: the series
+    fills only the suffix pattern, so it is when the empty word's value is
+    exactly 1 and every value is finite."""
+    values = op.series.vector
+    return bool(values[0] == 1 and np.all(np.isfinite(values)))
 
 
 def period_matrix(section: Section, radius: float | None = None,

@@ -18,10 +18,10 @@ from .errors import InputError
 
 
 def _frac(x) -> Fraction:
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x.strip())
@@ -57,8 +57,8 @@ class QI:
     def of(value) -> "QI":
         if type(value) is QI:
             return value
-        if isinstance(value, int):
-            return _make(int(value), 0, 1)
+        if type(value) is int:
+            return _make(value, 0, 1)
         if isinstance(value, Fraction):
             return _make(value.numerator, 0, value.denominator)
         if isinstance(value, str):

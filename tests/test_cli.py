@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -285,18 +286,94 @@ _payload = st.one_of(
     st.sampled_from(["{bad", "", "[" * 5000 + "]" * 5000, '{"terms": 5}']))
 
 
-@settings(max_examples=150)
-@given(st.sampled_from(["reduce", "kernel"]), _payload)
-def test_fuzzed_tensor_payloads_never_end_in_a_traceback(command, payload):
+def run_fuzzed(argv) -> tuple:
+    """Exit code and stdout of main(argv), which must be a known exit code,
+    JSON on success, and no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([command, "--poles", "0,1", "--tensor-json", payload])
+        rc = main(argv)
     assert rc in (0, 1, 2, 3)
     if rc == 0:
         json.loads(out.getvalue())
-    else:
-        assert out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+    return rc, out.getvalue()
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["reduce", "kernel"]), _payload)
+def test_fuzzed_tensor_payloads_never_end_in_a_traceback(command, payload):
+    rc, out = run_fuzzed([command, "--poles", "0,1", "--tensor-json", payload])
+    assert rc == 0 or out == ""
+
+
+# Options for the integrating subcommands: weights and orders at most 3,
+# small points and paths, mostly well formed and mixed with malformed values.
+_LINE = {"base": [1, 0], "segments": [{"line": [[1, 0], [2, 0]]}]}
+_CIRCLE = {"base": [0.5, 0], "segments": [{"arc": {
+    "center": [0, 0], "radius": 0.5, "from": 0, "to": 2 * math.pi}}]}
+_THROUGH_ZERO = {"base": [-1, 0], "segments": [{"line": [[-1, 0], [1, 0]]}]}
+_options = st.fixed_dictionaries({
+    "--poles": st.sampled_from(["0,1", "0,1,-1", "0,i", "0", "1,1", "x"]),
+    "--word": st.lists(st.sampled_from(["0", "1", "-1", "i", "2"]),
+                       min_size=1, max_size=3).map(",".join),
+    "--point": st.sampled_from(["1/2", "2", "-1/2+i", "0.3-0.2i", "0", "1",
+                                "nan", "1e400", "x"]),
+}, optional={
+    "--weight": st.integers(-1, 3).map(str),
+    "--rtol": st.sampled_from(["1e-8", "0", "nan", "x"]),
+    "--path-json": st.sampled_from(
+        [json.dumps(p) for p in (_LINE, _CIRCLE, _THROUGH_ZERO)]
+        + ["{bad", '{"base": 5}', "[]"]),
+})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["monodromy", "periods", "eval", "expand", "mzv"]),
+       _options)
+def test_fuzzed_subcommands_never_end_in_a_traceback(command, options):
+    run_fuzzed([command] + [f"{flag}={value}"
+                            for flag, value in options.items()])
+
+
+@pytest.mark.parametrize("letter, coeff", [
+    ('{"pole": true}', '{"re": "1"}'),
+    ('{"pole": "0"}', '{"re": true}'),
+    ('{"rf": {"poly": "12"}}', '{"re": "1"}'),
+])
+def test_wrongly_typed_tensor_payloads_are_input_errors(capsys, letter,
+                                                        coeff):
+    tensor = ('{"terms": [{"word": [' + letter + '], "coeff": ' + coeff
+              + '}]}')
+    assert main(["reduce", "--poles", "0,1", "--tensor-json", tensor]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write is a broken pipe."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["mzv", "--word", "1,0"],
+    ["monodromy", "--poles", "0,1", "--word", "0", "--weight", "2"],
+])
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fh.fileno()))
+        rc = main(argv)
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_code_domain_errors(capsys):
@@ -320,6 +397,9 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["eval", "--poles", "0,1", "--word", "1",
                  "--point", "1e300"]) in (0, 2)
     capsys.readouterr()
+    assert main(["expand", "--poles", "0,1", "--word", "0",
+                 "--point", "1e400"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_many_zeros_at_a_huge_point_print_a_finite_value(capsys):

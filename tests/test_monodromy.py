@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from curvelog import (
     unipotence_check,
     word_sort_key,
 )
+from curvelog import iterint
 from curvelog.monodromy import MATRIX_VIEW_MAX_BYTES, check_view_budget
 
 TWO_PI_I = 2j * math.pi
@@ -107,48 +109,70 @@ def test_inverse_loop_cancels(ps, sec):
 def test_unipotence_is_structural(ps, sec):
     op = monodromy_operator(circle_loop(ps, "1"), sec, weight=3)
     assert op.unipotence_residual() == 0.0
-    assert op.is_unitriangular()
+    assert unipotence_check(op)
 
 
-def test_unipotence_negative_control(ps):
-    basis = label_words(ps, 1)
-    m = np.eye(len(basis), dtype=complex)
-    m[0, 0] = 2.0  # not unit on the diagonal
-    bad = MonodromyOperator(basis, m, ps)
+def corrupted(op, values: dict):
+    """The operator of a copy of op's series with the given word values."""
+    vector = op.series.vector.copy()
+    for word, value in values.items():
+        vector[op.basis.index(word)] = value
+    return MonodromyOperator(replace(op.series, vector=vector))
+
+
+def dense_unitriangular(m, basis) -> bool:
+    """The dense check the operator once made on its matrix: every entry
+    finite, the diagonal exactly 1 and nothing off the suffix pattern."""
+    index = {w: i for i, w in enumerate(basis)}
+    word, suffix = zip(*[(index[w], index[w[k:]]) for w in basis
+                         for k in range(len(w) + 1)])
+    off = np.ones(m.shape, dtype=bool)
+    off[list(word), list(suffix)] = False
+    return bool(np.all(np.isfinite(m)) and np.all(np.diagonal(m) == 1)
+                and np.all(m[off] == 0))
+
+
+def test_unipotence_negative_control(ps, sec):
+    op = monodromy_operator(circle_loop(ps, "0"), sec, weight=1)
+    bad = corrupted(op, {(): 2.0})  # not unit on the diagonal
     assert not unipotence_check(bad)
-    skew = np.eye(len(basis), dtype=complex)
-    skew[0, len(basis) - 1] = 1.0  # empty word row hits a longer word
-    assert not MonodromyOperator(basis, skew, ps).is_unitriangular()
+    assert bad.unipotence_residual() > 0
+    assert unipotence_check(op) and op.series.value(()) == 1
 
 
-def test_non_finite_entries_are_rejected(ps):
-    basis = label_words(ps, 1)
-    n = len(basis)
-    nan_off = np.eye(n, dtype=complex)
-    nan_off[0, n - 1] = np.nan  # the empty word's row hits a longer word
-    inf_on = np.eye(n, dtype=complex)
-    inf_on[basis.index(("0",)), basis.index(())] = np.inf  # a prefix value
-    for m in (nan_off, inf_on):
-        bad = MonodromyOperator(basis, m, ps)
-        assert not bad.is_unitriangular()
-        assert not bad.is_unitriangular(tol=1.0)
+def test_non_finite_entries_are_rejected(ps, sec):
+    op = monodromy_operator(circle_loop(ps, "0"), sec, weight=2)
+    for bad in (corrupted(op, {("0",): np.nan}),
+                corrupted(op, {("1", "0"): np.inf})):
         assert not unipotence_check(bad)
 
 
-def test_operator_shape_validation(ps):
-    basis = label_words(ps, 1)
-    with pytest.raises(DomainError):
-        MonodromyOperator(basis, np.eye(2), ps)
-    other = label_words(ps, 2)
-    a = MonodromyOperator(basis, np.eye(len(basis)), ps)
-    b = MonodromyOperator(other, np.eye(len(other)), ps)
+def test_dense_reference_check_agrees_with_unipotence_check(ps, sec):
+    ops = [monodromy_operator(circle_loop(ps, lab), sec, weight=2)
+           for lab in ps.labels]
+    ops += [corrupted(ops[0], {(): 2.0}), corrupted(ops[1], {(): 1 + 1e-16j}),
+            corrupted(ops[0], {("0",): np.nan}),
+            corrupted(ops[1], {("1", "0"): np.inf})]
+    verdicts = [unipotence_check(op) for op in ops]
+    assert verdicts == [True, True, False, False, False, False]
+    for op, verdict in zip(ops, verdicts):
+        assert dense_unitriangular(op.matrix, op.basis) == verdict
+
+
+def test_operator_shape_validation(ps, sec):
+    a, b = (monodromy_operator(circle_loop(ps, "0"), sec, weight=w)
+            for w in (1, 2))
     with pytest.raises(DomainError):
         a @ b
-    with pytest.raises(DomainError):
-        MonodromyOperator(basis[::-1], np.eye(len(basis)), ps)
-    assert a.entry(("0",), ("0",)) == 1 and a.entry(("0",), ()) == 0
+    assert a.entry(("0",), ("0",)) == 1 and a.entry(("0",), ("1",)) == 0
     with pytest.raises(KeyError):
         a.entry(("0",), ("2",))
+    # a series vector is over its whole canonical basis, and series over
+    # other letters do not convolve
+    with pytest.raises(DomainError):
+        replace(a.series, vector=a.series.vector[:-1])
+    with pytest.raises(DomainError):
+        a.series.convolve(replace(a.series, letters=("0", "2")))
 
 
 def test_loops_compose_only_at_a_common_base(ps):
@@ -252,3 +276,23 @@ def test_matrix_view_budget():
         with pytest.raises(DomainError):
             check_view_budget(letters, weight)
     assert check_view_budget(0, 10 ** 9) == 1
+
+
+@pytest.mark.parametrize("poles, weight", [("0,1,-1", 12), ("0,1", 40)])
+def test_series_over_the_array_cap_is_refused_before_building(
+        monkeypatch, poles, weight):
+    ps2 = PoleSet.of(poles)
+    sec2 = Section.standard(ps2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("built the word basis over the cap")
+
+    monkeypatch.setattr(iterint, "word_cuts", never)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="MiB array cap"):
+            pairing(circle_loop(ps2, "0"), sec2, weight=weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
