@@ -17,7 +17,8 @@ import numpy as np
 
 from . import selftest as _selftest
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import CurvelogError, DomainError, InputError, NumericError
+from .errors import (BudgetError, CurvelogError, DomainError, InputError,
+                     NumericError)
 from .hyperlog import eval_L, mzv
 from .iterint import IntegratorConfig, Path, integrate_words
 from .local_expansion import expand_at
@@ -191,7 +192,7 @@ def _parse_tensor(args, ps: PoleSet):
 
     try:
         return tensor_from_json(obj, letter)
-    except InputError:
+    except (InputError, BudgetError):
         raise
     except (CurvelogError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed tensor payload: {exc}") from exc

@@ -406,6 +406,11 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ps: PoleSet, obj) -> "RationalFunction":
+        """Read a payload; a pole order above the largest series order the
+        array cap admits (a letter matrix of 16 (k + 1)^2 bytes, as in
+        ``expand_at``) is refused before any arithmetic."""
+        from .iterint import check_budget
+
         poly, principal = obj.get("poly", []), obj.get("principal", [])
         if type(poly) is not list or type(principal) is not list:
             raise InputError("'poly' and 'principal' must be JSON lists")
@@ -414,6 +419,7 @@ class RationalFunction:
             i, k = ps.index(item["pole"]), item["order"]
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")
+            check_budget(16 * (max(k, 0) + 1) ** 2, f"pole order {k}")
             pp.append(((i, k), QI.of(item["coeff"])))
         return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 

@@ -17,6 +17,10 @@ class DomainError(CurvelogError, ValueError):
     """A mathematical precondition was violated."""
 
 
+class BudgetError(DomainError):
+    """Work refused before it starts: one of its arrays would pass the cap."""
+
+
 class AlphabetError(DomainError):
     """Tensors over different alphabets were combined."""
 

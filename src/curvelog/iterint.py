@@ -16,13 +16,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable
 
 import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import DomainError, NumericError, PathError
+from .errors import BudgetError, DomainError, NumericError, PathError
 from .scalars import QI
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, shuffle,
                            shuffle_words)
@@ -358,6 +358,26 @@ class _WordSystem:
                   if len(order[i]) != len(order[i - 1])] + [self.n]
         self.levels = list(zip(bounds, bounds[1:]))
 
+    @classmethod
+    def canonical(cls, ps: PoleSet, weight: int, form_of) -> "_WordSystem":
+        """The system on every class word up to ``weight`` in the order of
+        ``word_cuts``, built without a closure: read as base-m label ranks,
+        the words are a complete m-ary tree in breadth-first order, so row
+        r > 0 has parent (r - 1) // m and last-letter slot (r - 1) % m, and
+        level k starts at 1 + m + ... + m^(k-1).  Without letters the
+        system is the empty word alone."""
+        self = cls.__new__(cls)
+        letters = sorted(ps.labels)
+        m = len(letters)
+        self.words = label_words(ps, weight)
+        self.n = len(self.words)
+        rows = np.arange(-1, self.n - 1, dtype=np.intp).clip(0)
+        self.parents, self.slots = np.divmod(rows, max(m, 1))
+        self.evaluators = [form_of(lab).compiled() for lab in letters]
+        ends = list(accumulate(m ** k for k in range(weight + 1)))
+        self.levels = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
+        return self
+
 
 def _run(system: _WordSystem, y: np.ndarray, path: Path,
          cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
@@ -421,9 +441,10 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
 def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
                cfg: IntegratorConfig | None, capture_after=(), trace=False,
                start=None):
-    """The one integration body behind the typed front doors: clearance,
-    the joint word system with letters resolved by form_of, the run from
-    start (the unit when None), and every vector unpacked into a dict."""
+    """The integration body behind the word-list front doors (``j_element``
+    runs the full basis itself): clearance, the joint word system with
+    letters resolved by form_of, the run from start (the unit when None),
+    and every vector unpacked into a dict."""
     cfg = cfg or IntegratorConfig()
     path.check_clearance(poles)
     system = _WordSystem(words, form_of)
@@ -485,6 +506,15 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
 # does not; an expansion's letter matrix to order n - 1, up to 4,095), or a
 # series' node array or cut table.
 MATRIX_VIEW_MAX_BYTES = 1 << 28
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Refuse with BudgetError (a DomainError), before anything is
+    allocated, work whose largest array of ``nbytes`` would pass
+    MATRIX_VIEW_MAX_BYTES."""
+    if nbytes > MATRIX_VIEW_MAX_BYTES:
+        raise BudgetError(f"{what} exceeds the "
+                          f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
 
 
 def count_words(letters: int, weight: int) -> tuple[int, int]:
@@ -552,7 +582,12 @@ class GroupLikeSeries:
 
 
 def label_words(ps: PoleSet, weight: int):
-    """All class words of weight at most ``weight``, canonically ordered."""
+    """All class words of weight at most ``weight``, canonically ordered;
+    refused unbuilt when the node array (16 bytes per node and word) or the
+    cut table (24 bytes per cut) of a series on them would pass the cap."""
+    n, cuts = count_words(len(ps.labels), weight)
+    check_budget(max(16 * _NODES * n, 24 * cuts),
+                 f"a series on {n:.3g} words")
     return list(word_cuts(ps.labels, weight)[0])
 
 
@@ -586,18 +621,16 @@ def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def j_element(path: Path, section: Section, cfg: IntegratorConfig | None = None
               ) -> GroupLikeSeries:
     """The universal group-like element: endpoint values of every class word
-    up to the configured weight, integrated through the section; refused
-    unbuilt when their node array or cut table would pass the cap."""
+    up to the configured weight, integrated through the section straight
+    into the series vector; refused unbuilt over the cap (``label_words``)."""
     cfg = cfg or IntegratorConfig()
     ps = section.poles
-    n, cuts = count_words(len(ps.labels), cfg.weight)
-    if max(16 * _NODES * n, 24 * cuts) > MATRIX_VIEW_MAX_BYTES:
-        raise DomainError(f"a series on {n:.3g} words exceeds the "
-                          f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
-    words = label_words(ps, cfg.weight)
-    vals, _ = integrate_h_words(path, words, section, cfg)
-    return GroupLikeSeries(cfg.weight, ps.labels,
-                           np.array([vals[w] for w in words], dtype=complex))
+    system = _WordSystem.canonical(ps, cfg.weight,
+                                   lambda lab: section.form(lab).f)
+    path.check_clearance(ps)
+    y, _, _ = _run(system, np.eye(1, system.n, dtype=complex)[0], path, cfg,
+                   ps.as_complex)
+    return GroupLikeSeries(cfg.weight, ps.labels, y)
 
 
 def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:

@@ -3,7 +3,8 @@
 A closed loop acts on class words through its Chen series, the loop
 integrals of all words: w = u v picks up u's value times v (unipotent, and
 contravariant in loop concatenation).  An operator is that series alone;
-its dense matrix is a lazy view, capped at MATRIX_VIEW_MAX_BYTES.
+its dense matrix is a view built on each read and not kept, capped at
+MATRIX_VIEW_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -11,15 +12,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
 from .iterint import (MATRIX_VIEW_MAX_BYTES, ArcSeg, GroupLikeSeries,
-                      IntegratorConfig, Path, count_words, cut_sum,
-                      integrate_h_words, j_element, plan_path, word_cuts)
+                      IntegratorConfig, Path, check_budget, count_words,
+                      cut_sum, integrate_h_words, j_element, plan_path,
+                      word_cuts)
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,7 @@ def check_view_budget(letters: int, weight: int) -> int:
     without building them; DomainError when the dense operator on them would
     pass MATRIX_VIEW_MAX_BYTES."""
     n = count_words(letters, weight)[0]
-    if 16 * n * n > MATRIX_VIEW_MAX_BYTES:
-        raise DomainError(f"a dense operator on {n:.3g} words exceeds the "
-                          f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB matrix cap")
+    check_budget(16 * n * n, f"a dense operator on {n:.3g} words")
     return n
 
 
@@ -151,8 +150,8 @@ class MonodromyOperator:
     integral of the prefix u whenever w = u v, and zero when v is not a
     suffix of w.  ``@`` convolves the series, ``act`` sums over cuts,
     ``entry`` looks up the prefix, and ``matrix`` is a dense view on the
-    canonically ordered word basis, built on first use and refused above
-    MATRIX_VIEW_MAX_BYTES.
+    canonically ordered word basis, built on each read and not kept, and
+    refused above MATRIX_VIEW_MAX_BYTES.
     """
 
     def __init__(self, series: GroupLikeSeries):
@@ -160,7 +159,7 @@ class MonodromyOperator:
         self._cuts = word_cuts(series.letters, series.weight)
         self.basis = self._cuts[0]
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
         n = check_view_budget(len(self.series.letters), self.series.weight)
         _, word, prefix, suffix = self._cuts

@@ -156,7 +156,7 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
     assert rc == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert "matrix cap" in captured.err
+    assert "MiB array cap" in captured.err
     assert peak < 8 * 2 ** 20
 
 
@@ -256,6 +256,30 @@ def test_non_integral_pole_orders_are_input_errors(capsys, order):
     data = run_json(capsys, "reduce", "--poles", "0,1", "--tensor-json", tensor)
     assert data["terms"][0]["f"]["principal"] == [
         {"pole": "0", "order": 1, "coeff": "-1"}]
+
+
+@pytest.mark.parametrize("order", [10 ** 9, 10 ** 24])
+def test_pole_orders_over_the_array_cap_are_refused_before_any_work(
+        capsys, order):
+    import tracemalloc
+
+    letters = [{"pole": "1"}, {"rf": {"principal": [
+        {"pole": "0", "order": order, "coeff": "1"}]}}]
+    tensor = json.dumps({"terms": [{"word": word, "coeff": {"re": "1"}}
+                                   for word in (letters, letters[1:])]})
+    for command in ("reduce", "kernel"):
+        tracemalloc.start()
+        try:
+            rc = main([command, "--poles", "0,1", "--tensor-json", tensor])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "MiB array cap" in captured.err
+        assert "Traceback" not in captured.err
+        assert peak < 8 * 2 ** 20
 
 
 # A small grammar of tensor payloads for `reduce` and `kernel`: valid letters
@@ -449,7 +473,7 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "MiB cap" in captured.err and "Traceback" not in captured.err
+    assert "MiB array cap" in captured.err and "Traceback" not in captured.err
     assert peak < 8 * 2 ** 20
 
 

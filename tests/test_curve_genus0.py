@@ -94,6 +94,17 @@ def test_rational_function_json_round_trip(ps):
     assert RationalFunction.from_json(ps, f.to_json()) == f
 
 
+def test_pole_orders_over_the_array_cap_are_refused(ps):
+    # order 4095 is the largest series order the one array cap admits
+    def payload(order):
+        return {"principal": [{"pole": "0", "order": order, "coeff": "1"}]}
+
+    f = RationalFunction.from_json(ps, payload(4095))
+    assert f.principal == (((0, 4095), QI(1)),)
+    with pytest.raises(DomainError, match="MiB array cap"):
+        RationalFunction.from_json(ps, payload(4096))
+
+
 def test_differential_labels(ps):
     w = dlog(ps, "0")
     assert w.label == "((1)/(z-(0)))dz"

@@ -20,15 +20,18 @@ from curvelog import (
     chain_rule_check,
     d,
     dlog,
+    integrate_h_words,
     integrate_words,
     j_element,
     kz_specialization_check,
     label_words,
+    loop_around,
     nabla_sigma,
     plan_path,
     shuffle_identity_check,
 )
 
+from curvelog.iterint import _WordSystem
 from oracles import LOG2
 
 PS0 = PoleSet.of("0")
@@ -200,6 +203,37 @@ def test_j_element_convolution_matches_concatenation():
     conv = a.convolve(b)
     for w in label_words(PS0, 3):
         assert abs(conv.value(w) - whole.value(w)) < 1e-8
+
+
+@pytest.mark.parametrize("points", ["0", "0,1", "0,1,-1", "0,1,-1,i"])
+def test_canonical_word_system_matches_the_closure_build(points):
+    # the closure-built system is the reference for the arithmetic one
+    ps = PoleSet.of(points)
+    sec = Section.standard(ps)
+    for weight in range(7):
+        ref = _WordSystem(label_words(ps, weight), lambda lab: sec.form(lab).f)
+        got = _WordSystem.canonical(ps, weight, lambda lab: sec.form(lab).f)
+        assert got.words == ref.words and got.n == ref.n
+        assert np.array_equal(got.parents, ref.parents)
+        assert np.array_equal(got.slots, ref.slots)
+        assert got.levels == ref.levels
+
+
+def test_j_element_is_bit_identical_to_the_dict_route():
+    ps = PoleSet.of("0,1,-1")
+    corrected = Section(ps, (RationalFunction.pole_power(ps, "1", 2),
+                             RationalFunction.pole_power(ps, "0", 3, coeff=-2),
+                             RationalFunction.zero(ps)))
+    loops = [(loop_around(ps, s, 0.5 + 0.5j), Section.standard(ps))
+             for s in ("0", "1", "-1")]
+    loops.append((loop_around(ps, "-1", 0.5 + 0.5j), corrected))
+    for loop, sec in loops:
+        for weight in range(1, 7):
+            cfg = IntegratorConfig(weight=weight)
+            words = label_words(ps, weight)
+            vals, _ = integrate_h_words(loop.path, words, sec, cfg)
+            want = np.array([vals[w] for w in words], dtype=complex)
+            assert np.array_equal(j_element(loop.path, sec, cfg).vector, want)
 
 
 def test_shuffle_identity_numeric():

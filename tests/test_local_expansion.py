@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from curvelog import (
     DomainError,
     IntegratorConfig,
     LogLaurentExpansion,
+    NumericError,
     PoleSet,
     RationalFunction,
     Section,
@@ -122,6 +124,31 @@ def test_domain_errors():
         expand_at(("0",), PS, 0, section=corrected)
 
 
+def test_low_orders_are_checked_against_their_truncation_remainder(
+        capsys, monkeypatch):
+    from curvelog import hyperlog
+    from curvelog.cli import main
+
+    # cut at order 3 the series is about 1e-4 off at the control point, the
+    # remainder of the order and not a mismatch
+    assert main(["expand", "--poles", "0,1,-1", "--word", "-1", "--point",
+                 "1", "--weight", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 3
+    batch = hyperlog.eval_batch
+
+    def corrupted(delta):
+        def shifted(words, points, poles, cfg=None):
+            ref, chk = batch(words, points, poles, cfg)
+            return {w: v + delta for w, v in ref.items()}, chk
+        return shifted
+
+    ps = PoleSet.of("0,1,-1")
+    for kwargs, delta in (({"order": 3}, 1e-2), ({}, 1e-2), ({}, 1e-5)):
+        monkeypatch.setattr(hyperlog, "eval_batch", corrupted(delta))
+        with pytest.raises(NumericError, match="control point"):
+            expand_at(("-1",), ps, 1, **kwargs)
+
+
 def test_evaluate_guards_the_disk():
     exp = expand_at(("0",), PS, 0)
     with pytest.raises(DomainError):
@@ -162,9 +189,9 @@ def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
     with pytest.raises(Reached):
         expand_at(("1", "0"), PS, 0, order=4095)
     for order in (4096, 100_000):
-        with pytest.raises(DomainError, match="MiB cap"):
+        with pytest.raises(DomainError, match="MiB array cap"):
             expand_at(("1", "0"), PS, 0, order=order)
-        with pytest.raises(DomainError, match="MiB cap"):
+        with pytest.raises(DomainError, match="MiB array cap"):
             expand_at(("1", "0"), PS, 1, order=order)
-    with pytest.raises(DomainError, match="MiB cap"):
+    with pytest.raises(DomainError, match="MiB array cap"):
         mzv(("1", "0"), order=10 ** 6)

@@ -268,6 +268,16 @@ def test_weight_eight_operator_builds_no_dense_matrix():
         both.matrix
 
 
+def test_dense_view_is_built_on_each_read_and_not_kept():
+    ps3 = PoleSet.of("0,1,-1")
+    op = monodromy_operator(loop_around(ps3, "1", 0.5 + 0.5j),
+                            Section.standard(ps3), weight=5)
+    first, second = op.matrix, op.matrix
+    assert "matrix" not in vars(op)
+    assert first is not second and np.array_equal(first, second)
+    assert first.shape == (364, 364)
+
+
 def test_matrix_view_budget():
     # weight 7 on three letters is the largest benchmark view: 172 MB
     assert check_view_budget(3, 7) == 3280
@@ -292,6 +302,8 @@ def test_series_over_the_array_cap_is_refused_before_building(
     try:
         with pytest.raises(DomainError, match="MiB array cap"):
             pairing(circle_loop(ps2, "0"), sec2, weight=weight)
+        with pytest.raises(DomainError, match="MiB array cap"):
+            label_words(ps2, weight)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
