@@ -19,6 +19,24 @@ from .errors import DomainError, InputError
 from .scalars import QI, accumulate
 from .shuffle_core import Letter
 
+QI0 = QI.of(0)
+
+
+def _hash_once(self) -> int:
+    """The hash of the fields, computed once and kept as an attribute that
+    is no field, so equality, repr and to_json never see it."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, n) for n in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _state_without_hash(self) -> dict:
+    """Copied and pickled state: each copy hashes itself afresh."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 @dataclass(frozen=True)
 class PoleSet:
@@ -31,6 +49,9 @@ class PoleSet:
         object.__setattr__(self, "points", pts)
         if len({p.sort_key() for p in pts}) != len(pts):
             raise DomainError("pole set has repeated points")
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     @staticmethod
     def of(spec) -> "PoleSet":
@@ -94,7 +115,7 @@ class PoleSet:
 
     @cached_property
     def zero_index(self):
-        z = QI.of(0)
+        z = QI0
         for i, p in enumerate(self.points):
             if p == z:
                 return i
@@ -136,7 +157,7 @@ def _poly_add(a, b):
 def _poly_mul(a, b):
     if not a or not b:
         return ()
-    out = [QI.of(0)] * (len(a) + len(b) - 1)
+    out = [QI0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x.is_zero:
             continue
@@ -150,7 +171,7 @@ def _poly_taylor(poly, s: QI):
     n = len(poly)
     out = []
     for m in range(n):
-        acc = QI.of(0)
+        acc = QI0
         for j in range(m, n):
             acc = acc + poly[j] * math.comb(j, m) * _pow(s, j - m)
         out.append(acc)
@@ -168,7 +189,8 @@ class RationalFunction:
 
     ``poly`` holds ascending coefficients; ``principal`` is a sorted tuple of
     ((pole index, order >= 1), coefficient) pairs with no zero entries, so
-    structural equality of instances is equality of functions.
+    structural equality of instances is equality of functions.  Arithmetic
+    results, normal by construction, are built unchecked by ``_rf``.
     """
 
     poles: PoleSet
@@ -199,20 +221,22 @@ class RationalFunction:
             if not 0 <= i < n:
                 raise DomainError(f"pole index {i} out of range")
             items.append(((i, k), c))
-        object.__setattr__(self, "principal",
-                           tuple(sorted(accumulate(items).items())))
+        object.__setattr__(self, "principal", _sorted_sum(items))
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     @classmethod
     def zero(cls, ps: PoleSet) -> "RationalFunction":
-        return cls(ps)
+        return _rf(ps, (), ())
 
     @classmethod
     def const(cls, ps: PoleSet, c) -> "RationalFunction":
-        return cls(ps, (QI.of(c),))
+        return _rf(ps, _trim((QI.of(c),)), ())
 
     @classmethod
     def coordinate(cls, ps: PoleSet) -> "RationalFunction":
-        return cls(ps, (QI.of(0), QI.of(1)))
+        return cls(ps, (QI0, QI.of(1)))
 
     @classmethod
     def pole_power(cls, ps: PoleSet, which, order: int, coeff=1) -> "RationalFunction":
@@ -225,7 +249,7 @@ class RationalFunction:
 
     @property
     def constant_term(self) -> QI:
-        return self.poly[0] if self.poly else QI.of(0)
+        return self.poly[0] if self.poly else QI0
 
     def _check(self, other: "RationalFunction"):
         if self.poles != other.poles:
@@ -235,12 +259,12 @@ class RationalFunction:
         if isinstance(other, (int, Fraction, QI)):
             other = RationalFunction.const(self.poles, other)
         self._check(other)
-        return RationalFunction(self.poles, _poly_add(self.poly, other.poly),
-                                self.principal + other.principal)
+        return _rf(self.poles, _poly_add(self.poly, other.poly),
+                   _sorted_sum(self.principal + other.principal))
 
     def __neg__(self):
-        return RationalFunction(self.poles, tuple(-c for c in self.poly),
-                                tuple((k, -c) for k, c in self.principal))
+        return _rf(self.poles, tuple(-c for c in self.poly),
+                   tuple((k, -c) for k, c in self.principal))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QI)):
@@ -250,15 +274,18 @@ class RationalFunction:
     def scale(self, c) -> "RationalFunction":
         c = QI.of(c)
         if c.is_zero:
-            return RationalFunction(self.poles)
-        return RationalFunction(self.poles,
-                                tuple(v * c for v in self.poly),
-                                tuple((k, v * c) for k, v in self.principal))
+            return _rf(self.poles, (), ())
+        return _rf(self.poles, tuple(v * c for v in self.poly),
+                   tuple((k, v * c) for k, v in self.principal))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         self._check(other)
+        if not other.poly and len(other.principal) == 1:
+            [((i, k), c)] = other.principal
+            if k == 1:
+                return self._times_letter(i, c)
         ps = self.poles
         poly = list(_poly_mul(self.poly, other.poly))
         princ: list = []
@@ -309,16 +336,38 @@ class RationalFunction:
                     coeff = sign * math.comb(k + m - 1, m) * _pow(t - s, -(k + m))
                     add_pp(j, b, cd * coeff)
 
-        return RationalFunction(ps, tuple(poly), princ)
+        return _rf(ps, tuple(poly), _sorted_sum(princ))
 
     __rmul__ = __mul__
 
+    def _times_letter(self, i: int, c: QI) -> "RationalFunction":
+        """self * c/(z - s), s the pole at index i, part by part: p(z) =
+        q(z)(z - s) + p(s) by synthetic division, a/(z - s)^k moves one
+        order up, and at each other pole t, with d = s - t,
+        1/((z - t)^l (z - s)) = d^-l/(z - s) - sum_j d^-(l-j+1)/(z - t)^j."""
+        pts = self.poles.points
+        s, poly = pts[i], self.poly
+        q, acc = [QI0] * (len(poly) - 1), QI0
+        for j in range(len(poly) - 1, 0, -1):
+            acc = poly[j] + s * acc
+            q[j - 1] = acc * c
+        items = [((i, 1), (poly[0] + s * acc) * c)] if poly else []
+        for (j, l), a in self.principal:
+            ac = a * c
+            if j == i:
+                items.append(((i, l + 1), ac))
+                continue
+            inv = QI.of(1) / (s - pts[j])
+            for m in range(l, 0, -1):
+                ac = ac * inv
+                items.append(((j, m), -ac))
+            items.append(((i, 1), ac))
+        return _rf(self.poles, tuple(q), _sorted_sum(items))
+
     def differentiate(self) -> "RationalFunction":
-        dpoly = tuple(self.poly[j] * j for j in range(1, len(self.poly)))
-        pp = {}
-        for (i, k), c in self.principal:
-            pp[(i, k + 1)] = c * (-k)
-        return RationalFunction(self.poles, dpoly, tuple(pp.items()))
+        return _rf(self.poles,
+                   tuple(self.poly[j] * j for j in range(1, len(self.poly))),
+                   tuple(((i, k + 1), c * -k) for (i, k), c in self.principal))
 
     def antiderivative(self) -> "RationalFunction":
         """Termwise antiderivative with zero integration constant.
@@ -330,11 +379,9 @@ class RationalFunction:
             if k == 1:
                 raise DomainError(
                     f"residue at {self.poles.label(i)} obstructs integration")
-        poly = (QI.of(0),) + tuple(c / (j + 1) for j, c in enumerate(self.poly))
-        pp = {}
-        for (i, k), c in self.principal:
-            pp[(i, k - 1)] = c / (1 - k)
-        return RationalFunction(self.poles, poly, tuple(pp.items()))
+        poly = (QI0,) + tuple(c / (j + 1) for j, c in enumerate(self.poly))
+        return _rf(self.poles, poly if self.poly else (),
+                   tuple(((i, k - 1), c / (1 - k)) for (i, k), c in self.principal))
 
     def residues(self) -> dict:
         return {i: c for (i, k), c in self.principal if k == 1}
@@ -353,7 +400,7 @@ class RationalFunction:
 
     def evaluate_exact(self, z) -> QI:
         z = QI.of(z)
-        val = QI.of(0)
+        val = QI0
         for c in reversed(self.poly):
             val = val * z + c
         for (i, k), c in self.principal:
@@ -424,11 +471,31 @@ class RationalFunction:
         return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 
 
+def _sorted_sum(items) -> tuple:
+    """Principal part items summed by key, zeros dropped, keys sorted."""
+    return tuple(sorted(accumulate(items).items()))
+
+
+def _rf(ps: PoleSet, poly: tuple, principal: tuple) -> RationalFunction:
+    """A RationalFunction, unchecked, from parts already in normal form:
+    QI coefficients, a trimmed poly, sorted valid keys, no zero entries."""
+    # set one by one, not through __dict__, which would build a dict for
+    # every instance on top of its inline attribute values
+    r = object.__new__(RationalFunction)
+    object.__setattr__(r, "poles", ps)
+    object.__setattr__(r, "poly", poly)
+    object.__setattr__(r, "principal", principal)
+    return r
+
+
 @dataclass(frozen=True)
 class Differential:
     """A one-form f(z) dz over the declared pole set."""
 
     f: RationalFunction
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     @property
     def poles(self) -> PoleSet:
@@ -447,7 +514,10 @@ class Differential:
         return self.f.is_zero
 
     def project(self) -> "DeRhamClass":
-        return DeRhamClass.from_map(self.f.poles, self.f.residues())
+        cs = [QI0] * len(self.poles)
+        for i, c in self.f.residues().items():
+            cs[i] = c
+        return DeRhamClass(self.poles, tuple(cs))
 
     def __str__(self):
         return self.label
@@ -467,22 +537,15 @@ class DeRhamClass:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def from_map(cls, ps: PoleSet, mapping: Mapping) -> "DeRhamClass":
-        cs = [QI.of(0)] * len(ps)
-        for i, c in mapping.items():
-            cs[ps.index(i)] = QI.of(c)
-        return cls(ps, tuple(cs))
-
-    @classmethod
     def basis(cls, ps: PoleSet, which) -> "DeRhamClass":
         i = ps.index(which)
-        cs = [QI.of(0)] * len(ps)
+        cs = [QI0] * len(ps)
         cs[i] = QI.of(1)
         return cls(ps, tuple(cs))
 
     @classmethod
     def zero(cls, ps: PoleSet) -> "DeRhamClass":
-        return cls(ps, tuple(QI.of(0) for _ in range(len(ps))))
+        return cls(ps, tuple(QI0 for _ in range(len(ps))))
 
     def __add__(self, other: "DeRhamClass") -> "DeRhamClass":
         if self.poles != other.poles:
@@ -589,7 +652,7 @@ def decompose(w: Differential, section: Section):
     if w.poles != section.poles:
         raise DomainError("class and section live over different pole sets")
     h = w.project()
-    f = RationalFunction(w.poles, w.f.poly, tuple(
+    f = _rf(w.poles, w.f.poly, tuple(
         item for item in w.f.principal if item[0][1] > 1)).antiderivative()
     for i, c in h.nonzero():
         g = section.corrections[i]

@@ -203,7 +203,7 @@ def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
     return _evaluate(words, pts, ps, cfg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _limit_at_one(word: tuple, order: int) -> complex:
     ps = PoleSet.of("0,1")
     exp = expand_at(word, ps, center=1, order=order)

@@ -24,8 +24,7 @@ import numpy as np
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import BudgetError, DomainError, NumericError, PathError
 from .scalars import QI
-from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, shuffle,
-                           shuffle_words)
+from .shuffle_core import ShuffleTensor, _letter_label, r_xi, shuffle
 
 
 @dataclass(frozen=True)
@@ -554,20 +553,6 @@ class GroupLikeSeries:
 
     def value(self, word) -> complex:
         return self.values[tuple(word)]
-
-    def grouplike_residual(self) -> float:
-        worst = 0.0
-        words = list(self.values)
-        for a in words:
-            for b in words:
-                if len(a) + len(b) > self.weight:
-                    continue
-                prod = self.values[a] * self.values[b]
-                tot = 0j
-                for w, mult in shuffle_words(a, b).items():
-                    tot += mult * self.values[w]
-                worst = max(worst, abs(tot - prod))
-        return worst
 
     def convolve(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
         """Series of a concatenated loop via the deconcatenation coproduct:

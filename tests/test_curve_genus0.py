@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from curvelog import (
     decompose,
     dlog,
 )
+from curvelog.curve_genus0 import (_poly_add, _poly_mul, _poly_taylor, _pow,
+                                   _shifted_monomial)
 
 
 @pytest.fixture
@@ -220,3 +223,133 @@ def test_decompose_reassembles(data, corrected):
     # both halves agree with subtracting the rebuilt class representative
     assert h == w.project()
     assert f == (w.f - sec.apply(h).f).antiderivative()
+
+
+gauss_small = st.builds(
+    QI, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+GAUSSIAN_POLE_SETS = ("0,1", "0,1,-1/2,i", "1+i,-i,2/3")
+
+
+@st.composite
+def gaussian_rationals(draw, ps, max_order=3):
+    """Gaussian coefficients, zeros included, up to degree 3 and order
+    max_order; one draw in eight is the zero function."""
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        return RationalFunction.zero(ps)
+    poly = tuple(draw(st.lists(gauss_small, max_size=4)))
+    pp = tuple(((i, k), draw(gauss_small)) for i in range(len(ps))
+               for k in range(1, draw(st.integers(0, max_order)) + 1))
+    return RationalFunction(ps, poly, pp)
+
+
+def assert_normal(r):
+    """r is a fixed point of the public constructor's checks and hashes
+    like the instance they rebuild."""
+    back = RationalFunction(r.poles, r.poly, r.principal)
+    assert back == r
+    assert hash(back) == hash(r)
+
+
+@given(st.data(), st.sampled_from(GAUSSIAN_POLE_SETS), st.booleans())
+def test_arithmetic_results_are_fixed_points_of_the_checks(data, spec,
+                                                           corrected):
+    ps = PoleSet.of(spec)
+    f = data.draw(gaussian_rationals(ps))
+    g = data.draw(gaussian_rationals(ps))
+    c = data.draw(gauss_small)
+    sec = (Section(ps, tuple(data.draw(gaussian_rationals(ps, 2)) for _ in ps))
+           if corrected else Section.standard(ps))
+    form = sec.form(data.draw(st.sampled_from(ps.labels))).f
+    results = [f + g, f - g, f - f, f + 0, -f, f.scale(c), f.scale(0),
+               f * g, f * form, form * f, g * form, f * c,
+               f.differentiate(), f.differentiate().antiderivative(),
+               RationalFunction(ps, f.poly).antiderivative(),
+               RationalFunction.const(ps, c), RationalFunction.const(ps, 0),
+               RationalFunction.zero(ps), decompose(Differential(f), sec)[1],
+               decompose(Differential(f - f), sec)[1]]
+    for r in results:
+        assert_normal(r)
+
+
+# The reference below is the general product the package applies to every
+# pair of operands, kept here as it stood before products by a simple pole
+# c/(z - s) were given their closed form.
+
+def _mul_reference(f, g):
+    ps = f.poles
+    poly = list(_poly_mul(f.poly, g.poly))
+    princ = []
+
+    def add_poly(p):
+        nonlocal poly
+        poly = list(_poly_add(tuple(poly), p))
+
+    def add_pp(i, k, c):
+        princ.append(((i, k), c))
+
+    def poly_times_pp(polyc, i, k, c):
+        if not polyc or c.is_zero:
+            return
+        s = ps.points[i]
+        for m, bm in enumerate(_poly_taylor(polyc, s)):
+            if bm.is_zero:
+                continue
+            if m >= k:
+                add_poly(tuple(v * (bm * c) for v in _shifted_monomial(s, m - k)))
+            else:
+                add_pp(i, k - m, c * bm)
+
+    for (i, k), c in f.principal:
+        poly_times_pp(g.poly, i, k, c)
+    for (i, k), c in g.principal:
+        poly_times_pp(f.poly, i, k, c)
+
+    for (i, k), c in f.principal:
+        for (j, l), dcoef in g.principal:
+            cd = c * dcoef
+            if cd.is_zero:
+                continue
+            if i == j:
+                add_pp(i, k + l, cd)
+                continue
+            s, t = ps.points[i], ps.points[j]
+            for a in range(1, k + 1):
+                m = k - a
+                sign = QI.of(-1) if m % 2 else QI.of(1)
+                coeff = sign * math.comb(l + m - 1, m) * _pow(s - t, -(l + m))
+                add_pp(i, a, cd * coeff)
+            for b in range(1, l + 1):
+                m = l - b
+                sign = QI.of(-1) if m % 2 else QI.of(1)
+                coeff = sign * math.comb(k + m - 1, m) * _pow(t - s, -(k + m))
+                add_pp(j, b, cd * coeff)
+
+    return RationalFunction(ps, tuple(poly), princ)
+
+
+@given(st.data(), st.sampled_from(GAUSSIAN_POLE_SETS))
+def test_product_by_a_simple_pole_matches_the_general_reference(data, spec):
+    ps = PoleSet.of(spec)
+    f = data.draw(gaussian_rationals(ps, max_order=4))
+    s = data.draw(st.sampled_from(ps.labels))
+    c = data.draw(gauss_small.filter(lambda q: not q.is_zero))
+    letter = RationalFunction.pole_power(ps, s, 1, c)
+    assert f * letter == _mul_reference(f, letter)
+    z = QI(Fraction(1, 3), Fraction(2, 7))
+    assert (f * letter).evaluate_exact(z) == (
+        f.evaluate_exact(z) * letter.evaluate_exact(z))
+
+
+def test_product_by_a_simple_pole_covers_each_part():
+    # a polynomial part, a power at s itself, a pole at another Gaussian
+    # point, and the zero function
+    ps = PoleSet.of("0,1,-1/2,i")
+    f = RationalFunction(ps, (QI(1), QI(0, 2), QI(-3)),
+                         (((1, 2), QI(1, 1)), ((3, 1), QI(Fraction(1, 2))),
+                          ((3, 3), QI(-2)), ((0, 1), QI(5))))
+    for s in ps.labels:
+        letter = RationalFunction.pole_power(ps, s, 1, QI(2, -1))
+        assert f * letter == _mul_reference(f, letter)
+        zero = RationalFunction.zero(ps)
+        assert (zero * letter).is_zero and _mul_reference(zero, letter).is_zero

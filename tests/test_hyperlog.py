@@ -27,6 +27,7 @@ from curvelog import (
     word_for_exponents,
     zero_label,
 )
+from curvelog import hyperlog, selftest
 from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
@@ -258,6 +259,13 @@ def test_mzv_edge_cases():
         mzv(("1", "1"))
     with pytest.raises(DomainError):
         mzv(("2", "0"))
+
+
+def test_mzv_cache_is_bounded():
+    maxsize = hyperlog._limit_at_one.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < math.inf
+    [res] = selftest.run(numbers=[1])
+    assert res.passed, res.detail
 
 
 def test_word_for_exponents():

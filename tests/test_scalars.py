@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvelog import (QI, InputError, PoleSet, RationalFunction, Section,
-                      ShuffleTensor, dlog, normal_form, parse_exact_complex,
-                      tensor_to_json)
+from curvelog import (QI, Differential, InputError, PoleSet, RationalFunction,
+                      Section, ShuffleTensor, dlog, normal_form,
+                      parse_exact_complex, tensor_to_json)
 from curvelog.scalars import accumulate
 
 rationals = st.fractions(
@@ -212,7 +212,12 @@ def test_scalars_never_equal_plain_numbers():
     assert QI(1) != 1
 
 
-def test_copies_and_pickles_round_trip():
+def _copies(value):
+    return (copy.copy(value), copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value)))
+
+
+def _build_values():
     ps = PoleSet.of("0,1,1/2+i")
     q = QI(Fraction(-3, 4), Fraction(5, 6))
     f = (RationalFunction(ps, (q, QI(2)), (((2, 2), q),))
@@ -220,11 +225,30 @@ def test_copies_and_pickles_round_trip():
     t = (ShuffleTensor.from_word((dlog(ps, "0"), dlog(ps, "1")), q)
          + ShuffleTensor.from_word((dlog(ps, "1/2+i"),), 3))
     nf = normal_form(t, Section.standard(ps), QI(2, 2))
+    return ps, q, f, t, nf
+
+
+def test_copies_and_pickles_round_trip():
+    ps, q, f, t, nf = _build_values()
     for value in (q, QI(), f, t, nf):
-        for clone in (copy.copy(value), copy.deepcopy(value),
-                      pickle.loads(pickle.dumps(value))):
+        for clone in _copies(value):
             assert type(clone) is type(value)
             assert clone == value
             assert str(clone) == str(value)
     assert hash(pickle.loads(pickle.dumps(q))) == hash(q)
     assert copy.deepcopy(f).to_json() == f.to_json()
+
+    # a hash cached before copying is left out of every copy, which hashes
+    # like a freshly built instance
+    fresh_ps, _, fresh_f, _, fresh_nf = _build_values()
+    pairs = ((ps, fresh_ps), (f, fresh_f), (Differential(f), Differential(fresh_f)),
+             (nf, fresh_nf))
+    for value, fresh in pairs:
+        hash(value)
+        # only a shallow copy of a normal form shares its coefficients
+        for clone in _copies(value)[1 if value is nf else 0:]:
+            parts = [g for _, g in clone.terms] if value is nf else [clone]
+            assert parts and all("_hash" not in vars(p) for p in parts)
+        for clone in _copies(value):
+            assert clone == fresh and hash(clone) == hash(fresh)
+            assert repr(clone) == repr(fresh)
