@@ -100,11 +100,21 @@ def _load_config() -> dict:
     return conf
 
 
+# the types a config field may take; flags are typed by argparse
+_CONF_TYPES = {"weight": (int,), "seed": (int,), "rtol": (int, float),
+               "atol": (int, float), "poles": (str, list)}
+
+
 def _setting(args, conf: dict, name: str, default=None):
     flag = getattr(args, name, None)
     if flag is not None:
         return flag
-    return conf.get(name, default)
+    value, kinds = conf.get(name, default), _CONF_TYPES[name]
+    # type() refuses bool; NaN compares false, a huge int without overflow
+    if value is not None and (type(value) not in kinds or (
+            float in kinds and not abs(value) <= sys.float_info.max)):
+        raise InputError(f"config field {name!r} cannot be {value!r}")
+    return value
 
 
 def _make_cfg(args, conf: dict) -> IntegratorConfig:
@@ -112,7 +122,7 @@ def _make_cfg(args, conf: dict) -> IntegratorConfig:
     return IntegratorConfig(
         rtol=float(_setting(args, conf, "rtol", base.rtol)),
         atol=float(_setting(args, conf, "atol", base.atol)),
-        weight=int(_setting(args, conf, "weight", base.weight)))
+        weight=_setting(args, conf, "weight", base.weight))
 
 
 def _require_poles(args, conf: dict) -> PoleSet:
@@ -294,7 +304,7 @@ def _cmd_expand(args, conf) -> int:
     word = _require_word(args, ps)
     if not args.point:
         raise InputError("expand needs --point (the expansion center)")
-    order = int(_setting(args, conf, "weight", 24))
+    order = _setting(args, conf, "weight", 24)
     exp = expand_at(word, ps, args.point, order=order,
                     cfg=_make_cfg(args, conf))
     _emit(exp.to_json())
@@ -317,7 +327,7 @@ def _cmd_selftest(args, conf) -> int:
             numbers = [int(x) for x in args.criteria.split(",") if x.strip()]
         except ValueError as exc:
             raise InputError(f"bad --criteria list: {exc}") from exc
-    results = _selftest.run(numbers, int(seed))
+    results = _selftest.run(numbers, seed)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"

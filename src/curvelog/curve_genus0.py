@@ -20,6 +20,7 @@ from .scalars import QI, accumulate
 from .shuffle_core import Letter
 
 QI0 = QI.of(0)
+QI1 = QI.of(1)
 
 
 def _hash_once(self) -> int:
@@ -132,19 +133,6 @@ def _trim(poly):
     return tuple(lst)
 
 
-def _pow(c: QI, k: int) -> QI:
-    if k < 0:
-        return _pow(QI.of(1) / c, -k)
-    out = QI.of(1)
-    base = c
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
 def _poly_add(a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -152,35 +140,6 @@ def _poly_add(a, b):
     for i, c in enumerate(b):
         out[i] = out[i] + c
     return _trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [QI0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _trim(out)
-
-
-def _poly_taylor(poly, s: QI):
-    """Coefficients of p in powers of (z - s), given coefficients in z."""
-    n = len(poly)
-    out = []
-    for m in range(n):
-        acc = QI0
-        for j in range(m, n):
-            acc = acc + poly[j] * math.comb(j, m) * _pow(s, j - m)
-        out.append(acc)
-    return tuple(out)
-
-
-def _shifted_monomial(s: QI, m: int):
-    """Coefficients in z of (z - s)^m."""
-    return tuple(QI.of(math.comb(m, j)) * _pow(-s, m - j) for j in range(m + 1))
 
 
 @dataclass(frozen=True)
@@ -258,6 +217,8 @@ class RationalFunction:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, QI)):
             other = RationalFunction.const(self.poles, other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
         self._check(other)
         return _rf(self.poles, _poly_add(self.poly, other.poly),
                    _sorted_sum(self.principal + other.principal))
@@ -267,8 +228,6 @@ class RationalFunction:
                    tuple((k, -c) for k, c in self.principal))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            other = RationalFunction.const(self.poles, other)
         return self + (-other)
 
     def scale(self, c) -> "RationalFunction":
@@ -279,69 +238,52 @@ class RationalFunction:
                    tuple((k, v * c) for k, v in self.principal))
 
     def __mul__(self, other):
+        """self * other through the generators of O(C): self is stepped by
+        z once per degree of other's polynomial part and by 1/(z - s) once
+        per order at each pole s, and each step enters scaled by other's
+        coefficient of that generator power."""
         if isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         self._check(other)
-        if not other.poly and len(other.principal) == 1:
-            [((i, k), c)] = other.principal
-            if k == 1:
-                return self._times_letter(i, c)
-        ps = self.poles
-        poly = list(_poly_mul(self.poly, other.poly))
-        princ: list = []
-
-        def add_poly(p):
-            nonlocal poly
-            poly = list(_poly_add(tuple(poly), p))
-
-        def add_pp(i, k, c):
-            princ.append(((i, k), c))
-
-        def poly_times_pp(polyc, i, k, c):
-            # p(z) * c/(z-s)^k, re-expanded around s
-            if not polyc or c.is_zero:
-                return
-            s = ps.points[i]
-            for m, bm in enumerate(_poly_taylor(polyc, s)):
-                if bm.is_zero:
-                    continue
-                if m >= k:
-                    add_poly(tuple(v * (bm * c) for v in _shifted_monomial(s, m - k)))
-                else:
-                    add_pp(i, k - m, c * bm)
-
-        for (i, k), c in self.principal:
-            poly_times_pp(other.poly, i, k, c)
+        parts, step = [], self
+        for j, c in enumerate(other.poly):
+            if j:
+                step = step._times_z()
+            if not c.is_zero:
+                parts.append((step, c))
+        pole, order = None, 0
         for (i, k), c in other.principal:
-            poly_times_pp(self.poly, i, k, c)
-
-        for (i, k), c in self.principal:
-            for (j, l), dcoef in other.principal:
-                cd = c * dcoef
-                if cd.is_zero:
-                    continue
-                if i == j:
-                    add_pp(i, k + l, cd)
-                    continue
-                s, t = ps.points[i], ps.points[j]
-                # cross expansion of 1/((z-s)^k (z-t)^l)
-                for a in range(1, k + 1):
-                    m = k - a
-                    sign = QI.of(-1) if m % 2 else QI.of(1)
-                    coeff = sign * math.comb(l + m - 1, m) * _pow(s - t, -(l + m))
-                    add_pp(i, a, cd * coeff)
-                for b in range(1, l + 1):
-                    m = l - b
-                    sign = QI.of(-1) if m % 2 else QI.of(1)
-                    coeff = sign * math.comb(k + m - 1, m) * _pow(t - s, -(k + m))
-                    add_pp(j, b, cd * coeff)
-
-        return _rf(ps, tuple(poly), _sorted_sum(princ))
+            if i != pole:
+                step, pole, order = self, i, 0
+            while order < k:
+                step, order = step._times_letter(i), order + 1
+            parts.append((step, c))
+        poly = ()
+        for step, c in parts:
+            poly = _poly_add(poly, tuple(v * c for v in step.poly))
+        return _rf(self.poles, poly, _sorted_sum(
+            (k, v * c) for step, c in parts for k, v in step.principal))
 
     __rmul__ = __mul__
 
-    def _times_letter(self, i: int, c: QI) -> "RationalFunction":
-        """self * c/(z - s), s the pole at index i, part by part: p(z) =
+    def _times_z(self) -> "RationalFunction":
+        """self * z: the polynomial part moves one degree up, and
+        z a/(z - t)^l = a/(z - t)^(l-1) + t a/(z - t)^l, where the order-0
+        term goes into the constant."""
+        pts = self.poles.points
+        const, items = QI0, []
+        for (j, l), a in self.principal:
+            if l == 1:
+                const = const + a
+            else:
+                items.append(((j, l - 1), a))
+            items.append(((j, l), pts[j] * a))
+        return _rf(self.poles, _trim((const,) + self.poly), _sorted_sum(items))
+
+    def _times_letter(self, i: int) -> "RationalFunction":
+        """self / (z - s), s the pole at index i, part by part: p(z) =
         q(z)(z - s) + p(s) by synthetic division, a/(z - s)^k moves one
         order up, and at each other pole t, with d = s - t,
         1/((z - t)^l (z - s)) = d^-l/(z - s) - sum_j d^-(l-j+1)/(z - t)^j."""
@@ -350,18 +292,17 @@ class RationalFunction:
         q, acc = [QI0] * (len(poly) - 1), QI0
         for j in range(len(poly) - 1, 0, -1):
             acc = poly[j] + s * acc
-            q[j - 1] = acc * c
-        items = [((i, 1), (poly[0] + s * acc) * c)] if poly else []
+            q[j - 1] = acc
+        items = [((i, 1), poly[0] + s * acc)] if poly else []
         for (j, l), a in self.principal:
-            ac = a * c
             if j == i:
-                items.append(((i, l + 1), ac))
+                items.append(((i, l + 1), a))
                 continue
-            inv = QI.of(1) / (s - pts[j])
+            inv = QI1 / (s - pts[j])
             for m in range(l, 0, -1):
-                ac = ac * inv
-                items.append(((j, m), -ac))
-            items.append(((i, 1), ac))
+                a = a * inv
+                items.append(((j, m), -a))
+            items.append(((i, 1), a))
         return _rf(self.poles, tuple(q), _sorted_sum(items))
 
     def differentiate(self) -> "RationalFunction":
@@ -407,7 +348,7 @@ class RationalFunction:
             dz = z - self.poles.points[i]
             if dz.is_zero:
                 raise DomainError(f"evaluation at the pole {self.poles.label(i)}")
-            val = val + c / _pow(dz, k)
+            val = val + c / math.prod((dz,) * k, start=QI1)
         return val
 
     def compiled(self):

@@ -199,21 +199,30 @@ class Path:
 
     @classmethod
     def from_json(cls, obj) -> "Path":
+        def num(x) -> float:  # a JSON number, not a bool, NaN or ±Infinity
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or not math.isfinite(x)):
+                raise ValueError(f"{x!r} is not a finite number")
+            return float(x)
+
         try:
-            base = complex(obj["base"][0], obj["base"][1])
+            base = complex(num(obj["base"][0]), num(obj["base"][1]))
             segs = []
             for item in obj.get("segments", []):
                 if "line" in item:
                     (a, b), (c, e) = item["line"]
-                    segs.append(LineSeg(complex(a, b), complex(c, e)))
+                    segs.append(LineSeg(complex(num(a), num(b)),
+                                        complex(num(c), num(e))))
                 elif "arc" in item:
                     arc = item["arc"]
-                    segs.append(ArcSeg(complex(arc["center"][0], arc["center"][1]),
-                                       float(arc["radius"]),
-                                       float(arc["from"]), float(arc["to"])))
+                    segs.append(ArcSeg(complex(num(arc["center"][0]),
+                                               num(arc["center"][1])),
+                                       num(arc["radius"]),
+                                       num(arc["from"]), num(arc["to"])))
                 else:
                     raise KeyError("segment kind")
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
             raise PathError(f"malformed path payload: {exc}") from exc
         return cls(tuple(segs), base)
 

@@ -336,6 +336,29 @@ _LINE = {"base": [1, 0], "segments": [{"line": [[1, 0], [2, 0]]}]}
 _CIRCLE = {"base": [0.5, 0], "segments": [{"arc": {
     "center": [0, 0], "radius": 0.5, "from": 0, "to": 2 * math.pi}}]}
 _THROUGH_ZERO = {"base": [-1, 0], "segments": [{"line": [[-1, 0], [1, 0]]}]}
+
+
+def _arc_with(**fields):
+    arc = dict(_CIRCLE["segments"][0]["arc"], **fields)
+    return {"base": _CIRCLE["base"], "segments": [{"arc": arc}]}
+
+
+# Path payloads with a NaN, an infinity, a boolean or a string where a
+# number belongs; json.dumps writes the non-finite floats as NaN, Infinity
+# and -Infinity.
+_NON_NUMERIC_PATHS = [
+    {"base": [math.nan, 0], "segments": [{"line": [[math.nan, 0], [0.5, 0]]}]},
+    {"base": [0.5, 0], "segments": [{"line": [[0.5, 0], [math.inf, 0]]}]},
+    {"base": [0.5, 0], "segments": [{"line": [[0.5, 0], [1.5, -math.inf]]}]},
+    {"base": [True, 0], "segments": [{"line": [[True, 0], [2, 0]]}]},
+    {"base": [1, 0], "segments": [{"line": [[1, 0], [2, False]]}]},
+    _arc_with(center=[math.nan, 0]),
+    _arc_with(radius=math.inf),
+    _arc_with(**{"from": -math.inf}),
+    _arc_with(to=math.nan),
+    _arc_with(radius=True),
+    _arc_with(radius="0.5"),
+]
 _options = st.fixed_dictionaries({
     "--poles": st.sampled_from(["0,1", "0,1,-1", "0,i", "0", "1,1", "x"]),
     "--word": st.lists(st.sampled_from(["0", "1", "-1", "i", "2"]),
@@ -347,6 +370,7 @@ _options = st.fixed_dictionaries({
     "--rtol": st.sampled_from(["1e-8", "0", "nan", "x"]),
     "--path-json": st.sampled_from(
         [json.dumps(p) for p in (_LINE, _CIRCLE, _THROUGH_ZERO)]
+        + [json.dumps(p) for p in _NON_NUMERIC_PATHS]
         + ["{bad", '{"base": 5}', "[]"]),
 })
 
@@ -357,6 +381,19 @@ _options = st.fixed_dictionaries({
 def test_fuzzed_subcommands_never_end_in_a_traceback(command, options):
     run_fuzzed([command] + [f"{flag}={value}"
                             for flag, value in options.items()])
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--poles", "0,1", "--word", "1"],
+    ["monodromy", "--poles", "0,1", "--weight", "2"],
+])
+@pytest.mark.parametrize("path", _NON_NUMERIC_PATHS)
+def test_non_finite_and_boolean_path_numbers_are_input_errors(capsys, argv,
+                                                              path):
+    assert main(argv + ["--path-json", json.dumps(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "malformed path payload" in captured.err
 
 
 @pytest.mark.parametrize("letter, coeff", [
@@ -503,6 +540,35 @@ def test_config_file_must_be_json(tmp_path, monkeypatch, capsys):
         conf.write_text(text)
         assert main(["periods", "--poles", "0,1"]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, conf", [
+    ("periods", {"poles": "0,1", "weight": "abc"}),
+    ("periods", {"poles": "0,1", "weight": math.nan}),
+    ("periods", {"poles": "0,1", "weight": True}),
+    ("periods", {"poles": "0,1", "weight": 2.0}),
+    ("periods", {"poles": "0,1", "rtol": [1]}),
+    ("periods", {"poles": "0,1", "rtol": math.inf}),
+    ("periods", {"poles": "0,1", "rtol": 10 ** 400}),
+    ("periods", {"poles": "0,1", "atol": "x"}),
+    ("periods", {"poles": "0,1", "atol": False}),
+    ("periods", {"poles": 5}),
+    ("periods", {"poles": {"0": 1}}),
+    ("expand", {"poles": "0,1", "weight": "3"}),
+    ("selftest", {"seed": "x"}),
+    ("selftest", {"seed": True}),
+])
+def test_config_fields_are_read_with_strict_types(tmp_path, monkeypatch,
+                                                  capsys, command, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    monkeypatch.setenv("CURVELOG_CONFIG", str(path))
+    argv = [command] + (["--word", "0", "--point", "0"]
+                        if command == "expand" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "config field" in captured.err
 
 
 def test_console_script_is_installed():

@@ -17,8 +17,7 @@ from curvelog import (
     decompose,
     dlog,
 )
-from curvelog.curve_genus0 import (_poly_add, _poly_mul, _poly_taylor, _pow,
-                                   _shifted_monomial)
+from curvelog.curve_genus0 import QI0, _poly_add, _trim
 
 
 @pytest.fixture
@@ -272,9 +271,42 @@ def test_arithmetic_results_are_fixed_points_of_the_checks(data, spec,
         assert_normal(r)
 
 
-# The reference below is the general product the package applies to every
-# pair of operands, kept here as it stood before products by a simple pole
-# c/(z - s) were given their closed form.
+# The reference below is the general product the package applied to every
+# pair of operands, kept here with its helpers as they stood before the
+# product was built from the generators z and 1/(z - s).
+
+def _pow(c: QI, k: int) -> QI:
+    return math.prod((c,) * k, start=QI(1))
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [QI0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _poly_taylor(poly, s: QI):
+    """Coefficients of p in powers of (z - s), given coefficients in z."""
+    n = len(poly)
+    out = []
+    for m in range(n):
+        acc = QI0
+        for j in range(m, n):
+            acc = acc + poly[j] * math.comb(j, m) * _pow(s, j - m)
+        out.append(acc)
+    return tuple(out)
+
+
+def _shifted_monomial(s: QI, m: int):
+    """Coefficients in z of (z - s)^m."""
+    return tuple(QI.of(math.comb(m, j)) * _pow(-s, m - j) for j in range(m + 1))
+
 
 def _mul_reference(f, g):
     ps = f.poles
@@ -317,12 +349,12 @@ def _mul_reference(f, g):
             for a in range(1, k + 1):
                 m = k - a
                 sign = QI.of(-1) if m % 2 else QI.of(1)
-                coeff = sign * math.comb(l + m - 1, m) * _pow(s - t, -(l + m))
+                coeff = sign * math.comb(l + m - 1, m) * _pow(1 / (s - t), l + m)
                 add_pp(i, a, cd * coeff)
             for b in range(1, l + 1):
                 m = l - b
                 sign = QI.of(-1) if m % 2 else QI.of(1)
-                coeff = sign * math.comb(k + m - 1, m) * _pow(t - s, -(k + m))
+                coeff = sign * math.comb(k + m - 1, m) * _pow(1 / (t - s), k + m)
                 add_pp(j, b, cd * coeff)
 
     return RationalFunction(ps, tuple(poly), princ)
@@ -353,3 +385,29 @@ def test_product_by_a_simple_pole_covers_each_part():
         assert f * letter == _mul_reference(f, letter)
         zero = RationalFunction.zero(ps)
         assert (zero * letter).is_zero and _mul_reference(zero, letter).is_zero
+
+
+@given(st.data(), st.sampled_from(GAUSSIAN_POLE_SETS))
+def test_the_generator_product_matches_the_reference(data, spec):
+    # f * g steps f by z and by 1/(z - s) once per generator power of g
+    ps = PoleSet.of(spec)
+    f, g, h = (data.draw(gaussian_rationals(ps, max_order=4)) for _ in range(3))
+    fg = f * g
+    assert fg == _mul_reference(f, g)
+    assert fg == g * f
+    assert fg * h == f * (g * h)
+    z = QI(Fraction(1, 3), Fraction(2, 7))
+    assert fg.evaluate_exact(z) == f.evaluate_exact(z) * g.evaluate_exact(z)
+    assert_normal(fg)
+
+
+def test_foreign_operands_raise_type_error(ps):
+    f = rf_pole(ps, "0", 2) + RationalFunction.coordinate(ps)
+    for other in (1.5, dlog(ps, "1"), "1"):
+        for op in (lambda: f * other, lambda: other * f, lambda: f + other,
+                   lambda: f - other):
+            with pytest.raises(TypeError):
+                op()
+    # exact scalars still scale and shift
+    assert f * 2 == f + f == 2 * f
+    assert f + Fraction(1, 2) - QI(0, 1) == f + QI(Fraction(1, 2), -1)
