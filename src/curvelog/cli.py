@@ -20,7 +20,7 @@ from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import (BudgetError, CurvelogError, DomainError, InputError,
                      NumericError)
 from .hyperlog import eval_L, mzv
-from .iterint import IntegratorConfig, Path, integrate_words
+from .iterint import DEFAULT_WEIGHT, IntegratorConfig, Path, integrate_words
 from .local_expansion import expand_at
 from .monodromy import (Loop, check_view_budget, circle_loop,
                         monodromy_operator, period_matrix)
@@ -84,6 +84,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+# the types a setting may take, checked on flags and config fields alike
+_CONF_TYPES = {"weight": (int,), "seed": (int,), "rtol": (int, float),
+               "atol": (int, float), "poles": (str, list)}
+
+
+def _checked(name: str, value, source: str):
+    kinds = _CONF_TYPES[name]
+    # type() refuses bool; NaN compares false, a huge int without overflow
+    if type(value) not in kinds or (
+            float in kinds and not abs(value) <= sys.float_info.max):
+        raise InputError(f"{source} cannot be {value!r}")
+    return value
+
+
 def _load_config() -> dict:
     path = os.environ.get("CURVELOG_CONFIG")
     if not path:
@@ -97,32 +111,24 @@ def _load_config() -> dict:
         raise InputError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(conf, dict):
         raise InputError(f"config {path!r} must hold a JSON object")
+    for name in _CONF_TYPES.keys() & conf.keys():
+        _checked(name, conf[name], f"config field {name!r}")
     return conf
 
 
-# the types a config field may take; flags are typed by argparse
-_CONF_TYPES = {"weight": (int,), "seed": (int,), "rtol": (int, float),
-               "atol": (int, float), "poles": (str, list)}
-
-
 def _setting(args, conf: dict, name: str, default=None):
+    """The flag, else the config field, else the default."""
     flag = getattr(args, name, None)
     if flag is not None:
-        return flag
-    value, kinds = conf.get(name, default), _CONF_TYPES[name]
-    # type() refuses bool; NaN compares false, a huge int without overflow
-    if value is not None and (type(value) not in kinds or (
-            float in kinds and not abs(value) <= sys.float_info.max)):
-        raise InputError(f"config field {name!r} cannot be {value!r}")
-    return value
+        return _checked(name, flag, f"--{name}")
+    return conf.get(name, default)
 
 
 def _make_cfg(args, conf: dict) -> IntegratorConfig:
     base = IntegratorConfig()
     return IntegratorConfig(
         rtol=float(_setting(args, conf, "rtol", base.rtol)),
-        atol=float(_setting(args, conf, "atol", base.atol)),
-        weight=_setting(args, conf, "weight", base.weight))
+        atol=float(_setting(args, conf, "atol", base.atol)))
 
 
 def _require_poles(args, conf: dict) -> PoleSet:
@@ -277,7 +283,8 @@ def _cmd_kernel(args, conf) -> int:
 def _cmd_monodromy(args, conf) -> int:
     ps = _require_poles(args, conf)
     cfg = _make_cfg(args, conf)
-    check_view_budget(len(ps.labels), cfg.weight)
+    weight = _setting(args, conf, "weight", DEFAULT_WEIGHT)
+    check_view_budget(len(ps.labels), weight)
     if args.path_json:
         loop = Loop(_parse_path(args))
     else:
@@ -285,7 +292,7 @@ def _cmd_monodromy(args, conf) -> int:
         if len(word) != 1:
             raise InputError("--word must name a single pole to encircle")
         loop = circle_loop(ps, word[0])
-    op = monodromy_operator(loop, Section.standard(ps), cfg.weight, cfg)
+    op = monodromy_operator(loop, Section.standard(ps), weight, cfg)
     _emit_with_matrix({"loop": loop.label,
                        "basis": [list(w) for w in op.basis]}, op.matrix)
     return 0

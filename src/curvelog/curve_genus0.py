@@ -472,7 +472,7 @@ class DeRhamClass:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(QI.of(c) for c in self.coeffs)
+        cs = tuple(c if type(c) is QI else QI.of(c) for c in self.coeffs)
         if len(cs) != len(self.poles):
             raise DomainError("class vector length does not match the pole set")
         object.__setattr__(self, "coeffs", cs)

@@ -11,14 +11,13 @@ the initial value of one integration along the planned paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
 from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
                       plan_chain)
-from .local_expansion import expand_at, series_values
+from .local_expansion import series_values
 from .monodromy import Loop
 from .scalars import QI
 from .shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
@@ -203,16 +202,14 @@ def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
     return _evaluate(words, pts, ps, cfg)
 
 
-@lru_cache(maxsize=1024)
-def _limit_at_one(word: tuple, order: int) -> complex:
-    ps = PoleSet.of("0,1")
-    exp = expand_at(word, ps, center=1, order=order)
-    return exp.coeff(0, 0)
-
-
-def mzv(word, order: int = 30) -> complex:
-    """The limit at one of a label word over the two punctures 0 and 1,
-    read off as the constant term of the local expansion there.
+def mzv(word) -> complex:
+    """The regularized limit at one of a label word over the punctures 0
+    and 1, by Hölder convolution: split the path at one half, so that the
+    value is the sum over w = u v of u's value at 1/2 times v's integral
+    from 1/2 to 1.  The map z -> 1 - z swaps the two letters with no sign
+    and reverses that second half, which makes it (-1)^|v| times the value
+    at 1/2 of tau(v), v reversed with its letters swapped.  Every factor
+    is a Taylor value at 1/2, and the tau(v) are the prefixes of tau(w).
 
     A word ending in the letter at one diverges and is rejected; sign and
     depth conventions follow the iterated integral, so for instance the
@@ -221,11 +218,14 @@ def mzv(word, order: int = 30) -> complex:
     for lab in word:
         if lab not in ("0", "1"):
             raise DomainError(f"letter {lab!r} is not a puncture of 0,1")
-    if not word:
-        return 1.0 + 0j
-    if word[-1] == "1":
+    if word and word[-1] == "1":
         raise DomainError("word ends at the puncture 1; the limit diverges")
-    return _limit_at_one(word, order)
+    ps = PoleSet.of("0,1")
+    tau = tuple("1" if lab == "0" else "0" for lab in reversed(word))
+    vals = series_values([word, tau], ps, reference_point(ps), _SERIES_TERMS)
+    n = len(word)
+    return sum((vals[word[:k]] * (-1) ** (n - k) * vals[tau[:n - k]]
+                for k in range(n + 1)), 0j)
 
 
 def word_for_exponents(ks) -> tuple:

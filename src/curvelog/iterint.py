@@ -286,19 +286,18 @@ def plan_chain(start: complex, points, ps: PoleSet):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances on the Chebyshev tail of each piece, a budget on pieces
-    examined (accepted or bisected), and the weight ``j_element`` uses."""
+    """Tolerances on the Chebyshev tail of each piece and a budget on pieces
+    examined (accepted or bisected)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 200_000
-    weight: int = 6
 
     def __post_init__(self):
         for tol in (self.rtol, self.atol):
             if not (math.isfinite(tol) and tol > 0):
                 raise DomainError("tolerances must be positive and finite")
-        if self.max_steps < 1 or self.weight < 0:
+        if self.max_steps < 1:
             raise DomainError("bad integrator limits")
 
 
@@ -347,21 +346,13 @@ class _WordSystem:
         self.words = order
         self.index = {w: i for i, w in enumerate(order)}
         self.n = len(order)
-        evaluators = []
-        slot_of: dict = {}
-        letter_slot = {}
-        for letter in dict.fromkeys(w[-1] for w in order[1:]):
-            f = form_of(letter)
-            key = (f.poles.key, f.poly, f.principal)
-            if key not in slot_of:
-                slot_of[key] = len(evaluators)
-                evaluators.append(f.compiled())
-            letter_slot[letter] = slot_of[key]
+        slot = {letter: i for i, letter in
+                enumerate(dict.fromkeys(w[-1] for w in order[1:]))}
+        self.evaluators = [form_of(letter).compiled() for letter in slot]
         self.parents = np.asarray(
             [0] + [self.index[w[:-1]] for w in order[1:]], dtype=np.intp)
         self.slots = np.asarray(
-            [0] + [letter_slot[w[-1]] for w in order[1:]], dtype=np.intp)
-        self.evaluators = evaluators
+            [0] + [slot[w[-1]] for w in order[1:]], dtype=np.intp)
         bounds = [i for i in range(1, self.n)
                   if len(order[i]) != len(order[i - 1])] + [self.n]
         self.levels = list(zip(bounds, bounds[1:]))
@@ -612,19 +603,25 @@ def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduceat(a[prefix] * b[suffix], np.flatnonzero(prefix == 0))
 
 
-def j_element(path: Path, section: Section, cfg: IntegratorConfig | None = None
-              ) -> GroupLikeSeries:
+# The weight of a series when none is given.
+DEFAULT_WEIGHT = 6
+
+
+def j_element(path: Path, section: Section, weight: int,
+              cfg: IntegratorConfig | None = None) -> GroupLikeSeries:
     """The universal group-like element: endpoint values of every class word
-    up to the configured weight, integrated through the section straight
-    into the series vector; refused unbuilt over the cap (``label_words``)."""
+    up to the weight, integrated through the section straight into the
+    series vector; refused unbuilt over the cap (``label_words``)."""
+    if weight < 0:
+        raise DomainError("the weight of a series cannot be negative")
     cfg = cfg or IntegratorConfig()
     ps = section.poles
-    system = _WordSystem.canonical(ps, cfg.weight,
+    system = _WordSystem.canonical(ps, weight,
                                    lambda lab: section.form(lab).f)
     path.check_clearance(ps)
     y, _, _ = _run(system, np.eye(1, system.n, dtype=complex)[0], path, cfg,
                    ps.as_complex)
-    return GroupLikeSeries(cfg.weight, ps.labels, y)
+    return GroupLikeSeries(weight, ps.labels, y)
 
 
 def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:

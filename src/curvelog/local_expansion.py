@@ -169,7 +169,6 @@ def series_values(words, ps: PoleSet, z: complex, order: int) -> dict:
 
 
 def expand_at(word, poles, center, order: int = 24,
-              log_order: int | None = None, section=None, check: bool = True,
               cfg: IntegratorConfig | None = None) -> LogLaurentExpansion:
     """Expand a label word around an exact center.
 
@@ -190,13 +189,6 @@ def expand_at(word, poles, center, order: int = 24,
         raise DomainError("expansion order must be at least one")
     check_budget(16 * (order + 1) ** 2,
                  f"the letter matrix of expansion order {order}")
-    if section is not None and not getattr(section, "is_standard", False):
-        raise DomainError("expansions are tied to the dlog representatives; "
-                          "corrected sections are not supported")
-    if log_order is not None and log_order < len(word):
-        raise DomainError(
-            f"the word needs logarithm degree up to {len(word)}, above the "
-            f"requested bound {log_order}")
     c_exact = QI.of(center)
     try:
         c_num = complex(c_exact)
@@ -223,7 +215,7 @@ def expand_at(word, poles, center, order: int = 24,
              for j, c in enumerate(row.tolist()) if c != 0)
     exp = LogLaurentExpansion(word, c_num, radius, order,
                               tuple(sorted(terms)))
-    if check and not at_origin and word:
+    if not at_origin and word:
         got = exp.evaluate(z_chk)
         want = vals_chk[word]
         # A letter 1/(z - p) cut at the order leaves u^(order+1)/(1-u) of

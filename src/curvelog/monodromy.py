@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
-from .iterint import (MATRIX_VIEW_MAX_BYTES, ArcSeg, GroupLikeSeries,
-                      IntegratorConfig, Path, check_budget, count_words,
-                      cut_sum, integrate_h_words, j_element, plan_path,
-                      word_cuts)
+from .iterint import (DEFAULT_WEIGHT, MATRIX_VIEW_MAX_BYTES, ArcSeg,
+                      GroupLikeSeries, IntegratorConfig, Path, check_budget,
+                      count_words, cut_sum, integrate_h_words, j_element,
+                      plan_path, word_cuts)
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,10 @@ def loop_around(ps: PoleSet, which, base: complex,
     return Loop(stick + circle + stick.reverse(), _loop_label(ps.label(i), turns))
 
 
-def pairing(loop: Loop, section: Section, weight: int | None = None,
+def pairing(loop: Loop, section: Section, weight: int = DEFAULT_WEIGHT,
             cfg: IntegratorConfig | None = None) -> GroupLikeSeries:
     """Integrals of all class words up to a weight bound around a loop."""
-    cfg = cfg or IntegratorConfig()
-    if weight is not None:
-        cfg = replace(cfg, weight=int(weight))
-    return j_element(loop.path, section, cfg)
+    return j_element(loop.path, section, weight, cfg)
 
 
 def check_view_budget(letters: int, weight: int) -> int:
@@ -193,7 +190,7 @@ class MonodromyOperator:
 
 
 def monodromy_operator(loop: Loop, section: Section,
-                       weight: int | None = None,
+                       weight: int = DEFAULT_WEIGHT,
                        cfg: IntegratorConfig | None = None
                        ) -> MonodromyOperator:
     """The operator of the loop's series: continuing around the loop first,

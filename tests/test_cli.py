@@ -161,16 +161,14 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
 
 
 def test_matrix_output_is_streamed_byte_identically(capsys):
-    from curvelog import (IntegratorConfig, PoleSet, Section, circle_loop,
-                          monodromy_operator)
+    from curvelog import PoleSet, Section, circle_loop, monodromy_operator
 
     rc, out = run_cli(capsys, "monodromy", "--poles", "0,1,-1", "--word",
                       "0", "--weight", "3")
     assert rc == 0
     ps = PoleSet.of("0,1,-1")
     loop = circle_loop(ps, "0")
-    op = monodromy_operator(loop, Section.standard(ps), 3,
-                            IntegratorConfig(weight=3))
+    op = monodromy_operator(loop, Section.standard(ps), 3)
     m = op.matrix
     full = {"loop": loop.label, "basis": [list(w) for w in op.basis],
             "matrix": [[[m[i, j].real, m[i, j].imag]
@@ -515,7 +513,7 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
 
 
 def test_exit_code_numeric_errors(monkeypatch, capsys):
-    def boom(word, order=30):
+    def boom(word):
         raise NumericError("forced")
     monkeypatch.setattr("curvelog.cli.mzv", boom)
     assert main(["mzv", "--word", "1,0"]) == 3
@@ -569,6 +567,18 @@ def test_config_fields_are_read_with_strict_types(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "config field" in captured.err
+
+
+@pytest.mark.parametrize("flag, code", [
+    ("--rtol=nan", 1), ("--rtol=inf", 1), ("--atol=-inf", 1),
+    ("--rtol=0", 2), ("--atol=-1e-9", 2),
+])
+def test_tolerance_flags_exit_like_config_fields(capsys, flag, code):
+    # a non-finite flag is malformed input, as in the config; a finite
+    # tolerance that is not positive is refused by IntegratorConfig
+    assert main(["periods", "--poles", "0,1", flag]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_console_script_is_installed():

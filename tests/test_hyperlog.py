@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import time
 
 import mpmath
@@ -27,7 +28,6 @@ from curvelog import (
     word_for_exponents,
     zero_label,
 )
-from curvelog import hyperlog, selftest
 from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
@@ -261,11 +261,53 @@ def test_mzv_edge_cases():
         mzv(("2", "0"))
 
 
-def test_mzv_cache_is_bounded():
-    maxsize = hyperlog._limit_at_one.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize < math.inf
-    [res] = selftest.run(numbers=[1])
-    assert res.passed, res.detail
+def test_mzv_matches_closed_forms_through_weight_eight():
+    # (-1)^depth times zeta(3,1) = pi^4/360, zeta({2}^n) = pi^2n/(2n+1)!
+    # and zeta({3,1}^n) = 2 pi^4n/(4n+2)!, with no imaginary part at all
+    with mpmath.workdps(30):
+        pi = mpmath.pi
+        forms = [((3, 1), pi ** 4 / 360)]
+        forms += [((2,) * n, pi ** (2 * n) / mpmath.factorial(2 * n + 1))
+                  for n in range(1, 5)]
+        forms += [((3, 1) * n, 2 * pi ** (4 * n) / mpmath.factorial(4 * n + 2))
+                  for n in range(1, 3)]
+        for ks, want in forms:
+            got = mzv(word_for_exponents(ks)) * (-1) ** len(ks)
+            assert got.imag == 0, ks
+            assert abs(got.real - want) <= 1e-15 * want, ks
+
+
+def test_mzv_satisfies_duality():
+    # z -> 1 - z reverses a convergent word and swaps its letters
+    swap = {"0": "1", "1": "0"}
+    for n in range(2, 8):
+        for mid in itertools.product("01", repeat=n - 2):
+            w = ("1",) + mid + ("0",)
+            dual = tuple(swap[lab] for lab in reversed(w))
+            v = mzv(w)
+            assert abs(v - (-1) ** n * mzv(dual)) <= 1e-15 * max(1, abs(v)), w
+
+
+def test_mzv_matches_the_expansion_at_one():
+    # the constant term of the local expansion at one, matched against the
+    # integrator, is the reference for the convolution at one half
+    rng = random.Random(15)
+    for _ in range(24):
+        n = rng.randint(1, 6)
+        w = tuple(rng.choice("01") for _ in range(n - 1)) + ("0",)
+        want = expand_at(w, "0,1", 1, order=30).coeff(0, 0)
+        assert abs(mzv(w) - want) <= 1e-13 * max(1, abs(want)), w
+
+
+def test_mzv_needs_no_integrator(monkeypatch):
+    from curvelog import iterint
+
+    def never(*args, **kwargs):
+        raise AssertionError("mzv ran the integrator")
+
+    monkeypatch.setattr(iterint, "_run", never)
+    want = float(mpmath.zeta(9))
+    assert abs(mzv(word_for_exponents((9,))) + want) <= 1e-15 * want
 
 
 def test_word_for_exponents():

@@ -179,14 +179,18 @@ def test_integrator_config_validation():
             IntegratorConfig(rtol=bad)
         with pytest.raises(DomainError):
             IntegratorConfig(atol=bad)
+
+
+def test_j_element_refuses_a_negative_weight():
+    sec = Section.standard(PS0)
     with pytest.raises(DomainError):
-        IntegratorConfig(weight=-1)
-    assert IntegratorConfig(weight=0).weight == 0
+        j_element(Path.line(1, 2), sec, -1)
+    assert j_element(Path.line(1, 2), sec, 0).vector.tolist() == [1]
 
 
 def test_j_element_is_group_like():
     sec = Section.standard(PS0)
-    series = j_element(Path.line(1, 2), sec, IntegratorConfig(weight=3))
+    series = j_element(Path.line(1, 2), sec, 3)
     assert series.value(()) == 1.0
     assert abs(series.value(("0",)) - LOG2) < 1e-10
     assert abs(series.value(("0", "0")) - LOG2 ** 2 / 2) < 1e-10
@@ -196,11 +200,10 @@ def test_j_element_is_group_like():
 
 def test_j_element_convolution_matches_concatenation():
     sec = Section.standard(PS0)
-    cfg = IntegratorConfig(weight=3)
     p1, p2 = Path.line(1, 2), Path.line(2, 5)
-    a = j_element(p1, sec, cfg)
-    b = j_element(p2, sec, cfg)
-    whole = j_element(p1 + p2, sec, cfg)
+    a = j_element(p1, sec, 3)
+    b = j_element(p2, sec, 3)
+    whole = j_element(p1 + p2, sec, 3)
     conv = a.convolve(b)
     for w in label_words(PS0, 3):
         assert abs(conv.value(w) - whole.value(w)) < 1e-8
@@ -230,11 +233,11 @@ def test_j_element_is_bit_identical_to_the_dict_route():
     loops.append((loop_around(ps, "-1", 0.5 + 0.5j), corrected))
     for loop, sec in loops:
         for weight in range(1, 7):
-            cfg = IntegratorConfig(weight=weight)
             words = label_words(ps, weight)
-            vals, _ = integrate_h_words(loop.path, words, sec, cfg)
+            vals, _ = integrate_h_words(loop.path, words, sec)
             want = np.array([vals[w] for w in words], dtype=complex)
-            assert np.array_equal(j_element(loop.path, sec, cfg).vector, want)
+            assert np.array_equal(j_element(loop.path, sec, weight).vector,
+                                  want)
 
 
 def test_shuffle_identity_numeric():
