@@ -8,6 +8,7 @@ integration traces), diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -53,34 +54,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="curvelog", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--poles", help="comma-separated exact puncture list")
-        sp.add_argument("--word", help="comma-separated pole labels")
-        sp.add_argument("--tensor-json", dest="tensor_json",
-                        help="tensor payload, inline or @file")
-        sp.add_argument("--point", help="evaluation point or expansion center")
-        sp.add_argument("--path-json", dest="path_json",
-                        help="integration path payload, inline or @file")
-        sp.add_argument("--weight", type=int, help="truncation weight or order")
-        sp.add_argument("--rtol", type=float, help="relative integrator tolerance")
-        sp.add_argument("--atol", type=float, help="absolute integrator tolerance")
-        sp.add_argument("--csv", action="store_true",
-                        help="emit CSV instead of JSON where supported")
-        sp.add_argument("--seed", type=int, help="seed for randomized checks")
-        return sp
-
-    add("eval", "hyperlogarithm value at a point, or along an explicit path")
-    add("mzv", "regularized limit of a convergent word at one")
-    add("reduce", "normal form of a differential-word tensor")
-    add("kernel", "exact kernel membership of a tensor")
-    add("monodromy", "loop operator on the truncated word basis")
-    add("periods", "circle integrals of the section forms")
-    add("expand", "log-Laurent expansion about a puncture")
-    add("kz-check", "exact restriction check of the pairwise connection")
-    sp = add("selftest", "run the acceptance checks")
-    sp.add_argument("--criteria", help="comma-separated subset to run")
+        for flag in flags.split():
+            kw = _FLAGS[flag]
+            sp.add_argument("--" + kw.get("dest", flag), **kw)
     return p
 
 
@@ -118,7 +96,7 @@ def _load_config() -> dict:
 
 def _setting(args, conf: dict, name: str, default=None):
     """The flag, else the config field, else the default."""
-    flag = getattr(args, name, None)
+    flag = getattr(args, name)
     if flag is not None:
         return _checked(name, flag, f"--{name}")
     return conf.get(name, default)
@@ -179,9 +157,12 @@ def _parse_point(text: str) -> complex:
     except OverflowError as exc:
         raise InputError(f"point {text!r} overflows a float") from exc
     try:
-        return complex(text.replace("i", "j"))
+        z = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise InputError(f"cannot parse point {text!r}") from exc
+    if cmath.isinf(z):   # a literal past the exact parser's digit limit
+        raise InputError(f"point {text!r} overflows a float")
+    return z
 
 
 def _parse_path(args) -> Path:
@@ -230,16 +211,12 @@ def _cmd_eval(args, conf) -> int:
         if args.csv:
             writer = csv.writer(sys.stdout)
             tracked = sorted(traced[0][1], key=word_sort_key) if traced else []
-            header = ["t"]
-            for w in tracked:
-                lab = word_label(w)
-                header += [f"Re{lab}", f"Im{lab}"]
-            writer.writerow(header)
+            writer.writerow(["t"] + [f"{part}{word_label(w)}" for w in tracked
+                                     for part in ("Re", "Im")])
             for t, row in traced:
-                out = [f"{t:.12g}"]
-                for w in tracked:
-                    out += [f"{row[w].real:.16g}", f"{row[w].imag:.16g}"]
-                writer.writerow(out)
+                writer.writerow([f"{t:.12g}"] + [
+                    f"{x:.16g}" for w in tracked
+                    for x in (row[w].real, row[w].imag)])
             return 0
         _emit({"word": list(word), "point": _c2j(path.end),
                "value": _c2j(vals[omega])})
@@ -257,8 +234,7 @@ def _cmd_eval(args, conf) -> int:
 
 def _cmd_mzv(args, conf) -> int:
     word = _require_word(args)
-    val = mzv(word)
-    _emit({"value": _c2j(val), "word": list(word)})
+    _emit({"value": _c2j(mzv(word)), "word": list(word)})
     return 0
 
 
@@ -273,9 +249,7 @@ def _cmd_reduce(args, conf) -> int:
 def _cmd_kernel(args, conf) -> int:
     ps = _require_poles(args, conf)
     t = _parse_tensor(args, ps)
-    sec = Section.standard(ps)
-    x0 = default_basepoint(ps)
-    nf = normal_form(t, sec, x0)
+    nf = normal_form(t, Section.standard(ps), default_basepoint(ps))
     _emit({"member": nf.is_zero, "normal_form": nf.to_json()})
     return 0
 
@@ -300,8 +274,7 @@ def _cmd_monodromy(args, conf) -> int:
 
 def _cmd_periods(args, conf) -> int:
     ps = _require_poles(args, conf)
-    cfg = _make_cfg(args, conf)
-    P = period_matrix(Section.standard(ps), cfg=cfg)
+    P = period_matrix(Section.standard(ps), cfg=_make_cfg(args, conf))
     _emit_with_matrix({"poles": list(ps.labels)}, P)
     return 0
 
@@ -311,57 +284,83 @@ def _cmd_expand(args, conf) -> int:
     word = _require_word(args, ps)
     if not args.point:
         raise InputError("expand needs --point (the expansion center)")
-    order = _setting(args, conf, "weight", 24)
-    exp = expand_at(word, ps, args.point, order=order,
-                    cfg=_make_cfg(args, conf))
-    _emit(exp.to_json())
+    _emit(expand_at(word, ps, args.point,
+                    order=_setting(args, conf, "weight", 24),
+                    cfg=_make_cfg(args, conf)).to_json())
     return 0
 
 
 def _cmd_kz_check(args, conf) -> int:
     from .iterint import kz_specialization_check
     ps = _require_poles(args, conf)
-    ok = kz_specialization_check(ps.points)
-    _emit({"ok": bool(ok), "points": list(ps.labels)})
+    _emit({"ok": bool(kz_specialization_check(ps.points)),
+           "points": list(ps.labels)})
     return 0
 
 
 def _cmd_selftest(args, conf) -> int:
     seed = _setting(args, conf, "seed", _selftest.DEFAULT_SEED)
     numbers = None
-    if getattr(args, "criteria", None):
-        try:
-            numbers = [int(x) for x in args.criteria.split(",") if x.strip()]
-        except ValueError as exc:
-            raise InputError(f"bad --criteria list: {exc}") from exc
+    if args.criteria is not None:
+        known = [str(num) for num, _, _ in _selftest.CRITERIA]
+        items = [x.strip() for x in args.criteria.split(",")]
+        if not set(items) <= set(known):
+            raise InputError(f"bad --criteria list {args.criteria!r}: the "
+                             f"criteria are {','.join(known)}")
+        numbers = [int(x) for x in items]
     results = _selftest.run(numbers, seed)
-    all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_ok = all_ok and r.passed
         print(f"ACCEPTANCE {r.number}: {status} - {r.label} ({r.detail})")
-    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
-    return 0 if all_ok else 1
+    passed = sum(r.passed for r in results)
+    print(f"{passed}/{len(results)} criteria passed")
+    return 0 if passed == len(results) else 1
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "mzv": _cmd_mzv,
-    "reduce": _cmd_reduce,
-    "kernel": _cmd_kernel,
-    "monodromy": _cmd_monodromy,
-    "periods": _cmd_periods,
-    "expand": _cmd_expand,
-    "kz-check": _cmd_kz_check,
-    "selftest": _cmd_selftest,
+# add_argument keywords of each flag; the option is --dest where one is given
+_FLAGS = {
+    "poles": {"help": "comma-separated exact puncture list"},
+    "word": {"help": "comma-separated pole labels"},
+    "tensor-json": {"help": "tensor payload, inline or @file"},
+    "point": {"help": "evaluation point or expansion center"},
+    "path-json": {"help": "integration path payload, inline or @file"},
+    "weight": {"type": int,
+               "help": f"truncation weight, default {DEFAULT_WEIGHT}"},
+    "order": {"dest": "weight", "type": int,
+              "help": "expansion order, default 24"},
+    "rtol": {"type": float, "help": "relative integrator tolerance"},
+    "atol": {"type": float, "help": "absolute integrator tolerance"},
+    "csv": {"action": "store_true", "help": "emit the path trace as CSV"},
+    "seed": {"type": int, "help": "seed for randomized checks"},
+    "criteria": {"help": "comma-separated subset to run"},
+}
+
+# subcommand -> (handler, help, the flags it reads); no other flag parses
+_SUBCOMMANDS = {
+    "eval": (_cmd_eval, "hyperlogarithm value at a point, or along an "
+             "explicit path", "poles word point path-json rtol atol csv"),
+    "mzv": (_cmd_mzv, "regularized limit of a convergent word at one",
+            "word"),
+    "reduce": (_cmd_reduce, "normal form of a differential-word tensor",
+               "poles tensor-json"),
+    "kernel": (_cmd_kernel, "exact kernel membership of a tensor",
+               "poles tensor-json"),
+    "monodromy": (_cmd_monodromy, "loop operator on the truncated word basis",
+                  "poles word path-json weight rtol atol"),
+    "periods": (_cmd_periods, "circle integrals of the section forms",
+                "poles rtol atol"),
+    "expand": (_cmd_expand, "log-Laurent expansion about a puncture",
+               "poles word point order rtol atol"),
+    "kz-check": (_cmd_kz_check, "exact restriction check of the pairwise "
+                 "connection", "poles"),
+    "selftest": (_cmd_selftest, "run the acceptance checks", "seed criteria"),
 }
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        conf = _load_config()
-        code = _COMMANDS[args.command](args, conf)
+        code = _SUBCOMMANDS[args.command][0](args, _load_config())
         sys.stdout.flush()
         return code
     except BrokenPipeError:

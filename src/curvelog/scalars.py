@@ -11,6 +11,7 @@ convert to ``complex`` only at the numerical boundary.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -23,8 +24,21 @@ def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        # Fraction builds 10**exponent in full: bound the digits of the
+        # numerator and denominator by the int-to-str limit before it does
+        num, _, den = x.strip().lstrip("+-").partition("/")
+        mantissa, _, exp = num.lower().partition("e")
+        whole, _, part = mantissa.partition(".")
+        limit = sys.get_int_max_str_digits()
         try:
+            e = int(exp or 0)
+            if 0 < limit < max(len(whole) + len(part) + max(e, 0), len(den),
+                               len(part) + max(-e, 0) + 1):
+                raise InputError(f"rational literal {x!r} has over {limit} "
+                                 "digits")
             return Fraction(x.strip())
+        except InputError:
+            raise
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
     raise InputError(f"not an exact rational: {x!r}")

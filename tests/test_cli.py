@@ -148,7 +148,7 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
     tracemalloc.start()
     try:
         rc = main(["monodromy", "--poles", "0,1,-1", "--word", "0",
-                   "--point", "0.5", "--weight", "10"])
+                   "--weight", "10"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -237,6 +237,99 @@ def test_exit_code_input_errors(capsys):
     capsys.readouterr()
     assert main(["nope"]) == 1                     # unknown subcommand
     capsys.readouterr()
+    for criteria in ("99", ",", "", "8,,9"):       # unknown or no number
+        assert main(["selftest", "--criteria", criteria]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the criteria are 1,2,3,4,5,6,7,8,9,10,11,12" in captured.err
+
+
+# The flags each subcommand reads; argparse refuses every other flag.
+_ROWS = {
+    "eval": ["--poles", "--word", "--point", "--path-json", "--rtol",
+             "--atol", "--csv"],
+    "mzv": ["--word"],
+    "reduce": ["--poles", "--tensor-json"],
+    "kernel": ["--poles", "--tensor-json"],
+    "monodromy": ["--poles", "--word", "--path-json", "--weight", "--rtol",
+                  "--atol"],
+    "periods": ["--poles", "--rtol", "--atol"],
+    "expand": ["--poles", "--word", "--point", "--weight", "--rtol",
+               "--atol"],
+    "kz-check": ["--poles"],
+    "selftest": ["--seed", "--criteria"],
+}
+
+
+def test_each_subcommand_parses_only_the_flags_it_reads(capsys):
+    import argparse
+
+    from curvelog.cli import _build_parser
+
+    sub, = [a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [opt for a in sp._actions for opt in a.option_strings
+                    if a.dest != "help"]
+             for name, sp in sub.choices.items()}
+    assert flags == _ROWS
+    assert sum(map(len, flags.values())) == 30
+    for command, row in _ROWS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = {word.strip("[],") for word in capsys.readouterr().out.split()
+                  if word.strip("[],").startswith("--")}
+        assert listed == set(row) | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mzv", "--word", "1,0", "--poles", "0,1,-1"],
+    ["periods", "--poles", "0,1", "--weight", "-1"],
+    ["kz-check", "--poles", "0,1", "--weight", "9", "--csv", "--rtol", "1e-3"],
+    ["eval", "--poles", "0,1", "--word", "1", "--point", "1/2", "--seed", "5"],
+    ["mzv", "--word", "1,0", "--seed", "5", "--csv", "--point", "3"],
+])
+def test_flags_a_subcommand_does_not_read_are_input_errors(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "input error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kz-check", "--poles", "0,1e99999999"],
+    ["kz-check", "--poles", "0,1e5000"],
+    ["expand", "--poles", "0,1", "--word", "1", "--point", "1e-99999999"],
+    ["expand", "--poles", "0,1", "--word", "1", "--point", "1e99999999"],
+    ["eval", "--poles", "0,1", "--word", "1", "--point", "1e99999999"],
+    ["reduce", "--poles", "0,1", "--tensor-json", '{"terms": [{"word": '
+     '[{"pole": "0"}], "coeff": {"re": "1e5000"}}]}'],
+    ["kernel", "--poles", "0,1", "--tensor-json", '{"terms": [{"word": '
+     '[{"pole": "0"}], "coeff": {"re": "1", "im": "1e99999999"}}]}'],
+])
+def test_literals_past_the_digit_limit_exit_1_promptly(argv):
+    import os
+    import resource
+    import time
+
+    import curvelog
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curvelog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env.pop("CURVELOG_CONFIG", None)
+    start = time.perf_counter()
+    # in a child process, so that a literal expanded in full is killed by
+    # the timeout or the 1 GiB cap instead of stalling the suite
+    proc = subprocess.run([sys.executable, "-m", "curvelog.cli", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          env=env, preexec_fn=cap_memory)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "digits" in proc.stderr or "overflows" in proc.stderr
 
 
 @pytest.mark.parametrize("order", ['"x"', "1.5", "true", '"2"'])
@@ -310,12 +403,13 @@ _payload = st.one_of(
 
 def run_fuzzed(argv) -> tuple:
     """Exit code and stdout of main(argv), which must be a known exit code,
-    JSON on success, and no traceback."""
+    JSON on success (but for the CSV trace and the selftest report), and no
+    traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 1, 2, 3)
-    if rc == 0:
+    if rc == 0 and argv[0] != "selftest" and "--csv" not in argv:
         json.loads(out.getvalue())
     assert "Traceback" not in err.getvalue()
     return rc, out.getvalue()
@@ -357,28 +451,51 @@ _NON_NUMERIC_PATHS = [
     _arc_with(radius=True),
     _arc_with(radius="0.5"),
 ]
-_options = st.fixed_dictionaries({
+# Values for every flag; --csv takes none.  A draw carries the flags its
+# subcommand needs and some of the others from its row in _ROWS.
+_VALUES = {
     "--poles": st.sampled_from(["0,1", "0,1,-1", "0,i", "0", "1,1", "x"]),
     "--word": st.lists(st.sampled_from(["0", "1", "-1", "i", "2"]),
                        min_size=1, max_size=3).map(",".join),
     "--point": st.sampled_from(["1/2", "2", "-1/2+i", "0.3-0.2i", "0", "1",
                                 "nan", "1e400", "x"]),
-}, optional={
     "--weight": st.integers(-1, 3).map(str),
     "--rtol": st.sampled_from(["1e-8", "0", "nan", "x"]),
+    "--atol": st.sampled_from(["1e-10", "-1e-9", "inf"]),
     "--path-json": st.sampled_from(
         [json.dumps(p) for p in (_LINE, _CIRCLE, _THROUGH_ZERO)]
         + [json.dumps(p) for p in _NON_NUMERIC_PATHS]
         + ["{bad", '{"base": 5}', "[]"]),
-})
+    "--csv": st.none(),
+    "--tensor-json": _payload,
+    "--seed": st.integers(-2, 5).map(str),
+    "--criteria": st.just("9"),
+}
+_NEEDED = {"--poles", "--word", "--point", "--tensor-json", "--criteria"}
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(["monodromy", "periods", "eval", "expand", "mzv"]),
-       _options)
-def test_fuzzed_subcommands_never_end_in_a_traceback(command, options):
-    run_fuzzed([command] + [f"{flag}={value}"
-                            for flag, value in options.items()])
+def _arg(flag, value) -> str:
+    return flag if value is None else f"{flag}={value}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_ROWS)), st.data())
+def test_fuzzed_subcommands_never_end_in_a_traceback(command, data):
+    row = _ROWS[command]
+    options = data.draw(st.fixed_dictionaries(
+        {flag: _VALUES[flag] for flag in row if flag in _NEEDED},
+        optional={flag: _VALUES[flag] for flag in row
+                  if flag not in _NEEDED}))
+    argv = [command] + [_arg(flag, value) for flag, value in options.items()]
+    stray = data.draw(st.none() | st.sampled_from(
+        [flag for flag in _VALUES if flag not in row]))
+    if stray is None:
+        run_fuzzed(argv)
+        return
+    # a flag from outside the row is refused before any work
+    argv.insert(data.draw(st.integers(1, len(argv))),
+                _arg(stray, data.draw(_VALUES[stray])))
+    assert run_fuzzed(argv) == (1, "")
 
 
 @pytest.mark.parametrize("argv", [

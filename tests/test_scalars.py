@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,24 @@ def test_parse_literals(text, want):
 def test_parse_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_exact_complex(bad)
+
+
+def test_literals_past_the_digit_limit_are_refused_before_expansion():
+    # Fraction would build 10**999999 in full before str() of it fails
+    with pytest.raises(InputError, match="digits"):
+        QI.of("1e999999")
+    with pytest.raises(InputError, match="digits"):
+        parse_exact_complex("1/2-1e-99999999i")
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit // 2 + 1)
+    for text in (f"1e{limit}", f"-1e{limit}", f"1e-{limit}",
+                 f"{digits}.{digits}", f"1/{'7' * (limit + 1)}"):
+        with pytest.raises(InputError, match="digits"):
+            QI.of(text)
+    # one digit less still prints
+    for text in (f"1e{limit - 1}", f"-1e{limit - 1}", f"1e-{limit - 1}",
+                 f"2.5e{limit - 2}", f"1/{'7' * limit}", f"{'7' * limit}/3"):
+        assert len(str(QI.of(text)).lstrip("-")) <= limit + 2
 
 
 def test_arithmetic_examples():
