@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
-from .scalars import QI, accumulate
+from .scalars import QI, accumulate, exact_str
 from .shuffle_core import Letter
 
 QI0 = QI.of(0)
@@ -387,9 +387,9 @@ class RationalFunction:
         return " + ".join(bits)
 
     def to_json(self):
-        return {"poly": [str(c) for c in self.poly],
+        return {"poly": [exact_str(c) for c in self.poly],
                 "principal": [{"pole": self.poles.label(i), "order": k,
-                               "coeff": str(c)}
+                               "coeff": exact_str(c)}
                               for (i, k), c in self.principal]}
 
     @classmethod

@@ -20,8 +20,7 @@ from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
 from .local_expansion import series_values
 from .monodromy import Loop
 from .scalars import QI
-from .shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
-                           suffix_shuffles)
+from .shuffle_core import ShuffleTensor, suffix_shuffles
 
 _SERIES_TERMS = 80
 
@@ -86,14 +85,6 @@ class RegularizedWord:
     @property
     def max_log_power(self) -> int:
         return max((k for k, _ in self.parts), default=0)
-
-    def reassemble(self, ps: PoleSet) -> ShuffleTensor:
-        z = zero_label(ps)
-        x = ShuffleTensor.from_word((z,))
-        total = ShuffleTensor.zero()
-        for k, t in self.parts:
-            total = total + shuffle(t, shuffle_power(x, k))
-        return total
 
 
 def regularize(word, ps: PoleSet) -> RegularizedWord:

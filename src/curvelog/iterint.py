@@ -311,9 +311,11 @@ _NODES = 24
 def _spectral():
     """The Chebyshev-Lobatto nodes of [-1, 1] in ascending order, the
     transposed integration matrix (node values of f to node values of its
-    integral from -1) and the last two rows of the values-to-coefficients
-    map, transposed.  Built from the closed-form DCT-I inverse and the
-    Chebyshev integration recurrence."""
+    integral from -1), the last two rows of the values-to-coefficients map,
+    transposed, and the reads of an integral straight from the node values
+    of f: its endpoint and its two tail coefficients, ``[ST[:, -1], ST @
+    tail]``.  Built from the closed-form DCT-I inverse and the Chebyshev
+    integration recurrence."""
     n = _NODES - 1
     theta = np.pi * np.arange(n, -1, -1) / n
     E = np.cos(np.outer(theta, np.arange(n + 2)))  # T_j(x_k), j <= n + 1
@@ -329,12 +331,18 @@ def _spectral():
     B[0] = -((-1.0) ** j) @ B[1:]  # vanish at x = -1
     S = E @ B @ C
     S[0] = 0.0
-    return E[:, 1], np.ascontiguousarray(S.T), np.ascontiguousarray(C[-2:].T)
+    ST, tail = np.ascontiguousarray(S.T), np.ascontiguousarray(C[-2:].T)
+    return E[:, 1], ST, tail, np.column_stack((ST[:, -1], ST @ tail))
 
 
 class _WordSystem:
     """The triangular linear system y'_w = y_{parent(w)} * form_w(z) z',
-    with words sorted by length so that each level is a contiguous block."""
+    with words sorted by length so that each level is a contiguous block.
+
+    A level is (lo, hi, block).  Its block is the parent range (plo, phi)
+    when the level holds, for each parent in turn, one word per letter in
+    slot order (a full level, as every level of ``canonical`` is), and
+    None otherwise."""
 
     def __init__(self, words: Iterable[tuple], form_of):
         closure = {(): None}
@@ -349,13 +357,23 @@ class _WordSystem:
         slot = {letter: i for i, letter in
                 enumerate(dict.fromkeys(w[-1] for w in order[1:]))}
         self.evaluators = [form_of(letter).compiled() for letter in slot]
-        self.parents = np.asarray(
-            [0] + [self.index[w[:-1]] for w in order[1:]], dtype=np.intp)
-        self.slots = np.asarray(
-            [0] + [slot[w[-1]] for w in order[1:]], dtype=np.intp)
+        parents = [0] + [self.index[w[:-1]] for w in order[1:]]
+        slots = [0] + [slot[w[-1]] for w in order[1:]]
+        self.parents = np.asarray(parents, dtype=np.intp)
+        self.slots = np.asarray(slots, dtype=np.intp)
         bounds = [i for i in range(1, self.n)
                   if len(order[i]) != len(order[i - 1])] + [self.n]
-        self.levels = list(zip(bounds, bounds[1:]))
+        m = len(slot)
+        self.levels = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # row lo + r of a full level has parent plo + r // m and slot
+            # r % m; a plain scan, which stops at the first row that differs
+            plo = parents[lo]
+            full = (hi - lo) % m == 0 and all(
+                parents[lo + r] == plo + r // m and slots[lo + r] == r % m
+                for r in range(hi - lo))
+            self.levels.append(
+                (lo, hi, (plo, plo + (hi - lo) // m) if full else None))
 
     @classmethod
     def canonical(cls, ps: PoleSet, weight: int, form_of) -> "_WordSystem":
@@ -363,8 +381,8 @@ class _WordSystem:
         ``word_cuts``, built without a closure: read as base-m label ranks,
         the words are a complete m-ary tree in breadth-first order, so row
         r > 0 has parent (r - 1) // m and last-letter slot (r - 1) % m, and
-        level k starts at 1 + m + ... + m^(k-1).  Without letters the
-        system is the empty word alone."""
+        level k starts at 1 + m + ... + m^(k-1) and is full.  Without
+        letters the system is the empty word alone."""
         self = cls.__new__(cls)
         letters = sorted(ps.labels)
         m = len(letters)
@@ -374,38 +392,72 @@ class _WordSystem:
         self.parents, self.slots = np.divmod(rows, max(m, 1))
         self.evaluators = [form_of(lab).compiled() for lab in letters]
         ends = list(accumulate(m ** k for k in range(weight + 1)))
-        self.levels = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
+        self.levels = [(lo, hi, ((lo - 1) // m, (hi - 1) // m))
+                       for lo, hi in zip(ends, ends[1:]) if lo < hi]
         return self
 
 
 def _run(system: _WordSystem, y: np.ndarray, path: Path,
          cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
-    x, ST, tail = _spectral()
+    """Integrate the system from y along the path, piece by piece.
+
+    Nothing reads the node values of the top level (the longest words):
+    when it is full and no trace wants them, its endpoints and tail
+    coefficients come straight from the parents' node values, through
+    the thin product Y[parents] @ (diag(g_a) [ST[:, -1], ST @ tail]) over
+    the letters a, in place of a gather and a full GEMM per row."""
+    x, ST, tail, reads = _spectral()
     s = 0.5 * (1.0 + x)
-    n = system.n
-    Y = np.empty((n, _NODES), dtype=complex)
+    n, m = system.n, len(system.evaluators)
+    inner = system.levels
+    top = None
+    if inner and inner[-1][2] is not None and not trace:
+        *inner, top = inner
+    kept = top[0] if top else n  # the rows whose node values are kept
+    Y = np.empty((kept, _NODES), dtype=complex)
     Y[0] = y[0]
-    G = np.empty((len(system.evaluators), _NODES), dtype=complex)
-    width = max((hi - lo for lo, hi in system.levels), default=0)
-    P = np.empty((width, _NODES), dtype=complex)
-    Q = np.empty_like(P)
+    G = np.empty((m, _NODES), dtype=complex)
+    P = np.empty((max((hi - lo for lo, hi, _ in inner), default=0), _NODES),
+                 dtype=complex)
+    Q = np.empty((max((hi - lo for lo, hi, block in inner if block is None),
+                      default=0), _NODES), dtype=complex)
+    K = np.empty((_NODES, m, 3), dtype=complex)
+    end = np.empty(n, dtype=complex)
+    T = np.empty((n, 2), dtype=complex)
+    tail_sum = tail.sum(axis=0)  # a constant's tail: zero but for rounding
 
     def solve(piece) -> bool:
-        """Node values of every word on the piece into Y, level by level;
-        True when every row's Chebyshev tail is within the tolerance."""
+        """Endpoint values of every word on the piece into end, and node
+        values of every kept row into Y, level by level; True when every
+        row's Chebyshev tail is within the tolerance."""
         z = piece.point(s)
         for j, ev in enumerate(system.evaluators):
             G[j] = ev(z)
         G[:] *= 0.5 * piece.velocity(s)
-        for lo, hi in system.levels:
+        for lo, hi, block in inner:
             k = hi - lo
-            np.take(Y, system.parents[lo:hi], axis=0, out=P[:k], mode="clip")
-            np.take(G, system.slots[lo:hi], axis=0, out=Q[:k], mode="clip")
-            np.multiply(P[:k], Q[:k], out=P[:k])
+            if block is None:
+                np.take(Y, system.parents[lo:hi], axis=0, out=P[:k],
+                        mode="clip")
+                np.take(G, system.slots[lo:hi], axis=0, out=Q[:k],
+                        mode="clip")
+                np.multiply(P[:k], Q[:k], out=P[:k])
+            else:
+                plo, phi = block
+                np.multiply(Y[plo:phi, None], G,
+                            out=P[:k].reshape(phi - plo, m, _NODES))
             np.matmul(P[:k], ST, out=Y[lo:hi])
             Y[lo:hi] += y[lo:hi, None]
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(Y[:, -1]))
-        return bool(np.all(np.abs(Y @ tail) <= scale[:, None]))
+        end[:kept] = Y[:, -1]
+        np.matmul(Y, tail, out=T[:kept])
+        if top:
+            lo, hi, (plo, phi) = top
+            np.multiply(G.T[:, :, None], reads[:, None], out=K)
+            R = (Y[plo:phi] @ K.reshape(_NODES, 3 * m)).reshape(hi - lo, 3)
+            np.add(R[:, 0], y[lo:hi], out=end[lo:hi])
+            np.add(R[:, 1:], y[lo:hi, None] * tail_sum, out=T[lo:hi])
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(end))
+        return bool(np.all(np.abs(T) <= scale[:, None]))
 
     captured = {}
     rows = []
@@ -428,7 +480,7 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
                                        "tolerance is below rounding error")
                 todo += [(mid, tb), (ta, mid)]
                 continue
-            y = Y[:, -1].copy()
+            y = end.copy()
             if trace:
                 rows.extend((si + ta + (tb - ta) * s[k], Y[:, k].copy())
                             for k in range(1, _NODES))

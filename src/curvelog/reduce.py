@@ -21,7 +21,7 @@ from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
                            decompose)
 from .errors import DomainError, InputError
 from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
-from .scalars import QI, accumulate
+from .scalars import QI, accumulate, exact_str
 from .shuffle_core import ShuffleTensor, word_label, word_sort_key
 
 
@@ -118,7 +118,7 @@ class NormalForm:
     def to_json(self):
         obj = {
             "poles": self.poles.to_json(),
-            "basepoint": str(self.basepoint),
+            "basepoint": exact_str(self.basepoint),
             "terms": [{"word": list(w), "f": f.to_json()}
                       for w, f in self.terms],
         }

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError
+from .errors import DomainError, InputError
 
 
 def _frac(x) -> Fraction:
@@ -42,6 +42,17 @@ def _frac(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {x!r}") from exc
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def exact_str(x) -> str:
+    """str(x) of an exact scalar, for the JSON writers: a result with a
+    part past the int-to-str limit is refused as a DomainError, where str
+    would raise a bare ValueError."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise DomainError(f"an exact result has a part of over "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 class QI:

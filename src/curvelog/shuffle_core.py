@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import AlphabetError
-from .scalars import QI, accumulate
+from .scalars import QI, accumulate, exact_str
 
 # Words are plain tuples.  A letter is any hashable object exposing a string
 # ``label`` (used for canonical ordering and display) and, optionally, an
@@ -278,7 +278,8 @@ def coradical_member(t: ShuffleTensor, n: int) -> bool:
 
 def tensor_to_json(t: ShuffleTensor, encode_letter: Callable) -> dict:
     return {"terms": [{"word": [encode_letter(l) for l in w],
-                       "coeff": {"re": str(c.re), "im": str(c.im)}}
+                       "coeff": {"re": exact_str(c.re),
+                                 "im": exact_str(c.im)}}
                       for w, c in t.items()]}
 
 

@@ -1,6 +1,15 @@
-"""Checks on series values that only the tests need."""
+"""Checks on series values that only the tests need, and the code that
+faster routes replaced, kept as their references."""
 
-from curvelog.shuffle_core import shuffle_words
+import math
+
+import numpy as np
+
+from curvelog.errors import NumericError
+from curvelog.hyperlog import zero_label
+from curvelog.iterint import _NODES, _spectral
+from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
+                                   shuffle_words)
 
 
 def grouplike_residual(series) -> float:
@@ -17,3 +26,75 @@ def grouplike_residual(series) -> float:
                 tot += mult * values[w]
             worst = max(worst, abs(tot - values[a] * values[b]))
     return worst
+
+
+def reassemble(reg, ps) -> ShuffleTensor:
+    """The word a RegularizedWord splits: the sum over its parts of the
+    part shuffled against the matching shuffle power of the zero letter."""
+    x = ShuffleTensor.from_word((zero_label(ps),))
+    total = ShuffleTensor.zero()
+    for k, t in reg.parts:
+        total = total + shuffle(t, shuffle_power(x, k))
+    return total
+
+
+def reference_run(system, y, path, cfg, punctures, capture_after=(),
+                  trace=False):
+    """``iterint._run`` as it was before the top level of a full system
+    became one thin product: every level gathers its parents' node values
+    and letters row by row, runs a full GEMM against the integration
+    matrix, and every row's tail is read from its node values.  Returns
+    _run's (endpoint, captured, trace rows) and the pieces examined."""
+    x, ST, tail, _ = _spectral()
+    s = 0.5 * (1.0 + x)
+    n = system.n
+    Y = np.empty((n, _NODES), dtype=complex)
+    Y[0] = y[0]
+    G = np.empty((len(system.evaluators), _NODES), dtype=complex)
+    width = max((hi - lo for lo, hi, _ in system.levels), default=0)
+    P = np.empty((width, _NODES), dtype=complex)
+    Q = np.empty_like(P)
+
+    def solve(piece) -> bool:
+        z = piece.point(s)
+        for j, ev in enumerate(system.evaluators):
+            G[j] = ev(z)
+        G[:] *= 0.5 * piece.velocity(s)
+        for lo, hi, _ in system.levels:
+            k = hi - lo
+            np.take(Y, system.parents[lo:hi], axis=0, out=P[:k], mode="clip")
+            np.take(G, system.slots[lo:hi], axis=0, out=Q[:k], mode="clip")
+            np.multiply(P[:k], Q[:k], out=P[:k])
+            np.matmul(P[:k], ST, out=Y[lo:hi])
+            Y[lo:hi] += y[lo:hi, None]
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(Y[:, -1]))
+        return bool(np.all(np.abs(Y @ tail) <= scale[:, None]))
+
+    captured = {}
+    rows = []
+    capture_after = set(capture_after)
+    pieces = 0
+    for si, seg in enumerate(path.segments):
+        todo = [(0.0, 1.0)]
+        while todo:
+            ta, tb = todo.pop()
+            pieces += 1
+            if pieces > cfg.max_steps:
+                raise NumericError("integration piece budget exhausted")
+            piece = seg.piece(ta, tb)
+            clear = min((piece.min_distance(p) for p in punctures),
+                        default=math.inf)
+            if piece.length > clear or not solve(piece):
+                mid = 0.5 * (ta + tb)
+                if not ta < mid < tb:
+                    raise NumericError("integration piece underflow: the "
+                                       "tolerance is below rounding error")
+                todo += [(mid, tb), (ta, mid)]
+                continue
+            y = Y[:, -1].copy()
+            if trace:
+                rows.extend((si + ta + (tb - ta) * s[k], Y[:, k].copy())
+                            for k in range(1, _NODES))
+        if si in capture_after:
+            captured[si] = y
+    return y, captured, rows, pieces

@@ -332,6 +332,18 @@ def test_literals_past_the_digit_limit_exit_1_promptly(argv):
     assert "digits" in proc.stderr or "overflows" in proc.stderr
 
 
+def test_exact_results_past_the_digit_limit_are_domain_errors(capsys):
+    # each literal is within the limit, their product is not: the writer
+    # refuses the 6,001-digit coefficient instead of ending in a traceback
+    tensor = ('{"terms": [{"word": [{"rf": {"poly": ["1e3000"], '
+              '"principal": []}}], "coeff": {"re": "1e3000"}}]}')
+    for command in ("reduce", "kernel"):
+        assert main([command, "--poles", "0,1", "--tensor-json", tensor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "domain error" in captured.err and "digits" in captured.err
+
+
 @pytest.mark.parametrize("order", ['"x"', "1.5", "true", '"2"'])
 def test_non_integral_pole_orders_are_input_errors(capsys, order):
     letter = ('{"rf": {"poly": [], "principal": [{"pole": "0", "order": '

@@ -32,6 +32,7 @@ from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
+from series_checks import reassemble
 
 PS = PoleSet.of("0,1")
 
@@ -107,7 +108,7 @@ words01 = st.lists(st.sampled_from(["0", "1"]), max_size=4).map(tuple)
 
 @given(words01)
 def test_regularize_reassembles(word):
-    assert regularize(word, PS).reassemble(PS) == ShuffleTensor.from_word(word)
+    assert reassemble(regularize(word, PS), PS) == ShuffleTensor.from_word(word)
 
 
 def test_many_zeros_at_a_huge_point_do_not_overflow():

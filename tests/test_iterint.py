@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import time
 
@@ -28,12 +29,15 @@ from curvelog import (
     loop_around,
     nabla_sigma,
     plan_path,
+    regularize,
     shuffle_identity_check,
 )
 
-from curvelog.iterint import _WordSystem
+from curvelog.hyperlog import _SERIES_TERMS, reference_point
+from curvelog.iterint import _WordSystem, _integrate, plan_chain
+from curvelog.local_expansion import series_values
 from oracles import LOG2
-from series_checks import grouplike_residual
+from series_checks import grouplike_residual, reference_run
 
 PS0 = PoleSet.of("0")
 
@@ -165,7 +169,7 @@ def test_unreachable_tolerance_fails_promptly():
 
 def test_spectral_integration_matrix_integrates_exp():
     from curvelog.iterint import _spectral
-    x, st, _ = _spectral()
+    x, st, *_ = _spectral()
     assert x[0] == -1.0 and x[-1] == 1.0
     err = np.exp(x) @ st - (np.exp(x) - math.exp(-1.0))
     assert np.max(np.abs(err)) <= 1e-14
@@ -238,6 +242,86 @@ def test_j_element_is_bit_identical_to_the_dict_route():
             want = np.array([vals[w] for w in words], dtype=complex)
             assert np.array_equal(j_element(loop.path, sec, weight).vector,
                                   want)
+
+
+def test_j_element_agrees_with_the_reference_kernel():
+    # the thin top-level product against the per-row gather and full GEMM
+    # it replaced: the same values to rounding, from the same pieces
+    ps = PoleSet.of("0,1,-1")
+    sec = Section.standard(ps)
+    for s in ps.labels:
+        path = loop_around(ps, s, 0.5 + 0.5j).path
+        for weight in range(1, 7):
+            system = _WordSystem.canonical(ps, weight,
+                                           lambda lab: sec.form(lab).f)
+            y0 = np.eye(1, system.n, dtype=complex)[0]
+            for rtol in (1e-10, 1e-13):
+                cfg = IntegratorConfig(rtol=rtol)
+                want, _, _, count = reference_run(system, y0, path, cfg,
+                                                  ps.as_complex)
+                got = j_element(path, sec, weight, cfg).vector
+                # to rounding on the series' scale: an entry that cancels
+                # to 1e-16 carries the rounding of its O(1) summands
+                assert (np.abs(got - want).max()
+                        <= 1e-15 * max(1.0, np.abs(want).max()))
+                j_element(path, sec, weight,
+                          IntegratorConfig(rtol=rtol, max_steps=count))
+                short = IntegratorConfig(rtol=rtol, max_steps=count - 1)
+                with pytest.raises(NumericError):
+                    j_element(path, sec, weight, short)
+                with pytest.raises(NumericError):
+                    reference_run(system, y0, path, short, ps.as_complex)
+
+
+@pytest.mark.parametrize("poles,word", [
+    ("0,1", ("1", "0", "0")), ("0,1", ("1", "1", "1")),
+    ("0,1", ("0", "0", "1", "0")), ("0,1,-1", ("-1", "0", "0", "0", "0")),
+    ("0,1,-1", ("0", "0", "1", "0", "0")), ("0,1,-1", ("1", "-1", "1"))])
+def test_partial_systems_run_the_reference_kernel_bit_for_bit(poles, word):
+    # the eval_L systems: a chain of admissible words from their Taylor
+    # values, captured after each leg; no such top level is full, so they
+    # gather row by row as before and give the very same bits
+    ps = PoleSet.of(poles)
+    sec = Section.standard(ps)
+
+    def form_of(lab):
+        return sec.form(lab).f
+
+    admissible = {u for _, t in regularize(word, ps).parts for u in t.terms}
+    z1 = reference_point(ps)
+    start = series_values(admissible | {("0",)}, ps, z1, _SERIES_TERMS)
+    path, marks = plan_chain(z1, [0.3 + 0.4j, -0.2 + 0.5j, 0.6 - 0.3j], ps)
+    system = _WordSystem(list(start), form_of)
+    assert system.levels[-1][2] is None
+    cfg = IntegratorConfig()
+    vals, caps, _ = _integrate(path, list(start), ps, form_of, cfg,
+                               capture_after=marks, start=start)
+    y0 = np.array([start[w] for w in system.words], dtype=complex)
+    want, want_caps, _, _ = reference_run(system, y0, path, cfg,
+                                          ps.as_complex, capture_after=marks)
+    assert [vals[w] for w in system.words] == want.tolist()
+    assert caps.keys() == want_caps.keys()
+    for si, vec in want_caps.items():
+        assert [caps[si][w] for w in system.words] == vec.tolist()
+
+
+def test_trace_keeps_every_row_of_a_full_system():
+    # a trace wants node values of the top level too, so that level runs
+    # through the full product; its endpoint matches the thin one
+    ps = PoleSet.of("0,1")
+    letters = [dlog(ps, "0"), dlog(ps, "1")]
+    words = [w for k in range(4) for w in itertools.product(letters, repeat=k)]
+    path = Path.line(2, 4)
+    assert _WordSystem(words, lambda d: d.f).levels[-1][2] is not None
+    vals, _, traced = integrate_words(path, words, ps, trace=True)
+    thin, _, _ = integrate_words(path, words, ps)
+    for w in words:
+        assert abs(vals[w] - thin[w]) <= 1e-15 * max(1.0, abs(thin[w]))
+    assert traced[-1][1] == vals
+    top = (letters[0],) * 3
+    for t, row in traced:
+        assert row.keys() == vals.keys()
+        assert abs(row[top] - math.log1p(t) ** 3 / 6) < 1e-12
 
 
 def test_shuffle_identity_numeric():

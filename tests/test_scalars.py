@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curvelog import (QI, Differential, InputError, PoleSet, RationalFunction,
-                      Section, ShuffleTensor, dlog, normal_form,
-                      parse_exact_complex, tensor_to_json)
-from curvelog.scalars import accumulate
+from curvelog import (QI, Differential, DomainError, InputError, PoleSet,
+                      RationalFunction, Section, ShuffleTensor, dlog,
+                      normal_form, parse_exact_complex, tensor_to_json)
+from curvelog.scalars import accumulate, exact_str
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=12)
@@ -71,6 +71,15 @@ def test_literals_past_the_digit_limit_are_refused_before_expansion():
     for text in (f"1e{limit - 1}", f"-1e{limit - 1}", f"1e-{limit - 1}",
                  f"2.5e{limit - 2}", f"1/{'7' * limit}", f"{'7' * limit}/3"):
         assert len(str(QI.of(text)).lstrip("-")) <= limit + 2
+
+
+def test_exact_writers_refuse_results_past_the_digit_limit():
+    big = QI.of("1e3000") * QI.of("1e3000")
+    with pytest.raises(DomainError, match="digits"):
+        exact_str(big)
+    with pytest.raises(DomainError, match="digits"):
+        tensor_to_json(ShuffleTensor.from_word(("a",), big), str)
+    assert exact_str(QI.of("1e3000")) == str(QI.of("1e3000"))
 
 
 def test_arithmetic_examples():

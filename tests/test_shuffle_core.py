@@ -28,6 +28,8 @@ from curvelog import (
     word_sort_key,
 )
 
+from series_checks import reassemble
+
 letters = st.sampled_from(["a", "b", "c"])
 words = st.lists(letters, max_size=3).map(tuple)
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6).map(QI)
@@ -92,7 +94,7 @@ def test_reassembling_a_long_regularized_word_is_prompt():
     ps = PoleSet.of("0,1")
     word = ("0",) * 8 + ("1",) + ("0",) * 8
     start = time.perf_counter()
-    assert regularize(word, ps).reassemble(ps) == ShuffleTensor.from_word(word)
+    assert reassemble(regularize(word, ps), ps) == ShuffleTensor.from_word(word)
     assert time.perf_counter() - start < 1.0
 
 
