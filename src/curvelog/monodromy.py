@@ -60,9 +60,15 @@ class Loop:
         return cls(Path.from_json(obj), str(obj.get("label", "loop")))
 
 
-def _default_radius(ps: PoleSet) -> float:
-    m = ps.min_pairwise_distance
-    return 0.45 * m if math.isfinite(m) else 1.0
+def _requested_radius(ps: PoleSet, radius) -> float:
+    """The radius asked for, finite, or the default when None."""
+    if radius is None:
+        m = ps.min_pairwise_distance
+        return 0.45 * m if math.isfinite(m) else 1.0
+    radius = float(radius)
+    if not math.isfinite(radius):
+        raise DomainError(f"loop radius must be finite, not {radius!r}")
+    return radius
 
 
 def _loop_label(pole_label: str, turns: int) -> str:
@@ -75,7 +81,7 @@ def circle_loop(ps: PoleSet, which, radius: float | None = None,
     """A plain circle around one puncture, based on the circle itself."""
     i = ps.index(which)
     s = ps.as_complex[i]
-    radius = _default_radius(ps) if radius is None else float(radius)
+    radius = _requested_radius(ps, radius)
     _validate_radius(ps, i, radius)
     if turns == 0:
         raise DomainError("a zero-turn circle is not a loop")
@@ -102,12 +108,14 @@ def loop_around(ps: PoleSet, which, base: complex,
 
     The approach is planned with the usual detours, enters the circle
     radially, and is retraced after ``turns`` counterclockwise turns
-    (negative for clockwise).
+    (negative for clockwise).  Through the standard section ``j_element``
+    integrates the retraced stick once: the loop's series is that of
+    stick · circle convolved with the antipode of the stick's.
     """
     i = ps.index(which)
     s = ps.as_complex[i]
     base = complex(base)
-    radius = _default_radius(ps) if radius is None else float(radius)
+    radius = _requested_radius(ps, radius)
     if turns == 0:
         raise DomainError("a zero-turn loop is trivial; refuse to build it")
     dist = abs(base - s)

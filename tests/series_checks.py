@@ -56,10 +56,10 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
     Q = np.empty_like(P)
 
     def solve(piece) -> bool:
-        z = piece.point(s)
+        z, dz = piece.nodes(s)
         for j, ev in enumerate(system.evaluators):
             G[j] = ev(z)
-        G[:] *= 0.5 * piece.velocity(s)
+        G[:] *= 0.5 * dz
         for lo, hi, _ in system.levels:
             k = hi - lo
             np.take(Y, system.parents[lo:hi], axis=0, out=P[:k], mode="clip")

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import time
 
@@ -9,8 +10,10 @@ import pytest
 from curvelog import (
     ArcSeg,
     DomainError,
+    GroupLikeSeries,
     IntegratorConfig,
     LineSeg,
+    Loop,
     NumericError,
     Path,
     PathError,
@@ -18,7 +21,9 @@ from curvelog import (
     RationalFunction,
     Section,
     ShuffleTensor,
+    antipode,
     chain_rule_check,
+    circle_loop,
     d,
     dlog,
     integrate_h_words,
@@ -34,7 +39,8 @@ from curvelog import (
 )
 
 from curvelog.hyperlog import _SERIES_TERMS, reference_point
-from curvelog.iterint import _WordSystem, _integrate, plan_chain
+from curvelog.iterint import (_WordSystem, _integrate, plan_chain,
+                              retraced_tail)
 from curvelog.local_expansion import series_values
 from oracles import LOG2
 from series_checks import grouplike_residual, reference_run
@@ -227,38 +233,123 @@ def test_canonical_word_system_matches_the_closure_build(points):
         assert got.levels == ref.levels
 
 
+def _corrected_section(ps):
+    return Section(ps, (RationalFunction.pole_power(ps, "1", 2),
+                        RationalFunction.pole_power(ps, "0", 3, coeff=-2),
+                        RationalFunction.zero(ps)))
+
+
+def _dict_route(path, sec, weight):
+    words = label_words(sec.poles, weight)
+    vals, _ = integrate_h_words(path, words, sec)
+    return np.array([vals[w] for w in words], dtype=complex)
+
+
 def test_j_element_is_bit_identical_to_the_dict_route():
+    # paths that retrace no stick, and every path through a section that
+    # is not the standard one, are integrated whole: both routes run the
+    # same kernel on the same pieces
     ps = PoleSet.of("0,1,-1")
-    corrected = Section(ps, (RationalFunction.pole_power(ps, "1", 2),
-                             RationalFunction.pole_power(ps, "0", 3, coeff=-2),
-                             RationalFunction.zero(ps)))
-    loops = [(loop_around(ps, s, 0.5 + 0.5j), Section.standard(ps))
-             for s in ("0", "1", "-1")]
-    loops.append((loop_around(ps, "-1", 0.5 + 0.5j), corrected))
-    for loop, sec in loops:
+    corrected = _corrected_section(ps)
+    cases = [(circle_loop(ps, s).path, sec) for s in ("0", "1", "-1")
+             for sec in (Section.standard(ps), corrected)]
+    cases += [((loop_around(ps, "0", 0.5 + 0.5j)
+                * loop_around(ps, "1", 0.5 + 0.5j)).path, sec)
+              for sec in (Section.standard(ps), corrected)]
+    cases += [(loop_around(ps, s, 0.5 + 0.5j).path, corrected)
+              for s in ("0", "1", "-1")]
+    for path, sec in cases:
         for weight in range(1, 7):
-            words = label_words(ps, weight)
-            vals, _ = integrate_h_words(loop.path, words, sec)
-            want = np.array([vals[w] for w in words], dtype=complex)
-            assert np.array_equal(j_element(loop.path, sec, weight).vector,
-                                  want)
+            assert np.array_equal(j_element(path, sec, weight).vector,
+                                  _dict_route(path, sec, weight))
+
+
+def _loops_with_a_stick(ps, s):
+    for turns in (1, -1, 2, -2):
+        loop = loop_around(ps, s, 0.5 + 0.5j, turns=turns)
+        yield loop
+        if turns == 1:
+            yield loop.inverse()
+            yield Loop.from_json(json.loads(json.dumps(loop.to_json())))
+
+
+def test_j_element_integrates_a_based_loop_stick_once():
+    # through the standard section a loop that retraces its stick is
+    # integrated up to the end of its circle and closed by the stick's
+    # antipode; the full-path integration agrees to rounding on the
+    # series' scale, as it does (bit for bit) on the corrected section
+    ps = PoleSet.of("0,1,-1")
+    for sec in (Section.standard(ps), _corrected_section(ps)):
+        for s in ps.labels:
+            for loop in _loops_with_a_stick(ps, s):
+                assert retraced_tail(loop.path.segments) > 0
+                for weight in range(1, 7):
+                    got = j_element(loop.path, sec, weight).vector
+                    want = _dict_route(loop.path, sec, weight)
+                    assert got[0] == 1
+                    assert (np.abs(got - want).max()
+                            <= 1e-15 * max(1.0, np.abs(want).max()))
+
+
+def test_retraced_tail():
+    ps = PoleSet.of("0,1,-1")
+    loop = loop_around(ps, "1", 0.5 + 0.5j)
+    n = len(loop.path.segments)
+    assert retraced_tail(loop.path.segments) == (n - 1) // 2
+    assert retraced_tail(circle_loop(ps, "1").path.segments) == 0
+    there_and_back = Path.polyline([0.5, 2, 0.5])
+    assert retraced_tail(there_and_back.segments) == 0  # nothing in between
+    assert retraced_tail(Path.polyline([0.5, 2, 3, 2, 0.5]).segments) == 1
+    assert retraced_tail(Path.polyline([0.5, 2, 3, 2.5, 0.5]).segments) == 0
+
+
+def test_series_inverse_is_the_shuffle_antipode():
+    # the vector antipode against the tensor one, word by word
+    ps = PoleSet.of("0,1,-1")
+    rng = np.random.default_rng(3)
+    words = label_words(ps, 4)
+    index = {w: i for i, w in enumerate(words)}
+    vec = rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))
+    got = GroupLikeSeries(4, ps.labels, vec).inverse().vector
+    for w in words:
+        want = sum(complex(c) * vec[index[u]]
+                   for u, c in antipode(ShuffleTensor.from_word(w)).terms.items())
+        assert got[index[w]] == want
+
+
+def test_segment_nodes_evaluate_one_exp():
+    t = np.linspace(0.0, 1.0, 7)
+    arc = ArcSeg(0.25 - 0.5j, 0.3, 0.7, -4.1)
+    w = np.exp(1j * (arc.theta0 + t * (arc.theta1 - arc.theta0)))
+    z, dz = arc.nodes(t)
+    assert np.array_equal(z, arc.center + arc.radius * w)
+    assert np.array_equal(dz, 1j * (arc.theta1 - arc.theta0) * arc.radius * w)
+    line = LineSeg(1 + 1j, -2 + 0.5j)
+    z, dz = line.nodes(t)
+    assert np.array_equal(z, line.point(t)) and dz == line.end - line.start
 
 
 def test_j_element_agrees_with_the_reference_kernel():
-    # the thin top-level product against the per-row gather and full GEMM
-    # it replaced: the same values to rounding, from the same pieces
+    # the per-level GEMM, the thin top level and the stick integrated once
+    # against the per-row gather and full GEMM on the whole path: the same
+    # values to rounding, from the pieces of the path without its retraced
+    # stick
     ps = PoleSet.of("0,1,-1")
     sec = Section.standard(ps)
     for s in ps.labels:
         path = loop_around(ps, s, 0.5 + 0.5j).path
+        k = retraced_tail(path.segments)
+        head = Path(path.segments[:len(path.segments) - k], path.base)
         for weight in range(1, 7):
             system = _WordSystem.canonical(ps, weight,
                                            lambda lab: sec.form(lab).f)
             y0 = np.eye(1, system.n, dtype=complex)[0]
             for rtol in (1e-10, 1e-13):
                 cfg = IntegratorConfig(rtol=rtol)
-                want, _, _, count = reference_run(system, y0, path, cfg,
-                                                  ps.as_complex)
+                want, _, _, _ = reference_run(system, y0, path, cfg,
+                                              ps.as_complex)
+                _, _, _, count = reference_run(system, y0, head, cfg,
+                                               ps.as_complex)
                 got = j_element(path, sec, weight, cfg).vector
                 # to rounding on the series' scale: an entry that cancels
                 # to 1e-16 carries the rounding of its O(1) summands
@@ -270,7 +361,7 @@ def test_j_element_agrees_with_the_reference_kernel():
                 with pytest.raises(NumericError):
                     j_element(path, sec, weight, short)
                 with pytest.raises(NumericError):
-                    reference_run(system, y0, path, short, ps.as_complex)
+                    reference_run(system, y0, head, short, ps.as_complex)
 
 
 @pytest.mark.parametrize("poles,word", [

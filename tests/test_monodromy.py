@@ -49,6 +49,14 @@ def test_circle_loop_shape(ps):
         circle_loop(ps, "0", radius=10.0)  # would swallow the other pole
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_radius_is_refused(ps, radius):
+    with pytest.raises(DomainError, match="finite"):
+        circle_loop(ps, "1", radius=radius)
+    with pytest.raises(DomainError, match="finite"):
+        loop_around(ps, "1", 0.5 + 0.5j, radius=radius)
+
+
 def test_weight_one_pairing_is_residue(ps, sec):
     series = pairing(circle_loop(ps, "0"), sec, weight=1)
     assert abs(series.value(("0",)) - TWO_PI_I) < 1e-9
