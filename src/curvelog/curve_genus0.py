@@ -99,12 +99,17 @@ class PoleSet:
 
     @cached_property
     def as_complex(self) -> tuple:
-        return tuple(complex(p) for p in self.points)
+        try:
+            return tuple(complex(p) for p in self.points)
+        except OverflowError:
+            raise DomainError("a pole overflows a float") from None
 
     @cached_property
     def min_pairwise_distance(self) -> float:
         pts = self.as_complex
         ds = [abs(a - b) for k, a in enumerate(pts) for b in pts[k + 1:]]
+        if 0 in ds:  # distinct exact points that no numeric work can part
+            raise DomainError("two poles coincide as floats")
         return min(ds) if ds else math.inf
 
     @property

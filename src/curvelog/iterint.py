@@ -343,10 +343,10 @@ class _WordSystem:
     """The triangular linear system y'_w = y_{parent(w)} * form_w(z) z',
     with words sorted by length so that each level is a contiguous block.
 
-    A level is (lo, hi, block).  Its block is the parent range (plo, phi)
-    when the level holds, for each parent in turn, one word per letter in
-    slot order (a full level, as every level of ``canonical`` is), and
-    None otherwise."""
+    A level is (lo, hi, plo, phi, pick): rows plo:phi hold its parents,
+    and row lo + r is row pick[r] = (p - plo) m + a of their products with
+    the m letters, for parent p and slot a.  pick is None on a full level,
+    whose rows are those products as they stand (every ``canonical`` one)."""
 
     def __init__(self, words: Iterable[tuple], form_of):
         closure = {(): None}
@@ -370,14 +370,13 @@ class _WordSystem:
         m = len(slot)
         self.levels = []
         for lo, hi in zip(bounds, bounds[1:]):
-            # row lo + r of a full level has parent plo + r // m and slot
-            # r % m; a plain scan, which stops at the first row that differs
-            plo = parents[lo]
-            full = (hi - lo) % m == 0 and all(
-                parents[lo + r] == plo + r // m and slots[lo + r] == r % m
-                for r in range(hi - lo))
-            self.levels.append(
-                (lo, hi, (plo, plo + (hi - lo) // m) if full else None))
+            # plain Python: numpy's reductions cost more on levels this small
+            up = parents[lo:hi]
+            plo, phi = min(up), max(up) + 1
+            pick = [(p - plo) * m + a for p, a in zip(up, slots[lo:hi])]
+            full = (phi - plo) * m == hi - lo and pick == list(range(hi - lo))
+            self.levels.append((lo, hi, plo, phi, None if full else
+                                np.asarray(pick, dtype=np.intp)))
 
     @classmethod
     def canonical(cls, ps: PoleSet, weight: int, form_of) -> "_WordSystem":
@@ -396,7 +395,7 @@ class _WordSystem:
         self.parents, self.slots = np.divmod(rows, max(m, 1))
         self.evaluators = [form_of(lab).compiled() for lab in letters]
         ends = list(accumulate(m ** k for k in range(weight + 1)))
-        self.levels = [(lo, hi, ((lo - 1) // m, (hi - 1) // m))
+        self.levels = [(lo, hi, (lo - 1) // m, (hi - 1) // m, None)
                        for lo, hi in zip(ends, ends[1:]) if lo < hi]
         return self
 
@@ -405,32 +404,29 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
          cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
     """Integrate the system from y along the path, piece by piece.
 
-    When every level below the top is full, each takes one GEMM on its
-    parents' node values, Y[parents] @ [diag(g_a) ST]_a over the letters
-    a; any other system gathers its parents and letters row by row.
-    Nothing reads the node values of the top level (the longest words):
-    when it is full and no trace wants them, its endpoints and tail
-    coefficients come straight from the parents' node values, through
-    the thin product Y[parents] @ (diag(g_a) [ST[:, -1], ST @ tail]), in
-    place of a gather and a full GEMM per row."""
+    Each level is one GEMM on its parents' node values, Y[plo:phi] @ M with
+    M = [diag(g_a) ST]_a over the letters a, built once per piece: written
+    straight into the level's rows when it is full, and otherwise into a
+    scratch block whose rows the level picks.  Nothing reads the node
+    values of the top level (the longest words): unless a trace wants
+    them, its endpoints and tail coefficients come straight from the
+    parents' node values, through the thin product Y[plo:phi] @
+    (diag(g_a) [ST[:, -1], ST @ tail]), in place of a full GEMM per row."""
     x, ST, tail, reads = _spectral()
     s = 0.5 * (1.0 + x)
     n, m = system.n, len(system.evaluators)
     inner = system.levels
     top = None
-    if inner and inner[-1][2] is not None and not trace:
+    if inner and not trace:
         *inner, top = inner
-    gemm = bool(inner) and all(block is not None for _, _, block in inner)
     kept = top[0] if top else n  # the rows whose node values are kept
     Y = np.empty((kept, _NODES), dtype=complex)
     Y[0] = y[0]
     G = np.empty((m, _NODES), dtype=complex)
-    if gemm:
-        M = np.empty((_NODES, m * _NODES), dtype=complex)
-    else:
-        P = np.empty((max((hi - lo for lo, hi, _ in inner), default=0),
-                      _NODES), dtype=complex)
-        Q = np.empty_like(P)
+    M = np.empty((_NODES, m * _NODES), dtype=complex)
+    W = np.empty((max((phi - plo for _, _, plo, phi, pick in inner
+                       if pick is not None), default=0), m * _NODES),
+                 dtype=complex)
     K = np.empty((_NODES, m, 3), dtype=complex)
     end = np.empty(n, dtype=complex)
     T = np.empty((n, 2), dtype=complex)
@@ -444,29 +440,24 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
         for j, ev in enumerate(system.evaluators):
             G[j] = ev(z)
         G[:] *= 0.5 * dz
-        if gemm:
-            np.multiply(G.T[:, :, None], ST[:, None],
-                        out=M.reshape(_NODES, m, _NODES))
-        for lo, hi, block in inner:
-            if gemm:
-                plo, phi = block
+        np.multiply(G.T[:, :, None], ST[:, None],
+                    out=M.reshape(_NODES, m, _NODES))
+        for lo, hi, plo, phi, pick in inner:
+            if pick is None:
                 np.matmul(Y[plo:phi], M,
                           out=Y[lo:hi].reshape(phi - plo, m * _NODES))
             else:
-                k = hi - lo
-                np.take(Y, system.parents[lo:hi], axis=0, out=P[:k],
+                np.matmul(Y[plo:phi], M, out=W[:phi - plo])
+                np.take(W.reshape(-1, _NODES), pick, axis=0, out=Y[lo:hi],
                         mode="clip")
-                np.take(G, system.slots[lo:hi], axis=0, out=Q[:k],
-                        mode="clip")
-                np.multiply(P[:k], Q[:k], out=P[:k])
-                np.matmul(P[:k], ST, out=Y[lo:hi])
             Y[lo:hi] += y[lo:hi, None]
         end[:kept] = Y[:, -1]
         np.matmul(Y, tail, out=T[:kept])
         if top:
-            lo, hi, (plo, phi) = top
+            lo, hi, plo, phi, pick = top
             np.multiply(G.T[:, :, None], reads[:, None], out=K)
-            R = (Y[plo:phi] @ K.reshape(_NODES, 3 * m)).reshape(hi - lo, 3)
+            R = (Y[plo:phi] @ K.reshape(_NODES, 3 * m)).reshape(-1, 3)
+            R = R if pick is None else R[pick]
             np.add(R[:, 0], y[lo:hi], out=end[lo:hi])
             np.add(R[:, 1:], y[lo:hi, None] * tail_sum, out=T[lo:hi])
         scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(end))

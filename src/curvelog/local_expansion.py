@@ -65,7 +65,7 @@ class LogLaurentExpansion:
         if x == 0:
             raise DomainError("the expansion lives on the punctured disk; "
                               "its center is excluded")
-        if abs(x) >= self.radius:
+        if not abs(x) < self.radius:  # NaN too
             raise DomainError(
                 f"point lies outside the disk of radius {self.radius:.3g} "
                 f"around {self.center}")
@@ -108,6 +108,8 @@ def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
     p = ps.points[ps.index(lab)]
     out = np.eye(n, dtype=complex)
     if p != center:
+        if complex(center - p) == 0:
+            raise DomainError("a pole and the center coincide as floats")
         inv = 1.0 / complex(center - p)
         g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
         lag = np.arange(n) - np.arange(1, n + 1)[:, None]

@@ -40,18 +40,19 @@ def reassemble(reg, ps) -> ShuffleTensor:
 
 def reference_run(system, y, path, cfg, punctures, capture_after=(),
                   trace=False):
-    """``iterint._run`` as it was before the top level of a full system
-    became one thin product: every level gathers its parents' node values
-    and letters row by row, runs a full GEMM against the integration
-    matrix, and every row's tail is read from its node values.  Returns
-    _run's (endpoint, captured, trace rows) and the pieces examined."""
+    """``iterint._run`` as it was before each level became one GEMM on its
+    parents' rows and the top level one thin product: every level gathers
+    its parents' node values and letters row by row, runs a full GEMM
+    against the integration matrix, and every row's tail is read from its
+    node values.  Returns _run's (endpoint, captured, trace rows) and the
+    pieces examined."""
     x, ST, tail, _ = _spectral()
     s = 0.5 * (1.0 + x)
     n = system.n
     Y = np.empty((n, _NODES), dtype=complex)
     Y[0] = y[0]
     G = np.empty((len(system.evaluators), _NODES), dtype=complex)
-    width = max((hi - lo for lo, hi, _ in system.levels), default=0)
+    width = max((hi - lo for lo, hi, *_ in system.levels), default=0)
     P = np.empty((width, _NODES), dtype=complex)
     Q = np.empty_like(P)
 
@@ -60,7 +61,7 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
         for j, ev in enumerate(system.evaluators):
             G[j] = ev(z)
         G[:] *= 0.5 * dz
-        for lo, hi, _ in system.levels:
+        for lo, hi, *_ in system.levels:
             k = hi - lo
             np.take(Y, system.parents[lo:hi], axis=0, out=P[:k], mode="clip")
             np.take(G, system.slots[lo:hi], axis=0, out=Q[:k], mode="clip")

@@ -590,6 +590,60 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+_TINY = "1/1" + "0" * 400  # the label of 1e-400, which rounds to 0.0
+
+
+def _tensor_on(*labels) -> str:
+    return json.dumps({"terms": [{"word": [{"pole": lab} for lab in labels],
+                                  "coeff": {"re": "1", "im": "0"}}]})
+
+
+def _refused(capsys, argv) -> str:
+    """The stderr of a command that must exit 2 with empty stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error:")
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def test_poles_that_overflow_a_float_are_domain_errors(capsys):
+    for argv in (["eval", "--word", "1e400", "--point", "0.5"],
+                 ["reduce", "--tensor-json", _tensor_on("0")],
+                 ["kernel", "--tensor-json", _tensor_on("0")]):
+        err = _refused(capsys, argv[:1] + ["--poles", "0,1e400"] + argv[1:])
+        assert "overflows a float" in err
+
+
+def test_poles_that_coincide_as_floats_are_refused_by_numeric_commands(
+        capsys):
+    for argv in (["eval", "--word", "1e-400", "--point", "0.5"],
+                 ["eval", "--word", "0", "--path-json", json.dumps(_LINE)],
+                 ["expand", "--word", "1e-400", "--point", "0"],
+                 ["expand", "--word", "0", "--point", "1e-400"],
+                 ["monodromy", "--word", "0", "--weight", "2"],
+                 ["periods"]):
+        err = _refused(capsys, argv[:1] + ["--poles", "0,1e-400"] + argv[1:])
+        assert "coincide as floats" in err
+
+
+def test_exact_commands_keep_poles_that_coincide_as_floats(capsys):
+    # the points differ exactly, and these commands never divide by their
+    # float difference
+    tensor = _tensor_on("0", "1e-400")
+    nf = {"poles": ["0", _TINY], "basepoint": "-2-2i",
+          "terms": [{"word": ["0", _TINY],
+                     "f": {"poly": ["1"], "principal": []}}]}
+    assert run_json(capsys, "reduce", "--poles", "0,1e-400",
+                    "--tensor-json", tensor) == nf
+    assert run_json(capsys, "kernel", "--poles", "0,1e-400",
+                    "--tensor-json", tensor) == {"member": False,
+                                                 "normal_form": nf}
+    assert run_json(capsys, "kz-check", "--poles", "0,1e-400") == {
+        "ok": True, "points": ["0", _TINY]}
+
+
 def test_many_zeros_at_a_huge_point_print_a_finite_value(capsys):
     zeros = ",".join(["0"] * 120)
     rc = main(["eval", "--poles", "0,1", "--word", zeros, "--point", "1e300"])

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -42,6 +43,10 @@ from curvelog.hyperlog import _SERIES_TERMS, reference_point
 from curvelog.iterint import (_WordSystem, _integrate, plan_chain,
                               retraced_tail)
 from curvelog.local_expansion import series_values
+from curvelog.reduce import default_basepoint
+from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
+                               _rand_point, _rand_tensor)
+from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import grouplike_residual, reference_run
 
@@ -329,6 +334,12 @@ def test_segment_nodes_evaluate_one_exp():
     assert np.array_equal(z, line.point(t)) and dz == line.end - line.start
 
 
+def _near(got, want) -> bool:
+    """Equal to rounding on the vector's scale."""
+    return (np.abs(got - want).max()
+            <= 1e-15 * max(1.0, np.abs(want).max()))
+
+
 def test_j_element_agrees_with_the_reference_kernel():
     # the per-level GEMM, the thin top level and the stick integrated once
     # against the per-row gather and full GEMM on the whole path: the same
@@ -353,8 +364,7 @@ def test_j_element_agrees_with_the_reference_kernel():
                 got = j_element(path, sec, weight, cfg).vector
                 # to rounding on the series' scale: an entry that cancels
                 # to 1e-16 carries the rounding of its O(1) summands
-                assert (np.abs(got - want).max()
-                        <= 1e-15 * max(1.0, np.abs(want).max()))
+                assert _near(got, want)
                 j_element(path, sec, weight,
                           IntegratorConfig(rtol=rtol, max_steps=count))
                 short = IntegratorConfig(rtol=rtol, max_steps=count - 1)
@@ -364,46 +374,68 @@ def test_j_element_agrees_with_the_reference_kernel():
                     reference_run(system, y0, head, short, ps.as_complex)
 
 
-@pytest.mark.parametrize("poles,word", [
-    ("0,1", ("1", "0", "0")), ("0,1", ("1", "1", "1")),
-    ("0,1", ("0", "0", "1", "0")), ("0,1,-1", ("-1", "0", "0", "0", "0")),
-    ("0,1,-1", ("0", "0", "1", "0", "0")), ("0,1,-1", ("1", "-1", "1"))])
-def test_partial_systems_run_the_reference_kernel_bit_for_bit(poles, word):
-    # the eval_L systems: a chain of admissible words from their Taylor
-    # values, captured after each leg; no such top level is full, so they
-    # gather row by row as before and give the very same bits
+def _eval_l_system(poles, word):
+    """An eval_L system: the admissible words of ``word`` from their Taylor
+    values at the reference point, along a chain captured after each leg."""
     ps = PoleSet.of(poles)
     sec = Section.standard(ps)
-
-    def form_of(lab):
-        return sec.form(lab).f
-
     admissible = {u for _, t in regularize(word, ps).parts for u in t.terms}
     z1 = reference_point(ps)
     start = series_values(admissible | {("0",)}, ps, z1, _SERIES_TERMS)
     path, marks = plan_chain(z1, [0.3 + 0.4j, -0.2 + 0.5j, 0.6 - 0.3j], ps)
-    system = _WordSystem(list(start), form_of)
-    assert system.levels[-1][2] is None
+    return ps, lambda lab: sec.form(lab).f, list(start), start, path, marks
+
+
+def _omega_system():
+    """A sparse system over six letters from the unit: the words and the
+    chain of selftest criterion 6 on its default seed."""
+    ps = PoleSet.of("0,1")
+    rng = random.Random(DEFAULT_SEED * 100 + 6)
+    pool = _letter_pool_omega(ps)
+    tensors = [_rand_tensor(rng, pool) for _ in range(100)]
+    words = sorted({w for t in tensors for w in t.terms}, key=word_sort_key)
+    zs = [_rand_point(rng, ps) for _ in range(5)]
+    path, marks = plan_chain(complex(default_basepoint(ps)), zs, ps)
+    return ps, lambda letter: letter.f, words, None, path, marks
+
+
+@pytest.mark.parametrize("poles,word", [
+    ("0,1", ("1", "0", "0")), ("0,1", ("1", "1", "1")),
+    ("0,1", ("0", "0", "1", "0")), ("0,1,-1", ("-1", "0", "0", "0", "0")),
+    ("0,1,-1", ("0", "0", "1", "0", "0")), ("0,1,-1", ("1", "-1", "1")),
+    ("omega", None)])
+def test_partial_systems_run_the_reference_kernel_bit_for_bit(poles, word):
+    # systems whose top level is not full (the eval_L systems, and the
+    # sparse omega pool) pick their rows from the per-level GEMM and read
+    # the top from the thin product; the reference gathers and multiplies
+    # row by row, so the two agree to rounding, at the endpoint and at
+    # every capture
+    ps, form_of, words, start, path, marks = (
+        _omega_system() if word is None else _eval_l_system(poles, word))
+    system = _WordSystem(words, form_of)
+    assert system.levels[-1][4] is not None
     cfg = IntegratorConfig()
-    vals, caps, _ = _integrate(path, list(start), ps, form_of, cfg,
+    vals, caps, _ = _integrate(path, words, ps, form_of, cfg,
                                capture_after=marks, start=start)
-    y0 = np.array([start[w] for w in system.words], dtype=complex)
+    y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
+          np.array([start[w] for w in system.words], dtype=complex))
     want, want_caps, _, _ = reference_run(system, y0, path, cfg,
                                           ps.as_complex, capture_after=marks)
-    assert [vals[w] for w in system.words] == want.tolist()
+    assert _near(np.array([vals[w] for w in system.words]), want)
     assert caps.keys() == want_caps.keys()
     for si, vec in want_caps.items():
-        assert [caps[si][w] for w in system.words] == vec.tolist()
+        assert _near(np.array([caps[si][w] for w in system.words]), vec)
 
 
 def test_trace_keeps_every_row_of_a_full_system():
     # a trace wants node values of the top level too, so that level runs
-    # through the full product; its endpoint matches the thin one
+    # through the full product; its endpoint matches the thin one, on a
+    # full top level and on the partial one of an eval_L system
     ps = PoleSet.of("0,1")
     letters = [dlog(ps, "0"), dlog(ps, "1")]
     words = [w for k in range(4) for w in itertools.product(letters, repeat=k)]
     path = Path.line(2, 4)
-    assert _WordSystem(words, lambda d: d.f).levels[-1][2] is not None
+    assert _WordSystem(words, lambda d: d.f).levels[-1][4] is None
     vals, _, traced = integrate_words(path, words, ps, trace=True)
     thin, _, _ = integrate_words(path, words, ps)
     for w in words:
@@ -413,6 +445,15 @@ def test_trace_keeps_every_row_of_a_full_system():
     for t, row in traced:
         assert row.keys() == vals.keys()
         assert abs(row[top] - math.log1p(t) ** 3 / 6) < 1e-12
+    ps, form_of, words, start, path, _ = _eval_l_system("0,1,-1",
+                                                        ("1", "-1", "1"))
+    assert _WordSystem(words, form_of).levels[-1][4] is not None
+    vals, _, traced = _integrate(path, words, ps, form_of, None, trace=True,
+                                 start=start)
+    thin, _, _ = _integrate(path, words, ps, form_of, None, start=start)
+    assert _near(np.array([vals[w] for w in words]),
+                 np.array([thin[w] for w in words]))
+    assert traced[-1][1] == vals
 
 
 def test_shuffle_identity_numeric():

@@ -149,6 +149,15 @@ def test_evaluate_guards_the_disk():
         exp.evaluate(0.75)
 
 
+@pytest.mark.parametrize("center", ["0", "1"])
+def test_evaluate_refuses_a_nan_point_as_it_does_an_infinite_one(center):
+    exp = expand_at(("0", "1"), PS, center)
+    for bad in (complex(math.nan, 0), complex(0.1, math.nan),
+                complex(math.inf, 0)):
+        with pytest.raises(DomainError, match="outside the disk"):
+            exp.evaluate(exp.center + bad)
+
+
 def test_json_shape():
     exp = expand_at(("0",), PS, 0)
     blob = exp.to_json()
