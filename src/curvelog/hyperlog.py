@@ -4,19 +4,24 @@ Words over the puncture labels integrate from the origin once the divergent
 leading letter is split off: every word decomposes into admissible pieces
 shuffled against powers of the single zero letter, and the zero letter is
 assigned the principal logarithm.  Admissible pieces are carried from the
-origin to a nearby reference point by power series, and these values are
-the initial value of one integration along the planned paths.
+origin by power series to the start of one integration along the planned
+paths, and these values are its initial value.  The first point's sheet is
+always that of the planned path to it from the reference point.  Near the
+origin the local monodromy only moves log z by 2 pi i, so a first point in
+the origin's disk starts from its own series (or from its ray at the
+reference radius), with the zero letter moved by that path's turns about 0.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
 from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
-                      plan_chain)
+                      plan_chain, plan_path)
 from .local_expansion import series_values
 from .monodromy import Loop
 from .scalars import QI
@@ -115,7 +120,10 @@ def regularize(word, ps: PoleSet) -> RegularizedWord:
 
 def reference_point(ps: PoleSet) -> complex:
     """A safe real point inside the disk around the origin that is free of
-    other punctures: half the distance to the nearest one."""
+    other punctures: half the distance to the nearest one.  Planned paths
+    from it fix the sheet of every value, and a chain starts here when its
+    first point lies outside that disk or its planned leg winds about
+    another puncture."""
     zero_label(ps)
     r = min((abs(p) for p in ps.as_complex if p != 0), default=2.0)
     return complex(r / 2.0)
@@ -130,12 +138,35 @@ def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
     return total
 
 
+def _start(z: complex, ps: PoleSet):
+    """The head of a chain to its first point z and the winding about the
+    origin to add to the zero letter's series value at the head's start.
+
+    The planned leg from the reference point z1 is the path that fixes z's
+    sheet.  When z lies in the disk |z| < 2 z1 free of other punctures and
+    the leg, closed by the chord back to z1, winds about no puncture but
+    the origin, the leg's only effect on the series is n turns of log z:
+    the head is then the radial line from z, or from z's ray at radius
+    z1, to z, with n = (the leg's sweep about 0 - arg z) / 2 pi.  Any
+    other leg is the head itself, from z1."""
+    z1 = reference_point(ps)
+    leg = plan_path(z1, z, ps)
+    if abs(z) < 2 * z1.real:
+        closed = leg + Path.line(z, z1)
+        if not any(round(closed.sweep(p) / (2 * pi))
+                   for p in ps.as_complex if p != 0):
+            turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
+            return Path.line(z * min(1.0, z1.real / abs(z)), z), turns
+    return leg, 0
+
+
 def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     """Values of the words at the points, visited in order along one chain
-    of planned paths from the reference point.  A tail path closed at the
-    last point is traversed before the values at that point are read.
-    The admissible words and the zero letter start at their Taylor values
-    at the reference point and are integrated once along the chain."""
+    of planned paths from the head's start (``_start``).  A tail path
+    closed at the last point is traversed before the values at that point
+    are read.  The admissible words and the zero letter start at their
+    series values there, the zero letter moved to the first point's sheet,
+    and are integrated once along the chain."""
     zlab = zero_label(ps)
     regs = {w: regularize(w, ps) for w in set(words)}
     admissible = {u for reg in regs.values() for _, t in reg.parts
@@ -143,12 +174,16 @@ def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
 
     if any(z == 0 for z in pts):
         raise DomainError("evaluation at the origin is the regularization point")
-    z1 = reference_point(ps)
-    path, marks = plan_chain(z1, pts, ps)
+    head, turns = _start(pts[0], ps)
+    rest, marks = plan_chain(pts[0], pts[1:], ps)
+    path = head + rest
+    marks = [m + len(head.segments) for m in [-1] + marks]
     if tail is not None:
         path = path + tail
         marks[-1] = len(path.segments) - 1
-    start = series_values(admissible | {(zlab,)}, ps, z1, _SERIES_TERMS)
+    start = series_values(admissible | {(zlab,)}, ps, path.base,
+                          _SERIES_TERMS)
+    start[(zlab,)] += 2j * pi * turns
     _, caps = integrate_h_words(
         path, list(start), Section.standard(ps), cfg,
         capture_after=[m for m in marks if m >= 0], start=start)
@@ -182,8 +217,10 @@ def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
     """Values of several words at several points through one shared run.
 
     The points are visited in the given order along one continuous chain of
-    planned paths, so every value lives on the branch reached by that chain.
-    Returns one dict per point, keyed by the original words.
+    planned paths, so every value lives on the branch reached by that chain:
+    the first point on the sheet of the planned path to it from the
+    reference point, each later one through the planned path from the point
+    before.  Returns one dict per point, keyed by the original words.
     """
     ps = PoleSet.of(poles)
     words = [tuple(w) for w in words]

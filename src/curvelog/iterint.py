@@ -59,6 +59,10 @@ class LineSeg:
     def reverse(self) -> "LineSeg":
         return LineSeg(self.end, self.start)
 
+    def sweep(self, p: complex) -> float:
+        """The change of arg(w - p) as w runs along the segment."""
+        return cmath.phase((self.end - p) / (self.start - p))
+
     def to_json(self):
         return {"line": [[self.start.real, self.start.imag],
                          [self.end.real, self.end.imag]]}
@@ -122,6 +126,27 @@ class ArcSeg:
     def reverse(self) -> "ArcSeg":
         return ArcSeg(self.center, self.radius, self.theta1, self.theta0)
 
+    def sweep(self, p: complex) -> float:
+        """The change of arg(w - p) as w runs along the arc: its angle about
+        its own center; about any other point, the angle its chord sweeps,
+        plus one turn in the arc's direction for every full circle around
+        p and one more when p lies between the rest of the arc and the
+        chord (that region's boundary winds once around it)."""
+        dth = self.theta1 - self.theta0
+        if p == self.center:
+            return dth
+        chord = cmath.phase((self.end - p) / (self.start - p))
+        if not abs(p - self.center) < self.radius:
+            return chord
+        full, rest = divmod(abs(dth), 2 * math.pi)
+        between = False
+        if rest > 0:
+            mid = self.point(1.0 - 0.5 * rest / abs(dth))
+            v = (self.end - self.start).conjugate()
+            between = ((v * (p - self.start)).imag
+                       * (v * (mid - self.start)).imag > 0)
+        return chord + math.copysign(2 * math.pi, dth) * (full + between)
+
     def to_json(self):
         return {"arc": {"center": [self.center.real, self.center.imag],
                         "radius": self.radius,
@@ -176,6 +201,11 @@ class Path:
 
     def reverse(self) -> "Path":
         return Path(tuple(s.reverse() for s in reversed(self.segments)), self.end)
+
+    def sweep(self, p: complex) -> float:
+        """The change of arg(w - p) as w runs along the path; 2 pi times
+        the winding number around p when the path is closed."""
+        return sum(seg.sweep(p) for seg in self.segments)
 
     def min_distance_to(self, points: Iterable[complex]) -> float:
         best = math.inf

@@ -370,21 +370,8 @@ def _crit_connection(seed: int):
     return worst < 1e-6, f"max central-difference mismatch {worst:.2e}"
 
 
-def _winding(path: Path, p: complex, per_seg: int = 256) -> int:
-    total = 0.0
-    prev = None
-    for seg in path.segments:
-        for i in range(per_seg + 1):
-            ang = cmath.phase(seg.point(i / per_seg) - p)
-            if prev is not None:
-                d = ang - prev
-                while d > math.pi:
-                    d -= 2 * math.pi
-                while d < -math.pi:
-                    d += 2 * math.pi
-                total += d
-            prev = ang
-    return round(total / (2 * math.pi))
+def _winding(path: Path, p: complex) -> int:
+    return round(path.sweep(p) / (2 * math.pi))
 
 
 def _crit_homotopy(seed: int):

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 
+from curvelog.curve_genus0 import Section
 from curvelog.errors import NumericError
-from curvelog.hyperlog import zero_label
-from curvelog.iterint import _NODES, _spectral
+from curvelog.hyperlog import (_SERIES_TERMS, _combine, reference_point,
+                               regularize, zero_label)
+from curvelog.iterint import (_NODES, _spectral, integrate_h_words,
+                              plan_chain)
+from curvelog.local_expansion import series_values
 from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
                                    shuffle_words)
 
@@ -36,6 +40,29 @@ def reassemble(reg, ps) -> ShuffleTensor:
     for k, t in reg.parts:
         total = total + shuffle(t, shuffle_power(x, k))
     return total
+
+
+def reference_evaluate(words, pts, ps, cfg=None, tail=None):
+    """``hyperlog._evaluate`` as it was before a chain could start at its
+    first point: every chain starts at the reference point, from the
+    series values there, and the planned leg carries them to the first
+    point however close it lies to the origin."""
+    zlab = zero_label(ps)
+    regs = {w: regularize(w, ps) for w in set(words)}
+    admissible = {u for reg in regs.values() for _, t in reg.parts
+                  for u in t.terms}
+    z1 = reference_point(ps)
+    path, marks = plan_chain(z1, pts, ps)
+    if tail is not None:
+        path = path + tail
+        marks[-1] = len(path.segments) - 1
+    start = series_values(admissible | {(zlab,)}, ps, z1, _SERIES_TERMS)
+    _, caps = integrate_h_words(
+        path, list(start), Section.standard(ps), cfg,
+        capture_after=[m for m in marks if m >= 0], start=start)
+    rows = [start if m < 0 else caps[m] for m in marks]
+    return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}
+            for vals in rows]
 
 
 def reference_run(system, y, path, cfg, punctures, capture_after=(),

@@ -13,6 +13,7 @@ from curvelog import (
     QI,
     DomainError,
     HyperlogValue,
+    PathError,
     PoleSet,
     Section,
     ShuffleTensor,
@@ -28,11 +29,12 @@ from curvelog import (
     word_for_exponents,
     zero_label,
 )
+from curvelog import hyperlog
 from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
-from series_checks import reassemble
+from series_checks import reassemble, reference_evaluate
 
 PS = PoleSet.of("0,1")
 
@@ -183,7 +185,8 @@ def test_eval_at_origin_rejected():
 
 
 def test_non_finite_points_rejected():
-    for z in (complex("nan"), complex("inf"), complex(0.5, float("nan"))):
+    for z in (complex("nan"), complex("inf"), complex("-inf"),
+              complex(0.5, float("nan")), complex(0.001, float("nan"))):
         with pytest.raises(DomainError):
             eval_L(("0", "1"), z, PS)
         with pytest.raises(DomainError):
@@ -557,3 +560,84 @@ def test_initial_value_run_matches_the_cut_sum_assembly(poles):
         for w in words:
             v = row_want[w]
             assert abs(row_got[w] - v) <= 1e-13 * max(1.0, abs(v)), w
+
+
+# A chain starts at its first point, or on that point's ray, when the point
+# lies in the origin's disk; series_checks.reference_evaluate is the route
+# it replaced, from the reference point along the planned leg.
+
+def _seeded_points(rng, count):
+    """Points drawn as the eval-points benchmark draws them: inside the unit
+    disk, 0.25 to 0.75 from the origin and off the real axis."""
+    pts = []
+    while len(pts) < count:
+        r, t = rng.uniform(0.25, 0.75), rng.uniform(-math.pi, math.pi)
+        z = r * complex(math.cos(t), math.sin(t))
+        if abs(z.imag) >= 0.02:
+            pts.append(z)
+    return pts
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_a_chain_from_its_first_point_matches_the_reference_route(poles):
+    ps = PoleSet.of(poles)
+    rng = random.Random(21)
+    # -0.5+0.05j: the planned leg detours below the origin and winds -1
+    # about it; so do the legs to the negative axis, on either signed zero;
+    # 0.9+0.8j lies outside the disk and starts at z1 as before
+    pts = _seeded_points(rng, 3) + [-0.5 + 0.05j, -0.3 + 0j,
+                                    complex(-0.7, -0.0), 0.9 + 0.8j]
+    starts = {}
+    for z in pts:
+        head, turns = hyperlog._start(z, ps)
+        kind = ("z" if head.base == z else
+                "z1" if head.base == reference_point(ps) else "ray")
+        starts[z] = (kind, turns)
+    assert {kind for kind, _ in starts.values()} == {"z", "ray", "z1"}
+    assert {turns for _, turns in starts.values()} == {0, -1}
+    for w in _eval_point_words(ps):
+        for z in pts:
+            [want] = reference_evaluate([w], [z], ps)
+            assert _close(eval_L(w, z, ps).value, want[w]), (w, z, starts[z])
+
+
+@pytest.mark.parametrize("first", [0.3 + 0.4j, -0.5 + 0.05j])
+def test_a_batch_from_its_first_point_matches_the_reference_route(first):
+    ps = PoleSet.of("0,1,-1")
+    words = _eval_point_words(ps) + [("0",), ("0", "0")]
+    pts = [first, 0.1 - 0.6j, -0.6 - 0.3j, 0.6 - 0.3j]
+    got = eval_batch(words, pts, ps)
+    want = reference_evaluate(words, pts, ps)
+    for row_got, row_want in zip(got, want):
+        for w in words:
+            assert _close(row_got[w], row_want[w]), (w, pts)
+
+
+@pytest.mark.parametrize("z,label", [(0.3 + 0.2j, "0"), (0.3 + 0.2j, "1"),
+                                     (-0.5 + 0.05j, "-1")])
+def test_a_continuation_loop_matches_the_reference_route(z, label):
+    ps = PoleSet.of("0,1,-1")
+    loop = loop_around(ps, label, z)
+    for w in [("0", "1", "0"), ("-1", "0", "0"), ("0",)]:
+        [want] = reference_evaluate([w], [z], ps, tail=loop.path)
+        assert _close(eval_L(w, z, ps, loop=loop).value, want[w]), w
+
+
+def test_near_the_origin_a_value_is_its_own_series():
+    # summed at z itself: the leg from the reference point lost 3.4e-13
+    z = 0.002 + 0.001j
+    want = -complex(mpmath.polylog(3, mpmath.mpc(z)))
+    assert abs(eval_L(("1", "0", "0"), z, PS).value - want) <= 1e-15 * abs(want)
+
+
+def test_points_in_the_guard_still_raise():
+    guard = PS.guard
+    for z in (0.5 * guard, 0.5j * guard, 1 + 0.5 * guard):
+        with pytest.raises(PathError):
+            eval_L(("0", "1"), z, PS)
+        with pytest.raises(PathError):
+            eval_batch([("0", "1")], [z, 0.3], PS)

@@ -113,6 +113,85 @@ def test_plan_path_detours_and_stays_left():
         plan_path(0, 1, PoleSet.of("0,1"))  # endpoint sits on a pole
 
 
+def _sampled_sweep(path, p, per_seg=256):
+    """The change of arg(w - p) along the path from sampled phases, each
+    step taken as the shortest turn: exact while no step turns by pi."""
+    total = 0.0
+    prev = None
+    for seg in path.segments:
+        for i in range(per_seg + 1):
+            ang = cmath.phase(complex(seg.point(i / per_seg)) - p)
+            if prev is not None:
+                total += (ang - prev + math.pi) % (2 * math.pi) - math.pi
+            prev = ang
+    return total
+
+
+def test_sweep_of_lines_and_arcs():
+    assert LineSeg(1, 1j).sweep(0) == pytest.approx(math.pi / 2)
+    assert LineSeg(1j, 1).sweep(0) == pytest.approx(-math.pi / 2)
+    assert LineSeg(2, 3).sweep(0) == 0.0
+    # about its own center an arc sweeps its angle, full turns included
+    assert ArcSeg(1, 0.3, 0.5, 0.5 + 3 * math.pi).sweep(1) == \
+        0.5 + 3 * math.pi - 0.5
+    assert ArcSeg(1, 0.3, math.pi, 0).sweep(1) == -math.pi
+    # the right half of the unit circle, counterclockwise from -i to i: a
+    # point between it and its chord (the imaginary axis) is swept by more
+    # than pi, a point on the chord's other side by its chord angle alone
+    arc = ArcSeg(0, 1.0, -math.pi / 2, math.pi / 2)
+    between = 2 * (math.pi - math.atan(2))
+    assert between > math.pi
+    assert arc.sweep(0.5) == pytest.approx(between, abs=1e-14)
+    assert arc.reverse().sweep(0.5) == pytest.approx(-between, abs=1e-14)
+    assert arc.sweep(-0.5) == pytest.approx(
+        cmath.phase((1j + 0.5) / (-1j + 0.5)), abs=1e-14)
+    assert arc.sweep(3) == pytest.approx(_sampled_sweep(Path((arc,), -1j), 3),
+                                         abs=1e-9)
+    # a full circle winds once around every point inside it, none outside
+    circle = ArcSeg(0.2, 1.0, 1.0, 1.0 + 2 * math.pi)
+    assert circle.sweep(0.5j) == pytest.approx(2 * math.pi, abs=1e-12)
+    assert circle.sweep(3 + 1j) == pytest.approx(0.0, abs=1e-12)
+    assert circle.reverse().sweep(0.5j) == pytest.approx(-2 * math.pi,
+                                                         abs=1e-12)
+
+
+def test_sweep_matches_sampled_phases_on_random_arcs():
+    rng = random.Random(7)
+    for _ in range(300):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        radius = rng.uniform(0.1, 1.0)
+        t0 = rng.uniform(-4, 4)
+        arc = ArcSeg(c, radius, t0, t0 + rng.uniform(-9, 9))
+        p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if abs(abs(p - c) - radius) < 0.05:
+            continue
+        want = _sampled_sweep(Path((arc,), arc.start), p)
+        assert arc.sweep(p) == pytest.approx(want, abs=1e-9), (arc, p)
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_sweep_winds_planned_paths_closed_by_their_chords(poles):
+    ps = PoleSet.of(poles)
+    rng = random.Random(11)
+    wound = 0
+    for _ in range(40):
+        a, b = (complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                for _ in range(2))
+        if min(abs(z - p) for z in (a, b) for p in ps.as_complex) < 0.05:
+            continue
+        leg = plan_path(a, b, ps)
+        closed = leg + Path.line(b, a)
+        for p in ps.as_complex:
+            got = closed.sweep(p) / (2 * math.pi)
+            assert abs(got - round(got)) < 1e-12
+            wound += round(got) != 0
+            assert round(got) == round(_sampled_sweep(closed, p)
+                                       / (2 * math.pi))
+            assert leg.sweep(p) == pytest.approx(_sampled_sweep(leg, p),
+                                                 abs=1e-9)
+    assert wound > 0  # some detours pass a puncture on the chord's far side
+
+
 def test_exact_form_integrates_to_difference():
     ps = PoleSet.of("0,1")
     f = RationalFunction.coordinate(ps)
