@@ -8,8 +8,7 @@ valued regularized values, exact normal forms, and local log expansions.
 """
 
 from .curve_genus0 import (DeRhamClass, Differential, PoleSet,
-                           RationalFunction, Section, d, de_rham_alphabet,
-                           de_rham_letter, decompose, dlog, h_word)
+                           RationalFunction, Section, d, decompose, dlog)
 from .errors import (AlphabetError, BudgetError, CurvelogError, DomainError,
                      InputError, NumericError, PathError)
 from .hyperlog import (HyperlogValue, RegularizedWord, eval_L, eval_batch,

@@ -11,6 +11,7 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .errors import (BudgetError, CurvelogError, DomainError, InputError,
                      NumericError)
 from .hyperlog import eval_L, mzv
 from .iterint import DEFAULT_WEIGHT, IntegratorConfig, Path, integrate_words
-from .local_expansion import expand_at
+from .local_expansion import DEFAULT_ORDER, expand_at
 from .monodromy import (Loop, check_view_budget, circle_loop,
                         monodromy_operator, period_matrix)
 from .reduce import default_basepoint, normal_form
@@ -62,55 +63,24 @@ def _build_parser() -> _Parser:
     return p
 
 
-# the types a setting may take, checked on flags and config fields alike
-_CONF_TYPES = {"weight": (int,), "seed": (int,), "rtol": (int, float),
-               "atol": (int, float), "poles": (str, list)}
-
-
-def _checked(name: str, value, source: str):
-    kinds = _CONF_TYPES[name]
-    # type() refuses bool; NaN compares false, a huge int without overflow
-    if type(value) not in kinds or (
-            float in kinds and not abs(value) <= sys.float_info.max):
-        raise InputError(f"{source} cannot be {value!r}")
-    return value
-
-
-def _load_config() -> dict:
-    path = os.environ.get("CURVELOG_CONFIG")
-    if not path:
-        return {}
+def _finite(text: str) -> float:
+    """A tolerance flag: a float that is neither NaN nor ±inf."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            conf = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(conf, dict):
-        raise InputError(f"config {path!r} must hold a JSON object")
-    for name in _CONF_TYPES.keys() & conf.keys():
-        _checked(name, conf[name], f"config field {name!r}")
-    return conf
+        x = float(text)
+    except ValueError:   # in argparse's own words for type=float
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
-def _setting(args, conf: dict, name: str, default=None):
-    """The flag, else the config field, else the default."""
-    flag = getattr(args, name)
-    if flag is not None:
-        return _checked(name, flag, f"--{name}")
-    return conf.get(name, default)
+def _make_cfg(args) -> IntegratorConfig:
+    return IntegratorConfig(rtol=args.rtol, atol=args.atol)
 
 
-def _make_cfg(args, conf: dict) -> IntegratorConfig:
-    base = IntegratorConfig()
-    return IntegratorConfig(
-        rtol=float(_setting(args, conf, "rtol", base.rtol)),
-        atol=float(_setting(args, conf, "atol", base.atol)))
-
-
-def _require_poles(args, conf: dict) -> PoleSet:
-    spec = _setting(args, conf, "poles")
+def _require_poles(args) -> PoleSet:
+    spec = args.poles
     if spec is None:
         raise InputError("this command needs --poles")
     try:
@@ -199,10 +169,10 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _cmd_eval(args, conf) -> int:
-    ps = _require_poles(args, conf)
+def _cmd_eval(args) -> int:
+    ps = _require_poles(args)
     word = _require_word(args, ps)
-    cfg = _make_cfg(args, conf)
+    cfg = _make_cfg(args)
     if args.path_json:
         path = _parse_path(args)
         omega = Section.standard(ps).word(word)
@@ -232,33 +202,32 @@ def _cmd_eval(args, conf) -> int:
     return 0
 
 
-def _cmd_mzv(args, conf) -> int:
+def _cmd_mzv(args) -> int:
     word = _require_word(args)
     _emit({"value": _c2j(mzv(word)), "word": list(word)})
     return 0
 
 
-def _cmd_reduce(args, conf) -> int:
-    ps = _require_poles(args, conf)
+def _cmd_reduce(args) -> int:
+    ps = _require_poles(args)
     t = _parse_tensor(args, ps)
     nf = normal_form(t, Section.standard(ps), default_basepoint(ps))
     _emit(nf.to_json())
     return 0
 
 
-def _cmd_kernel(args, conf) -> int:
-    ps = _require_poles(args, conf)
+def _cmd_kernel(args) -> int:
+    ps = _require_poles(args)
     t = _parse_tensor(args, ps)
     nf = normal_form(t, Section.standard(ps), default_basepoint(ps))
     _emit({"member": nf.is_zero, "normal_form": nf.to_json()})
     return 0
 
 
-def _cmd_monodromy(args, conf) -> int:
-    ps = _require_poles(args, conf)
-    cfg = _make_cfg(args, conf)
-    weight = _setting(args, conf, "weight", DEFAULT_WEIGHT)
-    check_view_budget(len(ps.labels), weight)
+def _cmd_monodromy(args) -> int:
+    ps = _require_poles(args)
+    cfg = _make_cfg(args)
+    check_view_budget(len(ps.labels), args.weight)
     if args.path_json:
         loop = Loop(_parse_path(args))
     else:
@@ -266,40 +235,38 @@ def _cmd_monodromy(args, conf) -> int:
         if len(word) != 1:
             raise InputError("--word must name a single pole to encircle")
         loop = circle_loop(ps, word[0])
-    op = monodromy_operator(loop, Section.standard(ps), weight, cfg)
+    op = monodromy_operator(loop, Section.standard(ps), args.weight, cfg)
     _emit_with_matrix({"loop": loop.label,
                        "basis": [list(w) for w in op.basis]}, op.matrix)
     return 0
 
 
-def _cmd_periods(args, conf) -> int:
-    ps = _require_poles(args, conf)
-    P = period_matrix(Section.standard(ps), cfg=_make_cfg(args, conf))
+def _cmd_periods(args) -> int:
+    ps = _require_poles(args)
+    P = period_matrix(Section.standard(ps), cfg=_make_cfg(args))
     _emit_with_matrix({"poles": list(ps.labels)}, P)
     return 0
 
 
-def _cmd_expand(args, conf) -> int:
-    ps = _require_poles(args, conf)
+def _cmd_expand(args) -> int:
+    ps = _require_poles(args)
     word = _require_word(args, ps)
     if not args.point:
         raise InputError("expand needs --point (the expansion center)")
     _emit(expand_at(word, ps, args.point,
-                    order=_setting(args, conf, "weight", 24),
-                    cfg=_make_cfg(args, conf)).to_json())
+                    order=args.weight, cfg=_make_cfg(args)).to_json())
     return 0
 
 
-def _cmd_kz_check(args, conf) -> int:
+def _cmd_kz_check(args) -> int:
     from .iterint import kz_specialization_check
-    ps = _require_poles(args, conf)
+    ps = _require_poles(args)
     _emit({"ok": bool(kz_specialization_check(ps.points)),
            "points": list(ps.labels)})
     return 0
 
 
-def _cmd_selftest(args, conf) -> int:
-    seed = _setting(args, conf, "seed", _selftest.DEFAULT_SEED)
+def _cmd_selftest(args) -> int:
     numbers = None
     if args.criteria is not None:
         known = [str(num) for num, _, _ in _selftest.CRITERIA]
@@ -308,7 +275,7 @@ def _cmd_selftest(args, conf) -> int:
             raise InputError(f"bad --criteria list {args.criteria!r}: the "
                              f"criteria are {','.join(known)}")
         numbers = [int(x) for x in items]
-    results = _selftest.run(numbers, seed)
+    results = _selftest.run(numbers, args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"ACCEPTANCE {r.number}: {status} - {r.label} ({r.detail})")
@@ -324,14 +291,17 @@ _FLAGS = {
     "tensor-json": {"help": "tensor payload, inline or @file"},
     "point": {"help": "evaluation point or expansion center"},
     "path-json": {"help": "integration path payload, inline or @file"},
-    "weight": {"type": int,
-               "help": f"truncation weight, default {DEFAULT_WEIGHT}"},
-    "order": {"dest": "weight", "type": int,
-              "help": "expansion order, default 24"},
-    "rtol": {"type": float, "help": "relative integrator tolerance"},
-    "atol": {"type": float, "help": "absolute integrator tolerance"},
+    "weight": {"type": int, "default": DEFAULT_WEIGHT,
+               "help": "truncation weight, default %(default)s"},
+    "order": {"dest": "weight", "type": int, "default": DEFAULT_ORDER,
+              "help": "expansion order, default %(default)s"},
+    "rtol": {"type": _finite, "default": IntegratorConfig().rtol,
+             "help": "relative integrator tolerance, default %(default)s"},
+    "atol": {"type": _finite, "default": IntegratorConfig().atol,
+             "help": "absolute integrator tolerance, default %(default)s"},
     "csv": {"action": "store_true", "help": "emit the path trace as CSV"},
-    "seed": {"type": int, "help": "seed for randomized checks"},
+    "seed": {"type": int, "default": _selftest.DEFAULT_SEED,
+             "help": "seed for randomized checks, default %(default)s"},
     "criteria": {"help": "comma-separated subset to run"},
 }
 
@@ -360,7 +330,7 @@ _SUBCOMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = _SUBCOMMANDS[args.command][0](args, _load_config())
+        code = _SUBCOMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
 from .scalars import QI, accumulate, exact_str
-from .shuffle_core import Letter
 
 QI0 = QI.of(0)
 QI1 = QI.of(1)
@@ -543,10 +542,10 @@ class Section:
                 raise DomainError("corrections must live over the same pole set")
         object.__setattr__(self, "corrections", cs)
 
-    @classmethod
-    def standard(cls, ps) -> "Section":
-        ps = PoleSet.of(ps)
-        return cls(ps, tuple(RationalFunction.zero(ps) for _ in range(len(ps))))
+    @staticmethod
+    def standard(ps) -> "Section":
+        """The section with all corrections zero, built once per pole set."""
+        return _standard_section(PoleSet.of(ps))
 
     @cached_property
     def is_standard(self) -> bool:
@@ -577,6 +576,11 @@ class Section:
         return tuple(self.form(lab) for lab in labels)
 
 
+@lru_cache(maxsize=64)
+def _standard_section(ps: PoleSet) -> Section:
+    return Section(ps, tuple(RationalFunction.zero(ps) for _ in range(len(ps))))
+
+
 def dlog(ps: PoleSet, which) -> Differential:
     """The form dz/(z - s)."""
     return Differential(RationalFunction.pole_power(ps, which, 1))
@@ -605,17 +609,3 @@ def decompose(w: Differential, section: Section):
         if not g.is_zero:
             f = f - (g - g.constant_term).scale(c)
     return h, f
-
-
-def de_rham_alphabet(ps: PoleSet) -> str:
-    return "deRham:" + ps.key
-
-
-def de_rham_letter(ps: PoleSet, which) -> Letter:
-    i = ps.index(which)
-    return Letter(ps.label(i), de_rham_alphabet(ps))
-
-
-def h_word(ps: PoleSet, labels: Iterable) -> tuple:
-    """A word of residue-class letters from pole labels or indices."""
-    return tuple(de_rham_letter(ps, lab) for lab in labels)

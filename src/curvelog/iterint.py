@@ -218,8 +218,8 @@ class Path:
                 best = min(best, seg.min_distance(p))
         return best
 
-    def check_clearance(self, ps: PoleSet, guard: float | None = None):
-        guard = ps.guard if guard is None else guard
+    def check_clearance(self, ps: PoleSet):
+        guard = ps.guard
         for p, lab in zip(ps.as_complex, ps.labels):
             dmin = self.min_distance_to([p])
             if dmin < guard:

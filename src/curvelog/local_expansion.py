@@ -26,6 +26,9 @@ from .scalars import QI
 
 _CHECK_TOL = 1e-6
 
+# the expansion order expand_at and the CLI use when none is given
+DEFAULT_ORDER = 24
+
 
 @dataclass(frozen=True)
 class LogLaurentExpansion:
@@ -170,7 +173,7 @@ def series_values(words, ps: PoleSet, z: complex, order: int) -> dict:
     return vals
 
 
-def expand_at(word, poles, center, order: int = 24,
+def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
               cfg: IntegratorConfig | None = None) -> LogLaurentExpansion:
     """Expand a label word around an exact center.
 

@@ -214,7 +214,7 @@ def unipotence_check(op: MonodromyOperator) -> bool:
     return bool(values[0] == 1 and np.all(np.isfinite(values)))
 
 
-def period_matrix(section: Section, radius: float | None = None,
+def period_matrix(section: Section,
                   cfg: IntegratorConfig | None = None) -> np.ndarray:
     """Circle integrals of every section form: rows are loops around the
     punctures, columns are the forms.  Weight-one loop integrals do not
@@ -225,7 +225,7 @@ def period_matrix(section: Section, radius: float | None = None,
     n = len(ps)
     P = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        lp = circle_loop(ps, i, radius)
+        lp = circle_loop(ps, i)
         vals, _ = integrate_h_words(lp.path, words, section, cfg)
         for col, w in enumerate(words):
             P[i, col] = vals[w]

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelog import NumericError
-from curvelog.cli import main
+from curvelog import IntegratorConfig, NumericError, selftest
+from curvelog.cli import _FLAGS, main
+from curvelog.iterint import DEFAULT_WEIGHT
+from curvelog.local_expansion import DEFAULT_ORDER
 
 from oracles import LOG2, ZETA2
 
@@ -319,7 +321,6 @@ def test_literals_past_the_digit_limit_exit_1_promptly(argv):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(curvelog.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    env.pop("CURVELOG_CONFIG", None)
     start = time.perf_counter()
     # in a child process, so that a literal expanded in full is killed by
     # the timeout or the 1 GiB cap instead of stalling the suite
@@ -703,53 +704,30 @@ def test_exit_code_numeric_errors(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_config_file_supplies_defaults(tmp_path, monkeypatch, capsys):
+def test_the_environment_presets_no_setting(tmp_path, monkeypatch, capsys):
+    # flags are the only settings: a CURVELOG_CONFIG file changes nothing
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"weight": 1, "poles": "0,1"}))
     monkeypatch.setenv("CURVELOG_CONFIG", str(conf))
-    data = run_json(capsys, "monodromy", "--word", "0")
-    assert len(data["basis"]) == 3   # weight 1 over two poles
-    # explicit flags win over the config file
-    data = run_json(capsys, "monodromy", "--word", "0", "--weight", "2")
-    assert len(data["basis"]) == 7
+    data = run_json(capsys, "monodromy", "--poles", "0,1", "--word", "0")
+    assert len(data["basis"]) == 127   # weight 6 over two poles
+    assert main(["periods"]) == 1
+    assert "needs --poles" in capsys.readouterr().err
 
 
-def test_config_file_must_be_json(tmp_path, monkeypatch, capsys):
-    conf = tmp_path / "conf.json"
-    monkeypatch.setenv("CURVELOG_CONFIG", str(conf))
-    for text in ("not json", "[" * 5000 + "]" * 5000):
-        conf.write_text(text)
-        assert main(["periods", "--poles", "0,1"]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+def test_flag_defaults_are_the_library_defaults():
+    cfg = IntegratorConfig()
+    assert _FLAGS["weight"]["default"] == DEFAULT_WEIGHT
+    assert _FLAGS["order"]["default"] == DEFAULT_ORDER
+    assert _FLAGS["rtol"]["default"] == cfg.rtol
+    assert _FLAGS["atol"]["default"] == cfg.atol
+    assert _FLAGS["seed"]["default"] == selftest.DEFAULT_SEED
 
 
-@pytest.mark.parametrize("command, conf", [
-    ("periods", {"poles": "0,1", "weight": "abc"}),
-    ("periods", {"poles": "0,1", "weight": math.nan}),
-    ("periods", {"poles": "0,1", "weight": True}),
-    ("periods", {"poles": "0,1", "weight": 2.0}),
-    ("periods", {"poles": "0,1", "rtol": [1]}),
-    ("periods", {"poles": "0,1", "rtol": math.inf}),
-    ("periods", {"poles": "0,1", "rtol": 10 ** 400}),
-    ("periods", {"poles": "0,1", "atol": "x"}),
-    ("periods", {"poles": "0,1", "atol": False}),
-    ("periods", {"poles": 5}),
-    ("periods", {"poles": {"0": 1}}),
-    ("expand", {"poles": "0,1", "weight": "3"}),
-    ("selftest", {"seed": "x"}),
-    ("selftest", {"seed": True}),
-])
-def test_config_fields_are_read_with_strict_types(tmp_path, monkeypatch,
-                                                  capsys, command, conf):
-    path = tmp_path / "conf.json"
-    path.write_text(json.dumps(conf))
-    monkeypatch.setenv("CURVELOG_CONFIG", str(path))
-    argv = [command] + (["--word", "0", "--point", "0"]
-                        if command == "expand" else [])
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert "config field" in captured.err
+def test_expand_defaults_to_the_library_order(capsys):
+    data = run_json(capsys, "expand", "--poles", "0,1", "--word", "1",
+                    "--point", "0")
+    assert data["order"] == DEFAULT_ORDER
 
 
 @pytest.mark.parametrize("flag, code", [

@@ -129,6 +129,12 @@ def test_standard_section_forms(ps):
     assert [w.label for w in word] == ["((1)/(z-(0)))dz", "((1)/(z-(1)))dz"]
 
 
+def test_standard_section_is_built_once_per_pole_set(ps):
+    assert Section.standard("0,1") is Section.standard(ps)
+    assert Section.standard(["0", "1"]) is Section.standard(ps)
+    assert Section.standard("0,1,-1") is not Section.standard(ps)
+
+
 def test_corrected_section_decomposition(ps):
     g = rf_pole(ps, "0", 2, QI(Fraction(1, 3)))
     sec = Section(ps, (g, RationalFunction.zero(ps)))
