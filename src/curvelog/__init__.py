@@ -7,6 +7,8 @@ paths, and on top the derived conveniences: monodromy operators, single
 valued regularized values, exact normal forms, and local log expansions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .curve_genus0 import (DeRhamClass, Differential, PoleSet,
                            RationalFunction, Section, d, decompose, dlog)
 from .errors import (AlphabetError, BudgetError, CurvelogError, DomainError,
@@ -21,9 +23,8 @@ from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, LineSeg,
                       shuffle_identity_check)
 from .local_expansion import (LogLaurentExpansion, expand_at,
                               monodromy_substitution)
-from .monodromy import (Loop, MonodromyOperator, circle_loop, loop_around,
-                        monodromy_operator, pairing, period_matrix,
-                        unipotence_check)
+from .monodromy import (Loop, circle_loop, loop_around, monodromy_operator,
+                        pairing, period_matrix, unipotence_check)
 from .reduce import (KernelWitness, NormalForm, d_map, decompose_subker,
                      default_basepoint, kernel_member, normal_form)
 from .scalars import QI, parse_exact_complex
@@ -35,4 +36,6 @@ from .shuffle_core import (Letter, ShuffleTensor, antipode, coradical_member,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -22,10 +22,10 @@ from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import (BudgetError, CurvelogError, DomainError, InputError,
                      NumericError)
 from .hyperlog import eval_L, mzv
-from .iterint import DEFAULT_WEIGHT, IntegratorConfig, Path, integrate_words
+from .iterint import (DEFAULT_WEIGHT, IntegratorConfig, Path,
+                      check_view_budget, integrate_words)
 from .local_expansion import DEFAULT_ORDER, expand_at
-from .monodromy import (Loop, check_view_budget, circle_loop,
-                        monodromy_operator, period_matrix)
+from .monodromy import Loop, circle_loop, monodromy_operator, period_matrix
 from .reduce import default_basepoint, normal_form
 from .shuffle_core import tensor_from_json, word_label, word_sort_key
 

@@ -595,8 +595,8 @@ MATRIX_VIEW_MAX_BYTES = 1 << 28
 
 def check_budget(nbytes: int, what: str) -> None:
     """Refuse with BudgetError (a DomainError), before anything is
-    allocated, work whose largest array of ``nbytes`` would pass
-    MATRIX_VIEW_MAX_BYTES."""
+    allocated, work whose largest array (or working set) of ``nbytes``
+    would pass MATRIX_VIEW_MAX_BYTES."""
     if nbytes > MATRIX_VIEW_MAX_BYTES:
         raise BudgetError(f"{what} exceeds the "
                           f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
@@ -612,14 +612,27 @@ def count_words(letters: int, weight: int) -> tuple[int, int]:
     return sum(sizes), sum((k + 1) * size for k, size in enumerate(sizes))
 
 
+def check_view_budget(letters: int, weight: int) -> int:
+    """The number of words up to ``weight`` over ``letters`` letters, counted
+    without building them; DomainError when the dense operator on them would
+    pass MATRIX_VIEW_MAX_BYTES."""
+    n = count_words(letters, weight)[0]
+    check_budget(16 * n * n, f"a dense operator on {n:.3g} words")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class GroupLikeSeries:
-    """Endpoint values of all class words up to a weight bound, one complex
-    vector over the canonical word basis ``word_cuts(letters, weight)[0]``.
+    """A path's Chen series: endpoint values of all class words up to a
+    weight bound, one complex vector over the canonical word basis
+    ``word_cuts(letters, weight)[0]``, sorted by length, so a lower weight
+    is a prefix of the vector.  The empty word maps to 1, and the shuffle
+    of two words to the product of their values (group-likeness).
 
-    The empty word maps to 1; the shuffle of two words maps to the product
-    of their values up to the truncation order (group-likeness).  The basis
-    is sorted by length, so a lower weight is a prefix of the vector.
+    A loop's series is its monodromy operator on class words: the entry at
+    (w, v) is the value of the prefix u when w = u v, and zero when v is
+    not a suffix of w.  ``matrix`` is that dense view, built on each read,
+    not kept, and refused above MATRIX_VIEW_MAX_BYTES.
     """
 
     weight: int
@@ -631,25 +644,38 @@ class GroupLikeSeries:
         if self.vector.shape != (n,):
             raise DomainError("series vector does not match its word basis")
 
+    @property
+    def basis(self) -> tuple:
+        return word_cuts(self.letters, self.weight)[0]
+
     @cached_property
     def values(self) -> dict:
         """A read view: word -> value."""
-        basis = word_cuts(self.letters, self.weight)[0]
-        return dict(zip(basis, self.vector.tolist()))
+        return dict(zip(self.basis, self.vector.tolist()))
 
-    def value(self, word) -> complex:
-        return self.values[tuple(word)]
+    @property
+    def matrix(self) -> np.ndarray:
+        n = check_view_budget(len(self.letters), self.weight)
+        _, word, prefix, suffix = word_cuts(self.letters, self.weight)
+        m = np.zeros((n, n), dtype=complex)
+        m[word, suffix] = self.vector[prefix]
+        return m
 
-    def convolve(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
-        """Series of a concatenated loop via the deconcatenation coproduct:
-        the value of w is the sum over w = u v of self's u times other's v."""
-        if self.letters != other.letters:
-            raise DomainError("series over different letters")
-        weight = min(self.weight, other.weight)
-        cuts = word_cuts(self.letters, weight)
-        n = len(cuts[0])
-        return GroupLikeSeries(weight, self.letters, cut_sum(
-            cuts, self.vector[:n], other.vector[:n]))
+    def entry(self, w, v) -> complex:
+        w, v = tuple(w), tuple(v)
+        values, k = self.values, len(w) - len(v)
+        if w not in values or v not in values:
+            raise KeyError((w, v))
+        return values[w[:k]] if k >= 0 and w[k:] == v else 0j
+
+    def __matmul__(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
+        """Series of the concatenated path, self's first, via the
+        deconcatenation coproduct: the value of w is the sum over w = u v
+        of self's u times other's v."""
+        if self.letters != other.letters or self.weight != other.weight:
+            raise DomainError("series over different word bases")
+        return GroupLikeSeries(self.weight, self.letters, cut_sum(
+            word_cuts(self.letters, self.weight), self.vector, other.vector))
 
     def inverse(self) -> "GroupLikeSeries":
         """Series of the reversed path, by the antipode:
@@ -657,6 +683,23 @@ class GroupLikeSeries:
         sign, rev = antipode_table(self.letters, self.weight)
         return GroupLikeSeries(self.weight, self.letters,
                                sign * self.vector[rev])
+
+    def act(self, values: dict) -> dict:
+        """Push a word-indexed value vector through the operator."""
+        cuts = word_cuts(self.letters, self.weight)
+        vec = np.array([values[w] for w in cuts[0]], dtype=complex)
+        return dict(zip(cuts[0], cut_sum(cuts, self.vector, vec)))
+
+    def unipotence_residual(self) -> float:
+        """Largest entry of (M - Id)^(weight + 1); zero for a true action.
+        Refused unbuilt when its four dense arrays at once would pass the
+        cap: M - Id and three of its powers, 4.0x the view."""
+        n = count_words(len(self.letters), self.weight)[0]
+        check_budget(4 * 16 * n * n,
+                     f"the unipotence residual on {n:.3g} words")
+        power = np.linalg.matrix_power(self.matrix - np.eye(n),
+                                       self.weight + 1)
+        return float(np.max(np.abs(power)))
 
 
 def label_words(ps: PoleSet, weight: int):
@@ -733,8 +776,8 @@ def j_element(path: Path, section: Section, weight: int,
     Through the standard section, a path that ends by retracing its first
     k segments (a based loop's stick, see ``retraced_tail``) integrates
     only its first n - k: with a the series after segment k - 1 and b the
-    series of the n - k, Chen's composition gives the whole as b convolved
-    with a's antipode.  Any other section is integrated along the whole
+    series of the n - k, Chen's composition gives the whole as
+    b @ a.inverse().  Any other section is integrated along the whole
     path: letters with poles of order 2 or more carry words through values
     far above their endpoint values on the stick, and the antipode would
     close the loop with the stick's integration error in place of the
@@ -754,7 +797,7 @@ def j_element(path: Path, section: Section, weight: int,
     series = GroupLikeSeries(weight, ps.labels, y)
     if k:
         stick = GroupLikeSeries(weight, ps.labels, captured[k - 1])
-        series = series.convolve(stick.inverse())
+        series = series @ stick.inverse()
     return series
 
 

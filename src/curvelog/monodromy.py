@@ -2,9 +2,9 @@
 
 A closed loop acts on class words through its Chen series, the loop
 integrals of all words: w = u v picks up u's value times v (unipotent, and
-contravariant in loop concatenation).  An operator is that series alone;
-its dense matrix is a view built on each read and not kept, capped at
-MATRIX_VIEW_MAX_BYTES.
+contravariant in loop concatenation).  The operator is that series, an
+``iterint.GroupLikeSeries``; its dense matrix is a view built on each read
+and not kept, capped at MATRIX_VIEW_MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
-from .iterint import (DEFAULT_WEIGHT, MATRIX_VIEW_MAX_BYTES, ArcSeg,
-                      GroupLikeSeries, IntegratorConfig, Path, check_budget,
-                      count_words, cut_sum, integrate_h_words, j_element,
-                      plan_path, word_cuts)
+from .iterint import (DEFAULT_WEIGHT, ArcSeg, GroupLikeSeries,
+                      IntegratorConfig, Path, integrate_h_words, j_element,
+                      plan_path)
 
 
 @dataclass(frozen=True)
@@ -140,77 +139,26 @@ def pairing(loop: Loop, section: Section, weight: int = DEFAULT_WEIGHT,
     return j_element(loop.path, section, weight, cfg)
 
 
-def check_view_budget(letters: int, weight: int) -> int:
-    """The number of words up to ``weight`` over ``letters`` letters, counted
-    without building them; DomainError when the dense operator on them would
-    pass MATRIX_VIEW_MAX_BYTES."""
-    n = count_words(letters, weight)[0]
-    check_budget(16 * n * n, f"a dense operator on {n:.3g} words")
-    return n
-
-
-class MonodromyOperator:
-    """A loop acting on class words up to a weight bound, held only as the
-    loop's Chen series: by deconcatenation the entry at (w, v) is the loop
-    integral of the prefix u whenever w = u v, and zero when v is not a
-    suffix of w.  ``@`` convolves the series, ``act`` sums over cuts,
-    ``entry`` looks up the prefix, and ``matrix`` is a dense view on the
-    canonically ordered word basis, built on each read and not kept, and
-    refused above MATRIX_VIEW_MAX_BYTES.
-    """
-
-    def __init__(self, series: GroupLikeSeries):
-        self.series = series
-        self._cuts = word_cuts(series.letters, series.weight)
-        self.basis = self._cuts[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = check_view_budget(len(self.series.letters), self.series.weight)
-        _, word, prefix, suffix = self._cuts
-        m = np.zeros((n, n), dtype=complex)
-        m[word, suffix] = self.series.vector[prefix]
-        return m
-
-    def entry(self, w, v) -> complex:
-        w, v = tuple(w), tuple(v)
-        values, k = self.series.values, len(w) - len(v)
-        if w not in values or v not in values:
-            raise KeyError((w, v))
-        return values[w[:k]] if k >= 0 and w[k:] == v else 0j
-
-    def __matmul__(self, other: "MonodromyOperator") -> "MonodromyOperator":
-        if self.basis != other.basis:
-            raise DomainError("operators over different word bases")
-        return MonodromyOperator(self.series.convolve(other.series))
-
-    def act(self, values: dict) -> dict:
-        """Push a word-indexed value vector through the operator."""
-        vec = np.array([values[w] for w in self.basis], dtype=complex)
-        return dict(zip(self.basis,
-                        cut_sum(self._cuts, self.series.vector, vec)))
-
-    def unipotence_residual(self) -> float:
-        """Largest entry of (M - Id)^(weight + 1); zero for a true action."""
-        power = np.linalg.matrix_power(self.matrix - np.eye(len(self.basis)),
-                                       self.series.weight + 1)
-        return float(np.max(np.abs(power)))
+# The operator is the series itself.  The name stays bound here because
+# the benchmark's tracer spans ``MonodromyOperator.__matmul__`` and
+# ``MonodromyOperator.act`` in this module.
+MonodromyOperator = GroupLikeSeries
 
 
 def monodromy_operator(loop: Loop, section: Section,
                        weight: int = DEFAULT_WEIGHT,
                        cfg: IntegratorConfig | None = None
-                       ) -> MonodromyOperator:
-    """The operator of the loop's series: continuing around the loop first,
+                       ) -> GroupLikeSeries:
+    """The loop's series as its operator: continuing around the loop first,
     a word picks up the loop integral of each prefix times its suffix."""
-    return MonodromyOperator(pairing(loop, section, weight, cfg))
+    return pairing(loop, section, weight, cfg)
 
 
-def unipotence_check(op: MonodromyOperator) -> bool:
+def unipotence_check(op: GroupLikeSeries) -> bool:
     """True when the operator is unit lower triangular in weight: the series
     fills only the suffix pattern, so it is when the empty word's value is
     exactly 1 and every value is finite."""
-    values = op.series.vector
+    values = op.vector
     return bool(values[0] == 1 and np.all(np.isfinite(values)))
 
 

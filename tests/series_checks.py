@@ -10,8 +10,9 @@ from curvelog.errors import NumericError
 from curvelog.hyperlog import (_SERIES_TERMS, _combine, reference_point,
                                regularize, zero_label)
 from curvelog.iterint import (_NODES, _spectral, integrate_h_words,
-                              plan_chain)
+                              label_words, plan_chain)
 from curvelog.local_expansion import series_values
+from curvelog.reduce import normal_form
 from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
                                    shuffle_words)
 
@@ -30,6 +31,26 @@ def grouplike_residual(series) -> float:
                 tot += mult * values[w]
             worst = max(worst, abs(tot - values[a] * values[b]))
     return worst
+
+
+def section_change(section, weight, x0) -> np.ndarray:
+    """The exact change from the standard section's series to
+    ``section``'s, for loops based at x0: row w holds, at the column of
+    each class word u, the coefficient of I(u) in the normal form of
+    ``section.word(w)`` through the standard section, evaluated exactly at
+    x0.  The normal form is an identity of functions on the universal
+    cover based at x0 and its coefficients are rational, so a loop's
+    series through ``section`` is this matrix times its standard series;
+    nothing here integrates."""
+    ps = section.poles
+    standard = Section.standard(ps)
+    words = label_words(ps, weight)
+    index = {w: i for i, w in enumerate(words)}
+    change = np.zeros((len(words), len(words)), dtype=complex)
+    for i, w in enumerate(words):
+        for u, f in normal_form(section.word(w), standard, x0).terms:
+            change[i, index[u]] = complex(f.evaluate_exact(x0))
+    return change
 
 
 def reassemble(reg, ps) -> ShuffleTensor:

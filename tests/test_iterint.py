@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from curvelog import (
     Path,
     PathError,
     PoleSet,
+    QI,
     RationalFunction,
     Section,
     ShuffleTensor,
@@ -48,7 +50,8 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
                                _rand_point, _rand_tensor)
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
-from series_checks import grouplike_residual, reference_run
+from series_checks import (grouplike_residual, reference_run,
+                           section_change)
 
 PS0 = PoleSet.of("0")
 
@@ -285,10 +288,10 @@ def test_j_element_refuses_a_negative_weight():
 def test_j_element_is_group_like():
     sec = Section.standard(PS0)
     series = j_element(Path.line(1, 2), sec, 3)
-    assert series.value(()) == 1.0
-    assert abs(series.value(("0",)) - LOG2) < 1e-10
-    assert abs(series.value(("0", "0")) - LOG2 ** 2 / 2) < 1e-10
-    assert abs(series.value(("0", "0", "0")) - LOG2 ** 3 / 6) < 1e-9
+    assert series.values[()] == 1.0
+    assert abs(series.values[("0",)] - LOG2) < 1e-10
+    assert abs(series.values[("0", "0")] - LOG2 ** 2 / 2) < 1e-10
+    assert abs(series.values[("0", "0", "0")] - LOG2 ** 3 / 6) < 1e-9
     assert grouplike_residual(series) < 1e-9
 
 
@@ -298,9 +301,9 @@ def test_j_element_convolution_matches_concatenation():
     a = j_element(p1, sec, 3)
     b = j_element(p2, sec, 3)
     whole = j_element(p1 + p2, sec, 3)
-    conv = a.convolve(b)
+    conv = a @ b
     for w in label_words(PS0, 3):
-        assert abs(conv.value(w) - whole.value(w)) < 1e-8
+        assert abs(conv.values[w] - whole.values[w]) < 1e-8
 
 
 @pytest.mark.parametrize("points", ["0", "0,1", "0,1,-1", "0,1,-1,i"])
@@ -346,6 +349,27 @@ def test_j_element_is_bit_identical_to_the_dict_route():
         for weight in range(1, 7):
             assert np.array_equal(j_element(path, sec, weight).vector,
                                   _dict_route(path, sec, weight))
+
+
+def test_j_element_through_a_corrected_section_matches_the_section_change():
+    # the exact normal form of each corrected word through the standard
+    # section, at the loops' base point, carries the standard series to
+    # the corrected one; the corrected series is integrated along the
+    # whole loop, and its gap grows with the weight near the order-4 pole
+    # of letter 1 (1.8e-11 of the scale around -1 at weight 4)
+    ps = PoleSet.of("0,1,-1")
+    corrected = _corrected_section(ps)
+    x0 = QI(Fraction(1, 2), Fraction(1, 2))
+    change = section_change(corrected, 4, x0)
+    for s in ps.labels:
+        path = loop_around(ps, s, complex(x0)).path
+        for weight in range(1, 5):
+            got = j_element(path, corrected, weight).vector
+            n = len(got)
+            want = change[:n, :n] @ j_element(path, Section.standard(ps),
+                                              weight).vector
+            assert (np.abs(got - want).max()
+                    <= 1e-10 * max(1.0, np.abs(want).max()))
 
 
 def _loops_with_a_stick(ps, s):

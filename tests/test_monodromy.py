@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from curvelog import (
     DomainError,
+    GroupLikeSeries,
     IntegratorConfig,
     Loop,
-    MonodromyOperator,
     PoleSet,
     RationalFunction,
     Section,
@@ -22,8 +23,9 @@ from curvelog import (
     unipotence_check,
     word_sort_key,
 )
+import curvelog
 from curvelog import iterint
-from curvelog.monodromy import MATRIX_VIEW_MAX_BYTES, check_view_budget
+from curvelog.iterint import MATRIX_VIEW_MAX_BYTES, check_view_budget
 from series_checks import grouplike_residual
 
 TWO_PI_I = 2j * math.pi
@@ -59,13 +61,13 @@ def test_a_non_finite_radius_is_refused(ps, radius):
 
 def test_weight_one_pairing_is_residue(ps, sec):
     series = pairing(circle_loop(ps, "0"), sec, weight=1)
-    assert abs(series.value(("0",)) - TWO_PI_I) < 1e-9
-    assert abs(series.value(("1",))) < 1e-9
+    assert abs(series.values[("0",)] - TWO_PI_I) < 1e-9
+    assert abs(series.values[("1",)]) < 1e-9
 
 
 def test_weight_two_pairing(ps, sec):
     series = pairing(circle_loop(ps, "0"), sec, weight=2)
-    assert abs(series.value(("0", "0")) - TWO_PI_I ** 2 / 2) < 1e-8
+    assert abs(series.values[("0", "0")] - TWO_PI_I ** 2 / 2) < 1e-8
     assert grouplike_residual(series) < 1e-8
 
 
@@ -75,7 +77,7 @@ def test_loop_around_far_base_shrinks(ps, sec):
     assert abs(lp.path.base - base) < 1e-12
     assert abs(lp.path.end - base) < 1e-12
     series = pairing(lp, sec, weight=1)
-    assert abs(series.value(("0",)) - TWO_PI_I) < 1e-9
+    assert abs(series.values[("0",)] - TWO_PI_I) < 1e-9
 
 
 def test_monodromy_operator_weight_one(ps, sec):
@@ -121,12 +123,69 @@ def test_unipotence_is_structural(ps, sec):
     assert unipotence_check(op)
 
 
+def test_the_operator_is_the_series(ps, sec):
+    op = monodromy_operator(circle_loop(ps, "0"), sec, weight=2)
+    assert type(op) is GroupLikeSeries
+    assert curvelog.monodromy.MonodromyOperator is GroupLikeSeries
+    assert "MonodromyOperator" not in curvelog.__all__
+    for gone in ("series", "convolve", "value", "_cuts"):
+        assert not hasattr(op, gone)
+
+
+def test_star_import_binds_no_module():
+    names = {}
+    exec("from curvelog import *", names)
+    assert not [k for k, v in names.items() if isinstance(v, types.ModuleType)]
+    assert set(names) - {"__builtins__"} == set(curvelog.__all__)
+
+
+def test_operator_antipode_is_the_reversed_loop():
+    # the antipode against the reversed loop integrated on its own, and
+    # m @ m.inverse() against the unit, on the series' scale
+    ps3 = PoleSet.of("0,1,-1")
+    sec3 = Section.standard(ps3)
+    for s in ps3.labels:
+        for g in (loop_around(ps3, s, 0.5 + 0.5j), circle_loop(ps3, s)):
+            for weight in range(1, 7):
+                m = monodromy_operator(g, sec3, weight)
+                want = monodromy_operator(g.inverse(), sec3, weight).vector
+                got = m.inverse().vector
+                assert (np.abs(got - want).max()
+                        <= 1e-13 * max(1.0, np.abs(want).max()))
+                unit = np.eye(1, len(m.vector), dtype=complex)[0]
+                scale = max(1.0, np.abs(m.vector).max())
+                for both in (m @ m.inverse(), m.inverse() @ m):
+                    assert np.abs(both.vector - unit).max() <= 1e-13 * scale
+
+
+def test_unipotence_residual_is_refused_over_the_cap(monkeypatch):
+    # weight 7 on three letters: the 172 MB view fits the cap, but the
+    # residual's four arrays of that size do not
+    n = 3280
+    unit = GroupLikeSeries(7, ("0", "1", "-1"),
+                           np.eye(1, n, dtype=complex)[0])
+
+    def never(*args, **kwargs):
+        raise AssertionError("built the word basis over the cap")
+
+    monkeypatch.setattr(iterint, "word_cuts", never)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="MiB array cap"):
+            unit.unipotence_residual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * n * n <= MATRIX_VIEW_MAX_BYTES < 4 * 16 * n * n
+    assert peak < 2 ** 20
+
+
 def corrupted(op, values: dict):
-    """The operator of a copy of op's series with the given word values."""
-    vector = op.series.vector.copy()
+    """A copy of op's series with the given word values."""
+    vector = op.vector.copy()
     for word, value in values.items():
         vector[op.basis.index(word)] = value
-    return MonodromyOperator(replace(op.series, vector=vector))
+    return replace(op, vector=vector)
 
 
 def dense_unitriangular(m, basis) -> bool:
@@ -146,7 +205,7 @@ def test_unipotence_negative_control(ps, sec):
     bad = corrupted(op, {(): 2.0})  # not unit on the diagonal
     assert not unipotence_check(bad)
     assert bad.unipotence_residual() > 0
-    assert unipotence_check(op) and op.series.value(()) == 1
+    assert unipotence_check(op) and op.values[()] == 1
 
 
 def test_non_finite_entries_are_rejected(ps, sec):
@@ -177,11 +236,11 @@ def test_operator_shape_validation(ps, sec):
     with pytest.raises(KeyError):
         a.entry(("0",), ("2",))
     # a series vector is over its whole canonical basis, and series over
-    # other letters do not convolve
+    # other letters do not compose
     with pytest.raises(DomainError):
-        replace(a.series, vector=a.series.vector[:-1])
+        replace(a, vector=a.vector[:-1])
     with pytest.raises(DomainError):
-        a.series.convolve(replace(a.series, letters=("0", "2")))
+        a @ replace(a, letters=("0", "2"))
 
 
 def test_loops_compose_only_at_a_common_base(ps):
@@ -230,7 +289,7 @@ def test_series_operator_matches_the_dense_reference():
     loops = (loop_around(ps3, "0", base), loop_around(ps3, "-1", base))
     m0, m1 = (monodromy_operator(g, sec3, weight=4) for g in loops)
     assert m0.basis == tuple(sorted(m0.basis, key=word_sort_key))
-    refs = [dense_reference(m.series, ps3) for m in (m0, m1)]
+    refs = [dense_reference(m, ps3) for m in (m0, m1)]
     for m, ref in zip((m0, m1), refs):
         assert np.array_equal(m.matrix, ref)
         for i, w in enumerate(m.basis):
@@ -267,7 +326,7 @@ def test_weight_eight_operator_builds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert ok
-    assert e == both.series.values[("0", "1")]
+    assert e == both.values[("0", "1")]
     assert both.entry(("0",), ("1",)) == 0
     assert len(moved) == n
     for op in (m0, m1, both):
