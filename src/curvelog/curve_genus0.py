@@ -264,6 +264,9 @@ class RationalFunction:
             while order < k:
                 step, order = step._times_letter(i), order + 1
             parts.append((step, c))
+        if len(parts) == 1 and parts[0][1] == QI1:
+            # other is one generator power with coefficient 1
+            return parts[0][0]
         poly = ()
         for step, c in parts:
             poly = _poly_add(poly, tuple(v * c for v in step.poly))
@@ -599,13 +602,24 @@ def decompose(w: Differential, section: Section):
     simple poles minus c_s g_s for each s, every term taken without its
     constant: that zero-constant convention makes the pair unique.
     """
-    if w.poles != section.poles:
+    ps = w.poles
+    if ps != section.poles:
         raise DomainError("class and section live over different pole sets")
-    h = w.project()
-    f = _rf(w.poles, w.f.poly, tuple(
-        item for item in w.f.principal if item[0][1] > 1)).antiderivative()
-    for i, c in h.nonzero():
-        g = section.corrections[i]
-        if not g.is_zero:
-            f = f - (g - g.constant_term).scale(c)
+    # one pass over the principal part: the simple poles give the residues
+    cs, higher = [QI0] * len(ps), []
+    for key, c in w.f.principal:
+        if key[1] == 1:
+            cs[key[0]] = c
+        else:
+            higher.append((key, c))
+    f = _rf(ps, w.f.poly, tuple(higher)).antiderivative()
+    if not section.is_standard:
+        for i, c in enumerate(cs):
+            g = section.corrections[i]
+            if not c.is_zero and not g.is_zero:
+                f = f - (g - g.constant_term).scale(c)
+    # unchecked, as _rf builds functions: one QI per pole by construction
+    h = object.__new__(DeRhamClass)
+    object.__setattr__(h, "poles", ps)
+    object.__setattr__(h, "coeffs", tuple(cs))
     return h, f

@@ -195,24 +195,42 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
     The iterated integral of w omega is the integral of I(w) omega, so each
     word is a left fold over its letters: it starts as its coefficient on
     the empty class word, and each letter omega replaces every running term
-    f I(u) by the normal form of the integral of f I(u) omega.
+    f I(u) by the normal form of the integral of f I(u) omega.  The fold is
+    linear, so words that end in a common tail share it: the words are read
+    backwards into a trie whose nodes are suffixes, each node sums the
+    running terms of every word that reaches it and passes them through its
+    first letter into its parent once, and the root, the empty suffix,
+    holds the result.
     """
     ps = section.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
-    out: list = []
+    # node 0 is the empty suffix; a node's parent is created before it, so
+    # walking the nodes backwards folds every child before its parent
+    parent, letters, running = [0], [None], [{}]
+    edges: dict = {}
     for word, coeff in _as_omega_tensor(t).terms.items():
-        running = {(): RationalFunction.const(ps, coeff)}
-        for letter in word:
+        node = 0
+        for letter in reversed(word):
             if not isinstance(letter, Differential):
                 raise DomainError(f"not a differential letter: {letter!r}")
             if letter.poles != ps:
                 raise DomainError("letter declared over a different pole set")
-            terms: list = []
-            for u, f in running.items():
-                _integrate_term(u, f * letter.f, section, x0, terms)
-            running = accumulate(terms)
-        out.extend(running.items())
-    return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
+            child = edges.get((node, letter))
+            if child is None:
+                child = edges[node, letter] = len(parent)
+                parent.append(node)
+                letters.append(letter)
+                running.append({})
+            node = child
+        running[node][()] = RationalFunction.const(ps, coeff)
+    for node in range(len(parent) - 1, 0, -1):
+        terms: list = []
+        g = letters[node].f
+        for u, f in running[node].items():
+            _integrate_term(u, f * g, section, x0, terms)
+        running[node] = None
+        accumulate(terms, running[parent[node]])
+    return NormalForm(ps, section, x0, tuple(running[0].items()))
 
 
 def _mul_into_first(f: RationalFunction, word):
@@ -302,7 +320,7 @@ def decompose_subker(t, section: Section, x0=None):
     ps = section.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
     t = _as_omega_tensor(t)
-    sub = ShuffleTensor.zero()
+    sub_terms: list = []
     acc = dict(normal_form(t, section, x0).terms)
     while acc:
         u = max(acc, key=word_sort_key)
@@ -315,16 +333,17 @@ def decompose_subker(t, section: Section, x0=None):
             c = c + fp.evaluate_exact(x0)
         pieces = []
         if not c.is_zero:
-            pieces.append(ShuffleTensor.from_word(section.word(u), c))
+            pieces.append((section.word(u), c))
         if not fp.is_zero:
-            word = section.word(u) + (Differential(fp.differentiate()),)
-            pieces.append(ShuffleTensor.from_word(word))
+            pieces.append(
+                (section.word(u) + (Differential(fp.differentiate()),), 1))
         # subtracting the full normal form of each piece leaves at most a
         # constant residue at u (swept on the next visit) and corrections
         # that are lower in the (weight, nonconstant coefficient) order
         for piece in pieces:
-            sub = sub + piece
-            accumulate(((w, -g) for w, g in
-                        normal_form(piece, section, x0).terms), acc)
+            sub_terms.append(piece)
+            accumulate(((w, -g) for w, g in normal_form(
+                ShuffleTensor((piece,)), section, x0).terms), acc)
+    sub = ShuffleTensor(sub_terms)
     ker = t - sub
     return sub, ker

@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 
-from curvelog.curve_genus0 import Section
+from curvelog.curve_genus0 import RationalFunction, Section
 from curvelog.errors import NumericError
 from curvelog.hyperlog import (_SERIES_TERMS, _combine, reference_point,
                                regularize, zero_label)
 from curvelog.iterint import (_NODES, _spectral, integrate_h_words,
                               label_words, plan_chain)
 from curvelog.local_expansion import series_values
-from curvelog.reduce import normal_form
+from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
+                             _integrate_term, normal_form)
+from curvelog.scalars import accumulate
 from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
                                    shuffle_words)
 
@@ -51,6 +53,25 @@ def section_change(section, weight, x0) -> np.ndarray:
         for u, f in normal_form(section.word(w), standard, x0).terms:
             change[i, index[u]] = complex(f.evaluate_exact(x0))
     return change
+
+
+def reference_normal_form(t, section, x0) -> NormalForm:
+    """``reduce.normal_form`` as it was before words shared their tails:
+    each word is folded on its own, from its coefficient on the empty class
+    word, and every letter replaces each running term f I(u) by the normal
+    form of the integral of f I(u) omega."""
+    ps = section.poles
+    x0 = _check_basepoint(ps, x0)
+    out = []
+    for word, coeff in _as_omega_tensor(t).terms.items():
+        running = {(): RationalFunction.const(ps, coeff)}
+        for letter in word:
+            terms = []
+            for u, f in running.items():
+                _integrate_term(u, f * letter.f, section, x0, terms)
+            running = accumulate(terms)
+        out.extend(running.items())
+    return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
 
 
 def reassemble(reg, ps) -> ShuffleTensor:

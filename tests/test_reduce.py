@@ -28,8 +28,10 @@ from curvelog import (
     plan_path,
     tensor_to_json,
 )
+import curvelog.reduce
 from curvelog.scalars import accumulate
 from curvelog.selftest import _letter_pool_omega, _rand_tensor
+from series_checks import reference_normal_form
 
 PS = PoleSet.of("0,1")
 SEC = Section.standard(PS)
@@ -440,3 +442,75 @@ def _reduction_case(draw):
 def test_normal_form_matches_the_rewriter_reference(case):
     t, sec, x0 = case
     assert normal_form(t, sec, x0) == _normal_form_reference(t, sec, x0)
+
+
+@st.composite
+def _shared_tail_case(draw):
+    """Words that end in one common tail after random prefixes of different
+    lengths (the empty word when both are empty; no word at all gives the
+    zero tensor), optionally plus a kernel generator whose right factor
+    ends in the same tail, through a standard or a corrected section."""
+    ps = PoleSet.of(draw(st.sampled_from(("0,1", "0,1,-1/2,i"))))
+    if draw(st.booleans()):
+        sec = Section.standard(ps)
+    else:
+        sec = Section(ps, tuple(draw(_rational(ps)) for _ in range(len(ps))))
+    x0 = draw(st.builds(QI, st.fractions(-3, 3, max_denominator=3),
+                        st.fractions(-3, 3, max_denominator=3))
+              .filter(lambda z: z not in ps.points))
+    pool = [dlog(ps, 0), Differential(RationalFunction.const(ps, 1))]
+    pool += [Differential(draw(_rational(ps))) for _ in range(2)]
+    letters = st.sampled_from(pool)
+    tail = tuple(draw(st.lists(letters, max_size=2)))
+    t = ShuffleTensor.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        prefix = tuple(draw(st.lists(letters, max_size=2)))
+        t = t + ShuffleTensor.from_word(prefix + tail, draw(_small_qi))
+    if draw(st.booleans()):
+        s = ShuffleTensor.from_word(tuple(draw(st.lists(letters, max_size=1))))
+        head = tuple(draw(st.lists(letters, min_size=1, max_size=2)))
+        f = draw(_rational(ps))
+        t = t + d_map(s, f, ShuffleTensor.from_word(head + tail), x0)
+    return t, sec, x0
+
+
+@given(_shared_tail_case())
+def test_normal_form_matches_the_per_word_fold(case):
+    t, sec, x0 = case
+    assert normal_form(t, sec, x0) == reference_normal_form(t, sec, x0)
+
+
+def test_a_shared_tail_is_folded_once(monkeypatch):
+    # a generator's three words cancel before the tail its right factor
+    # leaves after the first letter, so the fold never reaches that tail
+    ps = PoleSet.of("0,1,-1")
+    letters = [Differential(rf_pole("0", 3, ps=ps) + rf_pole("1", 2, 2, ps)
+                            + rf_pole("-1", 1, ps=ps)),
+               Differential(rf_pole("-1", 2, ps=ps) + rf_pole("0", 1, -1, ps)
+                            + rf_pole("1", 3, QI(0, 1), ps))]
+    s = ShuffleTensor.from_word((dlog(ps, "1"),))
+    f = RationalFunction.coordinate(ps) + rf_pole("0", 2, ps=ps)
+    calls = 0
+    decompose = curvelog.reduce.decompose
+
+    def counted(w, section):
+        nonlocal calls
+        calls += 1
+        return decompose(w, section)
+
+    monkeypatch.setattr(curvelog.reduce, "decompose", counted)
+    counts = []
+    for n in (1, 4, 6):
+        v = ShuffleTensor.from_word(tuple(letters[k % 2] for k in range(n)))
+        calls = 0
+        assert kernel_member(d_map(s, f, v), Section.standard(ps))
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_a_long_section_word_is_its_own_normal_form():
+    rng = random.Random(5)
+    labels = tuple(rng.choice(("0", "1")) for _ in range(2000))
+    t = ShuffleTensor.from_word(SEC.word(labels), QI(3))
+    assert normal_form(t, SEC, X0).terms == (
+        (labels, RationalFunction.const(PS, 3)),)
