@@ -10,6 +10,8 @@ always that of the planned path to it from the reference point.  Near the
 origin the local monodromy only moves log z by 2 pi i, so a first point in
 the origin's disk starts from its own series (or from its ray at the
 reference radius), with the zero letter moved by that path's turns about 0.
+A lone point that starts from its own series integrates along an empty
+path, which builds no word system and returns its series values.
 """
 
 from __future__ import annotations

@@ -51,9 +51,16 @@ class LineSeg:
         if length == 0:
             return abs(p - self.start)
         # project on the unit direction: dividing by the squared length
-        # overflows for segments longer than about 1e154
+        # overflows for segments longer than about 1e154.  A projection
+        # past either end (or NaN) gives that endpoint's own distance:
+        # start + length * u can round far from a tiny end, to 0 on the
+        # segment from 0.5 to 1e-320
         u = (self.end - self.start) / length
-        s = min(length, max(0.0, ((p - self.start) * u.conjugate()).real))
+        s = ((p - self.start) * u.conjugate()).real
+        if not s > 0:
+            return abs(p - self.start)
+        if s >= length:
+            return abs(p - self.end)
         return abs(p - (self.start + s * u))
 
     def reverse(self) -> "LineSeg":
@@ -369,6 +376,23 @@ def _spectral():
     return E[:, 1], ST, tail, np.column_stack((ST[:, -1], ST @ tail))
 
 
+def _prefix_closure(words: Iterable[tuple]) -> list:
+    """Every prefix of the words, the empty word first, sorted by length."""
+    closure = {(): None}
+    for w in words:
+        w = tuple(w)
+        for k in range(1, len(w) + 1):
+            closure.setdefault(w[:k], None)
+    return sorted(closure, key=len)
+
+
+def _resolve_letters(closure: list, form_of) -> dict:
+    """The distinct last letters of a prefix closure, in order, each sent
+    through form_of once so that a letter it rejects raises here."""
+    return {letter: form_of(letter)
+            for letter in dict.fromkeys(w[-1] for w in closure[1:])}
+
+
 class _WordSystem:
     """The triangular linear system y'_w = y_{parent(w)} * form_w(z) z',
     with words sorted by length so that each level is a contiguous block.
@@ -379,18 +403,13 @@ class _WordSystem:
     whose rows are those products as they stand (every ``canonical`` one)."""
 
     def __init__(self, words: Iterable[tuple], form_of):
-        closure = {(): None}
-        for w in words:
-            w = tuple(w)
-            for k in range(1, len(w) + 1):
-                closure.setdefault(w[:k], None)
-        order = sorted(closure, key=len)
+        order = _prefix_closure(words)
         self.words = order
         self.index = {w: i for i, w in enumerate(order)}
         self.n = len(order)
-        slot = {letter: i for i, letter in
-                enumerate(dict.fromkeys(w[-1] for w in order[1:]))}
-        self.evaluators = [form_of(letter).compiled() for letter in slot]
+        forms = _resolve_letters(order, form_of)
+        slot = {letter: i for i, letter in enumerate(forms)}
+        self.evaluators = [f.compiled() for f in forms.values()]
         parents = [0] + [self.index[w[:-1]] for w in order[1:]]
         slots = [0] + [slot[w[-1]] for w in order[1:]]
         self.parents = np.asarray(parents, dtype=np.intp)
@@ -529,9 +548,17 @@ def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
     """The integration body behind the word-list front doors (``j_element``
     runs the full basis itself): clearance, the joint word system with
     letters resolved by form_of, the run from start (the unit when None),
-    and every vector unpacked into a dict."""
+    and every vector unpacked into a dict.  A path without segments builds
+    no system and runs nothing: its endpoint values are the start over the
+    prefix closure, after the same clearance check and letter checks."""
     cfg = cfg or IntegratorConfig()
     path.check_clearance(poles)
+    if not path.segments:
+        closure = _prefix_closure(words)
+        _resolve_letters(closure, form_of)
+        if start is None:
+            return {w: 0j if w else 1 + 0j for w in closure}, {}, []
+        return {w: start[w] for w in closure}, {}, []
     system = _WordSystem(words, form_of)
     y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
           np.array([start[w] for w in system.words], dtype=complex))

@@ -106,36 +106,47 @@ def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
     """Multiplication by 1/(z - pole) in the local variable x, as the matrix
     taking coefficients over x^j to coefficients over x^(i - 1), for i and j
     in 0..order: entry (j, i) is the letter's coefficient of x^(i - 1 - j).
-    The letter at the center is 1/x itself, the identity."""
-    n = order + 1
+    The letter at the center is 1/x itself, whose matrix is the identity:
+    None then, and the step multiplies by nothing."""
     p = ps.points[ps.index(lab)]
-    out = np.eye(n, dtype=complex)
-    if p != center:
-        if complex(center - p) == 0:
-            raise DomainError("a pole and the center coincide as floats")
-        inv = 1.0 / complex(center - p)
-        g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
-        lag = np.arange(n) - np.arange(1, n + 1)[:, None]
-        out = np.where(lag >= 0, g[lag], 0)
+    if p == center:
+        return None
+    if complex(center - p) == 0:
+        raise DomainError("a pole and the center coincide as floats")
+    n = order + 1
+    inv = 1.0 / complex(center - p)
+    g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
+    lag = np.arange(n) - np.arange(1, n + 1)[:, None]
+    out = np.where(lag >= 0, g[lag], 0)
     out.setflags(write=False)
     return out
 
 
-def _letter_step(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:
-    """Multiply a series by one letter's series, then integrate termwise
-    from the center with a zero constant.  rows[k, j] is the coefficient of
-    x^j log(x)^k; a new top row that stays zero is dropped."""
-    prod = rows @ letter
-    inv = 1.0 / np.arange(1, rows.shape[1])
+@lru_cache(maxsize=8)
+def _reciprocals(order: int) -> np.ndarray:
+    """1/i for i in 1..order, the termwise integration of x^(i - 1)."""
+    out = 1.0 / np.arange(1, order + 1)
+    out.setflags(write=False)
+    return out
+
+
+def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
+    """Multiply a series by one letter's series (by nothing when the letter
+    is None, the center's own 1/x), then integrate termwise from the center
+    with a zero constant.  rows[k, j] is the coefficient of x^j log(x)^k; a
+    new top row that stays zero is dropped.
+
+    x^-1 log^k integrates to log^(k+1) / (k+1).  The integral of x^(i-1)
+    times sum_k p_k log^k is x^i times sum_k a_k log^k, where by parts
+    i a_k + (k+1) a_(k+1) = p_k: one pass from the top power down."""
+    prod = rows if letter is None else rows @ letter
+    inv = _reciprocals(rows.shape[1] - 1)
     out = np.zeros((len(rows) + 1, rows.shape[1]), dtype=complex)
-    for k, p in enumerate(prod):
-        # x^-1 log^k integrates to log^(k+1) / (k+1); x^(i-1) log^k to
-        # x^i times the sum over m of (-1)^m k!/(k-m)! log^(k-m) / i^(m+1)
-        out[k + 1, 0] = p[0] / (k + 1)
-        term = p[1:] * inv
-        for m in range(k + 1):
-            out[k - m, 1:] += term
-            term = term * (-(k - m) * inv)
+    acc = 0
+    for k in range(len(prod) - 1, -1, -1):
+        out[k + 1, 0] = prod[k, 0] / (k + 1)
+        acc = (prod[k, 1:] - (k + 1) * acc) * inv
+        out[k, 1:] = acc
     if not out[-1].any():
         out = out[:-1]
     return out

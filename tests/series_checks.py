@@ -9,8 +9,9 @@ from curvelog.curve_genus0 import RationalFunction, Section
 from curvelog.errors import NumericError
 from curvelog.hyperlog import (_SERIES_TERMS, _combine, reference_point,
                                regularize, zero_label)
-from curvelog.iterint import (_NODES, _spectral, integrate_h_words,
-                              label_words, plan_chain)
+from curvelog.iterint import (_NODES, IntegratorConfig, _run, _spectral,
+                              _WordSystem, integrate_h_words, label_words,
+                              plan_chain)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              _integrate_term, normal_form)
@@ -105,6 +106,46 @@ def reference_evaluate(words, pts, ps, cfg=None, tail=None):
     rows = [start if m < 0 else caps[m] for m in marks]
     return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}
             for vals in rows]
+
+
+def reference_integrate(path, words, poles, form_of, cfg, capture_after=(),
+                        trace=False, start=None):
+    """``iterint._integrate`` as it was before a path without segments
+    skipped its word system: every call builds the system, runs it from
+    start (the unit when None) and unpacks every vector into a dict."""
+    cfg = cfg or IntegratorConfig()
+    path.check_clearance(poles)
+    system = _WordSystem(words, form_of)
+    y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
+          np.array([start[w] for w in system.words], dtype=complex))
+    y, captured, rows = _run(system, y0, path, cfg, poles.as_complex,
+                             capture_after, trace)
+
+    def unpack(vec):
+        return {w: vec[i] for w, i in system.index.items()}
+
+    caps = {si: unpack(vec) for si, vec in captured.items()}
+    return unpack(y), caps, [(t, unpack(vec)) for t, vec in rows]
+
+
+def reference_letter_step(rows, letter):
+    """``local_expansion._letter_step`` as it was before the termwise
+    integration became one by-parts pass: every letter, the center's own
+    1/x too, is a matrix product, and each log power's integral is summed
+    in closed form, x^(i-1) log^k to x^i times the sum over m of
+    (-1)^m k!/(k-m)! log^(k-m) / i^(m+1)."""
+    prod = rows @ letter
+    inv = 1.0 / np.arange(1, rows.shape[1])
+    out = np.zeros((len(rows) + 1, rows.shape[1]), dtype=complex)
+    for k, p in enumerate(prod):
+        out[k + 1, 0] = p[0] / (k + 1)
+        term = p[1:] * inv
+        for m in range(k + 1):
+            out[k - m, 1:] += term
+            term = term * (-(k - m) * inv)
+    if not out[-1].any():
+        out = out[:-1]
+    return out
 
 
 def reference_run(system, y, path, cfg, punctures, capture_after=(),

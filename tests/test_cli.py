@@ -667,6 +667,16 @@ def test_a_long_zero_word_evaluates(capsys):
     assert abs(complex(re, im)) < 1e-300
 
 
+def test_a_point_next_to_a_puncture_reports_its_own_distance(capsys):
+    # the planned leg from 0.5 ends at 1e-320: its distance to 0 is the
+    # endpoint's, not the 0 that start + length * direction rounds to
+    rc = main(["eval", "--poles", "0,1", "--point", "1e-320", "--word", "1,0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "path passes within 1e-320 of the puncture 0" in captured.err
+
+
 def test_expand_order_zero_is_rejected(capsys):
     assert main(["expand", "--poles", "0,1", "--word", "0", "--point", "0",
                  "--weight", "0"]) == 2

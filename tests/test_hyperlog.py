@@ -34,7 +34,7 @@ from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
-from series_checks import reassemble, reference_evaluate
+from series_checks import reassemble, reference_evaluate, reference_integrate
 
 PS = PoleSet.of("0,1")
 
@@ -625,6 +625,27 @@ def test_a_continuation_loop_matches_the_reference_route(z, label):
     for w in [("0", "1", "0"), ("-1", "0", "0"), ("0",)]:
         [want] = reference_evaluate([w], [z], ps, tail=loop.path)
         assert _close(eval_L(w, z, ps, loop=loop).value, want[w]), w
+
+
+def test_an_empty_head_gives_the_value_of_the_full_route(monkeypatch):
+    # the head of 0.3+0.2j is empty: the value is the series values summed
+    # at the point, whether or not the empty path builds its word system;
+    # the route from the reference point integrates the leg and lands
+    # within rounding of it
+    from curvelog import iterint
+
+    ps = PoleSet.of("0,1,-1")
+    w, z = ("0", "-1", "0"), 0.3 + 0.2j
+    assert not hyperlog._start(z, ps)[0].segments
+    got = eval_L(w, z, ps).value
+    reg = regularize(w, ps)
+    vals = series_values({u for _, t in reg.parts for u in t.terms}
+                         | {("0",)}, ps, z, hyperlog._SERIES_TERMS)
+    assert got == hyperlog._combine(reg, vals, vals[("0",)])
+    monkeypatch.setattr(iterint, "_integrate", reference_integrate)
+    assert eval_L(w, z, ps).value == got
+    [near] = reference_evaluate([w], [z], ps)
+    assert _close(got, near[w])
 
 
 def test_near_the_origin_a_value_is_its_own_series():

@@ -50,8 +50,8 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
                                _rand_point, _rand_tensor)
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
-from series_checks import (grouplike_residual, reference_run,
-                           section_change)
+from series_checks import (grouplike_residual, reference_integrate,
+                           reference_run, section_change)
 
 PS0 = PoleSet.of("0")
 
@@ -102,6 +102,15 @@ def test_long_segment_distance_does_not_overflow():
     assert any(isinstance(seg, ArcSeg) and seg.center == 1
                for seg in p.segments)
     assert p.min_distance_to([1]) >= ps.guard
+
+
+def test_a_clamped_projection_reads_the_endpoint_itself():
+    # start + length * u rounds 0.5 - 0.5 to 0, not to the tiny end
+    seg = LineSeg(0.5, 1e-320)
+    assert seg.min_distance(0) == 1e-320
+    assert seg.reverse().min_distance(0) == 1e-320
+    assert seg.min_distance(1) == 0.5
+    assert LineSeg(-1, 1).min_distance(0.5j) == 0.5
 
 
 def test_plan_path_detours_and_stays_left():
@@ -229,6 +238,72 @@ def test_integrate_words_capture_and_trace():
     ts = [t for t, _ in traced]
     assert ts == sorted(ts) and len(ts) >= 2
     assert traced[-1][1][w] == vals[w]
+
+
+# A path without segments builds no word system: its endpoint values are
+# its start over the words' prefix closure.  series_checks.reference_integrate
+# is the route that built and ran the system anyway.
+
+EMPTY = Path((), 0.3 + 0.2j)
+PS3 = PoleSet.of("0,1,-1")
+H_WORDS = [("1", "0", "0"), ("-1", "1"), ("0",), ("1", "0", "-1")]
+
+
+def _closure(words):
+    return {w[:k] for w in words for k in range(len(w) + 1)}
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded,
+                                                                 monkeypatch):
+    from curvelog import iterint
+
+    def never(*args, **kwargs):
+        raise AssertionError("an empty path built or ran a word system")
+
+    sec = Section.standard(PS3)
+    start = (series_values(H_WORDS, PS3, EMPTY.base, _SERIES_TERMS)
+             if seeded else None)
+    monkeypatch.setattr(iterint, "_WordSystem", never)
+    monkeypatch.setattr(iterint, "_run", never)
+    vals, caps = integrate_h_words(EMPTY, H_WORDS, sec, capture_after=[0],
+                                   start=start)
+    assert set(vals) == _closure(H_WORDS)
+    assert caps == {}
+    want, want_caps, _ = reference_integrate(
+        EMPTY, H_WORDS, PS3, lambda lab: sec.form(lab).f, None, [0],
+        start=start)
+    assert vals == want and want_caps == {}
+    if not seeded:
+        assert vals == {w: 0j if w else 1 + 0j for w in vals}
+
+
+def test_an_empty_path_returns_the_unit_over_differential_words():
+    w = dlog(PS0, "0")
+    words = [(w, w), (w,)]
+    path = Path((), 2.0)
+    vals, caps, rows = integrate_words(path, words, PS0, capture_after=[0],
+                                       trace=True)
+    assert vals == {(): 1 + 0j, (w,): 0j, (w, w): 0j}
+    assert caps == {} and rows == []
+    start = {(): 1 + 0j, (w,): 0.5 + 0j, (w, w): 0.125 + 0j}
+    got = _integrate(path, words, PS0, lambda letter: letter.f, None,
+                     start=start)
+    assert got == (start, {}, [])
+
+
+def test_an_empty_path_still_checks_its_letters_and_its_base():
+    sec = Section.standard(PS3)
+    with pytest.raises(DomainError, match="unknown class letter"):
+        integrate_h_words(EMPTY, [("1", "2")], sec)
+    with pytest.raises(DomainError, match="lives over poles"):
+        integrate_words(Path((), 2.0), [(dlog(PoleSet.of("0,1"), "0"),)],
+                        PS0)
+    with pytest.raises(DomainError, match="not a differential letter"):
+        integrate_words(Path((), 2.0), [("0",)], PS0)
+    for base in (0.5 * PS3.guard, 1 - 0.5j * PS3.guard):
+        with pytest.raises(PathError, match="path passes within"):
+            integrate_h_words(Path((), base), H_WORDS, sec)
 
 
 def test_word_letters_must_share_the_pole_set():

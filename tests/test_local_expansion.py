@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvelog import (
+    QI,
     DomainError,
     IntegratorConfig,
     LogLaurentExpansion,
@@ -15,7 +17,11 @@ from curvelog import (
     expand_at,
     loop_around,
     monodromy_substitution,
+    regularize,
 )
+from curvelog.hyperlog import _SERIES_TERMS
+from curvelog.local_expansion import _letter_series, _letter_step
+from series_checks import reference_letter_step
 
 PS = PoleSet.of("0,1")
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
@@ -194,3 +200,80 @@ def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
             expand_at(("1", "0"), PS, 0, order=order)
         with pytest.raises(DomainError, match="MiB array cap"):
             expand_at(("1", "0"), PS, 1, order=order)
+
+
+# The letter step integrates by parts from the top log power down and
+# multiplies by nothing for the center's own letter;
+# series_checks.reference_letter_step is the closed-form sum and the
+# identity product it replaced.
+
+def _steps(word, ps, center, order):
+    """Each step of the word's series at the center: (input rows, the
+    letter's matrix, identity for the center's own letter, new output)."""
+    rows = np.eye(1, order + 1, dtype=complex)
+    for lab in word:
+        letter = _letter_series(ps, lab, center, order)
+        out = _letter_step(rows, letter)
+        yield rows, np.eye(order + 1) if letter is None else letter, out
+        rows = out
+
+
+def _eval_point_prefixes(ps):
+    """Every admissible word of the eval-points families (a, 0^(n-1)), a^n
+    and (0^k, a, 0^(n-1-k)) for 1 <= k < n and n from 2 to 6, and the zero
+    letter: the words whose series ``eval_L`` steps at the origin."""
+    words = {("0",)}
+    for n in range(2, 7):
+        for a in ps.labels:
+            if a == "0":
+                continue
+            family = [(a,) + ("0",) * (n - 1), (a,) * n] + [
+                ("0",) * k + (a,) + ("0",) * (n - 1 - k) for k in range(1, n)]
+            for w in family:
+                for _, t in regularize(w, ps).parts:
+                    words.update(t.terms)
+    return words
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_a_single_row_step_is_the_reference_step_bit_for_bit(poles):
+    ps = PoleSet.of(poles)
+    words = _eval_point_prefixes(ps)
+    checked = 0
+    for w in words:
+        for rows, letter, out in _steps(w, ps, QI.of(0), _SERIES_TERMS):
+            if len(rows) == 1:
+                assert np.array_equal(out, reference_letter_step(rows, letter))
+                checked += 1
+    assert checked > len(words)
+
+
+@pytest.mark.parametrize("order", [24, 80])
+@pytest.mark.parametrize("poles,center,words", [
+    ("0,1,-1", 0, [("0", "0", "1"), ("0", "1", "0", "0"), ("0", "0", "0"),
+                   ("0", "-1", "0", "1", "0"), ("1", "0", "0", "0")]),
+    ("0,1,-1", 1, [("1", "1", "0"), ("1", "0", "1", "1"),
+                   ("-1", "1", "1", "0"), ("1", "1", "1", "1")]),
+])
+def test_a_many_row_step_agrees_with_the_reference_step(order, poles, center,
+                                                        words):
+    ps = PoleSet.of(poles)
+    deepest = 0
+    for w in words:
+        for rows, letter, out in _steps(w, ps, QI.of(center), order):
+            want = reference_letter_step(rows, letter)
+            assert out.shape == want.shape
+            assert np.all(np.abs(out - want)
+                          <= 1e-15 * np.maximum(1.0, np.abs(want))), w
+            deepest = max(deepest, len(rows))
+        if center == 0:  # with no constants to match, these are its steps
+            assert expand_at(w, ps, 0, order).coeffs == {
+                (j, k): c for k, row in enumerate(out.tolist())
+                for j, c in enumerate(row) if c != 0}
+    assert deepest >= 3
+
+
+def test_the_centers_own_letter_has_no_matrix():
+    assert _letter_series(PS, "0", QI.of(0), 24) is None
+    assert _letter_series(PS, "1", QI.of(1), 24) is None
+    assert _letter_series(PS, "1", QI.of(0), 24).shape == (25, 25)
