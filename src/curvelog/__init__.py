@@ -14,25 +14,21 @@ from .curve_genus0 import (DeRhamClass, Differential, PoleSet,
 from .errors import (AlphabetError, BudgetError, CurvelogError, DomainError,
                      InputError, NumericError, PathError)
 from .hyperlog import (HyperlogValue, RegularizedWord, eval_L, eval_batch,
-                       is_admissible, mzv, reference_point, regularize,
-                       word_for_exponents, zero_label)
+                       mzv, reference_point, regularize, word_for_exponents,
+                       zero_label)
 from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, LineSeg,
-                      Path, chain_rule_check, integrate_h_words,
-                      integrate_words, j_element, kz_specialization_check,
-                      label_words, nabla_sigma, plan_path,
-                      shuffle_identity_check)
-from .local_expansion import (LogLaurentExpansion, expand_at,
-                              monodromy_substitution)
+                      Path, integrate_h_words, integrate_words, j_element,
+                      label_words, plan_path)
+from .local_expansion import LogLaurentExpansion, expand_at
 from .monodromy import (Loop, circle_loop, loop_around, monodromy_operator,
                         pairing, period_matrix, unipotence_check)
 from .reduce import (KernelWitness, NormalForm, d_map, decompose_subker,
-                     default_basepoint, kernel_member, normal_form)
+                     default_basepoint, kernel_member, nabla_sigma,
+                     normal_form)
 from .scalars import QI, parse_exact_complex
-from .shuffle_core import (Letter, ShuffleTensor, antipode, coradical_member,
-                           deconcat, deconcat_multi, deriv_right, r_xi,
-                           shuffle, shuffle_power, shuffle_words,
-                           tensor_from_json, tensor_to_json, word_label,
-                           word_sort_key)
+from .shuffle_core import (ShuffleTensor, antipode, coradical_member, r_xi,
+                           shuffle, shuffle_words, tensor_from_json,
+                           tensor_to_json, word_label, word_sort_key)
 
 __version__ = "0.1.0"
 

@@ -259,9 +259,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_kz_check(args) -> int:
-    from .iterint import kz_specialization_check
     ps = _require_poles(args)
-    _emit({"ok": bool(kz_specialization_check(ps.points)),
+    _emit({"ok": bool(_selftest.kz_specialization_check(ps.points)),
            "points": list(ps.labels)})
     return 0
 

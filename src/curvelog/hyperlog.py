@@ -22,8 +22,8 @@ from math import factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (IntegratorConfig, Path, _tensor_value, integrate_h_words,
-                      plan_chain, plan_path)
+from .iterint import (IntegratorConfig, Path, integrate_h_words, plan_chain,
+                      plan_path)
 from .local_expansion import series_values
 from .monodromy import Loop
 from .scalars import QI
@@ -37,14 +37,6 @@ def zero_label(ps: PoleSet) -> str:
     if i is None:
         raise DomainError("the pole set does not contain the origin")
     return ps.label(i)
-
-
-def is_admissible(word, ps: PoleSet) -> bool:
-    """True when the word integrates to a function holomorphic at the
-    origin (empty, or first letter away from the origin)."""
-    word = tuple(word)
-    z = zero_label(ps)
-    return not word or word[0] != z
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,13 @@ def reference_point(ps: PoleSet) -> complex:
     zero_label(ps)
     r = min((abs(p) for p in ps.as_complex if p != 0), default=2.0)
     return complex(r / 2.0)
+
+
+def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:
+    acc = 0j
+    for w, c in t.terms.items():
+        acc += complex(c) * vals[w]
+    return acc
 
 
 def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import BudgetError, DomainError, NumericError, PathError
-from .scalars import QI
-from .shuffle_core import ShuffleTensor, _letter_label, r_xi, shuffle
 
 
 @dataclass(frozen=True)
@@ -826,118 +824,3 @@ def j_element(path: Path, section: Section, weight: int,
         stick = GroupLikeSeries(weight, ps.labels, captured[k - 1])
         series = series @ stick.inverse()
     return series
-
-
-def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:
-    acc = 0j
-    for w, c in t.terms.items():
-        acc += complex(c) * vals[w]
-    return acc
-
-
-def _poles_of_words(words) -> PoleSet | None:
-    for w in words:
-        for letter in w:
-            if isinstance(letter, Differential):
-                return letter.poles
-    return None
-
-
-def shuffle_identity_check(path: Path, a: ShuffleTensor, b: ShuffleTensor,
-                           cfg: IntegratorConfig | None = None,
-                           poles: PoleSet | None = None) -> float:
-    """|I(a shuffle b) - I(a) I(b)| at the endpoint of the path."""
-    prod = shuffle(a, b)
-    words = set(a.terms) | set(b.terms) | set(prod.terms)
-    if poles is None:
-        poles = _poles_of_words(words)
-    if poles is None:
-        # all words are empty; both sides reduce to the counit product
-        return abs(complex(prod.counit())
-                   - complex(a.counit()) * complex(b.counit()))
-    vals, _, _ = integrate_words(path, words, poles, cfg)
-    return abs(_tensor_value(prod, vals)
-               - _tensor_value(a, vals) * _tensor_value(b, vals))
-
-
-def chain_rule_check(path1: Path, path2: Path, word,
-                     cfg: IntegratorConfig | None = None,
-                     poles: PoleSet | None = None) -> float:
-    """Residual of composing a word's integral through a midpoint.
-
-    The full integral along path1 + path2 must equal the coproduct pairing:
-    sum over cuts of (prefix along path1) times (suffix along path2).
-    """
-    word = tuple(word)
-    if not word:
-        return 0.0
-    if poles is None:
-        poles = _poles_of_words([word]) or PoleSet(())
-    full = integrate_words(path1 + path2, [word], poles, cfg)[0][word]
-    pre, _, _ = integrate_words(path1, [word], poles, cfg)
-    sufs = {word[k:] for k in range(len(word) + 1)}
-    suf, _, _ = integrate_words(path2, sufs, poles, cfg)
-    rhs = 0j
-    for k in range(len(word) + 1):
-        rhs += pre[word[:k]] * suf[word[k:]]
-    return abs(full - rhs)
-
-
-def nabla_sigma(a: ShuffleTensor, f: RationalFunction, section: Section):
-    """Covariant derivative of the pair (class tensor, coefficient function).
-
-    Returns summands (tensor, one-form): the exterior derivative of f against
-    the unchanged tensor, plus, for each puncture, the last-letter contraction
-    of the tensor against the section form multiplied by f.
-    """
-    out = []
-    df = f.differentiate()
-    if not a.is_zero and not df.is_zero:
-        out.append((a, Differential(df)))
-    ps = section.poles
-    for i, lab in enumerate(ps.labels):
-        contracted = r_xi(a, lambda letter, lab=lab:
-                          1 if _letter_label(letter) == lab else 0)
-        if contracted.is_zero:
-            continue
-        out.append((contracted, Differential(section.form(i).f * f)))
-    return out
-
-
-def kz_specialization_check(points) -> bool:
-    """Restrict the symmetric pairwise-difference connection to a fiber where
-    all coordinates but the last are frozen, and verify exactly that it
-    collapses to the tautological one-variable connection.
-
-    The pairwise sum runs over unordered index pairs.  For each pair the
-    candidate restricted form is certified against the pair's difference
-    function by exact cross multiplication, so a wrong residue or a sign
-    slip cannot sneak through.  Repeated points are rejected.
-    """
-    pts = [QI.of(p) for p in points]
-    if len(pts) < 2:
-        raise DomainError("need at least two marked points")
-    if len({p.sort_key() for p in pts}) != len(pts):
-        raise DomainError("marked points must be pairwise distinct")
-    ps = PoleSet(tuple(pts))
-    n = len(pts)
-    moving = n  # index of the free coordinate
-    expected = {frozenset({i, moving}): RationalFunction.pole_power(ps, i, 1)
-                for i in range(n)}
-    restricted: dict = {}
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            if k < n:
-                diff = RationalFunction.const(ps, pts[j] - pts[k])
-            else:
-                diff = RationalFunction.coordinate(ps) \
-                    - RationalFunction.const(ps, pts[j])
-            ddiff = diff.differentiate()
-            if ddiff.is_zero:
-                # both coordinates frozen: the term dies on the fiber
-                continue
-            omega = RationalFunction.pole_power(ps, j, 1)
-            if not (omega * diff - ddiff).is_zero:
-                return False
-            restricted[frozenset({j, k})] = omega
-    return restricted == expected

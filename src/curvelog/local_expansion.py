@@ -96,11 +96,6 @@ class LogLaurentExpansion:
         }
 
 
-def monodromy_substitution(exp: LogLaurentExpansion) -> LogLaurentExpansion:
-    """The effect of one counterclockwise turn around the center."""
-    return exp.substitute_log_shift(2j * math.pi)
-
-
 @lru_cache(maxsize=32)
 def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
     """Multiplication by 1/(z - pole) in the local variable x, as the matrix

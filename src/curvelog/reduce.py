@@ -22,7 +22,8 @@ from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
 from .errors import DomainError, InputError
 from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
 from .scalars import QI, accumulate, exact_str
-from .shuffle_core import ShuffleTensor, word_label, word_sort_key
+from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, word_label,
+                           word_sort_key)
 
 
 def default_basepoint(ps: PoleSet) -> QI:
@@ -278,6 +279,27 @@ def d_map(s, f: RationalFunction, s_prime, x0=None) -> ShuffleTensor:
             else:
                 out.append((v, c * f.evaluate_exact(x0)))
     return ShuffleTensor(out)
+
+
+def nabla_sigma(a: ShuffleTensor, f: RationalFunction, section: Section):
+    """Covariant derivative of the pair (class tensor, coefficient function).
+
+    Returns summands (tensor, one-form): the exterior derivative of f against
+    the unchanged tensor, plus, for each puncture, the last-letter contraction
+    of the tensor against the section form multiplied by f.
+    """
+    out = []
+    df = f.differentiate()
+    if not a.is_zero and not df.is_zero:
+        out.append((a, Differential(df)))
+    ps = section.poles
+    for i, lab in enumerate(ps.labels):
+        contracted = r_xi(a, lambda letter, lab=lab:
+                          1 if _letter_label(letter) == lab else 0)
+        if contracted.is_zero:
+            continue
+        out.append((contracted, Differential(section.form(i).f * f)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,18 @@ from itertools import product
 import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .hyperlog import eval_L, eval_batch, mzv
-from .iterint import (IntegratorConfig, Path, chain_rule_check,
-                      integrate_words, integrate_h_words, nabla_sigma,
-                      kz_specialization_check, plan_chain, plan_path,
-                      shuffle_identity_check)
-from .local_expansion import expand_at, monodromy_substitution
+from .errors import DomainError
+from .hyperlog import _tensor_value, eval_L, eval_batch, mzv
+from .iterint import (IntegratorConfig, Path, integrate_words,
+                      integrate_h_words, plan_chain, plan_path)
+from .local_expansion import expand_at
 from .monodromy import (circle_loop, loop_around, monodromy_operator, pairing,
                         period_matrix, unipotence_check)
-from .reduce import d_map, decompose_subker, default_basepoint, normal_form
+from .reduce import (d_map, decompose_subker, default_basepoint, nabla_sigma,
+                     normal_form)
 from .scalars import QI
-from .shuffle_core import ShuffleTensor, coradical_member, word_sort_key
+from .shuffle_core import (ShuffleTensor, coradical_member, shuffle,
+                           word_sort_key)
 
 DEFAULT_SEED = 1729
 
@@ -101,6 +102,17 @@ def _crit_mzv(seed: int):
                 f"times {dt2:.2f}s/{dt3:.2f}s")
 
 
+def shuffle_identity_check(path: Path, a: ShuffleTensor, b: ShuffleTensor,
+                           poles: PoleSet,
+                           cfg: IntegratorConfig | None = None) -> float:
+    """|I(a shuffle b) - I(a) I(b)| at the endpoint of the path."""
+    prod = shuffle(a, b)
+    words = set(a.terms) | set(b.terms) | set(prod.terms)
+    vals, _, _ = integrate_words(path, words, poles, cfg)
+    return abs(_tensor_value(prod, vals)
+               - _tensor_value(a, vals) * _tensor_value(b, vals))
+
+
 def _crit_shuffle(seed: int):
     rng = random.Random(seed * 100 + 2)
     ps = PoleSet.of("0,1")
@@ -117,8 +129,26 @@ def _crit_shuffle(seed: int):
         a = _rand_point(rng, ps)
         b = _rand_point(rng, ps)
         path = plan_path(a, b, ps)
-        worst = max(worst, shuffle_identity_check(path, ta, tb, _TIGHT, ps))
+        worst = max(worst, shuffle_identity_check(path, ta, tb, ps, _TIGHT))
     return worst < 1e-9, f"max product residual {worst:.2e} over 50 pairs"
+
+
+def chain_rule_check(path1: Path, path2: Path, word, poles: PoleSet,
+                     cfg: IntegratorConfig | None = None) -> float:
+    """Residual of composing a word's integral through a midpoint.
+
+    The full integral along path1 + path2 must equal the coproduct pairing:
+    sum over cuts of (prefix along path1) times (suffix along path2).
+    """
+    word = tuple(word)
+    full = integrate_words(path1 + path2, [word], poles, cfg)[0][word]
+    pre, _, _ = integrate_words(path1, [word], poles, cfg)
+    sufs = {word[k:] for k in range(len(word) + 1)}
+    suf, _, _ = integrate_words(path2, sufs, poles, cfg)
+    rhs = 0j
+    for k in range(len(word) + 1):
+        rhs += pre[word[:k]] * suf[word[k:]]
+    return abs(full - rhs)
 
 
 def _crit_chain(seed: int):
@@ -135,7 +165,7 @@ def _crit_chain(seed: int):
         b = _rand_point(rng, ps)
         p1 = plan_path(a, m, ps)
         p2 = plan_path(m, b, ps)
-        worst = max(worst, chain_rule_check(p1, p2, w, _TIGHT, ps))
+        worst = max(worst, chain_rule_check(p1, p2, w, ps, _TIGHT))
     return worst < 1e-9, f"max composition residual {worst:.2e} over 50 splits"
 
 
@@ -301,6 +331,45 @@ def _crit_coradical(seed: int):
     return ok, "membership matches word degree for all 31 words, degrees 0..5"
 
 
+def kz_specialization_check(points) -> bool:
+    """Restrict the symmetric pairwise-difference connection to a fiber where
+    all coordinates but the last are frozen, and verify exactly that it
+    collapses to the tautological one-variable connection.
+
+    The pairwise sum runs over unordered index pairs.  For each pair the
+    candidate restricted form is certified against the pair's difference
+    function by exact cross multiplication, so a wrong residue or a sign
+    slip cannot sneak through.  Repeated points are rejected.
+    """
+    pts = [QI.of(p) for p in points]
+    if len(pts) < 2:
+        raise DomainError("need at least two marked points")
+    if len({p.sort_key() for p in pts}) != len(pts):
+        raise DomainError("marked points must be pairwise distinct")
+    ps = PoleSet(tuple(pts))
+    n = len(pts)
+    moving = n  # index of the free coordinate
+    expected = {frozenset({i, moving}): RationalFunction.pole_power(ps, i, 1)
+                for i in range(n)}
+    restricted: dict = {}
+    for j in range(n + 1):
+        for k in range(j + 1, n + 1):
+            if k < n:
+                diff = RationalFunction.const(ps, pts[j] - pts[k])
+            else:
+                diff = RationalFunction.coordinate(ps) \
+                    - RationalFunction.const(ps, pts[j])
+            ddiff = diff.differentiate()
+            if ddiff.is_zero:
+                # both coordinates frozen: the term dies on the fiber
+                continue
+            omega = RationalFunction.pole_power(ps, j, 1)
+            if not (omega * diff - ddiff).is_zero:
+                return False
+            restricted[frozenset({j, k})] = omega
+    return restricted == expected
+
+
 def _crit_kz(seed: int):
     rng = random.Random(seed * 100 + 9)
     pts2 = []
@@ -335,7 +404,7 @@ def _crit_local(seed: int):
         z0 = zs[1]
         loop = loop_around(ps, center, z0)
         for w in words:
-            shifted = monodromy_substitution(exps[w]).evaluate(z0)
+            shifted = exps[w].substitute_log_shift(2j * math.pi).evaluate(z0)
             looped = eval_L(w, z0, ps, loop=loop)
             worst_mono = max(worst_mono, abs(shifted - complex(looped)))
     ok = worst < 1e-6 and worst_mono < 1e-6 and logdeg_ok
@@ -364,8 +433,7 @@ def _crit_connection(seed: int):
         numeric = (fp * at_p[u] - fm * at_m[u]) / (2 * h)
         symbolic = 0j
         for tensor, form in nabla_sigma(a, f, sec):
-            tv = sum(complex(c) * at_0[w] for w, c in tensor.terms.items())
-            symbolic += form.f.evaluate(z0) * tv
+            symbolic += form.f.evaluate(z0) * _tensor_value(tensor, at_0)
         worst = max(worst, abs(numeric - symbolic))
     return worst < 1e-6, f"max central-difference mismatch {worst:.2e}"
 

@@ -8,10 +8,9 @@ as the coradical filtration of the coalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import AlphabetError
 from .scalars import QI, accumulate, exact_str
@@ -20,17 +19,6 @@ from .scalars import QI, accumulate, exact_str
 # ``label`` (used for canonical ordering and display) and, optionally, an
 # ``alphabet`` tag used to detect accidental mixing of unrelated alphabets.
 Word = tuple
-
-
-@dataclass(frozen=True)
-class Letter:
-    """Opaque alphabet symbol; identity is the (label, alphabet) pair."""
-
-    label: str
-    alphabet: str = "generic"
-
-    def __str__(self):
-        return self.label
 
 
 def _letter_label(letter) -> str:
@@ -213,32 +201,10 @@ def shuffle(a: ShuffleTensor, b: ShuffleTensor) -> ShuffleTensor:
                           for w, mult in shuffle_words(u, v).items()), alpha)
 
 
-def shuffle_power(t: ShuffleTensor, k: int) -> ShuffleTensor:
-    out = ShuffleTensor.unit(t.alphabet)
-    for _ in range(k):
-        out = shuffle(out, t)
-    return out
-
-
-def deconcat(a: ShuffleTensor) -> dict:
-    """Deconcatenation coproduct, as a map (left word, right word) -> scalar."""
-    return accumulate(((w[:k], w[k:]), c)
-                      for w, c in a._terms.items() for k in range(len(w) + 1))
-
-
 def _pieces(w: Word, cuts) -> tuple:
     """The pieces of a word between the given cut positions."""
     bounds = (0,) + cuts + (len(w),)
     return tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
-
-
-def deconcat_multi(a: ShuffleTensor, parts: int) -> dict:
-    """Iterated coproduct into ``parts`` ordered (possibly empty) pieces."""
-    if parts < 1:
-        raise ValueError("need at least one part")
-    return accumulate((_pieces(w, cuts), c) for w, c in a._terms.items()
-                      for cuts in combinations_with_replacement(
-                          range(len(w) + 1), parts - 1))
 
 
 def antipode(a: ShuffleTensor) -> ShuffleTensor:
@@ -249,16 +215,10 @@ def antipode(a: ShuffleTensor) -> ShuffleTensor:
     return ShuffleTensor(out, a.alphabet)
 
 
-def deriv_right(a: ShuffleTensor) -> dict:
-    """Right derivation: strip the last letter.  Map (word, letter) -> scalar."""
-    return accumulate(((w[:-1], w[-1]), c) for w, c in a._terms.items() if w)
-
-
 def r_xi(a: ShuffleTensor, xi: Callable) -> ShuffleTensor:
     """Contract the last letter with the functional ``xi`` (letter -> scalar)."""
-    return ShuffleTensor(((w, c * QI.of(xi(letter)))
-                          for (w, letter), c in deriv_right(a).items()),
-                         a.alphabet)
+    return ShuffleTensor(((w[:-1], c * QI.of(xi(w[-1])))
+                          for w, c in a._terms.items() if w), a.alphabet)
 
 
 def coradical_member(t: ShuffleTensor, n: int) -> bool:

@@ -16,8 +16,7 @@ from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              _integrate_term, normal_form)
 from curvelog.scalars import accumulate
-from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_power,
-                                   shuffle_words)
+from curvelog.shuffle_core import ShuffleTensor, shuffle, shuffle_words
 
 
 def grouplike_residual(series) -> float:
@@ -81,7 +80,10 @@ def reassemble(reg, ps) -> ShuffleTensor:
     x = ShuffleTensor.from_word((zero_label(ps),))
     total = ShuffleTensor.zero()
     for k, t in reg.parts:
-        total = total + shuffle(t, shuffle_power(x, k))
+        power = ShuffleTensor.unit()
+        for _ in range(k):
+            power = shuffle(power, x)
+        total = total + shuffle(t, power)
     return total
 
 

@@ -21,7 +21,6 @@ from curvelog import (
     eval_batch,
     expand_at,
     integrate_h_words,
-    is_admissible,
     loop_around,
     mzv,
     reference_point,
@@ -47,9 +46,15 @@ def test_zero_label_lookup():
 
 
 def test_admissibility():
-    assert is_admissible(("1", "0"), PS)
-    assert is_admissible((), PS)
-    assert not is_admissible(("0", "1"), PS)
+    # an admissible word (empty, or led by a letter away from the origin)
+    # is its own single part at log power 0; one led by the zero letter is not
+    def own_part(word):
+        return regularize(word, PS).parts == (
+            (0, ShuffleTensor.from_word(word)),)
+
+    assert own_part(("1", "0"))
+    assert own_part(())
+    assert not own_part(("0", "1"))
 
 
 def test_regularize_trivial_cases():

@@ -25,20 +25,17 @@ from curvelog import (
     Section,
     ShuffleTensor,
     antipode,
-    chain_rule_check,
     circle_loop,
     d,
     dlog,
     integrate_h_words,
     integrate_words,
     j_element,
-    kz_specialization_check,
     label_words,
     loop_around,
     nabla_sigma,
     plan_path,
     regularize,
-    shuffle_identity_check,
 )
 
 from curvelog.hyperlog import _SERIES_TERMS, reference_point
@@ -47,7 +44,9 @@ from curvelog.iterint import (_WordSystem, _integrate, plan_chain,
 from curvelog.local_expansion import series_values
 from curvelog.reduce import default_basepoint
 from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
-                               _rand_point, _rand_tensor)
+                               _rand_point, _rand_tensor, chain_rule_check,
+                               kz_specialization_check,
+                               shuffle_identity_check)
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import (grouplike_residual, reference_integrate,
@@ -638,13 +637,14 @@ def test_shuffle_identity_numeric():
     ps = PoleSet.of("0,1")
     a = ShuffleTensor.from_word((dlog(ps, "0"),))
     b = ShuffleTensor.from_word((dlog(ps, "1"), dlog(ps, "0")))
-    res = shuffle_identity_check(Path.line(2 + 1j, 3 + 2j), a, b)
+    res = shuffle_identity_check(Path.line(2 + 1j, 3 + 2j), a, b, ps)
     assert res < 1e-9
 
 
 def test_chain_rule_numeric():
     word = (dlog(PS0, "0"), dlog(PS0, "0"))
-    res = chain_rule_check(Path.line(1, 1 + 1j), Path.line(1 + 1j, 2), word)
+    res = chain_rule_check(Path.line(1, 1 + 1j), Path.line(1 + 1j, 2), word,
+                           PS0)
     assert res < 1e-9
 
 

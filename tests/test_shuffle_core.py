@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 from curvelog import (
     QI,
     AlphabetError,
-    Letter,
     ShuffleTensor,
     antipode,
     coradical_member,
-    deconcat,
-    deconcat_multi,
+    dlog,
     PoleSet,
-    deriv_right,
     r_xi,
     regularize,
     shuffle,
-    shuffle_power,
     shuffle_words,
     tensor_from_json,
     tensor_to_json,
@@ -120,36 +116,21 @@ def test_word_helpers():
 
 
 def test_alphabet_mixing_is_rejected():
-    a = ShuffleTensor.from_word((Letter("x", "one"),))
-    b = ShuffleTensor.from_word((Letter("x", "two"),))
+    # the same label over two pole sets: letters of different alphabets
+    one = dlog(PoleSet.of("0,1"), "0")
+    two = dlog(PoleSet.of("0,2"), "0")
+    a = ShuffleTensor.from_word((one,))
+    b = ShuffleTensor.from_word((two,))
     with pytest.raises(AlphabetError):
         shuffle(a, b)
     with pytest.raises(AlphabetError):
-        ShuffleTensor.from_word((Letter("x", "one"), Letter("y", "two")))
+        ShuffleTensor.from_word((one, two))
 
 
 def test_a_cancelling_mixed_word_is_still_rejected():
-    word = (Letter("x", "one"), Letter("y", "two"))
+    word = (dlog(PoleSet.of("0,1"), "1"), dlog(PoleSet.of("0,2"), "2"))
     with pytest.raises(AlphabetError):
         ShuffleTensor([(word, 1), (word, -1)])
-
-
-def test_deconcat_example():
-    t = ShuffleTensor.from_word(("a", "b"))
-    assert deconcat(t) == {
-        ((), ("a", "b")): QI(1),
-        (("a",), ("b",)): QI(1),
-        (("a", "b"), ()): QI(1),
-    }
-
-
-def test_deconcat_multi_counts_all_ordered_cuts():
-    t = ShuffleTensor.from_word(("a", "b"))
-    three = deconcat_multi(t, 3)
-    assert sum(1 for _ in three) == 6
-    assert three[(("a",), ("b",), ())] == QI(1)
-    with pytest.raises(ValueError):
-        deconcat_multi(t, 0)
 
 
 def test_antipode_reverses_with_sign():
@@ -160,16 +141,9 @@ def test_antipode_reverses_with_sign():
 
 def test_deriv_right_and_contraction():
     t = ShuffleTensor.from_word(("a", "b"), 3)
-    assert deriv_right(t) == {(("a",), "b"): QI(3)}
     picked = r_xi(t, lambda letter: 1 if letter == "b" else 0)
     assert picked == ShuffleTensor.from_word(("a",), 3)
     assert r_xi(t, lambda letter: 0).is_zero
-
-
-def test_shuffle_power():
-    x = ShuffleTensor.from_word(("a",))
-    assert shuffle_power(x, 2) == ShuffleTensor.from_word(("a", "a"), 2)
-    assert shuffle_power(x, 0) == ShuffleTensor.unit()
 
 
 @pytest.mark.parametrize("word", [
@@ -225,22 +199,12 @@ def test_counit_is_multiplicative(a, b):
 
 
 @given(tensors)
-def test_deconcat_coassociative(a):
-    left = {}
-    for (u, v), c in deconcat(a).items():
-        for k in range(len(u) + 1):
-            key = (u[:k], u[k:], v)
-            left[key] = left.get(key, QI.of(0)) + c
-    left = {k: v for k, v in left.items() if not v.is_zero}
-    assert left == deconcat_multi(a, 3)
-
-
-@given(tensors)
 def test_antipode_convolution_identity(a):
     acc = ShuffleTensor.zero(a.alphabet)
-    for (u, v), c in deconcat(a).items():
-        acc = acc + shuffle(antipode(ShuffleTensor.from_word(u)),
-                            ShuffleTensor.from_word(v)).scale(c)
+    for w, c in a.terms.items():
+        for k in range(len(w) + 1):
+            acc = acc + shuffle(antipode(ShuffleTensor.from_word(w[:k])),
+                                ShuffleTensor.from_word(w[k:])).scale(c)
     assert acc == ShuffleTensor.unit().scale(a.counit())
 
 
@@ -251,12 +215,3 @@ def test_contraction_is_a_shuffle_derivation(a, b):
     lhs = r_xi(shuffle(a, b), xi)
     rhs = shuffle(r_xi(a, xi), b) + shuffle(a, r_xi(b, xi))
     assert lhs == rhs
-
-
-@given(tensors)
-def test_deconcat_is_counital(a):
-    recovered = ShuffleTensor.zero(a.alphabet)
-    for (u, v), c in deconcat(a).items():
-        if not u:
-            recovered = recovered + ShuffleTensor.from_word(v, c)
-    assert recovered == a
