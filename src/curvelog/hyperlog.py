@@ -22,14 +22,12 @@ from math import factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (IntegratorConfig, Path, integrate_h_words, plan_chain,
-                      plan_path)
+from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
+                      plan_chain, plan_path)
 from .local_expansion import series_values
 from .monodromy import Loop
 from .scalars import QI
 from .shuffle_core import ShuffleTensor, suffix_shuffles
-
-_SERIES_TERMS = 80
 
 
 def zero_label(ps: PoleSet) -> str:
@@ -182,8 +180,7 @@ def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     if tail is not None:
         path = path + tail
         marks[-1] = len(path.segments) - 1
-    start = series_values(admissible | {(zlab,)}, ps, path.base,
-                          _SERIES_TERMS)
+    start = series_values(admissible | {(zlab,)}, ps, path.base)
     start[(zlab,)] += 2j * pi * turns
     _, caps = integrate_h_words(
         path, list(start), Section.standard(ps), cfg,
@@ -206,8 +203,7 @@ def eval_L(word, z, poles, cfg: IntegratorConfig | None = None,
     word = tuple(word)
     path_class = "principal"
     if loop is not None:
-        scale = max(1.0, abs(z))
-        if abs(loop.base - z) > 1e-9 * scale:
+        if not glued(z, loop.base):
             raise DomainError("continuation loop must be based at the point")
         path_class = f"principal*{loop.label}"
     [row] = _evaluate([word], [z], ps, cfg, loop.path if loop else None)
@@ -233,12 +229,9 @@ def eval_batch(words, points, poles, cfg: IntegratorConfig | None = None):
 
 def mzv(word) -> complex:
     """The regularized limit at one of a label word over the punctures 0
-    and 1, by Hölder convolution: split the path at one half, so that the
-    value is the sum over w = u v of u's value at 1/2 times v's integral
-    from 1/2 to 1.  The map z -> 1 - z swaps the two letters with no sign
-    and reverses that second half, which makes it (-1)^|v| times the value
-    at 1/2 of tau(v), v reversed with its letters swapped.  Every factor
-    is a Taylor value at 1/2, and the tau(v) are the prefixes of tau(w).
+    and 1, by Hölder convolution at one half: the sum over w = u v of u's
+    series at the origin summed at 1/2, times v's integral from 1/2 to 1,
+    which is (-1)^|v| times v reversed's series at 1 summed at -1/2.
 
     A word ending in the letter at one diverges and is rejected; sign and
     depth conventions follow the iterated integral, so for instance the
@@ -250,10 +243,10 @@ def mzv(word) -> complex:
     if word and word[-1] == "1":
         raise DomainError("word ends at the puncture 1; the limit diverges")
     ps = PoleSet.of("0,1")
-    tau = tuple("1" if lab == "0" else "0" for lab in reversed(word))
-    vals = series_values([word, tau], ps, reference_point(ps), _SERIES_TERMS)
-    n = len(word)
-    return sum((vals[word[:k]] * (-1) ** (n - k) * vals[tau[:n - k]]
+    n, rev = len(word), word[::-1]
+    head = series_values([word], ps, 0.5)
+    tail = series_values([rev], ps, -0.5, center=1)
+    return sum((head[word[:k]] * (-1) ** (n - k) * tail[rev[:n - k]]
                 for k in range(n + 1)), 0j)
 
 

@@ -161,6 +161,11 @@ class ArcSeg:
 _GLUE_TOL = 1e-9
 
 
+def glued(a: complex, b: complex) -> bool:
+    """Whether b is a within _GLUE_TOL times max(1, |a|); never for NaN."""
+    return abs(a - b) <= _GLUE_TOL * max(1.0, abs(a))
+
+
 @dataclass(frozen=True)
 class Path:
     """A contiguous chain of segments with an explicit base point."""
@@ -174,8 +179,7 @@ class Path:
         object.__setattr__(self, "base", complex(self.base))
         cur = self.base
         for k, seg in enumerate(segs):
-            scale = max(1.0, abs(cur))
-            if abs(seg.start - cur) > _GLUE_TOL * scale:
+            if not glued(cur, seg.start):
                 raise PathError(f"segment {k} does not start where the previous ends")
             cur = seg.end
 
@@ -199,8 +203,7 @@ class Path:
         return self.segments[-1].end if self.segments else self.base
 
     def __add__(self, other: "Path") -> "Path":
-        scale = max(1.0, abs(self.end))
-        if abs(other.base - self.end) > _GLUE_TOL * scale:
+        if not glued(self.end, other.base):
             raise PathError("paths do not share an endpoint")
         return Path(self.segments + other.segments, self.base)
 
@@ -376,12 +379,9 @@ def _spectral():
 
 def _prefix_closure(words: Iterable[tuple]) -> list:
     """Every prefix of the words, the empty word first, sorted by length."""
-    closure = {(): None}
-    for w in words:
-        w = tuple(w)
-        for k in range(1, len(w) + 1):
-            closure.setdefault(w[:k], None)
-    return sorted(closure, key=len)
+    closure = dict.fromkeys(w[:k] for w in check_prefix_budget(words)
+                            for k in range(len(w) + 1))
+    return sorted(closure, key=len) or [()]
 
 
 def _resolve_letters(closure: list, form_of) -> dict:
@@ -625,6 +625,16 @@ def check_budget(nbytes: int, what: str) -> None:
     if nbytes > MATRIX_VIEW_MAX_BYTES:
         raise BudgetError(f"{what} exceeds the "
                           f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
+
+
+def check_prefix_budget(words: Iterable[tuple]) -> list:
+    """The words as tuples; BudgetError, before a prefix is built, when the
+    prefix tuples of one word (8 bytes a letter of each) would pass
+    MATRIX_VIEW_MAX_BYTES."""
+    words = [tuple(w) for w in words]
+    n = max(map(len, words), default=0)
+    check_budget(4 * n * (n + 1), f"the prefix set of a {n}-letter word")
+    return words
 
 
 def count_words(letters: int, weight: int) -> tuple[int, int]:

@@ -5,48 +5,56 @@ local logarithm with holomorphic coefficients: a finite double sum of
 x^j log(x)^k over j at least zero.  This is the package's one series
 engine: a series is held densely as one coefficient array over j for each
 power of the logarithm, each letter multiplies by its own series and
-integrates termwise, and one routine sums the result.  Integration
-constants are exact zeros at the origin and are matched numerically
-against the continued function at other centers.
+integrates termwise, and one routine sums the result.  With zero constants
+a series is the regularized integral from its center; at a center other
+than the origin expand_at matches them against the continued function.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .curve_genus0 import PoleSet
 from .errors import DomainError, InputError, NumericError
-from .iterint import IntegratorConfig, check_budget
+from .iterint import IntegratorConfig, check_budget, check_prefix_budget
 from .scalars import QI
 
 _CHECK_TOL = 1e-6
 
 # the expansion order expand_at and the CLI use when none is given
 DEFAULT_ORDER = 24
+# the order series_values sums to, where eval_L, eval_batch and mzv start
+SERIES_TERMS = 80
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogLaurentExpansion:
     """A finite double series sum of c[j,k] x^j log(x)^k on a punctured disk.
 
     x is the displacement from the center and the logarithm is principal.
     The series is guaranteed faithful for |x| below the stored radius.
+    rows[k, j] is c[j,k], held read-only; expansions compare by identity.
     """
 
     word: tuple
     center: complex
     radius: float
     order: int
-    terms: tuple  # pairs ((j, k), complex), canonically sorted
+    rows: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", np.array(self.rows, dtype=complex))
+        self.rows.setflags(write=False)
 
     @cached_property
     def coeffs(self) -> dict:
-        return dict(self.terms)
+        return {(j, k): c for k, row in enumerate(self.rows.tolist())
+                for j, c in enumerate(row) if c != 0}
 
     def coeff(self, j: int, k: int) -> complex:
         return self.coeffs.get((j, k), 0j)
@@ -54,14 +62,6 @@ class LogLaurentExpansion:
     @property
     def log_degree(self) -> int:
         return max((k for (_, k) in self.coeffs), default=0)
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        width = max((j for (j, _) in self.coeffs), default=0) + 1
-        rows = np.zeros((self.log_degree + 1, width), dtype=complex)
-        for (j, k), c in self.coeffs.items():
-            rows[k, j] = c
-        return rows
 
     def evaluate(self, z: complex) -> complex:
         x = complex(z) - self.center
@@ -72,18 +72,19 @@ class LogLaurentExpansion:
             raise DomainError(
                 f"point lies outside the disk of radius {self.radius:.3g} "
                 f"around {self.center}")
-        return _series_sum(self._rows, x)
+        return _series_sum(self.rows, x)
 
     def substitute_log_shift(self, delta: complex) -> "LogLaurentExpansion":
-        """Replace log(x) by log(x) + delta and re-expand binomially."""
-        out: dict = {}
-        for (j, k), c in self.coeffs.items():
-            for m in range(k + 1):
-                key = (j, m)
-                out[key] = out.get(key, 0j) + c * math.comb(k, m) * delta ** (k - m)
-        terms = tuple(sorted((jk, v) for jk, v in out.items() if v != 0))
-        return LogLaurentExpansion(self.word, self.center, self.radius,
-                                   self.order, terms)
+        """Replace log(x) by log(x) + delta and re-expand binomially: the
+        Pascal matrix of entries C(k, m) delta^(k - m) times the rows."""
+        delta, k = complex(delta), np.arange(len(self.rows))
+        with np.errstate(all="ignore"):
+            pascal = (np.vectorize(math.comb)(k, k[:, None])
+                      * delta ** np.maximum(k - k[:, None], 0))
+            rows = pascal @ self.rows
+        if not (cmath.isfinite(delta) and np.isfinite(rows).all()):
+            raise DomainError(f"log shift {delta!r} is not finite or overflows")
+        return replace(self, rows=rows)
 
     def to_json(self):
         return {
@@ -160,22 +161,24 @@ def _series_sum(rows: np.ndarray, x: complex) -> complex:
     return total
 
 
-def series_values(words, ps: PoleSet, z: complex, order: int) -> dict:
-    """Values at a point z near the origin of every prefix of the words,
-    summed from their series at the origin with every integration constant
-    zero, the regularization convention; shared prefixes are stepped once."""
-    letters = {lab: _letter_series(ps, lab, QI.of(0), order)
+def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
+    """Values at the displacement x from an exact center of every prefix of
+    the words, summed from their series there to SERIES_TERMS with every
+    integration constant zero (the regularized integral from the center);
+    shared prefixes are stepped once."""
+    c = QI.of(center)
+    letters = {lab: _letter_series(ps, lab, c, SERIES_TERMS)
                for lab in ps.labels}
-    series = {(): np.eye(1, order + 1, dtype=complex)}
+    series = {(): np.eye(1, SERIES_TERMS + 1, dtype=complex)}
     vals = {(): 1.0 + 0j}
-    for w in words:
+    for w in check_prefix_budget(words):
         for k in range(1, len(w) + 1):
             prefix = w[:k]
             if prefix in series:
                 continue
             series[prefix] = _letter_step(series[w[:k - 1]],
                                           letters[prefix[-1]])
-            vals[prefix] = _series_sum(series[prefix], z)
+            vals[prefix] = _series_sum(series[prefix], x)
     return vals
 
 
@@ -222,10 +225,7 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
         rows = _letter_step(rows, _letter_series(ps, lab, c_exact, order))
         if not at_origin:
             rows[0, 0] += vals_ref[word[:n + 1]] - _series_sum(rows, x_ref)
-    terms = (((j, k), c) for k, row in enumerate(rows)
-             for j, c in enumerate(row.tolist()) if c != 0)
-    exp = LogLaurentExpansion(word, c_num, radius, order,
-                              tuple(sorted(terms)))
+    exp = LogLaurentExpansion(word, c_num, radius, order, rows)
     if not at_origin and word:
         got = exp.evaluate(z_chk)
         want = vals_chk[word]

@@ -18,8 +18,8 @@ import numpy as np
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError, PathError
 from .iterint import (DEFAULT_WEIGHT, ArcSeg, GroupLikeSeries,
-                      IntegratorConfig, Path, integrate_h_words, j_element,
-                      plan_path)
+                      IntegratorConfig, Path, glued, integrate_h_words,
+                      j_element, plan_path)
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class Loop:
     label: str = "loop"
 
     def __post_init__(self):
-        p = self.path
-        scale = max(1.0, abs(p.base))
-        if abs(p.end - p.base) > 1e-9 * scale:
+        if not glued(self.path.base, self.path.end):
             raise PathError("loop does not close up")
 
     @property
@@ -41,8 +39,7 @@ class Loop:
 
     def __mul__(self, other: "Loop") -> "Loop":
         """Concatenation: traverse self first, then other."""
-        scale = max(1.0, abs(self.base))
-        if abs(other.base - self.base) > 1e-9 * scale:
+        if not glued(self.base, other.base):
             raise PathError("loops based at different points do not compose")
         return Loop(self.path + other.path, f"{self.label}*{other.label}")
 

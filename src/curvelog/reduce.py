@@ -20,7 +20,8 @@ from itertools import product
 from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
                            decompose)
 from .errors import DomainError, InputError
-from .iterint import IntegratorConfig, Path, integrate_h_words, plan_path
+from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
+                      plan_path)
 from .scalars import QI, accumulate, exact_str
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, word_label,
                            word_sort_key)
@@ -99,11 +100,9 @@ class NormalForm:
         x0 = complex(self.basepoint)
         if path is None:
             path = plan_path(x0, z, self.poles)
-        else:
-            if abs(path.base - x0) > 1e-9 * max(1.0, abs(x0)):
-                raise DomainError("path must start at the basepoint")
-            if abs(path.end - z) > 1e-9 * max(1.0, abs(z)):
-                raise DomainError("path must end at the evaluation point")
+        elif not (glued(x0, path.base) and glued(z, path.end)):
+            raise DomainError("path must run from the basepoint to the "
+                              "evaluation point")
         words = [w for w, _ in self.terms]
         vals, _ = integrate_h_words(path, words, self.section, cfg)
         acc = 0j

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 
-from curvelog.curve_genus0 import RationalFunction, Section
+from curvelog.curve_genus0 import PoleSet, RationalFunction, Section
 from curvelog.errors import NumericError
-from curvelog.hyperlog import (_SERIES_TERMS, _combine, reference_point,
-                               regularize, zero_label)
+from curvelog.hyperlog import (_combine, reference_point, regularize,
+                               zero_label)
 from curvelog.iterint import (_NODES, IntegratorConfig, _run, _spectral,
                               _WordSystem, integrate_h_words, label_words,
                               plan_chain)
@@ -101,13 +101,28 @@ def reference_evaluate(words, pts, ps, cfg=None, tail=None):
     if tail is not None:
         path = path + tail
         marks[-1] = len(path.segments) - 1
-    start = series_values(admissible | {(zlab,)}, ps, z1, _SERIES_TERMS)
+    start = series_values(admissible | {(zlab,)}, ps, z1)
     _, caps = integrate_h_words(
         path, list(start), Section.standard(ps), cfg,
         capture_after=[m for m in marks if m >= 0], start=start)
     rows = [start if m < 0 else caps[m] for m in marks]
     return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}
             for vals in rows]
+
+
+def reference_mzv(word) -> complex:
+    """``hyperlog.mzv`` as it was before it read the series at one: the
+    integral of v from 1/2 to 1 is (-1)^|v| times the value at 1/2 of
+    tau(v), v reversed with the letters 0 and 1 swapped, because z -> 1 - z
+    exchanges the two letters and reverses the path, so every factor is a
+    series value at the origin."""
+    word = tuple(word)
+    ps = PoleSet.of("0,1")
+    tau = tuple("1" if lab == "0" else "0" for lab in reversed(word))
+    vals = series_values([word, tau], ps, reference_point(ps))
+    n = len(word)
+    return sum((vals[word[:k]] * (-1) ** (n - k) * vals[tau[:n - k]]
+                for k in range(n + 1)), 0j)
 
 
 def reference_integrate(path, words, poles, form_of, cfg, capture_after=(),

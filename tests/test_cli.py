@@ -706,6 +706,29 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["mzv"],
+    ["eval", "--poles", "0,1", "--path-json",
+     json.dumps({"base": [0.5, 0], "segments": [{"line": [[0.5, 0],
+                                                          [0.5, 1]]}]})],
+])
+def test_a_20000_letter_word_is_refused_before_its_prefixes(argv, capsys):
+    import tracemalloc
+
+    word = ",".join(("1",) + ("0",) * 19_999)
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--word", word])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "MiB array cap" in captured.err and "Traceback" not in captured.err
+    assert peak < 8 * 2 ** 20
+
+
 def test_exit_code_numeric_errors(monkeypatch, capsys):
     def boom(word):
         raise NumericError("forced")

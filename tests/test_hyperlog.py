@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from curvelog import (
     QI,
+    BudgetError,
     DomainError,
     HyperlogValue,
     PathError,
@@ -33,7 +34,8 @@ from curvelog.iterint import plan_chain
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
-from series_checks import reassemble, reference_evaluate, reference_integrate
+from series_checks import (reassemble, reference_evaluate, reference_integrate,
+                           reference_mzv)
 
 PS = PoleSet.of("0,1")
 
@@ -308,6 +310,58 @@ def test_mzv_matches_the_expansion_at_one():
         assert abs(mzv(w) - want) <= 1e-13 * max(1, abs(want)), w
 
 
+def test_mzv_is_the_tau_route_bit_for_bit():
+    # the series of v reversed at one replaced the series of tau(v) at the
+    # origin; every convergent word to weight 10, with no imaginary part
+    count = 0
+    for n in range(11):
+        for w in itertools.product("01", repeat=n):
+            if w[-1:] != ("1",):
+                got = mzv(w)
+                assert got == reference_mzv(w) and got.imag == 0, w
+                count += 1
+    assert count == 1024
+
+
+def _at_minus_one(word):
+    """A word's value at -1 over {0, 1, -1} by the sum mzv makes at one:
+    the series at 0 summed at -1/2 against the series of its reversed
+    cuts at -1 summed at +1/2."""
+    ps = PoleSet.of("0,1,-1")
+    n, rev = len(word), word[::-1]
+    head = series_values([word], ps, -0.5)
+    tail = series_values([rev], ps, 0.5, center=-1)
+    return sum((head[word[:k]] * (-1) ** (n - k) * tail[rev[:n - k]]
+                for k in range(n + 1)), 0j)
+
+
+def test_euler_sums_at_minus_one_from_two_centers():
+    # -Li_s(-1) = (1 - 2^(1-s)) zeta(s); the depth-two sums are
+    # sum_n (-1)^n H2(n-1) / n^a with H2(n-1) = zeta(2) - zeta(2, n)
+    with mpmath.workdps(30):
+        forms = [(("1",) + ("0",) * (s - 1),
+                  (1 - mpmath.mpf(2) ** (1 - s)) * mpmath.zeta(s))
+                 for s in range(2, 7)]
+        for word, a in ((("1", "0", "1", "0"), 2),
+                        (("1", "0", "1", "0", "0"), 3)):
+            forms.append((word, mpmath.nsum(
+                lambda n: (-1) ** n * (mpmath.zeta(2) - mpmath.zeta(2, n))
+                / n ** a, [1, mpmath.inf])))
+        for word, want in forms:
+            got = _at_minus_one(word)
+            assert got.imag == 0, word
+            assert abs(got.real - want) <= 1e-15 * abs(want), word
+
+
+def test_a_word_past_the_prefix_budget_is_refused_before_any_work():
+    # 20,000 letters: 1.6 GB of prefix tuples, refused at once
+    word = ("1",) + ("0",) * 19_999
+    t = time.perf_counter()
+    with pytest.raises(BudgetError, match="MiB array cap"):
+        mzv(word)
+    assert time.perf_counter() - t < 1.0
+
+
 def test_mzv_needs_no_integrator(monkeypatch):
     from curvelog import iterint
 
@@ -445,7 +499,7 @@ def test_series_engine_matches_the_taylor_recurrence(poles):
     for w in _eval_point_words(ps):
         for _, t in regularize(w, ps).parts:
             admissible.update(t.terms)
-    got = series_values(admissible, ps, z1, 80)
+    got = series_values(admissible, ps, z1)
     cache = {(): [1.0 + 0j] + [0j] * 80}
     checked = 0
     for w in admissible:
@@ -533,7 +587,7 @@ def _cut_sum_reference(words, pts, ps):
     path, marks = plan_chain(z1, pts, ps)
     _, caps = integrate_h_words(path, suffixes, Section.standard(ps),
                                 capture_after=marks)
-    taylors = series_values(admissible, ps, z1, 80)
+    taylors = series_values(admissible, ps, z1)
     rows = []
     for m in marks:
         vals = caps[m]
@@ -645,7 +699,7 @@ def test_an_empty_head_gives_the_value_of_the_full_route(monkeypatch):
     got = eval_L(w, z, ps).value
     reg = regularize(w, ps)
     vals = series_values({u for _, t in reg.parts for u in t.terms}
-                         | {("0",)}, ps, z, hyperlog._SERIES_TERMS)
+                         | {("0",)}, ps, z)
     assert got == hyperlog._combine(reg, vals, vals[("0",)])
     monkeypatch.setattr(iterint, "_integrate", reference_integrate)
     assert eval_L(w, z, ps).value == got

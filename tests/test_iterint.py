@@ -11,6 +11,7 @@ import pytest
 
 from curvelog import (
     ArcSeg,
+    BudgetError,
     DomainError,
     GroupLikeSeries,
     IntegratorConfig,
@@ -38,8 +39,9 @@ from curvelog import (
     regularize,
 )
 
-from curvelog.hyperlog import _SERIES_TERMS, reference_point
-from curvelog.iterint import (_WordSystem, _integrate, plan_chain,
+from curvelog.hyperlog import reference_point
+from curvelog.iterint import (_prefix_closure, _WordSystem, _integrate,
+                              check_prefix_budget, glued, plan_chain,
                               retraced_tail)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import default_basepoint
@@ -67,6 +69,33 @@ def test_path_construction():
         Path.polyline([])
     with pytest.raises(PathError):
         Path((LineSeg(0, 1), LineSeg(2, 3)), 0)  # disconnected
+
+
+def test_a_nan_point_is_glued_to_nothing():
+    # one predicate glues segments, paths, loops and evaluation points, and
+    # a NaN end is glued to nothing, so no closed-loop check lets one by
+    nan = complex(math.nan, 0)
+    assert glued(1e9, 1e9 + 0.5) and not glued(1.0, 1.5)
+    assert not glued(0.5, nan) and not glued(nan, 0.5)
+    with pytest.raises(PathError, match="does not close up"):
+        Loop(Path((LineSeg(0.5, nan),), 0.5))
+    with pytest.raises(PathError, match="do not share an endpoint"):
+        Path((LineSeg(0.5, nan),), 0.5) + Path.line(0.5, 1)
+    with pytest.raises(PathError, match="does not start"):
+        Path((LineSeg(0.5, nan), LineSeg(nan, 0.5)), 0.5)
+
+
+def test_prefixes_past_the_array_cap_are_refused_before_any_are_built():
+    # 8 bytes a letter of every prefix: 8,191 letters fit, 8,192 do not
+    assert len(check_prefix_budget([("0",) * 8191])[0]) == 8191
+    # the budget is one word's: a word with all its prefixes, as eval_L's
+    # integration receives them, costs no more than the word alone
+    assert len(check_prefix_budget(("0",) * k for k in range(1001))) == 1001
+    for n in (8192, 20_000):
+        with pytest.raises(BudgetError, match="prefix set"):
+            check_prefix_budget([("0",) * n])
+        with pytest.raises(BudgetError, match="prefix set"):
+            _prefix_closure(iter([("0",) * n]))
 
 
 def test_path_json_round_trip():
@@ -261,7 +290,7 @@ def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded,
         raise AssertionError("an empty path built or ran a word system")
 
     sec = Section.standard(PS3)
-    start = (series_values(H_WORDS, PS3, EMPTY.base, _SERIES_TERMS)
+    start = (series_values(H_WORDS, PS3, EMPTY.base)
              if seeded else None)
     monkeypatch.setattr(iterint, "_WordSystem", never)
     monkeypatch.setattr(iterint, "_run", never)
@@ -558,7 +587,7 @@ def _eval_l_system(poles, word):
     sec = Section.standard(ps)
     admissible = {u for _, t in regularize(word, ps).parts for u in t.terms}
     z1 = reference_point(ps)
-    start = series_values(admissible | {("0",)}, ps, z1, _SERIES_TERMS)
+    start = series_values(admissible | {("0",)}, ps, z1)
     path, marks = plan_chain(z1, [0.3 + 0.4j, -0.2 + 0.5j, 0.6 - 0.3j], ps)
     return ps, lambda lab: sec.form(lab).f, list(start), start, path, marks
 

@@ -18,8 +18,7 @@ from curvelog import (
     loop_around,
     regularize,
 )
-from curvelog.hyperlog import _SERIES_TERMS
-from curvelog.local_expansion import _letter_series, _letter_step
+from curvelog.local_expansion import SERIES_TERMS, _letter_series, _letter_step
 from series_checks import reference_letter_step
 
 PS = PoleSet.of("0,1")
@@ -175,9 +174,39 @@ def test_json_shape():
 def test_round_trip_through_literal_constructor():
     exp = expand_at(("1",), PS, 0, order=6)
     clone = LogLaurentExpansion(exp.word, exp.center, exp.radius, exp.order,
-                                exp.terms)
+                                exp.rows)
     z = 0.3 + 0.1j
     assert clone.evaluate(z) == exp.evaluate(z)
+
+
+def test_rows_are_read_only_and_expansions_compare_by_identity():
+    exp = expand_at(("0", "1"), PS, 0, order=6)
+    assert exp.rows.shape == (2, 7)
+    with pytest.raises(ValueError):
+        exp.rows[0, 1] = 1
+    rows = exp.rows.copy()
+    clone = LogLaurentExpansion(exp.word, exp.center, exp.radius, exp.order,
+                                rows)
+    rows[0, 1] = 1  # the clone holds its own read-only copy
+    assert clone.coeffs == exp.coeffs
+    assert clone != exp and clone == clone
+
+
+@pytest.mark.parametrize("delta", [math.nan, complex(0.0, math.nan),
+                                   math.inf, complex(0.0, -math.inf)])
+def test_a_non_finite_log_shift_is_refused(delta):
+    exp = expand_at(("0", "1"), PS, 0)
+    with pytest.raises(DomainError, match="log shift"):
+        exp.substitute_log_shift(delta)
+
+
+def test_a_log_shift_that_overflows_is_refused():
+    # log^3 / 6 shifted by 1e200 needs 1e600
+    exp = expand_at(("0", "0", "0"), PS, 0)
+    assert exp.substitute_log_shift(1e100).coeff(0, 0) == pytest.approx(
+        1e300 / 6)
+    with pytest.raises(DomainError, match="log shift"):
+        exp.substitute_log_shift(1e200)
 
 
 def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
@@ -240,7 +269,7 @@ def test_a_single_row_step_is_the_reference_step_bit_for_bit(poles):
     words = _eval_point_prefixes(ps)
     checked = 0
     for w in words:
-        for rows, letter, out in _steps(w, ps, QI.of(0), _SERIES_TERMS):
+        for rows, letter, out in _steps(w, ps, QI.of(0), SERIES_TERMS):
             if len(rows) == 1:
                 assert np.array_equal(out, reference_letter_step(rows, letter))
                 checked += 1
