@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
-from .scalars import QI, accumulate, exact_str
+from .scalars import QI, _make, accumulate, exact_str
 
 QI0 = QI.of(0)
-QI1 = QI.of(1)
 
 
 def _hash_once(self) -> int:
@@ -242,75 +242,16 @@ class RationalFunction:
                    tuple((k, v * c) for k, v in self.principal))
 
     def __mul__(self, other):
-        """self * other through the generators of O(C): self is stepped by
-        z once per degree of other's polynomial part and by 1/(z - s) once
-        per order at each pole s, and each step enters scaled by other's
-        coefficient of that generator power."""
+        """self * other through the generators of O(C) (``_vmul``)."""
         if isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check(other)
-        parts, step = [], self
-        for j, c in enumerate(other.poly):
-            if j:
-                step = step._times_z()
-            if not c.is_zero:
-                parts.append((step, c))
-        pole, order = None, 0
-        for (i, k), c in other.principal:
-            if i != pole:
-                step, pole, order = self, i, 0
-            while order < k:
-                step, order = step._times_letter(i), order + 1
-            parts.append((step, c))
-        if len(parts) == 1 and parts[0][1] == QI1:
-            # other is one generator power with coefficient 1
-            return parts[0][0]
-        poly = ()
-        for step, c in parts:
-            poly = _poly_add(poly, tuple(v * c for v in step.poly))
-        return _rf(self.poles, poly, _sorted_sum(
-            (k, v * c) for step, c in parts for k, v in step.principal))
+        return _unvec(_reduced(*_vmul(_vec(self), _vec(other),
+                                      _pole_ints(self.poles))), self.poles)
 
     __rmul__ = __mul__
-
-    def _times_z(self) -> "RationalFunction":
-        """self * z: the polynomial part moves one degree up, and
-        z a/(z - t)^l = a/(z - t)^(l-1) + t a/(z - t)^l, where the order-0
-        term goes into the constant."""
-        pts = self.poles.points
-        const, items = QI0, []
-        for (j, l), a in self.principal:
-            if l == 1:
-                const = const + a
-            else:
-                items.append(((j, l - 1), a))
-            items.append(((j, l), pts[j] * a))
-        return _rf(self.poles, _trim((const,) + self.poly), _sorted_sum(items))
-
-    def _times_letter(self, i: int) -> "RationalFunction":
-        """self / (z - s), s the pole at index i, part by part: p(z) =
-        q(z)(z - s) + p(s) by synthetic division, a/(z - s)^k moves one
-        order up, and at each other pole t, with d = s - t,
-        1/((z - t)^l (z - s)) = d^-l/(z - s) - sum_j d^-(l-j+1)/(z - t)^j."""
-        pts = self.poles.points
-        s, poly = pts[i], self.poly
-        q, acc = [QI0] * (len(poly) - 1), QI0
-        for j in range(len(poly) - 1, 0, -1):
-            acc = poly[j] + s * acc
-            q[j - 1] = acc
-        items = [((i, 1), poly[0] + s * acc)] if poly else []
-        for (j, l), a in self.principal:
-            if j == i:
-                items.append(((i, l + 1), a))
-                continue
-            inv = QI1 / (s - pts[j])
-            for m in range(l, 0, -1):
-                a = a * inv
-                items.append(((j, m), -a))
-            items.append(((i, 1), a))
-        return _rf(self.poles, tuple(q), _sorted_sum(items))
 
     def differentiate(self) -> "RationalFunction":
         return _rf(self.poles,
@@ -327,9 +268,7 @@ class RationalFunction:
             if k == 1:
                 raise DomainError(
                     f"residue at {self.poles.label(i)} obstructs integration")
-        poly = (QI0,) + tuple(c / (j + 1) for j, c in enumerate(self.poly))
-        return _rf(self.poles, poly if self.poly else (),
-                   tuple(((i, k - 1), c / (1 - k)) for (i, k), c in self.principal))
+        return _unvec(_split(_vec(self), None)[1], self.poles)
 
     def residues(self) -> dict:
         return {i: c for (i, k), c in self.principal if k == 1}
@@ -347,16 +286,7 @@ class RationalFunction:
         return val
 
     def evaluate_exact(self, z) -> QI:
-        z = QI.of(z)
-        val = QI0
-        for c in reversed(self.poly):
-            val = val * z + c
-        for (i, k), c in self.principal:
-            dz = z - self.poles.points[i]
-            if dz.is_zero:
-                raise DomainError(f"evaluation at the pole {self.poles.label(i)}")
-            val = val + c / math.prod((dz,) * k, start=QI1)
-        return val
+        return _make(*_veval(_vec(self), QI.of(z), self.poles))
 
     def compiled(self):
         """A fast complex evaluator closed over float data."""
@@ -434,6 +364,218 @@ def _rf(ps: PoleSet, poly: tuple, principal: tuple) -> RationalFunction:
     object.__setattr__(r, "poly", poly)
     object.__setattr__(r, "principal", principal)
     return r
+
+
+# The int kernels.  Here a function is a vector (D, P, Q): a denominator
+# D > 0, the polynomial numerators P by degree, and a dict Q from each pole
+# with a principal part to its numerators by order 1, 2, ...  A numerator
+# is an (re, im) pair of ints, P and each Q[i] end in a nonzero pair, and
+# no kernel changes its input.  Steps and sums leave to _reduced the one
+# gcd that makes a vector normal, so that equal functions have equal ones.
+
+_Z = (0, 0)
+
+
+def _reduced(D: int, P, Q: dict) -> tuple:
+    g = D if D == 1 else gcd(D, *[x for q in (P, *Q.values())
+                                 for c in q for x in c])
+    if g == 1:
+        return D, P, Q
+    return (D // g, [(a // g, b // g) for a, b in P],
+            {j: [(a // g, b // g) for a, b in q] for j, q in Q.items()})
+
+
+def _vconst(a: int, b: int, d: int) -> tuple:
+    g = gcd(a, b, d)
+    return d // g, [(a // g, b // g)] if a or b else [], {}
+
+
+def _ginv(a: int, b: int, m: int):
+    """m / (a + b i) as (x, y, e) = (x + y i)/e in lowest terms, or None."""
+    n = a * a + b * b
+    g = gcd(m * a, m * b, n)
+    return (m * a // g, -m * b // g, n // g) if n else None
+
+
+@lru_cache(maxsize=64)
+def _pole_ints(ps: PoleSet) -> tuple:
+    """The points as the kernels read them: their common denominator m,
+    each point times m as an (re, im) pair, and inv[i][j] = 1/(s_i - s_j)."""
+    m = lcm(*(p._abd[2] for p in ps.points))
+    S = [(a * (m // d), b * (m // d)) for a, b, d in (p._abd for p in ps)]
+    return m, S, [[None if s is t else _ginv(s[0] - t[0], s[1] - t[1], m)
+                   for t in S] for s in S]
+
+
+@lru_cache(maxsize=64)
+def _section_vectors(section: "Section") -> tuple:
+    """The vectors of g_s - g_s(0) by pole (None where zero, and for all
+    when every one is) and of each form by label, for the kernels."""
+    if section.is_standard:
+        return None, {lab: (1, [], {i: [(1, 0)]})
+                      for i, lab in enumerate(section.poles.labels)}
+    corr = [_vec(g - g.constant_term) if g.poly[1:] or g.principal else None
+            for g in section.corrections]
+    return corr if any(corr) else None, {
+        lab: _vec(w.f) for lab, w in zip(section.poles.labels, section.forms)}
+
+
+@lru_cache(maxsize=256)
+def _vec(f: "RationalFunction") -> tuple:
+    """The normal vector of f, over the lcm of its denominators (each QI is
+    in lowest terms); letters and forms recur, so recent ones are kept."""
+    D = lcm(*(c._abd[2] for c in f.poly),
+            *(c._abd[2] for _, c in f.principal))
+    Q: dict = {}
+    for (i, k), c in f.principal:
+        q, (a, b, d) = Q.setdefault(i, []), c._abd
+        q += [_Z] * (k - 1 - len(q)) + [(a * (D // d), b * (D // d))]
+    return D, [(a * (D // d), b * (D // d))
+               for a, b, d in (c._abd for c in f.poly)], Q
+
+
+def _unvec(v: tuple, ps: PoleSet) -> "RationalFunction":
+    """The function of a normal vector."""
+    D, P, Q = v
+    return _rf(ps, tuple(_make(a, b, D) for a, b in P),
+               tuple(((i, k), _make(a, b, D)) for i, q in sorted(Q.items())
+                     for k, (a, b) in enumerate(q, 1) if a or b))
+
+
+def _vl(v: tuple, i: int, pts: tuple) -> tuple:
+    """v / (z - s), s = S/m the pole at i: synthetic division of the
+    polynomial part, one order up at s, and at each other pole t, with
+    d = 1/(s - t), 1/((z - t)^l (z - s)) = d^l/(z - s) - sum_j
+    d^(l-j+1)/(z - t)^j, both by Horner's rule over one multiplier M."""
+    D, P, Q = v
+    m, S, inv = pts
+    M = m ** (len(P) - 1) if len(P) > 1 else 1
+    for j, q in Q.items():
+        M *= inv[i][j][2] ** len(q) if j != i else 1
+    rr = ri = 0
+    if P:
+        (sr, si), (rr, ri), mt, sc, out = S[i], P[-1], 1, M, []
+        for pr, pi in P[-2::-1]:
+            out.append((rr * sc, ri * sc))
+            mt, sc = mt * m, sc // m
+            rr, ri = mt * pr + sr * rr - si * ri, mt * pi + sr * ri + si * rr
+        P, rr, ri = out[::-1], rr * sc, ri * sc
+    new = {}
+    for j, q in Q.items():
+        if j != i:
+            (x, y, e), L = inv[i][j], len(q)
+            sc, ar, ai, out = M // e ** L, 0, 0, [None] * L
+            for k in range(L - 1, -1, -1):
+                f = e ** (L - 1 - k)
+                ar, ai = ar + f * q[k][0], ai + f * q[k][1]
+                ar, ai, f = ar * x - ai * y, ar * y + ai * x, -e ** k * sc
+                out[k] = (ar * f, ai * f)
+            new[j], rr, ri = out, rr + ar * sc, ri + ai * sc
+    q = [(a * M, b * M) for a, b in Q.get(i, ())]
+    if q or rr or ri:
+        new[i] = [(rr, ri), *q]
+    return D * M, P, new
+
+
+def _vsum(parts) -> tuple:
+    """The sum of (cr + ci i)/cd v over the parts (v, cr, ci, cd), in one
+    pass over their common denominator."""
+    if len(parts) == 1:
+        (D, P, Q), cr, ci, cd = parts[0]
+        if cr == 1 and not ci:
+            return D * cd, P, Q
+        return D * cd, [(a * cr - b * ci, a * ci + b * cr) for a, b in P], {
+            j: [(a * cr - b * ci, a * ci + b * cr) for a, b in q]
+            for j, q in Q.items()}
+    L = lcm(*[v[0] * cd for v, _, _, cd in parts])
+    acc, merged = {}, set()
+    for (D, P, Q), cr, ci, cd in parts:
+        xr, xi = L // (D * cd) * cr, L // (D * cd) * ci
+        for j, q in ((-1, P), *Q.items()):
+            p = acc.get(j)
+            if p is None:
+                acc[j] = [(a * xr - b * xi, a * xi + b * xr) for a, b in q]
+                continue
+            merged.add(j)
+            for k, (a, b) in enumerate(q):
+                a, b = a * xr - b * xi, a * xi + b * xr
+                if k < len(p):
+                    p[k] = (p[k][0] + a, p[k][1] + b)
+                else:
+                    p.append((a, b))
+    for j in merged:  # only a sum can cancel a top pair
+        while acc[j] and acc[j][-1] == _Z:
+            acc[j].pop()
+    P = acc.pop(-1, [])
+    return L, P, {j: q for j, q in acc.items() if q}
+
+
+def _vmul(f: tuple, g: tuple, pts: tuple) -> tuple:
+    """f * g through the generators of O(C): f stepped by 1/(z - s) once
+    per order of g's principal part at s, and g's polynomial part shifted
+    once per degree and stepped by 1/(z - s) once per order of f, each step
+    scaled by the other's numerator of its power, all summed once."""
+    (Df, Pf, Qf), (Dg, Pg, Qg) = f, g
+    parts, todo = [], [(f, Qg, Dg)]
+    if Pg:
+        parts = [((Dg, [*[_Z] * j, *Pg], {}), cr, ci, Df)
+                 for j, (cr, ci) in enumerate(Pf) if cr or ci]
+        todo.append(((Dg, Pg, {}), Qf, Df))
+    for step0, Q, D in todo:
+        for i, q in Q.items():
+            step = step0
+            for cr, ci in q:
+                step = _vl(step, i, pts)
+                if cr or ci:
+                    parts.append((step, cr, ci, D))
+    return _vsum(parts) if parts else (1, [], {})
+
+
+def _vtotal(vs: list) -> tuple:
+    """The normal vector of a sum of normal vectors."""
+    return vs[0] if len(vs) == 1 else _reduced(*_vsum([(v, 1, 0, 1)
+                                                         for v in vs]))
+
+
+def _split(v: tuple, corrections, sign: int = 1) -> tuple:
+    """decompose on vectors, of sign * v: the residues by pole, over v's
+    denominator, and the normal antiderivative without constant of the
+    rest over one multiplier lcm(1..K), less c_s corrections[s] for each
+    residue c_s (corrections from _section_vectors)."""
+    D, P, Q = v
+    M = lcm(*range(1, max([len(P) + 1, *map(len, Q.values())])))
+    res, out, s = {}, {}, -sign * M
+    for j, q in Q.items():
+        if q[0] != _Z:
+            res[j] = sign * q[0][0], sign * q[0][1]
+        if len(q) > 1:
+            out[j] = [(a * (s // k), b * (s // k))
+                      for k, (a, b) in enumerate(q[1:], 1)]
+    f = (D * M, [_Z, *[(-a * (s // k), -b * (s // k))
+                       for k, (a, b) in enumerate(P, 1)]] if P else P, out)
+    parts = corrections and [(corrections[j], -a, -b, D)
+                             for j, (a, b) in res.items() if corrections[j]]
+    return res, _reduced(*_vsum([(f, 1, 0, 1), *parts]) if parts else f)
+
+
+def _veval(v: tuple, x: QI, ps: PoleSet) -> tuple:
+    """v at x as (re, im, den), by Horner's rule in x and in 1/(x - s)."""
+    (D, P, Q), (xa, xb, xd) = v, x._abd
+    m, S, _ = _pole_ints(ps)
+    vals = []
+    for j, q in ((-1, P), *Q.items()):
+        w = (xa, xb, xd) if j < 0 else _ginv(
+            xa * m - S[j][0] * xd, xb * m - S[j][1] * xd, xd * m)
+        if w is None:
+            raise DomainError(f"evaluation at the pole {ps.label(j)}")
+        (wr, wi, e), (hr, hi), den = w, (q or [_Z])[-1], 1
+        for a, b in [*q[-2::-1], *[_Z] * (j >= 0)]:
+            den *= e
+            hr, hi = hr * wr - hi * wi + den * a, hr * wi + hi * wr + den * b
+        vals.append((hr, hi, den))
+    L = lcm(*[d for _, _, d in vals])
+    return (sum(a * (L // d) for a, _, d in vals),
+            sum(b * (L // d) for _, b, d in vals), D * L)
 
 
 @dataclass(frozen=True)
@@ -605,21 +747,11 @@ def decompose(w: Differential, section: Section):
     ps = w.poles
     if ps != section.poles:
         raise DomainError("class and section live over different pole sets")
-    # one pass over the principal part: the simple poles give the residues
-    cs, higher = [QI0] * len(ps), []
-    for key, c in w.f.principal:
-        if key[1] == 1:
-            cs[key[0]] = c
-        else:
-            higher.append((key, c))
-    f = _rf(ps, w.f.poly, tuple(higher)).antiderivative()
-    if not section.is_standard:
-        for i, c in enumerate(cs):
-            g = section.corrections[i]
-            if not c.is_zero and not g.is_zero:
-                f = f - (g - g.constant_term).scale(c)
+    v = _vec(w.f)
+    res, f = _split(v, _section_vectors(section)[0])
     # unchecked, as _rf builds functions: one QI per pole by construction
     h = object.__new__(DeRhamClass)
     object.__setattr__(h, "poles", ps)
-    object.__setattr__(h, "coeffs", tuple(cs))
-    return h, f
+    object.__setattr__(h, "coeffs", tuple(
+        _make(*res.get(i, _Z), v[0]) for i in range(len(ps))))
+    return h, _unvec(f, ps)

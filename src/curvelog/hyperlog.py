@@ -244,9 +244,11 @@ def mzv(word) -> complex:
         raise DomainError("word ends at the puncture 1; the limit diverges")
     ps = PoleSet.of("0,1")
     n, rev = len(word), word[::-1]
+    # keep the head's values, not its prefix keys, while rev's are built
     head = series_values([word], ps, 0.5)
+    head = [head[word[:k]] for k in range(n + 1)]
     tail = series_values([rev], ps, -0.5, center=1)
-    return sum((head[word[:k]] * (-1) ** (n - k) * tail[rev[:n - k]]
+    return sum((head[k] * (-1) ** (n - k) * tail[rev[:n - k]]
                 for k in range(n + 1)), 0j)
 
 

@@ -378,10 +378,17 @@ def _spectral():
 
 
 def _prefix_closure(words: Iterable[tuple]) -> list:
-    """Every prefix of the words, the empty word first, sorted by length."""
-    closure = dict.fromkeys(w[:k] for w in check_prefix_budget(words)
-                            for k in range(len(w) + 1))
-    return sorted(closure, key=len) or [()]
+    """Every prefix of the words, the empty word first, sorted by length.
+    Each word stops at its longest prefix already in the closure, so the
+    n + 1 prefixes of one word cost a few slices each, not n."""
+    closure = {(): None}
+    for w in check_prefix_budget(words):
+        k = len(w) - 1
+        while k > 0 and w[:k] not in closure:
+            k -= 1
+        for j in range(k + 1, len(w) + 1):
+            closure[w[:j]] = None
+    return sorted(closure, key=len)
 
 
 def _resolve_letters(closure: list, form_of) -> dict:

@@ -18,7 +18,8 @@ from functools import cached_property
 from itertools import product
 
 from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
-                           decompose)
+                           _pole_ints, _section_vectors, _split, _unvec,
+                           _vconst, _vec, _veval, _vmul, _vtotal)
 from .errors import DomainError, InputError
 from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
                       plan_path)
@@ -165,27 +166,29 @@ def _check_basepoint(ps: PoleSet, x0) -> QI:
     return x0
 
 
-def _integrate_term(u: tuple, f: RationalFunction, section: Section, x0: QI,
-                    out: list):
-    """Append the normal form of the integral from x0 of I(u) f dz to out.
+def _integrate_term(u: tuple, f: tuple, into: dict, fold: tuple):
+    """Add to into, by class word, the normal form of the integral from x0
+    of I(u) f dz, f an int vector; fold holds the pole set, x0 and the
+    kernel data of the pole set and the section.
 
     Split f dz as sum c_i sigma_i + dg: the class part extends the word, and
     by parts I(u) dg integrates to I(u) g minus the integral of
-    I(u') g sigma_last, where u = u' last.  Each turn shortens u; the empty
-    word integrates dg to g - g(x0)."""
-    while not f.is_zero:
-        h, g = decompose(Differential(f), section)
-        for i, c in h.nonzero():
-            out.append((u + (section.poles.label(i),),
-                        RationalFunction.const(section.poles, c)))
-        if g.is_zero:
+    I(u') g sigma_last, where u = u' last (the next split takes the minus).
+    Each turn shortens u; the empty word integrates dg to g - g(x0)."""
+    (ps, x0, pts, corrections, forms), sign = fold, 1
+    while f[1] or f[2]:
+        res, g = _split(f, corrections, sign)
+        for i, (a, b) in res.items():
+            into.setdefault(u + (ps.labels[i],), []).append(
+                _vconst(a, b, f[0]))
+        if not g[1] and not g[2]:
             return
         if not u:
-            out.append(((), g - g.evaluate_exact(x0)))
+            a, b, d = _veval(g, x0, ps)
+            into.setdefault((), []).extend((g, _vconst(-a, -b, d)))
             return
-        out.append((u, g))
-        f = -(g * section.form(u[-1]).f)
-        u = u[:-1]
+        into.setdefault(u, []).append(g)
+        f, u, sign = _vmul(g, forms[u[-1]], pts), u[:-1], -1
 
 
 def normal_form(t, section: Section, x0=None) -> NormalForm:
@@ -200,7 +203,8 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
     backwards into a trie whose nodes are suffixes, each node sums the
     running terms of every word that reaches it and passes them through its
     first letter into its parent once, and the root, the empty suffix,
-    holds the result.
+    holds the result.  The running terms are curve_genus0's int vectors,
+    converted from the letters and coefficients and back at the root.
     """
     ps = section.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
@@ -213,24 +217,26 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
         for letter in reversed(word):
             if not isinstance(letter, Differential):
                 raise DomainError(f"not a differential letter: {letter!r}")
-            if letter.poles != ps:
+            if letter.poles is not ps and letter.poles != ps:
                 raise DomainError("letter declared over a different pole set")
             child = edges.get((node, letter))
             if child is None:
                 child = edges[node, letter] = len(parent)
                 parent.append(node)
-                letters.append(letter)
+                letters.append(_vec(letter.f))
                 running.append({})
             node = child
-        running[node][()] = RationalFunction.const(ps, coeff)
+        running[node][()] = [_vconst(*coeff._abd)]
+    pts = _pole_ints(ps)
+    fold = (ps, x0, pts, *_section_vectors(section))
     for node in range(len(parent) - 1, 0, -1):
-        terms: list = []
-        g = letters[node].f
-        for u, f in running[node].items():
-            _integrate_term(u, f * g, section, x0, terms)
+        into, g = running[parent[node]], letters[node]
+        for u, parts in running[node].items():
+            _integrate_term(u, _vmul(_vtotal(parts), g, pts), into, fold)
         running[node] = None
-        accumulate(terms, running[parent[node]])
-    return NormalForm(ps, section, x0, tuple(running[0].items()))
+    # NormalForm drops the words whose coefficients sum to zero
+    return NormalForm(ps, section, x0, tuple(
+        (u, _unvec(_vtotal(parts), ps)) for u, parts in running[0].items()))
 
 
 def _mul_into_first(f: RationalFunction, word):

@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 
-from curvelog.curve_genus0 import PoleSet, RationalFunction, Section
+from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
+                                   RationalFunction, Section, _rf, _trim,
+                                   decompose)
 from curvelog.errors import NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
 from curvelog.iterint import (_NODES, IntegratorConfig, _run, _spectral,
-                              _WordSystem, integrate_h_words, label_words,
-                              plan_chain)
+                              _WordSystem, check_prefix_budget,
+                              integrate_h_words, label_words, plan_chain)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
-                             _integrate_term, normal_form)
-from curvelog.scalars import accumulate
+                             normal_form)
+from curvelog.scalars import QI, accumulate
 from curvelog.shuffle_core import ShuffleTensor, shuffle, shuffle_words
 
 
@@ -55,6 +57,149 @@ def section_change(section, weight, x0) -> np.ndarray:
     return change
 
 
+QI1 = QI.of(1)
+
+
+# The exact layer's arithmetic as it stood before it ran on int vectors over
+# one common denominator: every coefficient a QI with its own gcd, and every
+# intermediate a RationalFunction.
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _trim(out)
+
+
+def _sorted_sum(items) -> tuple:
+    """Principal part items summed by key, zeros dropped, keys sorted."""
+    return tuple(sorted(accumulate(items).items()))
+
+
+def reference_mul(f, g):
+    """f * g: f is stepped by z once per degree of g's polynomial part and
+    by 1/(z - s) once per order at each pole s, and each step enters scaled
+    by g's coefficient of that generator power."""
+    parts, step = [], f
+    for j, c in enumerate(g.poly):
+        if j:
+            step = reference_times_z(step)
+        if not c.is_zero:
+            parts.append((step, c))
+    pole, order = None, 0
+    for (i, k), c in g.principal:
+        if i != pole:
+            step, pole, order = f, i, 0
+        while order < k:
+            step, order = reference_times_letter(step, i), order + 1
+        parts.append((step, c))
+    if len(parts) == 1 and parts[0][1] == QI1:
+        return parts[0][0]
+    poly = ()
+    for step, c in parts:
+        poly = _poly_add(poly, tuple(v * c for v in step.poly))
+    return _rf(f.poles, poly, _sorted_sum(
+        (k, v * c) for step, c in parts for k, v in step.principal))
+
+
+def reference_times_z(f):
+    """f * z: the polynomial part moves one degree up, and
+    z a/(z - t)^l = a/(z - t)^(l-1) + t a/(z - t)^l, where the order-0
+    term goes into the constant."""
+    pts = f.poles.points
+    const, items = QI0, []
+    for (j, l), a in f.principal:
+        if l == 1:
+            const = const + a
+        else:
+            items.append(((j, l - 1), a))
+        items.append(((j, l), pts[j] * a))
+    return _rf(f.poles, _trim((const,) + f.poly), _sorted_sum(items))
+
+
+def reference_times_letter(f, i):
+    """f / (z - s), s the pole at index i, part by part: synthetic division
+    of the polynomial part, a/(z - s)^k one order up, and at each other
+    pole t, with d = s - t,
+    1/((z - t)^l (z - s)) = d^-l/(z - s) - sum_j d^-(l-j+1)/(z - t)^j."""
+    pts = f.poles.points
+    s, poly = pts[i], f.poly
+    q, acc = [QI0] * (len(poly) - 1), QI0
+    for j in range(len(poly) - 1, 0, -1):
+        acc = poly[j] + s * acc
+        q[j - 1] = acc
+    items = [((i, 1), poly[0] + s * acc)] if poly else []
+    for (j, l), a in f.principal:
+        if j == i:
+            items.append(((i, l + 1), a))
+            continue
+        inv = QI1 / (s - pts[j])
+        for m in range(l, 0, -1):
+            a = a * inv
+            items.append(((j, m), -a))
+        items.append(((i, 1), a))
+    return _rf(f.poles, tuple(q), _sorted_sum(items))
+
+
+def reference_antiderivative(f):
+    """Termwise antiderivative with zero integration constant, of a
+    function without simple poles."""
+    poly = (QI0,) + tuple(c / (j + 1) for j, c in enumerate(f.poly))
+    return _rf(f.poles, poly if f.poly else (),
+               tuple(((i, k - 1), c / (1 - k)) for (i, k), c in f.principal))
+
+
+def reference_evaluate_exact(f, z):
+    z = QI.of(z)
+    val = QI0
+    for c in reversed(f.poly):
+        val = val * z + c
+    for (i, k), c in f.principal:
+        val = val + c / math.prod((z - f.poles.points[i],) * k, start=QI1)
+    return val
+
+
+def reference_decompose(w, section):
+    """``decompose``: the residues give the class, and f is the
+    antiderivative of the rest minus c_s (g_s - g_s(0)) for each s."""
+    ps = w.poles
+    cs, higher = [QI0] * len(ps), []
+    for key, c in w.f.principal:
+        if key[1] == 1:
+            cs[key[0]] = c
+        else:
+            higher.append((key, c))
+    f = reference_antiderivative(_rf(ps, w.f.poly, tuple(higher)))
+    if not section.is_standard:
+        for i, c in enumerate(cs):
+            g = section.corrections[i]
+            if not c.is_zero and not g.is_zero:
+                f = f - (g - g.constant_term).scale(c)
+    return DeRhamClass(ps, tuple(cs)), f
+
+
+def reference_integrate_term(u, f, section, x0, out):
+    """Append the normal form of the integral from x0 of I(u) f dz to out,
+    on RationalFunctions: split f dz as sum c_i sigma_i + dg, and by parts
+    I(u) dg integrates to I(u) g minus the integral of I(u') g sigma_last,
+    where u = u' last; the empty word integrates dg to g - g(x0)."""
+    while not f.is_zero:
+        h, g = decompose(Differential(f), section)
+        for i, c in h.nonzero():
+            out.append((u + (section.poles.label(i),),
+                        RationalFunction.const(section.poles, c)))
+        if g.is_zero:
+            return
+        if not u:
+            out.append(((), g - g.evaluate_exact(x0)))
+            return
+        out.append((u, g))
+        f = -(g * section.form(u[-1]).f)
+        u = u[:-1]
+
+
 def reference_normal_form(t, section, x0) -> NormalForm:
     """``reduce.normal_form`` as it was before words shared their tails:
     each word is folded on its own, from its coefficient on the empty class
@@ -68,7 +213,7 @@ def reference_normal_form(t, section, x0) -> NormalForm:
         for letter in word:
             terms = []
             for u, f in running.items():
-                _integrate_term(u, f * letter.f, section, x0, terms)
+                reference_integrate_term(u, f * letter.f, section, x0, terms)
             running = accumulate(terms)
         out.extend(running.items())
     return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
@@ -143,6 +288,16 @@ def reference_integrate(path, words, poles, form_of, cfg, capture_after=(),
 
     caps = {si: unpack(vec) for si, vec in captured.items()}
     return unpack(y), caps, [(t, unpack(vec)) for t, vec in rows]
+
+
+def reference_prefix_closure(words) -> list:
+    """``iterint._prefix_closure`` as it was before each word stopped at its
+    first prefix already in the closure: every word sliced into all its
+    prefixes, so the prefixes of an n-letter word, passed as words, cost
+    n^2 / 2 slices."""
+    closure = dict.fromkeys(w[:k] for w in check_prefix_budget(words)
+                            for k in range(len(w) + 1))
+    return sorted(closure, key=len) or [()]
 
 
 def reference_letter_step(rows, letter):

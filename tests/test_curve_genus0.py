@@ -17,7 +17,8 @@ from curvelog import (
     decompose,
     dlog,
 )
-from curvelog.curve_genus0 import QI0, _poly_add, _trim
+from curvelog.curve_genus0 import QI0, _trim
+from series_checks import _poly_add
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -360,6 +363,43 @@ def test_a_word_past_the_prefix_budget_is_refused_before_any_work():
     with pytest.raises(BudgetError, match="MiB array cap"):
         mzv(word)
     assert time.perf_counter() - t < 1.0
+
+
+def test_a_thousand_letter_word_evaluates_in_a_second():
+    # eval_L hands the prefix closure every prefix of the word; each stops
+    # at its longest prefix already there, so none is sliced n times
+    word = ("1",) + ("0",) * 999
+    t = time.perf_counter()
+    value = eval_L(word, 0.5, "0,1").value
+    assert time.perf_counter() - t < 1.0
+    # -Li_1000(1/2), which is -1/2 to double precision
+    assert abs(value + 0.5) <= 1e-15
+
+
+def test_mzv_holds_one_prefix_set_at_a_time():
+    # the head's values are read into a list before the reversed word's
+    # prefixes are built, so the peak rise stays near one prefix set of
+    # 4 n (n + 1) bytes (8 bytes a letter of each prefix tuple).  The peak
+    # is the child's own VmHWM: its ru_maxrss starts at the forking
+    # process's resident set, which would hide the rise.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status for the peak resident set")
+    n = 3000
+    script = (
+        "from curvelog import mzv\n"
+        "def peak():\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            return 1024 * int(line.split()[1])\n"
+        "mzv(('1', '0'))\n"
+        "before = peak()\n"
+        f"mzv(('1',) + ('0',) * {n - 1})\n"
+        "print(peak() - before)\n")
+    src = os.path.dirname(os.path.dirname(hyperlog.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert int(proc.stdout) < 1.5 * 4 * n * (n + 1)
 
 
 def test_mzv_needs_no_integrator(monkeypatch):

@@ -52,7 +52,8 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import (grouplike_residual, reference_integrate,
-                           reference_run, section_change)
+                           reference_prefix_closure, reference_run,
+                           section_change)
 
 PS0 = PoleSet.of("0")
 
@@ -96,6 +97,20 @@ def test_prefixes_past_the_array_cap_are_refused_before_any_are_built():
             check_prefix_budget([("0",) * n])
         with pytest.raises(BudgetError, match="prefix set"):
             _prefix_closure(iter([("0",) * n]))
+
+
+def test_prefix_closure_matches_the_reference():
+    # the walk down from each word's longest prefix builds the same list,
+    # in the same order, as slicing every word into all its prefixes
+    rng = random.Random(29)
+    for _ in range(300):
+        letters = rng.choice(("01", "0ab", "xyz1"))
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+                 for _ in range(rng.randint(0, 9))]
+        if rng.random() < 0.3:  # some lists hold every prefix of a word
+            words += [words[0][:k] for k in rng.sample(
+                range(len(words[0]) + 1), len(words[0]) + 1)] if words else []
+        assert _prefix_closure(words) == reference_prefix_closure(words)
 
 
 def test_path_json_round_trip():

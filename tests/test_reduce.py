@@ -19,6 +19,7 @@ from curvelog import (
     ShuffleTensor,
     d,
     d_map,
+    decompose,
     decompose_subker,
     default_basepoint,
     dlog,
@@ -29,9 +30,13 @@ from curvelog import (
     tensor_to_json,
 )
 import curvelog.reduce
+from curvelog.curve_genus0 import _pole_ints, _reduced, _unvec, _vec, _vl
 from curvelog.scalars import accumulate
 from curvelog.selftest import _letter_pool_omega, _rand_tensor
-from series_checks import reference_normal_form
+from series_checks import (reference_antiderivative, reference_decompose,
+                           reference_evaluate_exact, reference_mul,
+                           reference_normal_form, reference_times_letter,
+                           reference_times_z)
 
 PS = PoleSet.of("0,1")
 SEC = Section.standard(PS)
@@ -335,6 +340,42 @@ def test_corrected_section_outputs_match_the_golden_digest():
     assert digest.hexdigest() == GOLDEN_CORRECTED_SHA256
 
 
+def _random_function(rng, ps):
+    """Gaussian coefficients on a polynomial part of degree up to 3 and on
+    principal parts of order up to 4, each term present or zero at random."""
+    poly = tuple(_gaussian(rng) if rng.random() < 0.7 else QI(0)
+                 for _ in range(rng.randint(0, 4)))
+    principal = tuple(((i, k), _gaussian(rng)) for i in range(len(ps))
+                      for k in range(1, rng.randint(0, 4) + 1)
+                      if rng.random() < 0.6)
+    return RationalFunction(ps, poly, principal)
+
+
+def test_int_kernels_match_the_qi_references():
+    # every step the kernels replaced, on the QI-per-coefficient bodies it
+    # had, exactly, through the standard and a corrected section
+    z = QI(Fraction(5, 11), Fraction(-3, 4))
+    for spec, seed in (("0,1,-1/2,i", 31), ("0,1/3+2/5i,-2", 32)):
+        ps = PoleSet.of(spec)
+        rng = random.Random(seed)
+        sections = (Section.standard(ps), _corrected_section(rng, ps))
+        for _ in range(60):
+            f, g = _random_function(rng, ps), _random_function(rng, ps)
+            assert f * RationalFunction.coordinate(ps) == reference_times_z(f)
+            for i in range(len(ps)):
+                step = _vl(_vec(f), i, _pole_ints(ps))
+                assert _unvec(_reduced(*step), ps) == (
+                    reference_times_letter(f, i))
+            assert f * g == reference_mul(f, g)
+            assert f.evaluate_exact(z) == reference_evaluate_exact(f, z)
+            exact = RationalFunction(ps, f.poly, tuple(
+                (key, c) for key, c in f.principal if key[1] > 1))
+            assert exact.antiderivative() == reference_antiderivative(exact)
+            for sec in sections:
+                assert (decompose(Differential(f), sec)
+                        == reference_decompose(Differential(f), sec))
+
+
 # The reference below is the rewriter the package used before the left fold:
 # every letter expanded up front into class letters plus at most one exact
 # letter d(f), with f read off by subtracting section.apply of the class,
@@ -491,14 +532,14 @@ def test_a_shared_tail_is_folded_once(monkeypatch):
     s = ShuffleTensor.from_word((dlog(ps, "1"),))
     f = RationalFunction.coordinate(ps) + rf_pole("0", 2, ps=ps)
     calls = 0
-    decompose = curvelog.reduce.decompose
+    split = curvelog.reduce._split
 
-    def counted(w, section):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return decompose(w, section)
+        return split(*args)
 
-    monkeypatch.setattr(curvelog.reduce, "decompose", counted)
+    monkeypatch.setattr(curvelog.reduce, "_split", counted)
     counts = []
     for n in (1, 4, 6):
         v = ShuffleTensor.from_word(tuple(letters[k % 2] for k in range(n)))
