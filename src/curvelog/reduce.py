@@ -17,13 +17,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
-                           _pole_ints, _section_vectors, _split, _unvec,
-                           _vconst, _vec, _veval, _vmul, _vtotal)
+from .curve_genus0 import (_Z, Differential, PoleSet, RationalFunction,
+                           Section, _pole_ints, _section_vectors, _split,
+                           _unvec, _vconst, _vec, _veval, _vmul, _vtotal, d)
 from .errors import DomainError, InputError
 from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
                       plan_path)
-from .scalars import QI, accumulate, exact_str
+from .scalars import QI, _make, exact_str
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, word_label,
                            word_sort_key)
 
@@ -140,6 +140,9 @@ class NormalForm:
             terms = tuple(
                 (tuple(item["word"]), RationalFunction.from_json(ps, item["f"]))
                 for item in obj["terms"])
+            if not all(type(item["word"]) is list and set(ps.labels)
+                       .issuperset(item["word"]) for item in obj["terms"]):
+                raise ValueError("a word names no class of the pole set")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed normal form payload: {exc}") from exc
         return cls(ps, section, x0, terms)
@@ -191,21 +194,9 @@ def _integrate_term(u: tuple, f: tuple, into: dict, fold: tuple):
         f, u, sign = _vmul(g, forms[u[-1]], pts), u[:-1], -1
 
 
-def normal_form(t, section: Section, x0=None) -> NormalForm:
-    """Rewrite a tensor of differential words into the canonical
-    function-times-class-word form.
-
-    The iterated integral of w omega is the integral of I(w) omega, so each
-    word is a left fold over its letters: it starts as its coefficient on
-    the empty class word, and each letter omega replaces every running term
-    f I(u) by the normal form of the integral of f I(u) omega.  The fold is
-    linear, so words that end in a common tail share it: the words are read
-    backwards into a trie whose nodes are suffixes, each node sums the
-    running terms of every word that reaches it and passes them through its
-    first letter into its parent once, and the root, the empty suffix,
-    holds the result.  The running terms are curve_genus0's int vectors,
-    converted from the letters and coefficients and back at the root.
-    """
+def _fold(t, section: Section, x0) -> tuple:
+    """normal_form's trie walk: the root's running parts, lists of int
+    vectors by class word, and the fold data that _integrate_term reads."""
     ps = section.poles
     x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
     # node 0 is the empty suffix; a node's parent is created before it, so
@@ -234,9 +225,28 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
         for u, parts in running[node].items():
             _integrate_term(u, _vmul(_vtotal(parts), g, pts), into, fold)
         running[node] = None
+    return running[0], fold
+
+
+def normal_form(t, section: Section, x0=None) -> NormalForm:
+    """Rewrite a tensor of differential words into the canonical
+    function-times-class-word form.
+
+    The iterated integral of w omega is the integral of I(w) omega, so each
+    word is a left fold over its letters: it starts as its coefficient on
+    the empty class word, and each letter omega replaces every running term
+    f I(u) by the normal form of the integral of f I(u) omega.  The fold is
+    linear, so words that end in a common tail share it: the words are read
+    backwards into a trie whose nodes are suffixes, each node sums the
+    running terms of every word that reaches it and passes them through its
+    first letter into its parent once, and the root, the empty suffix,
+    holds the result.  The running terms are curve_genus0's int vectors,
+    converted from the letters and coefficients and back at the root.
+    """
+    root, (ps, x0, *_) = _fold(t, section, x0)
     # NormalForm drops the words whose coefficients sum to zero
     return NormalForm(ps, section, x0, tuple(
-        (u, _unvec(_vtotal(parts), ps)) for u, parts in running[0].items()))
+        (u, _unvec(_vtotal(parts), ps)) for u, parts in root.items()))
 
 
 def _mul_into_first(f: RationalFunction, word):
@@ -339,38 +349,28 @@ def decompose_subker(t, section: Section, x0=None):
     """Split a tensor into a canonical representative plus a kernel part.
 
     The representative is rebuilt from the normal form, top weight first:
-    the constant part of each coefficient becomes a plain section word, the
-    rest becomes a section word with one trailing exact letter.  What the
-    rebuilt pieces overshoot is strictly lower in the termination order, so
-    the loop bottoms out; the leftover difference integrates to zero.
+    the coefficient c + fp of I(u), c constant, gives c sigma(u), of normal
+    form c I(u), and sigma(u) d(fp), of normal form fp I(u) less the integral
+    of I(u') fp sigma_last by parts, u = u' last (fp - fp(x0) when u is
+    empty).  The input is folded once and each piece comes off it by that
+    chain alone; what it overshoots is a constant residue at u, swept next,
+    or lower in the (weight, nonconstant coefficient) order.
     """
-    ps = section.poles
-    x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
     t = _as_omega_tensor(t)
+    acc, fold = _fold(t, section, x0)
+    ps, x0, pts, _, forms = fold
     sub_terms: list = []
-    acc = dict(normal_form(t, section, x0).terms)
     while acc:
         u = max(acc, key=word_sort_key)
-        f = acc[u]
-        c = f.constant_term
-        fp = f - RationalFunction.const(ps, c)
-        if not u and not fp.is_zero:
-            # a lone trailing-exact word integrates to fp - fp(x0), so the
-            # basepoint value moves into the constant piece
-            c = c + fp.evaluate_exact(x0)
-        pieces = []
-        if not c.is_zero:
-            pieces.append((section.word(u), c))
-        if not fp.is_zero:
-            pieces.append(
-                (section.word(u) + (Differential(fp.differentiate()),), 1))
-        # subtracting the full normal form of each piece leaves at most a
-        # constant residue at u (swept on the next visit) and corrections
-        # that are lower in the (weight, nonconstant coefficient) order
-        for piece in pieces:
-            sub_terms.append(piece)
-            accumulate(((w, -g) for w, g in normal_form(
-                ShuffleTensor((piece,)), section, x0).terms), acc)
+        D, P, Q = _vtotal(acc.pop(u))
+        c = _make(*(P[0] if P else _Z), D)
+        fp = (D, P[1:] and [_Z, *P[1:]], Q) if P[1:] or Q else None
+        if fp and u:
+            _integrate_term(u[:-1], _vmul(fp, forms[u[-1]], pts), acc, fold)
+        elif fp:
+            c = c + _make(*_veval(fp, x0, ps))  # fp(x0) moves into c
+        sub_terms.append((section.word(u), c))  # a zero c is skipped
+        if fp:
+            sub_terms.append((section.word(u) + (d(_unvec(fp, ps)),), 1))
     sub = ShuffleTensor(sub_terms)
-    ker = t - sub
-    return sub, ker
+    return sub, t - sub

@@ -16,9 +16,10 @@ from curvelog.iterint import (_NODES, IntegratorConfig, _run, _spectral,
                               integrate_h_words, label_words, plan_chain)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
-                             normal_form)
+                             default_basepoint, normal_form)
 from curvelog.scalars import QI, accumulate
-from curvelog.shuffle_core import ShuffleTensor, shuffle, shuffle_words
+from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_words,
+                                   word_sort_key)
 
 
 def grouplike_residual(series) -> float:
@@ -217,6 +218,43 @@ def reference_normal_form(t, section, x0) -> NormalForm:
             running = accumulate(terms)
         out.extend(running.items())
     return NormalForm(ps, section, x0, tuple(accumulate(out).items()))
+
+
+def reference_decompose_subker(t, section, x0=None):
+    """``reduce.decompose_subker`` as it was before it folded its input
+    once: the representative is rebuilt from the normal form, top weight
+    first, and the full normal form of each piece is folded on its own and
+    subtracted."""
+    ps = section.poles
+    x0 = default_basepoint(ps) if x0 is None else _check_basepoint(ps, x0)
+    t = _as_omega_tensor(t)
+    sub_terms: list = []
+    acc = dict(normal_form(t, section, x0).terms)
+    while acc:
+        u = max(acc, key=word_sort_key)
+        f = acc[u]
+        c = f.constant_term
+        fp = f - RationalFunction.const(ps, c)
+        if not u and not fp.is_zero:
+            # a lone trailing-exact word integrates to fp - fp(x0), so the
+            # basepoint value moves into the constant piece
+            c = c + fp.evaluate_exact(x0)
+        pieces = []
+        if not c.is_zero:
+            pieces.append((section.word(u), c))
+        if not fp.is_zero:
+            pieces.append(
+                (section.word(u) + (Differential(fp.differentiate()),), 1))
+        # subtracting the full normal form of each piece leaves at most a
+        # constant residue at u (swept on the next visit) and corrections
+        # that are lower in the (weight, nonconstant coefficient) order
+        for piece in pieces:
+            sub_terms.append(piece)
+            accumulate(((w, -g) for w, g in normal_form(
+                ShuffleTensor((piece,)), section, x0).terms), acc)
+    sub = ShuffleTensor(sub_terms)
+    ker = t - sub
+    return sub, ker
 
 
 def reassemble(reg, ps) -> ShuffleTensor:

@@ -11,6 +11,7 @@ from curvelog import (
     QI,
     Differential,
     DomainError,
+    InputError,
     KernelWitness,
     NormalForm,
     PoleSet,
@@ -34,6 +35,7 @@ from curvelog.curve_genus0 import _pole_ints, _reduced, _unvec, _vec, _vl
 from curvelog.scalars import accumulate
 from curvelog.selftest import _letter_pool_omega, _rand_tensor
 from series_checks import (reference_antiderivative, reference_decompose,
+                           reference_decompose_subker,
                            reference_evaluate_exact, reference_mul,
                            reference_normal_form, reference_times_letter,
                            reference_times_z)
@@ -221,6 +223,50 @@ def test_decompose_subker_random_round_trip():
         assert normal_form(sub, SEC, X0).terms == normal_form(t, SEC, X0).terms
 
 
+def _subker_cases(sub, section, x0):
+    """(exact pieces at a nonempty class word u, those among them whose
+    by-parts chain writes a constant residue back to u) in a representative:
+    the piece's normal form at u is then more than its fp."""
+    label_of = dict(zip(section.forms, section.poles.labels))
+    exact = back = 0
+    for w in sub.terms:
+        if len(w) > 1 and w[-1] not in label_of:
+            exact += 1
+            u = tuple(label_of[letter] for letter in w[:-1])
+            nf = normal_form(ShuffleTensor.from_word(w), section, x0)
+            back += nf.coefficient(u) != w[-1].f.antiderivative()
+    return exact, back
+
+
+def test_decompose_subker_matches_the_per_piece_fold():
+    ps = PoleSet.of("0,1")
+    sec, x0 = Section.standard(ps), default_basepoint(ps)
+    # an exact piece at u = (0, 1); in the second tensor z sigma_1 has a
+    # residue at 1, so the chain writes a constant back to (0, 1)
+    head = sec.word(("0", "1"))
+    hand = [ShuffleTensor.from_word(head + (d(rf_pole("1", 1)),))
+            + ShuffleTensor.from_word(head, QI(2)),
+            ShuffleTensor.from_word(head + (d(RationalFunction.coordinate(ps)),))
+            + ShuffleTensor.from_word(head, QI(2))]
+    wants = [reference_decompose_subker(t, sec, x0) for t in hand]
+    assert [decompose_subker(t, sec, x0) for t in hand] == wants
+    assert [_subker_cases(sub, sec, x0) for sub, _ in wants] == [(1, 0), (1, 1)]
+    exact = back = 0
+    for spec, seed in (("0,1", 31), ("0,1,-1/2,i", 32)):
+        ps = PoleSet.of(spec)
+        rng = random.Random(seed)
+        pool = _letter_pool_omega(ps)
+        x0 = default_basepoint(ps)
+        for sec in (Section.standard(ps), _corrected_section(rng, ps)):
+            for _ in range(12):
+                t = _rand_tensor(rng, pool)
+                want = reference_decompose_subker(t, sec, x0)
+                assert decompose_subker(t, sec, x0) == want
+                e, b = _subker_cases(want[0], sec, x0)
+                exact, back = exact + e, back + b
+    assert exact > 0 and back > 0
+
+
 def test_normal_form_linearity():
     f = RationalFunction.coordinate(PS)
     a = ShuffleTensor.from_word((Differential(f.differentiate()), omega("0")))
@@ -241,6 +287,19 @@ def test_normal_form_json_round_trip():
     assert back.terms == nf.terms
     assert back.basepoint == nf.basepoint
     assert "section" not in nf.to_json()
+
+
+@pytest.mark.parametrize("word", ["-1", ["7"], ["0", 1]])
+def test_normal_form_json_rejects_a_word_that_names_no_class(word):
+    # "-1" would read as the letters "-" and "1", and each of these
+    # payloads would fail only later, in evaluate
+    ps = PoleSet.of("0,1,-1")
+    t = ShuffleTensor.from_word((dlog(ps, "-1"),))
+    obj = normal_form(t, Section.standard(ps)).to_json()
+    assert obj["terms"][0]["word"] == ["-1"]
+    obj["terms"][0]["word"] = word
+    with pytest.raises(InputError):
+        NormalForm.from_json(obj)
 
 
 def test_basepoint_may_not_be_a_pole():
@@ -547,6 +606,33 @@ def test_a_shared_tail_is_folded_once(monkeypatch):
         assert kernel_member(d_map(s, f, v), Section.standard(ps))
         counts.append(calls)
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_decompose_subker_folds_its_input_once(monkeypatch):
+    # exact pieces at (0, 1) and (0,), each writing a constant back to its
+    # class word, and a kernel generator: one fold, and no piece is folded
+    # on its own
+    head = SEC.word(("0", "1"))
+    t = (ShuffleTensor.from_word(head + (d(RationalFunction.coordinate(PS)),))
+         + ShuffleTensor.from_word(head[:1] + (d(rf_pole("1", 2)),), QI(3))
+         + d_map(ShuffleTensor.unit(), rf_pole("0", 2),
+                 ShuffleTensor.from_word((omega("1"),)), X0))
+    folds = 0
+    fold = curvelog.reduce._fold
+
+    def counted(*args):
+        nonlocal folds
+        folds += 1
+        return fold(*args)
+
+    def refused(*args):
+        raise AssertionError("normal_form called on a piece")
+
+    want = reference_decompose_subker(t, SEC, X0)
+    monkeypatch.setattr(curvelog.reduce, "_fold", counted)
+    monkeypatch.setattr(curvelog.reduce, "normal_form", refused)
+    assert decompose_subker(t, SEC, X0) == want
+    assert folds == 1
 
 
 def test_a_long_section_word_is_its_own_normal_form():
