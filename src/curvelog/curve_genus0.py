@@ -341,6 +341,10 @@ class RationalFunction:
             raise InputError("'poly' and 'principal' must be JSON lists")
         pp = []
         for item in principal:
+            if (type(item) is not dict
+                    or not item.keys() >= {"pole", "order", "coeff"}):
+                raise InputError(f"principal item {item!r} needs the keys "
+                                 f"'pole', 'order' and 'coeff'")
             i, k = ps.index(item["pole"]), item["order"]
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")

@@ -3,11 +3,12 @@
 A word of differentials integrates jointly with all its prefixes: each word
 is the integral of its parent times one form, so the system is strictly
 lower triangular and is solved level by level (word length) with spectral
-integration on Chebyshev-Lobatto nodes.  Each segment is bisected into
-pieces no longer than their distance to the nearest puncture, and a piece
-is bisected again while the Chebyshev tail of its values exceeds the
-tolerance.  Paths are piecewise lines and circular arcs and must keep a
-guard distance from every declared puncture.
+integration on Chebyshev-Lobatto nodes.  Each segment is planned in full
+before it is integrated: it is bisected into pieces whose Bernstein ellipse
+(in the segment's own parameter, the angle on an arc) keeps every puncture
+at rho >= 2 + sqrt(5), and a piece is bisected again while the Chebyshev
+tail of its values exceeds the tolerance.  Paths are piecewise lines and
+circular arcs and must keep a guard distance from every declared puncture.
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import BudgetError, DomainError, NumericError, PathError
 
 
+def _bernstein(a: complex, b: complex, p: complex) -> float:
+    """The parameter rho of the Bernstein ellipse of [a, b] through p:
+    (d + sqrt(d^2 - L^2)) / L for d = |p - a| + |p - b| and L = |b - a|,
+    from t = d / L so that no length is squared (d * d overflows from
+    about 1e154); infinite for a point interval, NaN when t is."""
+    length = abs(b - a)
+    if length == 0:
+        return math.inf
+    t = abs(p - a) / length + abs(p - b) / length
+    return t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))
+
+
 @dataclass(frozen=True)
 class LineSeg:
     start: complex
@@ -33,9 +46,10 @@ class LineSeg:
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
 
-    def nodes(self, t: np.ndarray):
-        """The points and velocities at the parameters t."""
-        return self.point(t), self.end - self.start
+    def nodes(self, t: np.ndarray, dt=1.0):
+        """The points at the parameters t and the velocities there times
+        dt, a piece's share of the parameter."""
+        return self.point(t), dt * (self.end - self.start)
 
     @property
     def length(self) -> float:
@@ -61,6 +75,10 @@ class LineSeg:
             return abs(p - self.end)
         return abs(p - (self.start + s * u))
 
+    def bernstein(self, p: complex) -> float:
+        """The Bernstein parameter of the puncture p for this segment."""
+        return _bernstein(self.start, self.end, p)
+
     def reverse(self) -> "LineSeg":
         return LineSeg(self.end, self.start)
 
@@ -84,12 +102,14 @@ class ArcSeg:
         th = self.theta0 + t * (self.theta1 - self.theta0)
         return self.center + self.radius * np.exp(1j * th)
 
-    def nodes(self, t: np.ndarray):
-        """The points and velocities at the parameters t, from one exp."""
+    def nodes(self, t: np.ndarray, dt=1.0):
+        """The points at the parameters t and the velocities there times
+        dt, from one exp; dt scales the angle first, so that a piece of a
+        circle whose radius times its whole angle overflows does not."""
         th = self.theta0 + t * (self.theta1 - self.theta0)
         w = np.exp(1j * th)
         return (self.center + self.radius * w,
-                1j * (self.theta1 - self.theta0) * self.radius * w)
+                1j * (dt * (self.theta1 - self.theta0)) * self.radius * w)
 
     @property
     def start(self) -> complex:
@@ -98,10 +118,6 @@ class ArcSeg:
     @property
     def end(self) -> complex:
         return complex(self.point(1.0))
-
-    @property
-    def length(self) -> float:
-        return self.radius * abs(self.theta1 - self.theta0)
 
     def piece(self, ta: float, tb: float) -> "ArcSeg":
         dth = self.theta1 - self.theta0
@@ -127,6 +143,21 @@ class ArcSeg:
         if inside:
             return abs(rho - self.radius)
         return min(abs(p - self.start), abs(p - self.end))
+
+    def bernstein(self, p: complex) -> float:
+        """The Bernstein parameter of the puncture p for this arc, in its
+        angle: z = c + r e^{i theta} meets p at theta_p + 2 pi k, with
+        theta_p = -i log((p - c) / r), and the image nearest the middle
+        angle bounds the arc.  The center is never reached, and dz / (z - c)
+        = i dtheta is constant, so it bounds nothing."""
+        if p == self.center or self.radius == 0:
+            return math.inf
+        w = (p - self.center) * math.copysign(1.0, self.radius)
+        depth = math.log(abs(self.radius)) - math.log(abs(w))
+        mid = 0.5 * self.theta0 + 0.5 * self.theta1
+        arg = cmath.phase(w)
+        arg += 2 * math.pi * round((mid - arg) / (2 * math.pi))
+        return _bernstein(self.theta0, self.theta1, complex(arg, depth))
 
     def reverse(self) -> "ArcSeg":
         return ArcSeg(self.center, self.radius, self.theta1, self.theta0)
@@ -159,6 +190,12 @@ class ArcSeg:
 
 
 _GLUE_TOL = 1e-9
+
+# The largest modulus of a point plan_path joins and of a number in a path
+# payload: numpy's complex division in the letters' evaluators overflows
+# once |Re| + |Im| of z - s passes the largest float, about 1.8e308 (at
+# 1e308 (1 + i) log z read 709.436 for 709.543).
+_MAX_MODULUS = 1e306
 
 
 def glued(a: complex, b: complex) -> bool:
@@ -243,8 +280,9 @@ class Path:
     def from_json(cls, obj) -> "Path":
         def num(x) -> float:  # a JSON number, not a bool, NaN or ±Infinity
             if (isinstance(x, bool) or not isinstance(x, (int, float))
-                    or not math.isfinite(x)):
-                raise ValueError(f"{x!r} is not a finite number")
+                    or not abs(x) <= _MAX_MODULUS):
+                raise ValueError(f"{x!r} is not a finite number within "
+                                 f"±{_MAX_MODULUS:.0e}")
             return float(x)
 
         try:
@@ -274,8 +312,10 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     close to the segment.  Detours are half circles on the left of the travel
     direction, which is above the poles for rightward travel."""
     a, b = complex(a), complex(b)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise DomainError(f"cannot plan a path from {a!r} to {b!r}")
+    if not (math.hypot(a.real, a.imag) <= _MAX_MODULUS
+            and math.hypot(b.real, b.imag) <= _MAX_MODULUS):
+        raise DomainError(f"cannot plan a path from {a!r} to {b!r}: its "
+                          f"ends must lie within modulus {_MAX_MODULUS:.0e}")
     if a == b:
         return Path((), a)
     guard = ps.guard
@@ -343,10 +383,17 @@ class IntegratorConfig:
             raise DomainError("bad integrator limits")
 
 
-# Chebyshev-Lobatto nodes per piece.  A piece no longer than its distance
-# to the nearest puncture sits inside a Bernstein ellipse with rho >= 4, so
-# the interpolation error falls below 4**-24, about 4e-15, of the values.
+# Chebyshev-Lobatto nodes per piece, and the Bernstein parameter every
+# puncture must keep from a piece: 2 + sqrt(5), the ellipse of a line piece
+# of length L through a puncture at distance L from its middle, the worst
+# case of a piece no longer than its distance to the nearest puncture.  The
+# interpolation error falls below rho**-24, about 1e-15, of the values.
 _NODES = 24
+_RHO_MIN = 2 + math.sqrt(5)
+# Pieces whose letters are evaluated in one pass, and (ta, tb) @ _HALF_SPAN,
+# half a piece's share of its segment's parameter.
+_CHUNK = 32
+_HALF_SPAN = np.array([-0.5, 0.5])
 
 
 @lru_cache(maxsize=1)
@@ -356,8 +403,9 @@ def _spectral():
     integral from -1), the last two rows of the values-to-coefficients map,
     transposed, and the reads of an integral straight from the node values
     of f: its endpoint and its two tail coefficients, ``[ST[:, -1], ST @
-    tail]``.  Built from the closed-form DCT-I inverse and the Chebyshev
-    integration recurrence."""
+    tail]``, and the map from a piece (ta, tb) of a segment to the segment
+    parameters of its nodes, ``(ta, tb) @ ends``.  Built from the
+    closed-form DCT-I inverse and the Chebyshev integration recurrence."""
     n = _NODES - 1
     theta = np.pi * np.arange(n, -1, -1) / n
     E = np.cos(np.outer(theta, np.arange(n + 2)))  # T_j(x_k), j <= n + 1
@@ -374,7 +422,9 @@ def _spectral():
     S = E @ B @ C
     S[0] = 0.0
     ST, tail = np.ascontiguousarray(S.T), np.ascontiguousarray(C[-2:].T)
-    return E[:, 1], ST, tail, np.column_stack((ST[:, -1], ST @ tail))
+    s = 0.5 * (1.0 + E[:, 1])
+    return (E[:, 1], ST, tail, np.column_stack((ST[:, -1], ST @ tail)),
+            np.array((1.0 - s, s)))
 
 
 def _prefix_closure(words: Iterable[tuple]) -> list:
@@ -454,9 +504,45 @@ class _WordSystem:
         return self
 
 
+def _halves(ta: float, tb: float) -> list:
+    """The halves of the piece (ta, tb) of a segment, the right one first."""
+    mid = 0.5 * (ta + tb)
+    if not ta < mid < tb:
+        raise NumericError("integration piece underflow: the tolerance is "
+                           "below rounding error")
+    return [(mid, tb), (ta, mid)]
+
+
+def _plan(seg, punctures, budget: int):
+    """The pieces (ta, tb) of a segment in order, halved until every
+    puncture keeps a Bernstein parameter of at least _RHO_MIN from each (a
+    NaN one keeps none), and the number of pieces examined; NumericError
+    once that number passes the budget."""
+    plan, todo, examined = [], [(0.0, 1.0)], 0
+    while todo:
+        ta, tb = todo.pop()
+        examined += 1
+        if examined > budget:
+            raise NumericError("integration piece budget exhausted")
+        piece = seg.piece(ta, tb)
+        if all(piece.bernstein(p) >= _RHO_MIN for p in punctures):
+            plan.append((ta, tb))
+        else:
+            todo += _halves(ta, tb)
+    return plan, examined
+
+
 def _run(system: _WordSystem, y: np.ndarray, path: Path,
          cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
     """Integrate the system from y along the path, piece by piece.
+
+    Each segment is planned in full first: bisected until every puncture
+    keeps a Bernstein parameter of at least _RHO_MIN from each piece.  The
+    letters at the nodes of its pieces are evaluated a chunk at a time, and
+    the pieces are solved in order.  A piece whose Chebyshev tail is above
+    the tolerance is halved; its halves skip the ellipse test, since rho
+    only grows on a sub-interval, and evaluate their own letters.  The
+    budget counts each piece the plan tests and each half of a tail split.
 
     Each level is one GEMM on its parents' node values, Y[plo:phi] @ M with
     M = [diag(g_a) ST]_a over the letters a, built once per piece: written
@@ -466,8 +552,8 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     them, its endpoints and tail coefficients come straight from the
     parents' node values, through the thin product Y[plo:phi] @
     (diag(g_a) [ST[:, -1], ST @ tail]), in place of a full GEMM per row."""
-    x, ST, tail, reads = _spectral()
-    s = 0.5 * (1.0 + x)
+    _, ST, tail, reads, ends = _spectral()
+    s = ends[1]  # the nodes' parameters on [0, 1]
     n, m = system.n, len(system.evaluators)
     inner = system.levels
     top = None
@@ -476,24 +562,29 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     kept = top[0] if top else n  # the rows whose node values are kept
     Y = np.empty((kept, _NODES), dtype=complex)
     Y[0] = y[0]
-    G = np.empty((m, _NODES), dtype=complex)
+    GB = np.empty((_CHUNK + 1, m, _NODES), dtype=complex)  # last: a half
     M = np.empty((_NODES, m * _NODES), dtype=complex)
     W = np.empty((max((phi - plo for _, _, plo, phi, pick in inner
                        if pick is not None), default=0), m * _NODES),
                  dtype=complex)
     K = np.empty((_NODES, m, 3), dtype=complex)
-    end = np.empty(n, dtype=complex)
+    # the endpoint values before and after the piece, swapped on success
+    y, end = y.copy(), np.empty(n, dtype=complex)
     T = np.empty((n, 2), dtype=complex)
     tail_sum = tail.sum(axis=0)  # a constant's tail: zero but for rounding
 
-    def solve(piece) -> bool:
-        """Endpoint values of every word on the piece into end, and node
-        values of every kept row into Y, level by level; True when every
-        row's Chebyshev tail is within the tolerance."""
-        z, dz = piece.nodes(s)
+    def letters(seg, spans, out):
+        """Each letter's form times half the velocity at the nodes of the
+        pieces spans[i] = (ta, tb) of seg, piece i's into out[i]."""
+        z, dz = seg.nodes(spans @ ends, (spans @ _HALF_SPAN)[:, None])
         for j, ev in enumerate(system.evaluators):
-            G[j] = ev(z)
-        G[:] *= 0.5 * dz
+            out[:, j] = ev(z)
+        out *= dz[:, None]
+
+    def solve(G) -> bool:
+        """Endpoint values of every word on the piece with letters G into
+        end, and node values of every kept row into Y, level by level; True
+        when every row's Chebyshev tail is within the tolerance."""
         np.multiply(G.T[:, :, None], ST[:, None],
                     out=M.reshape(_NODES, m, _NODES))
         for lo, hi, plo, phi, pick in inner:
@@ -522,28 +613,32 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        todo = [(0.0, 1.0)]
-        while todo:
-            ta, tb = todo.pop()
-            pieces += 1
-            if pieces > cfg.max_steps:
-                raise NumericError("integration piece budget exhausted")
-            piece = seg.piece(ta, tb)
-            clear = min((piece.min_distance(p) for p in punctures),
-                        default=math.inf)
-            if piece.length > clear or not solve(piece):
-                mid = 0.5 * (ta + tb)
-                if not ta < mid < tb:
-                    raise NumericError("integration piece underflow: the "
-                                       "tolerance is below rounding error")
-                todo += [(mid, tb), (ta, mid)]
-                continue
-            y = end.copy()
-            if trace:
-                rows.extend((si + ta + (tb - ta) * s[k], Y[:, k].copy())
-                            for k in range(1, _NODES))
+        plan, examined = _plan(seg, punctures, cfg.max_steps - pieces)
+        pieces += examined
+        for c in range(0, len(plan), _CHUNK):
+            spans = plan[c:c + _CHUNK]
+            letters(seg, np.array(spans), GB[:len(spans)])
+            for span, G in zip(spans, GB):
+                todo = [(*span, G)]
+                while todo:
+                    ta, tb, G = todo.pop()
+                    if G is None:
+                        letters(seg, np.array([(ta, tb)]), GB[_CHUNK:])
+                        G = GB[_CHUNK]
+                    if not solve(G):
+                        pieces += 2
+                        if pieces > cfg.max_steps:
+                            raise NumericError(
+                                "integration piece budget exhausted")
+                        todo += [(*half, None) for half in _halves(ta, tb)]
+                        continue
+                    y, end = end, y
+                    if trace:
+                        rows.extend((si + ta + (tb - ta) * s[k],
+                                     Y[:, k].copy())
+                                    for k in range(1, _NODES))
         if si in capture_after:
-            captured[si] = y
+            captured[si] = y.copy()
     return y, captured, rows
 
 

@@ -11,8 +11,8 @@ from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
 from curvelog.errors import NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
-from curvelog.iterint import (_NODES, IntegratorConfig, _run, _spectral,
-                              _WordSystem, check_prefix_budget,
+from curvelog.iterint import (_NODES, _RHO_MIN, IntegratorConfig, _run,
+                              _spectral, _WordSystem, check_prefix_budget,
                               integrate_h_words, label_words, plan_chain)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
@@ -364,9 +364,13 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
     parents' rows and the top level one thin product: every level gathers
     its parents' node values and letters row by row, runs a full GEMM
     against the integration matrix, and every row's tail is read from its
-    node values.  Returns _run's (endpoint, captured, trace rows) and the
-    pieces examined."""
-    x, ST, tail, _ = _spectral()
+    node values.  It plans each piece by the same ellipse rule, on one walk
+    that also integrates: a piece is halved while a puncture keeps a
+    Bernstein parameter below _RHO_MIN, and the halves of a piece whose
+    tail is above the tolerance skip that test, so the pieces are _run's.
+    Returns _run's (endpoint, captured, trace rows) and the pieces
+    examined."""
+    x, ST, tail, *_ = _spectral()
     s = 0.5 * (1.0 + x)
     n = system.n
     Y = np.empty((n, _NODES), dtype=complex)
@@ -396,21 +400,22 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        todo = [(0.0, 1.0)]
+        todo = [(0.0, 1.0, True)]
         while todo:
-            ta, tb = todo.pop()
+            ta, tb, planning = todo.pop()
             pieces += 1
             if pieces > cfg.max_steps:
                 raise NumericError("integration piece budget exhausted")
             piece = seg.piece(ta, tb)
-            clear = min((piece.min_distance(p) for p in punctures),
-                        default=math.inf)
-            if piece.length > clear or not solve(piece):
+            planned = (not planning
+                       or all(piece.bernstein(p) >= _RHO_MIN
+                              for p in punctures))
+            if not planned or not solve(piece):
                 mid = 0.5 * (ta + tb)
                 if not ta < mid < tb:
                     raise NumericError("integration piece underflow: the "
                                        "tolerance is below rounding error")
-                todo += [(mid, tb), (ta, mid)]
+                todo += [(mid, tb, not planned), (ta, mid, not planned)]
                 continue
             y = Y[:, -1].copy()
             if trace:

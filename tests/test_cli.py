@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -589,6 +590,42 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["expand", "--poles", "0,1", "--word", "0",
                  "--point", "1e400"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_points_past_the_modulus_bound_are_refused(capsys):
+    # numpy's complex division in the letters' evaluators overflows near
+    # 1e308 (1 + i), where log z read 709.436 for 709.543 with exit 0, and a
+    # path coordinate of 1.5e308 ended in an OverflowError traceback
+    for word in ("0", "1"):
+        err = _refused(capsys, ["eval", "--poles", "0,1", "--word", word,
+                                "--point", "1e308+1e308i"])
+        assert "within modulus 1e+306" in err
+    path = {"base": [2, 0],
+            "segments": [{"line": [[2, 0], [1.5e308, 1.5e308]]}]}
+    assert main(["eval", "--poles", "0,1", "--word", "0",
+                 "--path-json", json.dumps(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "within ±1e+306" in captured.err
+    # inside the bound the value is right: 691.1221014884808 + pi/4 i
+    for word, shift in (("0", 0), ("1", -math.pi)):
+        data = run_json(capsys, "eval", "--poles", "0,1", "--word", word,
+                        "--point", "1e300+1e300i")
+        want = cmath.log(complex(1e300, 1e300)) + 1j * shift
+        assert abs(complex(*data["value"]) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("item", [{"pole": "1"}, {"order": 1, "coeff": "1"},
+                                  {"pole": "1", "order": 1}])
+def test_a_principal_item_without_its_keys_is_an_input_error(capsys, item):
+    # each of these escaped as a KeyError traceback
+    letter = {"rf": {"poly": [], "principal": [item]}}
+    tensor = json.dumps({"terms": [{"word": [letter], "coeff": {"re": "1"}}]})
+    for command in ("reduce", "kernel"):
+        assert main([command, "--poles", "0,1", "--tensor-json", tensor]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "principal item" in captured.err
 
 
 _TINY = "1/1" + "0" * 400  # the label of 1e-400, which rounds to 0.0

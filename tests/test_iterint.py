@@ -4,10 +4,13 @@ import json
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from curvelog import (
     ArcSeg,
@@ -35,14 +38,15 @@ from curvelog import (
     label_words,
     loop_around,
     nabla_sigma,
+    period_matrix,
     plan_path,
     regularize,
 )
 
 from curvelog.hyperlog import reference_point
-from curvelog.iterint import (_prefix_closure, _WordSystem, _integrate,
-                              check_prefix_budget, glued, plan_chain,
-                              retraced_tail)
+from curvelog.iterint import (_NODES, _RHO_MIN, _prefix_closure, _WordSystem,
+                              _integrate, _plan, _run, check_prefix_budget,
+                              glued, plan_chain, retraced_tail)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import default_basepoint
 from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
@@ -593,6 +597,126 @@ def test_j_element_agrees_with_the_reference_kernel():
                     j_element(path, sec, weight, short)
                 with pytest.raises(NumericError):
                     reference_run(system, y0, head, short, ps.as_complex)
+
+
+_coord = st.floats(-10, 10)
+_point = st.builds(complex, _coord, _coord)
+
+
+def test_the_worst_piece_of_the_clearance_rule_has_rho_min():
+    # a puncture at distance L from the middle of a line piece of length L
+    seg = LineSeg(0j, 1 + 0j)
+    assert seg.min_distance(0.5 + 1j) == seg.length
+    assert math.isclose(seg.bernstein(0.5 + 1j), 2 + math.sqrt(5),
+                        rel_tol=1e-15)
+
+
+@given(_point, _point, st.floats(-2, 3), st.floats(-2, 2))
+def test_a_line_piece_the_clearance_rule_passes_keeps_rho_min(a, b, u, v):
+    # the rule before the ellipse: a piece no longer than its distance to
+    # the nearest puncture; every such piece passes the ellipse test
+    assume(abs(b - a) > 1e-6)
+    seg = LineSeg(a, b)
+    p = a + (b - a) * complex(u, v)
+    assume(seg.length <= seg.min_distance(p))
+    assert seg.bernstein(p) >= _RHO_MIN * (1 - 1e-12)
+
+
+@given(_point, st.floats(0.01, 5), st.floats(-7, 7), st.floats(-7, 7),
+       _point, _point, _point)
+def test_halves_keep_at_least_the_rho_of_their_piece(c, r, th0, th1, a, b,
+                                                      p):
+    # rho only grows on a sub-interval, so a tail split's halves skip the
+    # ellipse test; on an arc, in the angle, over every image of p
+    for seg in (LineSeg(a, b), ArcSeg(c, r, th0, th1)):
+        rho = seg.bernstein(p)
+        for half in (seg.piece(0.0, 0.5), seg.piece(0.5, 1.0)):
+            assert half.bernstein(p) >= rho * (1 - 1e-12)
+
+
+def test_an_arc_is_bounded_by_the_other_punctures_alone():
+    # z = c + r e^{i theta} never reaches c: a circle about a lone puncture
+    # is one piece, and one about 0 on {0, 1, -1} is planned by 1 and -1
+    arc = ArcSeg(1 + 1j, 0.45, 0.3, 0.3 + 2 * math.pi)
+    assert arc.bernstein(arc.center) == math.inf
+    assert _plan(arc, [arc.center], 1) == ([(0.0, 1.0)], 1)
+    ps = PoleSet.of("0,1,-1")
+    circle = ArcSeg(0j, 0.45, 0.0, 2 * math.pi)
+    plan, _ = _plan(circle, ps.as_complex, 100)
+    assert len(plan) == 8
+    rho = [circle.piece(ta, tb).bernstein(p) for ta, tb in plan
+           for p in ps.as_complex]
+    assert min(rho) >= _RHO_MIN and max(rho) == math.inf
+
+
+def test_a_long_segment_plans_finitely_many_pieces():
+    # d * d overflows on the far pieces of a segment 1e300 long, and a NaN
+    # rho would accept a piece: rho is read from d / L
+    ps = PoleSet.of("0,1")
+    seg = LineSeg(2 + 0j, 1e300 * (1 + 1j))
+    plan, examined = _plan(seg, ps.as_complex, 100_000)
+    assert examined < 100_000 and plan[0][0] == 0.0 and plan[-1][1] == 1.0
+    assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+    far = seg.piece(*plan[-1])
+    d = abs(far.start) + abs(far.end)  # about the puncture 0
+    assert math.isinf(d * d)
+    for ta, tb in plan:
+        piece = seg.piece(ta, tb)
+        assert all(piece.bernstein(p) >= _RHO_MIN for p in ps.as_complex)
+
+
+def test_a_circle_whose_radius_times_its_angle_overflows_integrates():
+    # 0.45e308 times 2 pi passes the largest float: each piece's velocity
+    # is scaled by its share of the angle before the radius multiplies it
+    ps = PoleSet.of("0,1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        periods = period_matrix(Section.standard(ps))
+    assert np.abs(periods - 2j * math.pi * np.eye(2)).max() <= 1e-14
+
+
+def _head_pieces(loop, sec, weight):
+    """The pieces ``j_element`` integrates for a loop through the standard
+    section (its path without the retraced stick), read from trace rows."""
+    segs = loop.path.segments
+    head = Path(segs[:len(segs) - retraced_tail(segs)], loop.path.base)
+    ps = sec.poles
+    system = _WordSystem.canonical(ps, weight, lambda lab: sec.form(lab).f)
+    _, _, rows = _run(system, np.eye(1, system.n, dtype=complex)[0], head,
+                      IntegratorConfig(), ps.as_complex, trace=True)
+    return len(rows) // (_NODES - 1)
+
+
+@pytest.mark.parametrize("label,pieces", [("0", 9), ("1", 7), ("-1", 7)])
+def test_a_loop_at_distance_one_integrates_fewer_pieces(label, pieces):
+    # the stick is one piece (rho 5.07), the circle about 0 eight and the
+    # one about 1 or -1 six; under the clearance rule each loop took 10
+    ps = PoleSet.of("0,1,-1")
+    s = ps.as_complex[ps.index(label)]
+    for base in (s + 1j, s - 1j):
+        loop = loop_around(ps, label, base)
+        assert _head_pieces(loop, Section.standard(ps), 6) == pieces
+
+
+def test_j_element_keeps_its_accuracy_on_ellipse_pieces():
+    # against the reference kernel at rtol 1e-14 along the whole loop (the
+    # stick integrated both ways): within 2e-15 of the series' scale up to
+    # weight 6 (7.5e-16 measured)
+    ps = PoleSet.of("0,1,-1")
+    sec = Section.standard(ps)
+    ref = IntegratorConfig(rtol=1e-14, atol=1e-16)
+    for label in ps.labels:
+        s = ps.as_complex[ps.index(label)]
+        for base in (s + 1j, 0.5 + 0.5j):
+            path = loop_around(ps, label, base).path
+            for weight in range(1, 7):
+                system = _WordSystem.canonical(ps, weight,
+                                               lambda lab: sec.form(lab).f)
+                y0 = np.eye(1, system.n, dtype=complex)[0]
+                want = reference_run(system, y0, path, ref, ps.as_complex)[0]
+                got = j_element(path, sec, weight).vector
+                assert (np.abs(got - want).max()
+                        <= 2e-15 * max(1.0, np.abs(want).max()))
 
 
 def _eval_l_system(poles, word):
