@@ -4,11 +4,13 @@ A word of differentials integrates jointly with all its prefixes: each word
 is the integral of its parent times one form, so the system is strictly
 lower triangular and is solved level by level (word length) with spectral
 integration on Chebyshev-Lobatto nodes.  Each segment is planned in full
-before it is integrated: it is bisected into pieces whose Bernstein ellipse
-(in the segment's own parameter, the angle on an arc) keeps every puncture
-at rho >= 2 + sqrt(5), and a piece is bisected again while the Chebyshev
-tail of its values exceeds the tolerance.  Paths are piecewise lines and
-circular arcs and must keep a guard distance from every declared puncture.
+before it is integrated, in one sweep from its start: every piece is the
+longest whose Bernstein ellipse (in the segment's own parameter, the angle
+on an arc) keeps every puncture at rho >= 2 + sqrt(5), a length read in
+closed form, and a piece is bisected while the Chebyshev tail of its values
+exceeds the tolerance.  Paths are piecewise lines and circular arcs of
+positive radius and must keep a guard distance from every declared
+puncture.
 """
 
 from __future__ import annotations
@@ -144,20 +146,25 @@ class ArcSeg:
             return abs(rho - self.radius)
         return min(abs(p - self.start), abs(p - self.end))
 
+    def image(self, p: complex) -> complex:
+        """The puncture p in the arc's angle: z = c + r e^{i theta} meets p
+        at theta_p + 2 pi k, theta_p = -i log((p - c) / r); this is k = 0.
+        The center is never reached, and dz / (z - c) = i dtheta is
+        constant, so it has no image and bounds nothing."""
+        w = p - self.center
+        return complex(cmath.phase(w),
+                       math.log(self.radius) - math.log(abs(w)))
+
     def bernstein(self, p: complex) -> float:
         """The Bernstein parameter of the puncture p for this arc, in its
-        angle: z = c + r e^{i theta} meets p at theta_p + 2 pi k, with
-        theta_p = -i log((p - c) / r), and the image nearest the middle
-        angle bounds the arc.  The center is never reached, and dz / (z - c)
-        = i dtheta is constant, so it bounds nothing."""
-        if p == self.center or self.radius == 0:
+        angle: the image of p nearest the middle angle bounds the arc, and
+        the center bounds nothing."""
+        if p == self.center:
             return math.inf
-        w = (p - self.center) * math.copysign(1.0, self.radius)
-        depth = math.log(abs(self.radius)) - math.log(abs(w))
+        q = self.image(p)
         mid = 0.5 * self.theta0 + 0.5 * self.theta1
-        arg = cmath.phase(w)
-        arg += 2 * math.pi * round((mid - arg) / (2 * math.pi))
-        return _bernstein(self.theta0, self.theta1, complex(arg, depth))
+        arg = q.real + 2 * math.pi * round((mid - q.real) / (2 * math.pi))
+        return _bernstein(self.theta0, self.theta1, complex(arg, q.imag))
 
     def reverse(self) -> "ArcSeg":
         return ArcSeg(self.center, self.radius, self.theta1, self.theta0)
@@ -216,6 +223,12 @@ class Path:
         object.__setattr__(self, "base", complex(self.base))
         cur = self.base
         for k, seg in enumerate(segs):
+            # a negative radius would put the arc on the far side of its
+            # center, where the clearance and the planner do not look
+            if isinstance(seg, ArcSeg) and not 0 < seg.radius < math.inf:
+                raise PathError(f"segment {k} is an arc of radius "
+                                f"{seg.radius!r}, not a positive finite "
+                                "number")
             if not glued(cur, seg.start):
                 raise PathError(f"segment {k} does not start where the previous ends")
             cur = seg.end
@@ -368,8 +381,8 @@ def plan_chain(start: complex, points, ps: PoleSet):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances on the Chebyshev tail of each piece and a budget on pieces
-    examined (accepted or bisected)."""
+    """Tolerances on the Chebyshev tail of each piece and a budget on pieces:
+    each piece planned and each half of a tail split."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -387,7 +400,9 @@ class IntegratorConfig:
 # puncture must keep from a piece: 2 + sqrt(5), the ellipse of a line piece
 # of length L through a puncture at distance L from its middle, the worst
 # case of a piece no longer than its distance to the nearest puncture.  The
-# interpolation error falls below rho**-24, about 1e-15, of the values.
+# interpolation error falls below rho**-24, about 1e-15, of the values.  The
+# planner cuts each piece to the longest length this rho allows, so most
+# pieces sit on it.
 _NODES = 24
 _RHO_MIN = 2 + math.sqrt(5)
 # Pieces whose letters are evaluated in one pass, and (ta, tb) @ _HALF_SPAN,
@@ -513,36 +528,92 @@ def _halves(ta: float, tb: float) -> list:
     return [(mid, tb), (ta, mid)]
 
 
-def _plan(seg, punctures, budget: int):
-    """The pieces (ta, tb) of a segment in order, halved until every
-    puncture keeps a Bernstein parameter of at least _RHO_MIN from each (a
-    NaN one keeps none), and the number of pieces examined; NumericError
-    once that number passes the budget."""
-    plan, todo, examined = [], [(0.0, 1.0)], 0
-    while todo:
-        ta, tb = todo.pop()
-        examined += 1
-        if examined > budget:
-            raise NumericError("integration piece budget exhausted")
+def _reach(q: complex) -> float:
+    """The length of the longest piece [0, L] of the positive real axis
+    whose Bernstein ellipse keeps q at rho >= _RHO_MIN.  There (rho + 1 /
+    rho) / 2 = sqrt(5), so the rule is |q| + |q - L| >= sqrt(5) L, which
+    holds exactly for L <= (sqrt(5) |q| - Re q) / 2."""
+    return 0.5 * (math.sqrt(5) * abs(q) - q.real)
+
+
+def _plan(seg, punctures, budget: int) -> list:
+    """The pieces (ta, tb) of a segment in order, in one sweep: each starts
+    where the last ended and is the longest that keeps every puncture at a
+    Bernstein parameter of at least _RHO_MIN, the least _reach over the
+    punctures (on an arc, in the angle, over the two images of each that
+    bracket the least of that convex function of the image's position).
+    rho only grows on a sub-interval, so the rule is monotone in a piece's
+    length and no plan under it has fewer pieces.  Each piece is confirmed
+    by ``bernstein`` as computed (a NaN rho keeps none), shortened by a
+    relative hair, doubled each time, while rounding leaves it under.  A
+    segment the rule accepts whole, as most are, is one piece at once.
+    NumericError once the pieces pass the budget or one cannot advance."""
+    def keeps(ta, tb) -> bool:
         piece = seg.piece(ta, tb)
-        if all(piece.bernstein(p) >= _RHO_MIN for p in punctures):
-            plan.append((ta, tb))
-        else:
-            todo += _halves(ta, tb)
-    return plan, examined
+        return all(piece.bernstein(p) >= _RHO_MIN for p in punctures)
+
+    if budget < 1:
+        raise NumericError("integration piece budget exhausted")
+    if keeps(0.0, 1.0):  # a point interval too, which has no direction
+        return [(0.0, 1.0)]
+    if isinstance(seg, ArcSeg):
+        origin, span = seg.theta0, seg.theta1 - seg.theta0
+        marks, turn = [seg.image(p) for p in punctures
+                       if p != seg.center], 2 * math.pi
+    else:
+        origin, span = seg.start, seg.end - seg.start
+        marks, turn = punctures, 0.0
+    size = abs(span)
+    unit = span.conjugate() / size
+    plan, ta = [], 0.0
+    while ta < 1.0:
+        if len(plan) == budget:
+            raise NumericError("integration piece budget exhausted")
+        a, reach = origin + ta * span, math.inf
+        for q in marks:
+            q = (q - a) * unit
+            if turn:  # the images q + turn k: take those about |Im q| / 2
+                k = math.floor((0.5 * abs(q.imag) - q.real) / turn)
+                q += turn * k
+                reach = min(reach, _reach(q), _reach(q + turn))
+            else:
+                reach = min(reach, _reach(q))
+        tb = min(1.0, ta + reach / size)
+        hair = 2.0 ** -40
+        while not (ta < tb and keeps(ta, tb)):
+            if not ta < tb:
+                raise NumericError("integration piece underflow: the "
+                                   "tolerance is below rounding error")
+            tb = ta + (tb - ta) * (1.0 - hair)
+            hair *= 2.0
+        plan.append((ta, tb))
+        ta = tb
+    return plan
+
+
+def _tails_within(T: np.ndarray, y: np.ndarray, end: np.ndarray,
+                  cfg: IntegratorConfig) -> bool:
+    """Whether every row's Chebyshev tail T is within atol + rtol max(|y|,
+    |end|), its endpoint values before and after the piece.  The scale is
+    at least atol unless an endpoint is NaN, so tails all within atol pass
+    at once; otherwise the full test decides."""
+    tails = np.abs(T)
+    if tails.max() <= cfg.atol and not cmath.isnan(y.sum() + end.sum()):
+        return True
+    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(end))
+    return bool(np.all(tails <= scale[:, None]))
 
 
 def _run(system: _WordSystem, y: np.ndarray, path: Path,
          cfg: IntegratorConfig, punctures, capture_after=(), trace=False):
     """Integrate the system from y along the path, piece by piece.
 
-    Each segment is planned in full first: bisected until every puncture
-    keeps a Bernstein parameter of at least _RHO_MIN from each piece.  The
-    letters at the nodes of its pieces are evaluated a chunk at a time, and
-    the pieces are solved in order.  A piece whose Chebyshev tail is above
-    the tolerance is halved; its halves skip the ellipse test, since rho
-    only grows on a sub-interval, and evaluate their own letters.  The
-    budget counts each piece the plan tests and each half of a tail split.
+    Each segment is planned in full first (``_plan``).  The letters at the
+    nodes of its pieces are evaluated a chunk at a time, and the pieces are
+    solved in order.  A piece whose Chebyshev tail is above the tolerance
+    is halved; its halves skip the ellipse test, since rho only grows on a
+    sub-interval, and evaluate their own letters.  The budget counts each
+    piece planned and each half of a tail split.
 
     Each level is one GEMM on its parents' node values, Y[plo:phi] @ M with
     M = [diag(g_a) ST]_a over the letters a, built once per piece: written
@@ -584,7 +655,8 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     def solve(G) -> bool:
         """Endpoint values of every word on the piece with letters G into
         end, and node values of every kept row into Y, level by level; True
-        when every row's Chebyshev tail is within the tolerance."""
+        when every row's Chebyshev tail is within the tolerance
+        (``_tails_within``)."""
         np.multiply(G.T[:, :, None], ST[:, None],
                     out=M.reshape(_NODES, m, _NODES))
         for lo, hi, plo, phi, pick in inner:
@@ -605,16 +677,15 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
             R = R if pick is None else R[pick]
             np.add(R[:, 0], y[lo:hi], out=end[lo:hi])
             np.add(R[:, 1:], y[lo:hi, None] * tail_sum, out=T[lo:hi])
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(end))
-        return bool(np.all(np.abs(T) <= scale[:, None]))
+        return _tails_within(T, y, end, cfg)
 
     captured = {}
     rows = []
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        plan, examined = _plan(seg, punctures, cfg.max_steps - pieces)
-        pieces += examined
+        plan = _plan(seg, punctures, cfg.max_steps - pieces)
+        pieces += len(plan)
         for c in range(0, len(plan), _CHUNK):
             spans = plan[c:c + _CHUNK]
             letters(seg, np.array(spans), GB[:len(spans)])

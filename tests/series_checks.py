@@ -11,9 +11,10 @@ from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
 from curvelog.errors import NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
-from curvelog.iterint import (_NODES, _RHO_MIN, IntegratorConfig, _run,
-                              _spectral, _WordSystem, check_prefix_budget,
-                              integrate_h_words, label_words, plan_chain)
+from curvelog.iterint import (_NODES, _RHO_MIN, IntegratorConfig, _halves,
+                              _plan, _run, _spectral, _WordSystem,
+                              check_prefix_budget, integrate_h_words,
+                              label_words, plan_chain)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              default_basepoint, normal_form)
@@ -358,18 +359,44 @@ def reference_letter_step(rows, letter):
     return out
 
 
+def reference_plan(seg, punctures, budget: int):
+    """``iterint._plan`` as it was before it cut each piece in closed form:
+    the pieces (ta, tb) of a segment in order, halved until every puncture
+    keeps a Bernstein parameter of at least _RHO_MIN from each (a NaN one
+    keeps none), and the number of pieces examined; NumericError once that
+    number passes the budget."""
+    plan, todo, examined = [], [(0.0, 1.0)], 0
+    while todo:
+        ta, tb = todo.pop()
+        examined += 1
+        if examined > budget:
+            raise NumericError("integration piece budget exhausted")
+        piece = seg.piece(ta, tb)
+        if all(piece.bernstein(p) >= _RHO_MIN for p in punctures):
+            plan.append((ta, tb))
+        else:
+            todo += _halves(ta, tb)
+    return plan, examined
+
+
+def reference_tails_within(T, y, end, cfg) -> bool:
+    """``iterint._tails_within`` as it was before tails all within atol
+    passed at once: every row's tail against atol + rtol max(|y|, |end|)."""
+    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(end))
+    return bool(np.all(np.abs(T) <= scale[:, None]))
+
+
 def reference_run(system, y, path, cfg, punctures, capture_after=(),
                   trace=False):
     """``iterint._run`` as it was before each level became one GEMM on its
     parents' rows and the top level one thin product: every level gathers
     its parents' node values and letters row by row, runs a full GEMM
     against the integration matrix, and every row's tail is read from its
-    node values.  It plans each piece by the same ellipse rule, on one walk
-    that also integrates: a piece is halved while a puncture keeps a
-    Bernstein parameter below _RHO_MIN, and the halves of a piece whose
-    tail is above the tolerance skip that test, so the pieces are _run's.
-    Returns _run's (endpoint, captured, trace rows) and the pieces
-    examined."""
+    node values and always put to the full test against atol + rtol times
+    the endpoint values.  It takes its pieces from ``_plan`` and halves a
+    piece whose tail is above the tolerance, so its pieces are _run's.
+    Returns _run's (endpoint, captured, trace rows) and the pieces counted
+    by its budget (each piece planned and each half of a tail split)."""
     x, ST, tail, *_ = _spectral()
     s = 0.5 * (1.0 + x)
     n = system.n
@@ -392,30 +419,23 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
             np.multiply(P[:k], Q[:k], out=P[:k])
             np.matmul(P[:k], ST, out=Y[lo:hi])
             Y[lo:hi] += y[lo:hi, None]
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(Y[:, -1]))
-        return bool(np.all(np.abs(Y @ tail) <= scale[:, None]))
+        return reference_tails_within(Y @ tail, y, Y[:, -1], cfg)
 
     captured = {}
     rows = []
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        todo = [(0.0, 1.0, True)]
+        plan = _plan(seg, punctures, cfg.max_steps - pieces)
+        pieces += len(plan)
+        todo = plan[::-1]
         while todo:
-            ta, tb, planning = todo.pop()
-            pieces += 1
-            if pieces > cfg.max_steps:
-                raise NumericError("integration piece budget exhausted")
-            piece = seg.piece(ta, tb)
-            planned = (not planning
-                       or all(piece.bernstein(p) >= _RHO_MIN
-                              for p in punctures))
-            if not planned or not solve(piece):
-                mid = 0.5 * (ta + tb)
-                if not ta < mid < tb:
-                    raise NumericError("integration piece underflow: the "
-                                       "tolerance is below rounding error")
-                todo += [(mid, tb, not planned), (ta, mid, not planned)]
+            ta, tb = todo.pop()
+            if not solve(seg.piece(ta, tb)):
+                pieces += 2
+                if pieces > cfg.max_steps:
+                    raise NumericError("integration piece budget exhausted")
+                todo += _halves(ta, tb)
                 continue
             y = Y[:, -1].copy()
             if trace:

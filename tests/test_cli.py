@@ -525,8 +525,28 @@ def test_non_finite_and_boolean_path_numbers_are_input_errors(capsys, argv,
     assert "malformed path payload" in captured.err
 
 
+def _negative_arc(center, base, th0, th1, radius=-0.5):
+    return {"base": base, "segments": [{"arc": {
+        "center": center, "radius": radius, "from": th0, "to": th1}}]}
+
+
+@pytest.mark.parametrize("path", [
+    # runs through both punctures of {0, 1}: the clearance read 1.0 for
+    # the puncture 0, and the integration underflowed (exit 3)
+    _negative_arc([0.5, 0], [0.5, -0.5], math.pi / 2, 5 * math.pi / 2),
+    # a circle about the puncture 0: refused as passing within -0.5 of it
+    _negative_arc([0, 0], [-0.5, 0], 0, 2 * math.pi),
+    _negative_arc([0.5, 0.5], [0.5, 0.5], 0, 1, radius=0),
+])
+def test_an_arc_radius_that_is_not_positive_is_an_input_error(capsys, path):
+    assert main(["eval", "--poles", "0,1", "--word", "0",
+                 "--path-json", json.dumps(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "not a positive finite number" in captured.err
+
+
 @pytest.mark.parametrize("letter, coeff", [
-    ('{"pole": true}', '{"re": "1"}'),
     ('{"pole": "0"}', '{"re": true}'),
     ('{"rf": {"poly": "12"}}', '{"re": "1"}'),
 ])

@@ -45,8 +45,9 @@ from curvelog import (
 
 from curvelog.hyperlog import reference_point
 from curvelog.iterint import (_NODES, _RHO_MIN, _prefix_closure, _WordSystem,
-                              _integrate, _plan, _run, check_prefix_budget,
-                              glued, plan_chain, retraced_tail)
+                              _integrate, _plan, _run, _tails_within,
+                              check_prefix_budget, glued, plan_chain,
+                              retraced_tail)
 from curvelog.local_expansion import series_values
 from curvelog.reduce import default_basepoint
 from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
@@ -56,7 +57,8 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import (grouplike_residual, reference_integrate,
-                           reference_prefix_closure, reference_run,
+                           reference_plan, reference_prefix_closure,
+                           reference_run, reference_tails_within,
                            section_change)
 
 PS0 = PoleSet.of("0")
@@ -639,30 +641,83 @@ def test_an_arc_is_bounded_by_the_other_punctures_alone():
     # is one piece, and one about 0 on {0, 1, -1} is planned by 1 and -1
     arc = ArcSeg(1 + 1j, 0.45, 0.3, 0.3 + 2 * math.pi)
     assert arc.bernstein(arc.center) == math.inf
-    assert _plan(arc, [arc.center], 1) == ([(0.0, 1.0)], 1)
+    assert _plan(arc, [arc.center], 1) == [(0.0, 1.0)]
     ps = PoleSet.of("0,1,-1")
     circle = ArcSeg(0j, 0.45, 0.0, 2 * math.pi)
-    plan, _ = _plan(circle, ps.as_complex, 100)
-    assert len(plan) == 8
+    plan = _plan(circle, ps.as_complex, 100)
+    assert len(plan) == 6  # planner output: 8 under bisection
     rho = [circle.piece(ta, tb).bernstein(p) for ta, tb in plan
            for p in ps.as_complex]
     assert min(rho) >= _RHO_MIN and max(rho) == math.inf
+
+
+_LONG = LineSeg(2 + 0j, 1e300 * (1 + 1j))
 
 
 def test_a_long_segment_plans_finitely_many_pieces():
     # d * d overflows on the far pieces of a segment 1e300 long, and a NaN
     # rho would accept a piece: rho is read from d / L
     ps = PoleSet.of("0,1")
-    seg = LineSeg(2 + 0j, 1e300 * (1 + 1j))
-    plan, examined = _plan(seg, ps.as_complex, 100_000)
-    assert examined < 100_000 and plan[0][0] == 0.0 and plan[-1][1] == 1.0
-    assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
-    far = seg.piece(*plan[-1])
+    plan = _check_plan(_LONG, ps.as_complex)
+    assert len(plan) == 719  # planner output: bisection examined 1,995
+    far = _LONG.piece(*plan[-1])
     d = abs(far.start) + abs(far.end)  # about the puncture 0
     assert math.isinf(d * d)
-    for ta, tb in plan:
+
+
+def _check_plan(seg, punctures):
+    """The plan of seg, after checking that it tiles [0, 1] exactly, that
+    every piece keeps rho >= _RHO_MIN as computed and no two neighbours
+    joined do, and that bisection needs at least as many pieces."""
+    plan = _plan(seg, punctures, 100_000)
+    assert plan[0][0] == 0.0 and plan[-1][1] == 1.0
+    assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+
+    def keeps(ta, tb):
         piece = seg.piece(ta, tb)
-        assert all(piece.bernstein(p) >= _RHO_MIN for p in ps.as_complex)
+        return all(piece.bernstein(p) >= _RHO_MIN for p in punctures)
+
+    assert all(keeps(ta, tb) for ta, tb in plan)
+    assert not any(keeps(a[0], b[1]) for a, b in zip(plan, plan[1:]))
+    assert len(plan) <= len(reference_plan(seg, punctures, 100_000)[0])
+    return plan
+
+
+_TWO_PI = 2 * math.pi
+
+
+@pytest.mark.parametrize("seg", [
+    LineSeg(-2 + 0.5j, 3 + 0.5j), LineSeg(3 - 0.01j, -2 - 0.01j),
+    LineSeg(0.5 + 0.5j, 0.5 + 1e-3j), _LONG,
+    ArcSeg(0j, 0.45, 0.0, _TWO_PI), ArcSeg(0j, 0.45, _TWO_PI, 0.0),
+    ArcSeg(1 + 0j, 0.45, 1.0, 1.0 - 3 * _TWO_PI),
+    ArcSeg(-1 + 0j, 0.45, -2.0, -2.0 + 2 * _TWO_PI),
+    ArcSeg(0.5 + 0j, 0.5 - 1e-3, 0.3, 0.3 + _TWO_PI),
+    ArcSeg(0j, 3.0, -0.5, 0.5 + 4 * _TWO_PI),
+    ArcSeg(0.5 + 0.5j, 0.2, 0.0, math.pi)])
+def test_planned_pieces_are_the_longest_the_ellipse_rule_accepts(seg):
+    # lines, arcs both ways, several turns, an arc about no puncture passing
+    # close to two, one enclosing all three, and the 1e300 segment
+    _check_plan(seg, PoleSet.of("0,1,-1").as_complex)
+
+
+@given(_point, _point, st.floats(0.01, 5), st.floats(-7, 7),
+       st.floats(-20, 20), st.lists(_point, min_size=1, max_size=3))
+def test_random_plans_are_the_longest_the_ellipse_rule_accepts(a, b, r, th0,
+                                                                th1, ps):
+    for seg in (LineSeg(a, b), ArcSeg(a, r, th0, th1)):
+        assume(all(seg.min_distance(p) > 1e-3 for p in ps))
+        _check_plan(seg, ps)
+
+
+def test_a_plan_keeps_to_its_budget():
+    ps = PoleSet.of("0,1,-1").as_complex
+    seg = ArcSeg(0j, 0.45, 0.0, _TWO_PI)
+    assert len(_plan(seg, ps, 6)) == 6
+    with pytest.raises(NumericError, match="budget"):
+        _plan(seg, ps, 5)
+    with pytest.raises(NumericError, match="underflow"):
+        _plan(LineSeg(-1 + 0j, 1 + 0j), [-1 + 0j], 10)
 
 
 def test_a_circle_whose_radius_times_its_angle_overflows_integrates():
@@ -687,10 +742,11 @@ def _head_pieces(loop, sec, weight):
     return len(rows) // (_NODES - 1)
 
 
-@pytest.mark.parametrize("label,pieces", [("0", 9), ("1", 7), ("-1", 7)])
+@pytest.mark.parametrize("label,pieces", [("0", 7), ("1", 6), ("-1", 6)])
 def test_a_loop_at_distance_one_integrates_fewer_pieces(label, pieces):
-    # the stick is one piece (rho 5.07), the circle about 0 eight and the
-    # one about 1 or -1 six; under the clearance rule each loop took 10
+    # planner outputs: the stick is one piece (rho 5.07), the circle about 0
+    # six and the one about 1 or -1 five; bisection took 9, 7 and 7, and
+    # the clearance rule before it 10 each
     ps = PoleSet.of("0,1,-1")
     s = ps.as_complex[ps.index(label)]
     for base in (s + 1j, s - 1j):
@@ -717,6 +773,56 @@ def test_j_element_keeps_its_accuracy_on_ellipse_pieces():
                 got = j_element(path, sec, weight).vector
                 assert (np.abs(got - want).max()
                         <= 2e-15 * max(1.0, np.abs(want).max()))
+
+
+_BAD = [math.nan, math.inf, -math.inf, complex(0, math.nan),
+        complex(math.inf, 1), complex(1, -math.inf)]
+
+
+@pytest.mark.parametrize("where", ["y", "end", "T"])
+@pytest.mark.parametrize("bad", _BAD)
+def test_the_tail_shortcut_gives_the_full_tests_verdict(where, bad):
+    # tails all within atol pass without the full test, which a NaN or
+    # infinite endpoint or tail must not change
+    cfg = IntegratorConfig()
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=6) + 1j * rng.normal(size=6)
+    for tails in (0.0, 1e-14, 1e-12, 1e-11, 1.0):
+        arrays = {"y": y.copy(), "end": y + 0.25,
+                  "T": np.full((6, 2), tails, dtype=complex)}
+        for clean in (True, False):
+            if not clean:
+                arrays[where].reshape(-1)[3] = bad
+            args = arrays["T"], arrays["y"], arrays["end"], cfg
+            assert _tails_within(*args) == reference_tails_within(*args)
+
+
+def test_a_tiny_atol_splits_pieces_as_the_reference_kernel_does():
+    # at atol 1e-300 no piece passes by the shortcut: the full test halves
+    # the same pieces in both kernels, and the budget counts them alike
+    ps = PoleSet.of("0,1,-1")
+    sec = Section.standard(ps)
+    cfg = IntegratorConfig(rtol=1e-14, atol=1e-300)
+    for label in ps.labels:
+        path = loop_around(ps, label, 0.5 + 0.5j).path
+        planned = sum(len(_plan(seg, ps.as_complex, 1000))
+                      for seg in path.segments)
+        for weight in (3, 5):
+            system = _WordSystem.canonical(ps, weight,
+                                           lambda lab: sec.form(lab).f)
+            y0 = np.eye(1, system.n, dtype=complex)[0]
+            _, _, rows = _run(system, y0, path, cfg, ps.as_complex,
+                              trace=True)
+            _, _, want, count = reference_run(system, y0, path, cfg,
+                                              ps.as_complex, trace=True)
+            assert [t for t, _ in rows] == [t for t, _ in want]
+            assert count > planned
+            _run(system, y0, path, IntegratorConfig(
+                rtol=1e-14, atol=1e-300, max_steps=count), ps.as_complex)
+            with pytest.raises(NumericError, match="budget"):
+                _run(system, y0, path, IntegratorConfig(
+                    rtol=1e-14, atol=1e-300, max_steps=count - 1),
+                     ps.as_complex)
 
 
 def _eval_l_system(poles, word):
