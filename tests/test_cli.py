@@ -547,6 +547,7 @@ def test_an_arc_radius_that_is_not_positive_is_an_input_error(capsys, path):
 
 
 @pytest.mark.parametrize("letter, coeff", [
+    ('{"pole": true}', '{"re": "1"}'),
     ('{"pole": "0"}', '{"re": true}'),
     ('{"rf": {"poly": "12"}}', '{"re": "1"}'),
 ])
