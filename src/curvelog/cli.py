@@ -151,8 +151,11 @@ def _parse_tensor(args, ps: PoleSet):
         if not isinstance(item, dict):
             raise InputError(f"bad letter {item!r}")
         if "pole" in item:
+            if type(item["pole"]) is not str:
+                raise InputError(f"pole {item['pole']!r} is not a label "
+                                 "string")
             return Differential(
-                RationalFunction.pole_power(ps, ps.index(item["pole"]), 1))
+                RationalFunction.pole_power(ps, item["pole"], 1))
         if "rf" in item:
             return Differential(RationalFunction.from_json(ps, item["rf"]))
         raise InputError(f"letter {item!r} needs a 'pole' or 'rf' key")

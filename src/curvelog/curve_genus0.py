@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, InputError
-from .scalars import QI, _make, accumulate, exact_str
+from .scalars import QI, _make, exact_str
 
 QI0 = QI.of(0)
 
@@ -130,76 +130,53 @@ class PoleSet:
         return list(self.labels)
 
 
-def _trim(poly):
-    lst = list(poly)
-    while lst and lst[-1].is_zero:
-        lst.pop()
-    return tuple(lst)
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _trim(out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalFunction:
-    """Partial fraction normal form over a fixed pole set.
-
-    ``poly`` holds ascending coefficients; ``principal`` is a sorted tuple of
-    ((pole index, order >= 1), coefficient) pairs with no zero entries, so
-    structural equality of instances is equality of functions.  Arithmetic
-    results, normal by construction, are built unchecked by ``_rf``.
+    """Partial fraction normal form over a fixed pole set, held as one int
+    vector ``vec`` = (D, P, Q) of the kernels below: reduced by one gcd,
+    every list a tuple and Q sorted by pole, so structural equality of
+    instances is equality of functions.  ``poly`` (ascending coefficients)
+    and ``principal`` (sorted ((pole index, order >= 1), coefficient) pairs
+    with no zero entries) read it back as QI.
     """
 
     poles: PoleSet
-    poly: tuple = ()
-    principal: tuple = ()
+    vec: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", _trim(tuple(
-            c if type(c) is QI else QI.of(c) for c in self.poly)))
-        raw = self.principal
-        if not isinstance(raw, (tuple, list)) and isinstance(raw, Mapping):
-            raw = raw.items()
-        n = len(self.poles)
-        items = []
-        for key, c in raw:
-            i, k = key[0], key[1]
-            if type(i) is not int:
-                i = int(i)
-            if type(k) is not int:
-                k = int(k)
-            if type(c) is not QI:
-                c = QI.of(c)
-            if c.is_zero:
+    def __init__(self, poles: PoleSet, poly=(), principal=()):
+        # one vector per nonzero term, summed by the kernels
+        parts = [((c._abd[2], [*[_Z] * j, c._abd[:2]], ()), 1, 0, 1)
+                 for j, c in enumerate(map(QI.of, poly)) if c]
+        if not isinstance(principal, (tuple, list)) and isinstance(
+                principal, Mapping):
+            principal = principal.items()
+        for key, c in principal:
+            i, k, (a, b, d) = int(key[0]), int(key[1]), QI.of(c)._abd
+            if not (a or b):
                 continue
             # every key is checked before summing, even one that cancels
             if k < 1:
                 raise DomainError("principal part orders start at 1")
-            if not 0 <= i < n:
+            if not 0 <= i < len(poles):
                 raise DomainError(f"pole index {i} out of range")
-            items.append(((i, k), c))
-        object.__setattr__(self, "principal", _sorted_sum(items))
+            parts.append(((d, (), ((i, [*[_Z] * (k - 1), (a, b)]),)), 1, 0, 1))
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "vec", _canonical(_vsum(parts)))
 
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
 
     @classmethod
     def zero(cls, ps: PoleSet) -> "RationalFunction":
-        return _rf(ps, (), ())
+        return _rf(ps, (1, (), ()))
 
     @classmethod
     def const(cls, ps: PoleSet, c) -> "RationalFunction":
-        return _rf(ps, _trim((QI.of(c),)), ())
+        return _rf(ps, _vconst(*QI.of(c)._abd))
 
     @classmethod
     def coordinate(cls, ps: PoleSet) -> "RationalFunction":
-        return cls(ps, (QI0, QI.of(1)))
+        return _rf(ps, (1, (_Z, (1, 0)), ()))
 
     @classmethod
     def pole_power(cls, ps: PoleSet, which, order: int, coeff=1) -> "RationalFunction":
@@ -207,12 +184,24 @@ class RationalFunction:
         return cls(ps, (), (((i, order), QI.of(coeff)),))
 
     @property
+    def poly(self) -> tuple:
+        D, P, _ = self.vec
+        return tuple(_make(a, b, D) for a, b in P)
+
+    @property
+    def principal(self) -> tuple:
+        D, _, Q = self.vec
+        return tuple(((i, k), _make(a, b, D)) for i, q in Q
+                     for k, (a, b) in enumerate(q, 1) if a or b)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.poly and not self.principal
+        return not self.vec[1] and not self.vec[2]
 
     @property
     def constant_term(self) -> QI:
-        return self.poly[0] if self.poly else QI0
+        D, P, _ = self.vec
+        return _make(*P[0], D) if P else QI0
 
     def _check(self, other: "RationalFunction"):
         if self.poles != other.poles:
@@ -224,22 +213,20 @@ class RationalFunction:
         elif not isinstance(other, RationalFunction):
             return NotImplemented
         self._check(other)
-        return _rf(self.poles, _poly_add(self.poly, other.poly),
-                   _sorted_sum(self.principal + other.principal))
+        return _rf(self.poles, _vsum([(self.vec, 1, 0, 1),
+                                      (other.vec, 1, 0, 1)]))
 
     def __neg__(self):
-        return _rf(self.poles, tuple(-c for c in self.poly),
-                   tuple((k, -c) for k, c in self.principal))
+        return _rf(self.poles, _vsum([(self.vec, -1, 0, 1)]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "RationalFunction":
-        c = QI.of(c)
-        if c.is_zero:
-            return _rf(self.poles, (), ())
-        return _rf(self.poles, tuple(v * c for v in self.poly),
-                   tuple((k, v * c) for k, v in self.principal))
+        a, b, d = QI.of(c)._abd
+        if not (a or b):
+            return RationalFunction.zero(self.poles)
+        return _rf(self.poles, _vsum([(self.vec, a, b, d)]))
 
     def __mul__(self, other):
         """self * other through the generators of O(C) (``_vmul``)."""
@@ -248,15 +235,18 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check(other)
-        return _unvec(_reduced(*_vmul(_vec(self), _vec(other),
-                                      _pole_ints(self.poles))), self.poles)
+        return _rf(self.poles,
+                   _vmul(self.vec, other.vec, _pole_ints(self.poles)))
 
     __rmul__ = __mul__
 
     def differentiate(self) -> "RationalFunction":
-        return _rf(self.poles,
-                   tuple(self.poly[j] * j for j in range(1, len(self.poly))),
-                   tuple(((i, k + 1), c * -k) for (i, k), c in self.principal))
+        """z^j maps to j z^(j-1), and (z-s)^(-k) to -k (z-s)^(-k-1)."""
+        D, P, Q = self.vec
+        return _rf(self.poles, (
+            D, [(j * a, j * b) for j, (a, b) in enumerate(P[1:], 1)],
+            [(i, [_Z, *((-k * a, -k * b) for k, (a, b) in enumerate(q, 1))])
+             for i, q in Q]))
 
     def antiderivative(self) -> "RationalFunction":
         """Termwise antiderivative with zero integration constant.
@@ -264,35 +254,35 @@ class RationalFunction:
         Defined only when no simple pole is present (the residue obstruction);
         (z-s)^(-k) maps to (z-s)^(1-k)/(1-k) for k >= 2.
         """
-        for (i, k), c in self.principal:
-            if k == 1:
+        for i, q in self.vec[2]:
+            if q[0] != _Z:
                 raise DomainError(
                     f"residue at {self.poles.label(i)} obstructs integration")
-        return _unvec(_split(_vec(self), None)[1], self.poles)
+        return _rf(self.poles, _split(self.vec, None)[1])
 
     def residues(self) -> dict:
-        return {i: c for (i, k), c in self.principal if k == 1}
+        D, _, Q = self.vec
+        return {i: _make(*q[0], D) for i, q in Q if q[0] != _Z}
 
     def evaluate(self, z: complex) -> complex:
         z = complex(z)
-        val = 0j
-        for c in reversed(self.poly):
-            val = val * z + complex(c)
-        for (i, k), c in self.principal:
-            dz = z - self.poles.as_complex[i]
-            if dz == 0:
+        for i, _ in self.vec[2]:
+            if z == self.poles.as_complex[i]:
                 raise DomainError(f"evaluation at the pole {self.poles.label(i)}")
-            val += complex(c) / dz ** k
-        return val
+        return self.compiled()(z)
 
     def evaluate_exact(self, z) -> QI:
-        return _make(*_veval(_vec(self), QI.of(z), self.poles))
+        return _make(*_veval(self.vec, QI.of(z), self.poles))
 
     def compiled(self):
-        """A fast complex evaluator closed over float data."""
-        pcoeffs = [complex(c) for c in reversed(self.poly)]
-        pps = [(self.poles.as_complex[i], k, complex(c))
-               for (i, k), c in self.principal]
+        """A fast complex evaluator closed over float data.  Each a / D is
+        correctly rounded, as complex() of the reduced QI is, and the terms
+        are summed by (pole, order)."""
+        D, P, Q = self.vec
+        pts = self.poles.as_complex
+        pcoeffs = [complex(a / D, b / D) for a, b in reversed(P)]
+        pps = [(pts[i], k, complex(a / D, b / D)) for i, q in Q
+               for k, (a, b) in enumerate(q, 1) if a or b]
 
         def ev(z: complex) -> complex:
             v = 0j
@@ -331,9 +321,10 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ps: PoleSet, obj) -> "RationalFunction":
-        """Read a payload; a pole order above the largest series order the
-        array cap admits (a letter matrix of 16 (k + 1)^2 bytes, as in
-        ``expand_at``) is refused before any arithmetic."""
+        """Read a payload; a pole is named by its label, a string, and a
+        pole order above the largest series order the array cap admits (a
+        letter matrix of 16 (k + 1)^2 bytes, as in ``expand_at``) is
+        refused before any arithmetic."""
         from .iterint import check_budget
 
         poly, principal = obj.get("poly", []), obj.get("principal", [])
@@ -345,7 +336,10 @@ class RationalFunction:
                     or not item.keys() >= {"pole", "order", "coeff"}):
                 raise InputError(f"principal item {item!r} needs the keys "
                                  f"'pole', 'order' and 'coeff'")
-            i, k = ps.index(item["pole"]), item["order"]
+            pole, k = item["pole"], item["order"]
+            if type(pole) is not str:
+                raise InputError(f"pole {pole!r} is not a label string")
+            i = ps.index(pole)
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")
             check_budget(16 * (max(k, 0) + 1) ** 2, f"pole order {k}")
@@ -353,45 +347,44 @@ class RationalFunction:
         return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 
 
-def _sorted_sum(items) -> tuple:
-    """Principal part items summed by key, zeros dropped, keys sorted."""
-    return tuple(sorted(accumulate(items).items()))
-
-
-def _rf(ps: PoleSet, poly: tuple, principal: tuple) -> RationalFunction:
-    """A RationalFunction, unchecked, from parts already in normal form:
-    QI coefficients, a trimmed poly, sorted valid keys, no zero entries."""
+def _rf(ps: PoleSet, v: tuple) -> RationalFunction:
+    """The function of an int vector, made canonical, built unchecked."""
     # set one by one, not through __dict__, which would build a dict for
     # every instance on top of its inline attribute values
     r = object.__new__(RationalFunction)
     object.__setattr__(r, "poles", ps)
-    object.__setattr__(r, "poly", poly)
-    object.__setattr__(r, "principal", principal)
+    object.__setattr__(r, "vec", _canonical(v))
     return r
 
 
 # The int kernels.  Here a function is a vector (D, P, Q): a denominator
-# D > 0, the polynomial numerators P by degree, and a dict Q from each pole
-# with a principal part to its numerators by order 1, 2, ...  A numerator
-# is an (re, im) pair of ints, P and each Q[i] end in a nonzero pair, and
-# no kernel changes its input.  Steps and sums leave to _reduced the one
-# gcd that makes a vector normal, so that equal functions have equal ones.
+# D > 0, the polynomial numerators P by degree, and Q, the pairs (pole,
+# its numerators by order 1, 2, ...) of each pole with a principal part.
+# A numerator is an (re, im) pair of ints, P and each q end in a nonzero
+# pair, and no kernel changes its input.  Steps and sums leave to _reduced
+# the one gcd that makes a vector normal, and _canonical also fixes its
+# containers and order, so that equal functions have equal vectors.
 
 _Z = (0, 0)
 
 
-def _reduced(D: int, P, Q: dict) -> tuple:
-    g = D if D == 1 else gcd(D, *[x for q in (P, *Q.values())
+def _reduced(D: int, P, Q) -> tuple:
+    g = D if D == 1 else gcd(D, *[x for _, q in ((-1, P), *Q)
                                  for c in q for x in c])
     if g == 1:
         return D, P, Q
     return (D // g, [(a // g, b // g) for a, b in P],
-            {j: [(a // g, b // g) for a, b in q] for j, q in Q.items()})
+            [(j, [(a // g, b // g) for a, b in q]) for j, q in Q])
+
+
+def _canonical(v: tuple) -> tuple:
+    D, P, Q = _reduced(*v)
+    return D, tuple(P), tuple(sorted((j, tuple(q)) for j, q in Q))
 
 
 def _vconst(a: int, b: int, d: int) -> tuple:
     g = gcd(a, b, d)
-    return d // g, [(a // g, b // g)] if a or b else [], {}
+    return d // g, [(a // g, b // g)] if a or b else [], ()
 
 
 def _ginv(a: int, b: int, m: int):
@@ -415,35 +408,10 @@ def _pole_ints(ps: PoleSet) -> tuple:
 def _section_vectors(section: "Section") -> tuple:
     """The vectors of g_s - g_s(0) by pole (None where zero, and for all
     when every one is) and of each form by label, for the kernels."""
-    if section.is_standard:
-        return None, {lab: (1, [], {i: [(1, 0)]})
-                      for i, lab in enumerate(section.poles.labels)}
-    corr = [_vec(g - g.constant_term) if g.poly[1:] or g.principal else None
-            for g in section.corrections]
+    corr = [None if h.is_zero else h.vec
+            for h in (g - g.constant_term for g in section.corrections)]
     return corr if any(corr) else None, {
-        lab: _vec(w.f) for lab, w in zip(section.poles.labels, section.forms)}
-
-
-@lru_cache(maxsize=256)
-def _vec(f: "RationalFunction") -> tuple:
-    """The normal vector of f, over the lcm of its denominators (each QI is
-    in lowest terms); letters and forms recur, so recent ones are kept."""
-    D = lcm(*(c._abd[2] for c in f.poly),
-            *(c._abd[2] for _, c in f.principal))
-    Q: dict = {}
-    for (i, k), c in f.principal:
-        q, (a, b, d) = Q.setdefault(i, []), c._abd
-        q += [_Z] * (k - 1 - len(q)) + [(a * (D // d), b * (D // d))]
-    return D, [(a * (D // d), b * (D // d))
-               for a, b, d in (c._abd for c in f.poly)], Q
-
-
-def _unvec(v: tuple, ps: PoleSet) -> "RationalFunction":
-    """The function of a normal vector."""
-    D, P, Q = v
-    return _rf(ps, tuple(_make(a, b, D) for a, b in P),
-               tuple(((i, k), _make(a, b, D)) for i, q in sorted(Q.items())
-                     for k, (a, b) in enumerate(q, 1) if a or b))
+        lab: w.f.vec for lab, w in zip(section.poles.labels, section.forms)}
 
 
 def _vl(v: tuple, i: int, pts: tuple) -> tuple:
@@ -454,7 +422,7 @@ def _vl(v: tuple, i: int, pts: tuple) -> tuple:
     D, P, Q = v
     m, S, inv = pts
     M = m ** (len(P) - 1) if len(P) > 1 else 1
-    for j, q in Q.items():
+    for j, q in Q:
         M *= inv[i][j][2] ** len(q) if j != i else 1
     rr = ri = 0
     if P:
@@ -464,20 +432,23 @@ def _vl(v: tuple, i: int, pts: tuple) -> tuple:
             mt, sc = mt * m, sc // m
             rr, ri = mt * pr + sr * rr - si * ri, mt * pi + sr * ri + si * rr
         P, rr, ri = out[::-1], rr * sc, ri * sc
-    new = {}
-    for j, q in Q.items():
-        if j != i:
-            (x, y, e), L = inv[i][j], len(q)
-            sc, ar, ai, out = M // e ** L, 0, 0, [None] * L
-            for k in range(L - 1, -1, -1):
-                f = e ** (L - 1 - k)
-                ar, ai = ar + f * q[k][0], ai + f * q[k][1]
-                ar, ai, f = ar * x - ai * y, ar * y + ai * x, -e ** k * sc
-                out[k] = (ar * f, ai * f)
-            new[j], rr, ri = out, rr + ar * sc, ri + ai * sc
-    q = [(a * M, b * M) for a, b in Q.get(i, ())]
+    new, at = [], ()
+    for j, q in Q:
+        if j == i:
+            at = q
+            continue
+        (x, y, e), L = inv[i][j], len(q)
+        sc, ar, ai, out = M // e ** L, 0, 0, [None] * L
+        for k in range(L - 1, -1, -1):
+            f = e ** (L - 1 - k)
+            ar, ai = ar + f * q[k][0], ai + f * q[k][1]
+            ar, ai, f = ar * x - ai * y, ar * y + ai * x, -e ** k * sc
+            out[k] = (ar * f, ai * f)
+        new.append((j, out))
+        rr, ri = rr + ar * sc, ri + ai * sc
+    q = [(a * M, b * M) for a, b in at]
     if q or rr or ri:
-        new[i] = [(rr, ri), *q]
+        new.append((i, [(rr, ri), *q]))
     return D * M, P, new
 
 
@@ -488,14 +459,14 @@ def _vsum(parts) -> tuple:
         (D, P, Q), cr, ci, cd = parts[0]
         if cr == 1 and not ci:
             return D * cd, P, Q
-        return D * cd, [(a * cr - b * ci, a * ci + b * cr) for a, b in P], {
-            j: [(a * cr - b * ci, a * ci + b * cr) for a, b in q]
-            for j, q in Q.items()}
+        return D * cd, [(a * cr - b * ci, a * ci + b * cr) for a, b in P], [
+            (j, [(a * cr - b * ci, a * ci + b * cr) for a, b in q])
+            for j, q in Q]
     L = lcm(*[v[0] * cd for v, _, _, cd in parts])
     acc, merged = {}, set()
     for (D, P, Q), cr, ci, cd in parts:
         xr, xi = L // (D * cd) * cr, L // (D * cd) * ci
-        for j, q in ((-1, P), *Q.items()):
+        for j, q in ((-1, P), *Q):
             p = acc.get(j)
             if p is None:
                 acc[j] = [(a * xr - b * xi, a * xi + b * xr) for a, b in q]
@@ -511,7 +482,7 @@ def _vsum(parts) -> tuple:
         while acc[j] and acc[j][-1] == _Z:
             acc[j].pop()
     P = acc.pop(-1, [])
-    return L, P, {j: q for j, q in acc.items() if q}
+    return L, P, [(j, q) for j, q in acc.items() if q]
 
 
 def _vmul(f: tuple, g: tuple, pts: tuple) -> tuple:
@@ -522,17 +493,17 @@ def _vmul(f: tuple, g: tuple, pts: tuple) -> tuple:
     (Df, Pf, Qf), (Dg, Pg, Qg) = f, g
     parts, todo = [], [(f, Qg, Dg)]
     if Pg:
-        parts = [((Dg, [*[_Z] * j, *Pg], {}), cr, ci, Df)
+        parts = [((Dg, [*[_Z] * j, *Pg], ()), cr, ci, Df)
                  for j, (cr, ci) in enumerate(Pf) if cr or ci]
-        todo.append(((Dg, Pg, {}), Qf, Df))
+        todo.append(((Dg, Pg, ()), Qf, Df))
     for step0, Q, D in todo:
-        for i, q in Q.items():
+        for i, q in Q:
             step = step0
             for cr, ci in q:
                 step = _vl(step, i, pts)
                 if cr or ci:
                     parts.append((step, cr, ci, D))
-    return _vsum(parts) if parts else (1, [], {})
+    return _vsum(parts) if parts else (1, (), ())
 
 
 def _vtotal(vs: list) -> tuple:
@@ -547,14 +518,14 @@ def _split(v: tuple, corrections, sign: int = 1) -> tuple:
     rest over one multiplier lcm(1..K), less c_s corrections[s] for each
     residue c_s (corrections from _section_vectors)."""
     D, P, Q = v
-    M = lcm(*range(1, max([len(P) + 1, *map(len, Q.values())])))
-    res, out, s = {}, {}, -sign * M
-    for j, q in Q.items():
+    M = lcm(*range(1, max([len(P) + 1, *(len(q) for _, q in Q)])))
+    res, out, s = {}, [], -sign * M
+    for j, q in Q:
         if q[0] != _Z:
             res[j] = sign * q[0][0], sign * q[0][1]
         if len(q) > 1:
-            out[j] = [(a * (s // k), b * (s // k))
-                      for k, (a, b) in enumerate(q[1:], 1)]
+            out.append((j, [(a * (s // k), b * (s // k))
+                            for k, (a, b) in enumerate(q[1:], 1)]))
     f = (D * M, [_Z, *[(-a * (s // k), -b * (s // k))
                        for k, (a, b) in enumerate(P, 1)]] if P else P, out)
     parts = corrections and [(corrections[j], -a, -b, D)
@@ -567,7 +538,7 @@ def _veval(v: tuple, x: QI, ps: PoleSet) -> tuple:
     (D, P, Q), (xa, xb, xd) = v, x._abd
     m, S, _ = _pole_ints(ps)
     vals = []
-    for j, q in ((-1, P), *Q.items()):
+    for j, q in ((-1, P), *Q):
         w = (xa, xb, xd) if j < 0 else _ginv(
             xa * m - S[j][0] * xd, xb * m - S[j][1] * xd, xd * m)
         if w is None:
@@ -751,11 +722,11 @@ def decompose(w: Differential, section: Section):
     ps = w.poles
     if ps != section.poles:
         raise DomainError("class and section live over different pole sets")
-    v = _vec(w.f)
+    v = w.f.vec
     res, f = _split(v, _section_vectors(section)[0])
     # unchecked, as _rf builds functions: one QI per pole by construction
     h = object.__new__(DeRhamClass)
     object.__setattr__(h, "poles", ps)
     object.__setattr__(h, "coeffs", tuple(
         _make(*res.get(i, _Z), v[0]) for i in range(len(ps))))
-    return h, _unvec(f, ps)
+    return h, _rf(ps, f)

@@ -135,7 +135,8 @@ class ArcSeg:
         if hi - lo >= 2 * math.pi - 1e-12:
             inside = True
         else:
-            ang = cmath.phase(p - self.center)
+            w = p - self.center
+            ang = math.atan2(w.imag, w.real)  # cmath.phase raises on underflow
             k0 = math.floor((lo - ang) / (2 * math.pi))
             k1 = math.ceil((hi - ang) / (2 * math.pi))
             for k in range(k0, k1 + 1):
@@ -152,7 +153,7 @@ class ArcSeg:
         The center is never reached, and dz / (z - c) = i dtheta is
         constant, so it has no image and bounds nothing."""
         w = p - self.center
-        return complex(cmath.phase(w),
+        return complex(math.atan2(w.imag, w.real),
                        math.log(self.radius) - math.log(abs(w)))
 
     def bernstein(self, p: complex) -> float:
@@ -560,6 +561,13 @@ def _plan(seg, punctures, budget: int) -> list:
         origin, span = seg.theta0, seg.theta1 - seg.theta0
         marks, turn = [seg.image(p) for p in punctures
                        if p != seg.center], 2 * math.pi
+        # a piece longer than a turn covers the real part of an image q of
+        # each puncture, where |q - a| + |q - b| <= L + 2 |Im q| caps it at
+        # 2 |Im q| / (sqrt(5) - 1): an arc no budget covers is refused here
+        cap = min((max(turn, 2 * abs(q.imag) / (math.sqrt(5) - 1))
+                   for q in marks), default=math.inf)
+        if abs(span) > budget * cap:
+            raise NumericError("integration piece budget exhausted")
     else:
         origin, span = seg.start, seg.end - seg.start
         marks, turn = punctures, 0.0

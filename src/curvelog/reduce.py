@@ -18,8 +18,8 @@ from functools import cached_property
 from itertools import product
 
 from .curve_genus0 import (_Z, Differential, PoleSet, RationalFunction,
-                           Section, _pole_ints, _section_vectors, _split,
-                           _unvec, _vconst, _vec, _veval, _vmul, _vtotal, d)
+                           Section, _pole_ints, _rf, _section_vectors, _split,
+                           _vconst, _veval, _vmul, _vtotal, d)
 from .errors import DomainError, InputError
 from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
                       plan_path)
@@ -214,7 +214,7 @@ def _fold(t, section: Section, x0) -> tuple:
             if child is None:
                 child = edges[node, letter] = len(parent)
                 parent.append(node)
-                letters.append(_vec(letter.f))
+                letters.append(letter.f.vec)
                 running.append({})
             node = child
         running[node][()] = [_vconst(*coeff._abd)]
@@ -241,12 +241,13 @@ def normal_form(t, section: Section, x0=None) -> NormalForm:
     running terms of every word that reaches it and passes them through its
     first letter into its parent once, and the root, the empty suffix,
     holds the result.  The running terms are curve_genus0's int vectors,
-    converted from the letters and coefficients and back at the root.
+    the letters' own and the coefficients' as constants, made functions
+    again at the root.
     """
     root, (ps, x0, *_) = _fold(t, section, x0)
     # NormalForm drops the words whose coefficients sum to zero
     return NormalForm(ps, section, x0, tuple(
-        (u, _unvec(_vtotal(parts), ps)) for u, parts in root.items()))
+        (u, _rf(ps, _vtotal(parts))) for u, parts in root.items()))
 
 
 def _mul_into_first(f: RationalFunction, word):
@@ -371,6 +372,6 @@ def decompose_subker(t, section: Section, x0=None):
             c = c + _make(*_veval(fp, x0, ps))  # fp(x0) moves into c
         sub_terms.append((section.word(u), c))  # a zero c is skipped
         if fp:
-            sub_terms.append((section.word(u) + (d(_unvec(fp, ps)),), 1))
+            sub_terms.append((section.word(u) + (d(_rf(ps, fp)),), 1))
     sub = ShuffleTensor(sub_terms)
     return sub, t - sub

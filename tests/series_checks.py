@@ -2,13 +2,13 @@
 faster routes replaced, kept as their references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
-                                   RationalFunction, Section, _rf, _trim,
-                                   decompose)
-from curvelog.errors import NumericError
+                                   RationalFunction, Section, decompose)
+from curvelog.errors import DomainError, NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
 from curvelog.iterint import (_NODES, _RHO_MIN, IntegratorConfig, _halves,
@@ -62,9 +62,33 @@ def section_change(section, weight, x0) -> np.ndarray:
 QI1 = QI.of(1)
 
 
+def _gaussian(rng):
+    """A Gaussian rational with parts of denominator up to 12."""
+    return QI(Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+              Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+
+
+def _random_function(rng, ps):
+    """Gaussian coefficients on a polynomial part of degree up to 3 and on
+    principal parts of order up to 4, each term present or zero at random."""
+    poly = tuple(_gaussian(rng) if rng.random() < 0.7 else QI(0)
+                 for _ in range(rng.randint(0, 4)))
+    principal = tuple(((i, k), _gaussian(rng)) for i in range(len(ps))
+                      for k in range(1, rng.randint(0, 4) + 1)
+                      if rng.random() < 0.6)
+    return RationalFunction(ps, poly, principal)
+
+
 # The exact layer's arithmetic as it stood before it ran on int vectors over
 # one common denominator: every coefficient a QI with its own gcd, and every
-# intermediate a RationalFunction.
+# intermediate a RationalFunction built from its QI parts.
+
+def _trim(poly):
+    lst = list(poly)
+    while lst and lst[-1].is_zero:
+        lst.pop()
+    return tuple(lst)
+
 
 def _poly_add(a, b):
     if len(a) < len(b):
@@ -78,6 +102,36 @@ def _poly_add(a, b):
 def _sorted_sum(items) -> tuple:
     """Principal part items summed by key, zeros dropped, keys sorted."""
     return tuple(sorted(accumulate(items).items()))
+
+
+def reference_add(f, g):
+    return RationalFunction(f.poles, _poly_add(f.poly, g.poly),
+                            _sorted_sum(f.principal + g.principal))
+
+
+def reference_scale(f, c):
+    return RationalFunction(f.poles, tuple(v * c for v in f.poly),
+                            tuple((k, v * c) for k, v in f.principal))
+
+
+def reference_differentiate(f):
+    return RationalFunction(
+        f.poles, tuple(f.poly[j] * j for j in range(1, len(f.poly))),
+        tuple(((i, k + 1), c * -k) for (i, k), c in f.principal))
+
+
+def reference_float_value(f, z):
+    """f at a float point, from complex() of each QI coefficient."""
+    z = complex(z)
+    val = 0j
+    for c in reversed(f.poly):
+        val = val * z + complex(c)
+    for (i, k), c in f.principal:
+        dz = z - f.poles.as_complex[i]
+        if dz == 0:
+            raise DomainError(f"evaluation at the pole {f.poles.label(i)}")
+        val += complex(c) / dz ** k
+    return val
 
 
 def reference_mul(f, g):
@@ -102,7 +156,7 @@ def reference_mul(f, g):
     poly = ()
     for step, c in parts:
         poly = _poly_add(poly, tuple(v * c for v in step.poly))
-    return _rf(f.poles, poly, _sorted_sum(
+    return RationalFunction(f.poles, poly, _sorted_sum(
         (k, v * c) for step, c in parts for k, v in step.principal))
 
 
@@ -118,7 +172,8 @@ def reference_times_z(f):
         else:
             items.append(((j, l - 1), a))
         items.append(((j, l), pts[j] * a))
-    return _rf(f.poles, _trim((const,) + f.poly), _sorted_sum(items))
+    return RationalFunction(f.poles, _trim((const,) + f.poly),
+                            _sorted_sum(items))
 
 
 def reference_times_letter(f, i):
@@ -142,15 +197,16 @@ def reference_times_letter(f, i):
             a = a * inv
             items.append(((j, m), -a))
         items.append(((i, 1), a))
-    return _rf(f.poles, tuple(q), _sorted_sum(items))
+    return RationalFunction(f.poles, tuple(q), _sorted_sum(items))
 
 
 def reference_antiderivative(f):
     """Termwise antiderivative with zero integration constant, of a
     function without simple poles."""
     poly = (QI0,) + tuple(c / (j + 1) for j, c in enumerate(f.poly))
-    return _rf(f.poles, poly if f.poly else (),
-               tuple(((i, k - 1), c / (1 - k)) for (i, k), c in f.principal))
+    return RationalFunction(
+        f.poles, poly if f.poly else (),
+        tuple(((i, k - 1), c / (1 - k)) for (i, k), c in f.principal))
 
 
 def reference_evaluate_exact(f, z):
@@ -173,7 +229,8 @@ def reference_decompose(w, section):
             cs[key[0]] = c
         else:
             higher.append((key, c))
-    f = reference_antiderivative(_rf(ps, w.f.poly, tuple(higher)))
+    f = reference_antiderivative(
+        RationalFunction(ps, w.f.poly, tuple(higher)))
     if not section.is_standard:
         for i, c in enumerate(cs):
             g = section.corrections[i]

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -558,6 +559,40 @@ def test_wrongly_typed_tensor_payloads_are_input_errors(capsys, letter,
     assert main(["reduce", "--poles", "0,1", "--tensor-json", tensor]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pole, label", [(2, "2"), (1, "1"), (0, "0"),
+                                         (1.0, "1")])
+@pytest.mark.parametrize("where", ["letter", "principal"])
+def test_a_numeric_pole_is_an_input_error(capsys, where, pole, label):
+    # the pole 2 sits at index 1 of "0,2,1" and 1 at index 2, so a number
+    # read as an index named the other pole's word with exit 0
+    def tensor(p):
+        letter = {"pole": p} if where == "letter" else {"rf": {"principal": [
+            {"pole": p, "order": 1, "coeff": "1"}]}}
+        return json.dumps({"terms": [{"word": [letter],
+                                      "coeff": {"re": "1"}}]})
+
+    argv = ["reduce", "--poles", "0,2,1", "--tensor-json"]
+    assert main(argv + [tensor(pole)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "is not a label string" in captured.err
+    # the label names its own pole
+    data = run_json(capsys, *argv, tensor(label))
+    assert [t["word"] for t in data["terms"]] == [[label]]
+
+
+def test_an_arc_no_budget_covers_is_refused_before_planning(capsys):
+    # 1e306 radians about (5, 0): every piece is at most 2 pi long, so the
+    # sweep would exhaust its budget only after seconds of planning
+    path = {"base": [5.5, 0], "segments": [{"arc": {
+        "center": [5, 0], "radius": 0.5, "from": 0, "to": 1e306}}]}
+    t = time.perf_counter()
+    rc = main(["eval", "--poles", "0,1", "--word", "0",
+               "--path-json", json.dumps(path)])
+    assert rc == 3 and time.perf_counter() - t < 1.0
+    assert "piece budget exhausted" in capsys.readouterr().err
 
 
 class _ClosedStdout(io.StringIO):

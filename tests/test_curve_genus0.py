@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from curvelog import (
     decompose,
     dlog,
 )
-from curvelog.curve_genus0 import QI0, _trim
-from series_checks import _poly_add
+from curvelog.curve_genus0 import QI0
+from series_checks import (_gaussian, _poly_add, _random_function, _trim,
+                           reference_add, reference_differentiate,
+                           reference_float_value, reference_scale)
 
 
 @pytest.fixture
@@ -276,6 +279,52 @@ def test_arithmetic_results_are_fixed_points_of_the_checks(data, spec,
                decompose(Differential(f - f), sec)[1]]
     for r in results:
         assert_normal(r)
+
+
+def assert_canonical(r):
+    """r's vector is the one canonical vector of its function."""
+    D, P, Q = r.vec
+    assert type(P) is tuple and type(Q) is tuple and D > 0
+    assert math.gcd(D, *[x for _, q in ((-1, P), *Q) for c in q
+                         for x in c]) == 1
+    assert all(type(q) is tuple and q for _, q in Q)
+    assert all(q[-1] != (0, 0) for _, q in ((-1, P), *Q) if q)
+    assert [j for j, _ in Q] == sorted({j for j, _ in Q})
+    assert_normal(r)
+
+
+def test_every_result_holds_the_canonical_vector():
+    # seeded functions with zero terms among their coefficients, through
+    # the standard and a corrected section, and the QI bodies each
+    # operation replaced
+    points = (0.3 + 0.7j, -1.7 + 0.2j, 1e5 - 3j)
+    for spec, seed in (("0,1,-1/2,i", 41), ("0,1/3+2/5i,-2", 42)):
+        ps = PoleSet.of(spec)
+        rng = random.Random(seed)
+        sections = (Section.standard(ps), Section(ps, tuple(
+            _random_function(rng, ps) for _ in ps)))
+        for _ in range(40):
+            f, g = _random_function(rng, ps), _random_function(rng, ps)
+            c = _gaussian(rng)
+            no_residue = f - RationalFunction(ps, (), tuple(
+                (key, v) for key, v in f.principal if key[1] == 1))
+            results = [f + g, f - g, -f, f + c, f.scale(c), f.scale(0),
+                       f * g, f * c, f.differentiate(),
+                       no_residue.antiderivative(),
+                       *(decompose(Differential(f), sec)[1]
+                         for sec in sections)]
+            for r in results:
+                assert_canonical(r)
+            assert f - f == RationalFunction.zero(ps)
+            assert hash(f - f) == hash(RationalFunction.zero(ps))
+            assert f + g == reference_add(f, g)
+            assert f.scale(c) == reference_scale(f, c)
+            assert -f == reference_scale(f, QI(-1))
+            assert f.differentiate() == reference_differentiate(f)
+            for z in points:
+                # bit-identical floats: a / D rounds as complex(QI) does
+                assert f.evaluate(z) == reference_float_value(f, z)
+                assert f.compiled()(z) == reference_float_value(f, z)
 
 
 # The reference below is the general product the package applied to every

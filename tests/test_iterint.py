@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from curvelog import (
@@ -703,6 +703,8 @@ def test_planned_pieces_are_the_longest_the_ellipse_rule_accepts(seg):
 
 @given(_point, _point, st.floats(0.01, 5), st.floats(-7, 7),
        st.floats(-20, 20), st.lists(_point, min_size=1, max_size=3))
+# the angle of 2 + 5e-324i underflows, where cmath.phase raised
+@example(0j, 0j, 1.0, 0.0, 7.0, [2 + 5e-324j])
 def test_random_plans_are_the_longest_the_ellipse_rule_accepts(a, b, r, th0,
                                                                 th1, ps):
     for seg in (LineSeg(a, b), ArcSeg(a, r, th0, th1)):

@@ -31,10 +31,11 @@ from curvelog import (
     tensor_to_json,
 )
 import curvelog.reduce
-from curvelog.curve_genus0 import _pole_ints, _reduced, _unvec, _vec, _vl
+from curvelog.curve_genus0 import _pole_ints, _rf, _vl
 from curvelog.scalars import accumulate
 from curvelog.selftest import _letter_pool_omega, _rand_tensor
-from series_checks import (reference_antiderivative, reference_decompose,
+from series_checks import (_gaussian, _random_function,
+                           reference_antiderivative, reference_decompose,
                            reference_decompose_subker,
                            reference_evaluate_exact, reference_mul,
                            reference_normal_form, reference_times_letter,
@@ -349,12 +350,6 @@ def test_exact_outputs_match_the_golden_digest():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
-def _gaussian(rng):
-    """A Gaussian rational with parts of denominator up to 12."""
-    return QI(Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
-              Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
-
-
 def _corrected_section(rng, ps):
     """A section with a correction g at every pole, so each form is
     dz/(z - s) + dg with both a polynomial and a principal part in dg."""
@@ -399,17 +394,6 @@ def test_corrected_section_outputs_match_the_golden_digest():
     assert digest.hexdigest() == GOLDEN_CORRECTED_SHA256
 
 
-def _random_function(rng, ps):
-    """Gaussian coefficients on a polynomial part of degree up to 3 and on
-    principal parts of order up to 4, each term present or zero at random."""
-    poly = tuple(_gaussian(rng) if rng.random() < 0.7 else QI(0)
-                 for _ in range(rng.randint(0, 4)))
-    principal = tuple(((i, k), _gaussian(rng)) for i in range(len(ps))
-                      for k in range(1, rng.randint(0, 4) + 1)
-                      if rng.random() < 0.6)
-    return RationalFunction(ps, poly, principal)
-
-
 def test_int_kernels_match_the_qi_references():
     # every step the kernels replaced, on the QI-per-coefficient bodies it
     # had, exactly, through the standard and a corrected section
@@ -422,8 +406,8 @@ def test_int_kernels_match_the_qi_references():
             f, g = _random_function(rng, ps), _random_function(rng, ps)
             assert f * RationalFunction.coordinate(ps) == reference_times_z(f)
             for i in range(len(ps)):
-                step = _vl(_vec(f), i, _pole_ints(ps))
-                assert _unvec(_reduced(*step), ps) == (
+                step = _vl(f.vec, i, _pole_ints(ps))
+                assert _rf(ps, step) == (
                     reference_times_letter(f, i))
             assert f * g == reference_mul(f, g)
             assert f.evaluate_exact(z) == reference_evaluate_exact(f, z)
