@@ -8,8 +8,9 @@ origin by power series to the start of one integration along the planned
 paths, and these values are its initial value.  The first point's sheet is
 always that of the planned path to it from the reference point.  Near the
 origin the local monodromy only moves log z by 2 pi i, so a first point in
-the origin's disk starts from its own series (or from its ray at the
-reference radius), with the zero letter moved by that path's turns about 0.
+the origin's disk starts from its own series (or, past three quarters of
+the disk's radius, from its ray there), with the zero letter moved by that
+path's turns about 0.
 A lone point that starts from its own series integrates along an empty
 path, which builds no word system and returns its series values.
 """
@@ -22,9 +23,9 @@ from math import factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
-                      plan_chain, plan_path)
-from .local_expansion import series_values
+from .iterint import (IntegratorConfig, LineSeg, Path, glued,
+                      integrate_h_words, plan_chain, plan_path)
+from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
 from .scalars import QI
 from .shuffle_core import ShuffleTensor, suffix_shuffles
@@ -142,20 +143,21 @@ def _start(z: complex, ps: PoleSet):
     origin to add to the zero letter's series value at the head's start.
 
     The planned leg from the reference point z1 is the path that fixes z's
-    sheet.  When z lies in the disk |z| < 2 z1 free of other punctures and
-    the leg, closed by the chord back to z1, winds about no puncture but
-    the origin, the leg's only effect on the series is n turns of log z:
-    the head is then the radial line from z, or from z's ray at radius
-    z1, to z, with n = (the leg's sweep about 0 - arg z) / 2 pi.  Any
-    other leg is the head itself, from z1."""
+    sheet.  When z lies in the disk |z| < r = 2 z1 free of other punctures
+    and the leg, closed by the chord back to z1, winds about no puncture
+    but the origin, the leg's only effect on the series is n turns of
+    log z: the head is then the radial line from z, or from z's ray at the
+    radius 3/4 r where the series stops, to z, with n = (the leg's sweep
+    about 0 - arg z) / 2 pi.  Any other leg is the head itself, from z1."""
     z1 = reference_point(ps)
     leg = plan_path(z1, z, ps)
-    if abs(z) < 2 * z1.real:
-        closed = leg + Path.line(z, z1)
-        if not any(round(closed.sweep(p) / (2 * pi))
+    r = 2 * z1.real
+    if abs(z) < r:
+        back = LineSeg(z, z1)
+        if not any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
                    for p in ps.as_complex if p != 0):
             turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
-            return Path.line(z * min(1.0, z1.real / abs(z)), z), turns
+            return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
     return leg, 0
 
 

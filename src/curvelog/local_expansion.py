@@ -28,8 +28,13 @@ _CHECK_TOL = 1e-6
 
 # the expansion order expand_at and the CLI use when none is given
 DEFAULT_ORDER = 24
-# the order series_values sums to, where eval_L, eval_batch and mzv start
+# the order series_values sums to at the ratio one half, where mzv and a
+# chain from the reference point start; at the ratio q it sums
+# SERIES_TERMS ln 2 / -ln q terms, so q to the order stays 2^-80
 SERIES_TERMS = 80
+# the largest ratio of |x| to the center's distance to the nearest other
+# puncture that series_values sums at: 193 terms
+_MAX_RATIO = 0.75
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,32 +103,66 @@ class LogLaurentExpansion:
 
 
 @lru_cache(maxsize=32)
-def _letter_series(ps: PoleSet, lab: str, center: QI, order: int):
-    """Multiplication by 1/(z - pole) in the local variable x, as the matrix
-    taking coefficients over x^j to coefficients over x^(i - 1), for i and j
-    in 0..order: entry (j, i) is the letter's coefficient of x^(i - 1 - j).
-    The letter at the center is 1/x itself, whose matrix is the identity:
-    None then, and the step multiplies by nothing."""
+def _letter_coeffs(ps: PoleSet, lab: str, center: QI, size: int,
+                   scale: float):
+    """After size zeros, the coefficients over u^m of 1/(u - e), for m
+    below size - 1, where u = x / scale and e = (pole - center) / scale;
+    None for the center's own letter, which is 1/x itself."""
     p = ps.points[ps.index(lab)]
     if p == center:
         return None
     if complex(center - p) == 0:
         raise DomainError("a pole and the center coincide as floats")
-    n = order + 1
-    inv = 1.0 / complex(center - p)
-    g = np.array([-((-inv) ** (m + 1)) for m in range(n)])
-    lag = np.arange(n) - np.arange(1, n + 1)[:, None]
-    out = np.where(lag >= 0, g[lag], 0)
+    # 1/(u - e) is minus the sum of w^(m + 1) u^m for w = 1/e; the powers
+    # of w are doubled in blocks, so each is about 2 log2(m) roundings
+    # from exact
+    w, powers = scale / complex(p - center), np.ones(1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(powers) < size:
+            powers = np.concatenate((powers, powers * (powers[-1] * w)))
+    out = np.zeros(2 * size - 1, dtype=complex)
+    out[size:] = -powers[1:]
     out.setflags(write=False)
     return out
+
+
+def _letter_series(ps: PoleSet, lab: str, center: QI, order: int,
+                   scale: float = 1.0):
+    """Multiplication by the letter dz/(z - pole), which is du/(u - e) in
+    u = x / scale for e = (pole - center) / scale, as the matrix taking
+    coefficients over u^j to coefficients over u^(i - 1), for i and j in
+    0..order: entry (j, i) is the coefficient of u^(i - 1 - j) in
+    1/(u - e).  It is a read-only Toeplitz view of the letter's cached
+    coefficients, which serve every order up to the next power of two, so
+    no matrix is kept.  A coefficient past the float range is refused.
+    The letter at the center is 1/x itself, whose matrix is the identity:
+    None then, and the step multiplies by nothing."""
+    n = order + 1
+    size = 1 << order.bit_length()
+    coeffs = _letter_coeffs(ps, lab, center, size, scale)
+    if coeffs is None:
+        return None
+    # |w^m| is monotone in m, so the last coefficient overflows first
+    if not cmath.isfinite(coeffs[size + order - 1]):
+        raise DomainError(f"the series of the letter {lab} at order {order} "
+                          "overflows a float")
+    # entry (j, i) is coeffs[size - 1 - j + i]
+    step = coeffs.itemsize
+    return np.ndarray((n, n), complex, coeffs, (size - 1) * step,
+                      (-step, step))
 
 
 @lru_cache(maxsize=8)
-def _reciprocals(order: int) -> np.ndarray:
-    """1/i for i in 1..order, the termwise integration of x^(i - 1)."""
-    out = 1.0 / np.arange(1, order + 1)
+def _reciprocals_to(size: int) -> np.ndarray:
+    out = 1.0 / np.arange(1, size + 1)
     out.setflags(write=False)
     return out
+
+
+def _reciprocals(order: int) -> np.ndarray:
+    """1/i for i in 1..order, the termwise integration of x^(i - 1), read
+    off one cached array for orders up to the next power of two."""
+    return _reciprocals_to(1 << order.bit_length())[:order]
 
 
 def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
@@ -136,16 +175,14 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
     times sum_k p_k log^k is x^i times sum_k a_k log^k, where by parts
     i a_k + (k+1) a_(k+1) = p_k: one pass from the top power down."""
     prod = rows if letter is None else rows @ letter
-    inv = _reciprocals(rows.shape[1] - 1)
-    out = np.zeros((len(rows) + 1, rows.shape[1]), dtype=complex)
+    m, n = prod.shape
+    inv = _reciprocals(n - 1)
+    out = np.zeros((m + 1, n), dtype=complex)
     acc = 0
-    for k in range(len(prod) - 1, -1, -1):
+    for k in range(m - 1, -1, -1):
         out[k + 1, 0] = prod[k, 0] / (k + 1)
-        acc = (prod[k, 1:] - (k + 1) * acc) * inv
-        out[k, 1:] = acc
-    if not out[-1].any():
-        out = out[:-1]
-    return out
+        acc = out[k, 1:] = (prod[k, 1:] - (k + 1) * acc) * inv
+    return out if out[m, 0] else out[:m]
 
 
 def _series_sum(rows: np.ndarray, x: complex) -> complex:
@@ -161,24 +198,64 @@ def _series_sum(rows: np.ndarray, x: complex) -> complex:
     return total
 
 
+def _series_order(q: float) -> int:
+    """The order series_values sums to at the ratio q of |x| to the center's
+    distance to the nearest other puncture: SERIES_TERMS ln 2 / -ln q, so
+    80 at one half and 193 at three quarters, and never below
+    DEFAULT_ORDER, so that a word's leading terms keep their relative
+    accuracy near the center.  A ratio past three quarters is refused: at
+    one the series diverges, and below it the terms would run long."""
+    # a hair of slack for a ray point at 3/4 r that rounds past it; NaN fails
+    if not q <= _MAX_RATIO * (1 + 1e-12):
+        raise DomainError(
+            f"series ratio {q:.3g} exceeds {_MAX_RATIO}: the point is too far "
+            "from the center for its series")
+    if q == 0:
+        return DEFAULT_ORDER
+    return max(DEFAULT_ORDER,
+               math.ceil(SERIES_TERMS * math.log(2) / -math.log(q)))
+
+
 def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     """Values at the displacement x from an exact center of every prefix of
-    the words, summed from their series there to SERIES_TERMS with every
-    integration constant zero (the regularized integral from the center);
-    shared prefixes are stepped once."""
+    the words, summed from their series there with every integration
+    constant zero (the regularized integral from the center); shared
+    prefixes are stepped once.  The order follows the ratio of |x| to the
+    distance r to the nearest other puncture (_series_order), and the
+    series is held in u = x / r, where no letter's coefficient exceeds
+    one.  Each value is one product of the coefficients with the powers of
+    u, smallest term first, and then Horner's rule in the principal log of
+    x."""
     c = QI.of(center)
-    letters = {lab: _letter_series(ps, lab, c, SERIES_TERMS)
-               for lab in ps.labels}
-    series = {(): np.eye(1, SERIES_TERMS + 1, dtype=complex)}
+    c_num = complex(c)
+    r_c = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
+              default=math.inf)
+    order = _series_order(abs(x) / r_c)
+    scale = r_c if r_c < math.inf else 1.0
+    powers = np.ones(order + 1, dtype=complex)
+    powers[1:] = np.cumprod(np.full(order, complex(x) / scale))
+    lx = cmath.log(x)
+    letters = {}
+    series = {(): np.eye(1, order + 1, dtype=complex)}
     vals = {(): 1.0 + 0j}
     for w in check_prefix_budget(words):
         for k in range(1, len(w) + 1):
             prefix = w[:k]
             if prefix in series:
                 continue
-            series[prefix] = _letter_step(series[w[:k - 1]],
-                                          letters[prefix[-1]])
-            vals[prefix] = _series_sum(series[prefix], x)
+            lab = prefix[-1]
+            if lab not in letters:
+                letters[lab] = _letter_series(ps, lab, c, order, scale)
+            rows, letter = series[w[:k - 1]], letters[lab]
+            if k == 1 and letter is not None:
+                # the unit row times the letter is the letter's first row
+                rows, letter = letter[:1], None
+            rows = _letter_step(rows, letter)
+            series[prefix] = rows
+            total = 0j
+            for v in (rows[:, ::-1] @ powers[::-1])[::-1].tolist():
+                total = total * lx + v
+            vals[prefix] = total
     return vals
 
 

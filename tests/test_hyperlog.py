@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import os
@@ -33,7 +34,7 @@ from curvelog import (
     zero_label,
 )
 from curvelog import hyperlog
-from curvelog.iterint import plan_chain
+from curvelog.iterint import Path, plan_chain, plan_path
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
@@ -665,12 +666,12 @@ def test_initial_value_run_matches_the_cut_sum_assembly(poles):
 # lies in the origin's disk; series_checks.reference_evaluate is the route
 # it replaced, from the reference point along the planned leg.
 
-def _seeded_points(rng, count):
+def _seeded_points(rng, count, top=0.75):
     """Points drawn as the eval-points benchmark draws them: inside the unit
-    disk, 0.25 to 0.75 from the origin and off the real axis."""
+    disk, 0.25 to 0.75 (or top) from the origin and off the real axis."""
     pts = []
     while len(pts) < count:
-        r, t = rng.uniform(0.25, 0.75), rng.uniform(-math.pi, math.pi)
+        r, t = rng.uniform(0.25, top), rng.uniform(-math.pi, math.pi)
         z = r * complex(math.cos(t), math.sin(t))
         if abs(z.imag) >= 0.02:
             pts.append(z)
@@ -687,9 +688,11 @@ def test_a_chain_from_its_first_point_matches_the_reference_route(poles):
     rng = random.Random(21)
     # -0.5+0.05j: the planned leg detours below the origin and winds -1
     # about it; so do the legs to the negative axis, on either signed zero;
+    # 0.8+0.3j lies past three quarters of the disk and starts on its ray;
     # 0.9+0.8j lies outside the disk and starts at z1 as before
     pts = _seeded_points(rng, 3) + [-0.5 + 0.05j, -0.3 + 0j,
-                                    complex(-0.7, -0.0), 0.9 + 0.8j]
+                                    complex(-0.7, -0.0), 0.8 + 0.3j,
+                                    0.9 + 0.8j]
     starts = {}
     for z in pts:
         head, turns = hyperlog._start(z, ps)
@@ -745,6 +748,101 @@ def test_an_empty_head_gives_the_value_of_the_full_route(monkeypatch):
     assert eval_L(w, z, ps).value == got
     [near] = reference_evaluate([w], [z], ps)
     assert _close(got, near[w])
+
+
+# A first point out to three quarters of the origin's disk starts from its
+# own series, and one further out from its ray at three quarters; both
+# routes must agree with the one from the reference point and with the
+# closed forms of the eval-points families.
+
+def _disk_points(rng, count):
+    """Seeded points off the real axis at 0.25 to 0.95 of the origin's
+    disk radius (1 on the pole sets below), after points just inside and
+    just outside three quarters of it."""
+    return ([0.74 * cmath.exp(1j), 0.76 * cmath.exp(2j), 0.95 * cmath.exp(-2j)]
+            + _seeded_points(rng, count - 3, top=0.95))
+
+
+def _start_kind(z, ps):
+    head, _ = hyperlog._start(z, ps)
+    return ("z" if not head.segments else
+            "z1" if head.base == reference_point(ps) else "ray")
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1,i", "0,2+i", "0,1/3,-5"])
+def test_a_first_point_starts_at_itself_out_to_three_quarters(poles):
+    # past three quarters of the radius r the head runs from the ray point
+    # at 3/4 r, which may round a hair past it (r = sqrt(5) on 0,2+i)
+    ps = PoleSet.of(poles)
+    r = 2 * reference_point(ps).real
+    w = ("0", ps.labels[1], "0")
+    for t in (0.25, 0.5, 0.74, 0.76, 0.9):
+        z = t * r * cmath.exp(1j)
+        head, turns = hyperlog._start(z, ps)
+        assert turns == 0
+        if t < 0.75:
+            assert not head.segments and head.base == z
+        else:
+            assert head.segments and abs(abs(head.base) - 0.75 * r) <= 1e-15
+        [want] = reference_evaluate([w], [z], ps)
+        assert _close(eval_L(w, z, ps).value, want[w])
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_points_across_the_disk_match_the_reference_route(poles):
+    ps = PoleSet.of(poles)
+    pts = _disk_points(random.Random(36), 12)
+    assert {_start_kind(z, ps) for z in pts} >= {"z", "ray"}
+    words = _eval_point_words(ps)
+    for z in pts:
+        [want] = reference_evaluate(words, [z], ps)
+        for w in words:
+            assert _close(eval_L(w, z, ps).value, want[w]), (w, z)
+
+
+def _closed_form(word, z, a):
+    """L(a^n) = log(1 - z/a)^n / n!, L(a, 0^m) = -Li_(m+1)(z/a), and
+    L(0^k, a, 0^m) from the shuffle of 0^k with (a, 0^m): log(z)^k / k!
+    L(a, 0^m) is the sum over i of C(m + k - i, k - i) L(0^i, a,
+    0^(m + k - i)), on the principal sheet."""
+    with mpmath.workdps(20):
+        z, x = mpmath.mpc(z), mpmath.mpc(z) / mpmath.mpc(a)
+        if "0" not in word:
+            return complex(mpmath.log(1 - x) ** len(word)
+                           / mpmath.factorial(len(word)))
+        k = next(i for i, lab in enumerate(word) if lab != "0")
+
+        @functools.cache
+        def lead(i, m):
+            if i == 0:
+                return -mpmath.polylog(m + 1, x)
+            return (mpmath.log(z) ** i / mpmath.factorial(i) * lead(0, m)
+                    - sum(mpmath.binomial(m + i - j, i - j)
+                          * lead(j, m + i - j) for j in range(i)))
+
+        return complex(lead(k, len(word) - 1 - k))
+
+
+def _winds(z, ps):
+    """Whether the planned leg to z, closed by the chord back to the
+    reference point, winds about any puncture, the origin too."""
+    z1 = reference_point(ps)
+    closed = plan_path(z1, z, ps) + Path.line(z, z1)
+    return any(round(closed.sweep(p) / (2 * math.pi)) for p in ps.as_complex)
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_points_across_the_disk_match_the_closed_forms(poles):
+    ps = PoleSet.of(poles)
+    pts = [z for z in _disk_points(random.Random(36), 16) if not _winds(z, ps)]
+    assert len(pts) >= 8
+    assert {_start_kind(z, ps) for z in pts} >= {"z", "ray"}
+    for z in pts:
+        for w in _eval_point_words(ps):
+            a = ps.as_complex[ps.index(next(lab for lab in w if lab != "0"))]
+            want = _closed_form(w, z, a)
+            got = eval_L(w, z, ps).value
+            assert abs(got - want) <= 2e-15 * max(1.0, abs(want)), (w, z)
 
 
 def test_near_the_origin_a_value_is_its_own_series():

@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,9 @@ from curvelog import (
     loop_around,
     regularize,
 )
-from curvelog.local_expansion import SERIES_TERMS, _letter_series, _letter_step
+from curvelog import local_expansion
+from curvelog.local_expansion import (SERIES_TERMS, _letter_series, _letter_step,
+                                      _series_order, series_values)
 from series_checks import reference_letter_step
 
 PS = PoleSet.of("0,1")
@@ -305,3 +308,82 @@ def test_the_centers_own_letter_has_no_matrix():
     assert _letter_series(PS, "0", QI.of(0), 24) is None
     assert _letter_series(PS, "1", QI.of(1), 24) is None
     assert _letter_series(PS, "1", QI.of(0), 24).shape == (25, 25)
+
+
+def test_a_letter_matrix_is_a_read_only_view_of_one_vector():
+    letter = _letter_series(PS, "1", QI.of(0), 80)
+    assert letter.shape == (81, 81) and not letter.flags.writeable
+    assert letter.base.shape == (255,)
+    # entry (j, i) is the coefficient -1 of x^(i - 1 - j), zero below
+    lag = np.arange(81) - np.arange(1, 82)[:, None]
+    assert np.array_equal(letter, np.where(lag >= 0, -1.0, 0.0))
+
+
+def test_a_letter_whose_series_overflows_is_refused():
+    # 1/(z - 1/100) has the coefficient -100^(m + 1) at x^m
+    ps = PoleSet.of("0,1/100")
+    assert _letter_series(ps, "1/100", QI.of(0), 150).shape == (151, 151)
+    with pytest.raises(DomainError, match="overflows"):
+        _letter_series(ps, "1/100", QI.of(0), 160)
+    with pytest.raises(DomainError, match="overflows"):
+        expand_at(("1/100",), ps, 0, order=1000)
+
+
+def test_expand_at_keeps_no_letter_matrix():
+    # a dense letter matrix of order 1023 is 16 MiB, and building one takes
+    # about 2.5 times that; only coefficient vectors may stay cached
+    import tracemalloc
+
+    local_expansion._letter_coeffs.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exp = expand_at(("1", "-1", "i"), "0,1,-1,i", 0, order=1023)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exp.rows.shape == (1, 1024)
+    assert peak - before < 32 << 20
+    assert held - before < 1 << 20
+
+
+# series_values sums SERIES_TERMS ln 2 / -ln q terms at the ratio q of |x|
+# to the nearest other puncture, and refuses a ratio past three quarters.
+
+def test_the_term_count_follows_the_ratio():
+    assert _series_order(0.5) == SERIES_TERMS == 80
+    assert _series_order(0.75) == 193
+    # a ray point at three quarters of the radius may round a hair past it
+    assert _series_order(math.nextafter(0.75, 1)) == 193
+    counts = [_series_order(q / 100) for q in range(10, 76)]
+    assert counts == sorted(counts) and counts[-1] == 193
+    assert _series_order(1e-300) == _series_order(0.0) > 0
+    assert _series_order(0.7) < _series_order(0.74) < 193
+
+
+@pytest.mark.parametrize("x", [1.5j, 0.999, 0.76, -0.9 + 0.1j, math.nan])
+def test_a_ratio_past_three_quarters_is_refused(x):
+    # summed regardless, the series gives -1.3e10 + 8.9e9i at 1.5j, and
+    # -1.6276 at 0.999 against -Li2(0.999) = -1.6370
+    with pytest.raises(DomainError, match="ratio"):
+        series_values([("1", "0")], PS, x)
+
+
+@pytest.mark.parametrize("x", [0.75j, -0.75, 0.5 + 0.5j, 0.3 - 0.1j, 1e-9j])
+def test_series_values_match_the_dilogarithm_up_to_three_quarters(x):
+    want = -complex(mpmath.polylog(2, mpmath.mpc(x)))
+    got = series_values([("1", "0")], PS, x)[("1", "0")]
+    assert abs(got - want) <= 4e-16 * max(1.0, abs(want))
+
+
+def test_series_values_scale_to_the_nearest_puncture():
+    # the letter at 1/100000 has coefficients up to 1e5^194 in x; in
+    # x / 1e-5 they stay below one
+    ps = PoleSet.of("0,1/100000")
+    a = 1e-5
+    for x in (0.74e-5j, -0.5e-5 + 0.2e-5j):
+        vals = series_values([("1/100000", "0"), ("1/100000",) * 3], ps, x)
+        li2 = -complex(mpmath.polylog(2, mpmath.mpc(x) / a))
+        power = complex(mpmath.log(1 - mpmath.mpc(x) / a) ** 3 / 6)
+        assert abs(vals[("1/100000", "0")] - li2) <= 1e-15
+        assert abs(vals[("1/100000",) * 3] - power) <= 1e-15
