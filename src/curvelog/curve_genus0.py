@@ -111,7 +111,7 @@ class PoleSet:
             raise DomainError("two poles coincide as floats")
         return min(ds) if ds else math.inf
 
-    @property
+    @cached_property
     def guard(self) -> float:
         m = self.min_pairwise_distance
         if math.isfinite(m):

@@ -3,23 +3,27 @@
 Words over the puncture labels integrate from the origin once the divergent
 leading letter is split off: every word decomposes into admissible pieces
 shuffled against powers of the single zero letter, and the zero letter is
-assigned the principal logarithm.  Admissible pieces are carried from the
-origin by power series to the start of one integration along the planned
-paths, and these values are its initial value.  The first point's sheet is
-always that of the planned path to it from the reference point.  Near the
-origin the local monodromy only moves log z by 2 pi i, so a first point in
-the origin's disk starts from its own series (or, past three quarters of
-the disk's radius, from its ray there), with the zero letter moved by that
-path's turns about 0.
+assigned the principal logarithm; an admissible word is its own piece.
+Admissible pieces are carried from the origin by power series to the start
+of one integration along the planned paths, where the zero letter starts
+at its principal log, and these values are its initial value.  The first
+point's sheet is always that of the planned path to it from the reference
+point.  Near the origin the local monodromy only moves log z by 2 pi i, so
+a first point in the origin's disk starts from its own series (or, past
+three quarters of the disk's radius, from its ray there), with the zero
+letter moved by that path's turns about 0; a planned leg without a detour
+winds about nothing.
 A lone point that starts from its own series integrates along an empty
-path, which builds no word system and returns its series values.
+path, which builds no word system and returns its series values.  Such a
+point still pays for its planned leg, the split of its word, the series of
+the admissible pieces and the empty path's clearance and letter checks.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import factorial, pi
+from math import comb, factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
@@ -27,8 +31,11 @@ from .iterint import (IntegratorConfig, LineSeg, Path, glued,
                       integrate_h_words, plan_chain, plan_path)
 from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
-from .scalars import QI
+from .scalars import QI, _make
 from .shuffle_core import ShuffleTensor, suffix_shuffles
+
+
+_ONE = QI.of(1)
 
 
 def zero_label(ps: PoleSet) -> str:
@@ -92,22 +99,34 @@ def regularize(word, ps: PoleSet) -> RegularizedWord:
     admissible words.  For a word z^n b v with b not z, the part of log
     power i is (-1)^(n-i) / i! times b followed by the shuffle of z^(n-i)
     with v; the word z^n alone is 1/n! times the empty word at power n.
+    An admissible word (n = 0) is its own part at power 0.
     """
     word = tuple(word)
     z = zero_label(ps)
+    labels = ps.labels
     for lab in word:
-        ps.index(lab)  # validate letters early
+        if lab not in labels:
+            ps.index(lab)  # validate letters early: another spelling or none
+    # the letters are checked, so the parts' terms are built unchecked
+    if word[:1] != (z,):
+        return RegularizedWord(word,
+                               ((0, ShuffleTensor._summed({word: _ONE})),))
     n = next((k for k, lab in enumerate(word) if lab != z), len(word))
     if n == len(word):
         return RegularizedWord(word, ((n, ShuffleTensor.from_word(
             (), QI.of(1) / factorial(n))),))
     b, v = word[n], word[n + 1:]
-    zshuffles = suffix_shuffles((z,) * n, v)  # entry k is z^k ш v
+    if v.count(z) == len(v):  # z^k ш z^m is C(k + m, k) z^(k + m)
+        zshuffles = [{(z,) * (k + len(v)): comb(k + len(v), k)}
+                     for k in range(n + 1)]
+    else:
+        zshuffles = suffix_shuffles((z,) * n, v)  # entry k is z^k ш v
     parts = []
     for i in range(n + 1):
-        c = QI.of((-1) ** (n - i)) / factorial(i)
-        parts.append((i, ShuffleTensor(
-            {(b,) + w: c * mult for w, mult in zshuffles[n - i].items()})))
+        sign, d = (-1) ** (n - i), factorial(i)
+        parts.append((i, ShuffleTensor._summed(
+            {(b,) + w: _make(sign * mult, 0, d)
+             for w, mult in zshuffles[n - i].items()})))
     return RegularizedWord(word, tuple(parts))
 
 
@@ -132,15 +151,17 @@ def _tensor_value(t: ShuffleTensor, vals: dict) -> complex:
 def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
     """The sum over k of part k's value times logz^k, by Horner's rule, so
     a part's 1/k! meets the log before logz^k can overflow."""
+    parts = reg.by_power
     total = 0j
-    for k in range(reg.max_log_power, -1, -1):
-        total = total * logz + _tensor_value(reg.tensor(k), vals)
+    for k in range(max(parts, default=0), -1, -1):
+        t = parts.get(k)
+        total = total * logz + (0j if t is None else _tensor_value(t, vals))
     return total
 
 
 def _start(z: complex, ps: PoleSet):
     """The head of a chain to its first point z and the winding about the
-    origin to add to the zero letter's series value at the head's start.
+    origin to add to the zero letter's value at the head's start.
 
     The planned leg from the reference point z1 is the path that fixes z's
     sheet.  When z lies in the disk |z| < r = 2 z1 free of other punctures
@@ -148,26 +169,30 @@ def _start(z: complex, ps: PoleSet):
     but the origin, the leg's only effect on the series is n turns of
     log z: the head is then the radial line from z, or from z's ray at the
     radius 3/4 r where the series stops, to z, with n = (the leg's sweep
-    about 0 - arg z) / 2 pi.  Any other leg is the head itself, from z1."""
+    about 0 - arg z) / 2 pi.  A leg without a detour is its own chord and
+    winds about nothing.  Any other leg is the head itself, from z1."""
     z1 = reference_point(ps)
     leg = plan_path(z1, z, ps)
     r = 2 * z1.real
-    if abs(z) < r:
+    if not abs(z) < r:
+        return leg, 0
+    turns = 0
+    if len(leg.segments) > 1:
         back = LineSeg(z, z1)
-        if not any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
-                   for p in ps.as_complex if p != 0):
-            turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
-            return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
-    return leg, 0
+        if any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
+               for p in ps.as_complex if p != 0):
+            return leg, 0
+        turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
+    return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
 
 
 def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     """Values of the words at the points, visited in order along one chain
     of planned paths from the head's start (``_start``).  A tail path
     closed at the last point is traversed before the values at that point
-    are read.  The admissible words and the zero letter start at their
-    series values there, the zero letter moved to the first point's sheet,
-    and are integrated once along the chain."""
+    are read.  The admissible words start at their series values there and
+    the zero letter at its principal log, moved to the first point's sheet,
+    and all are integrated once along the chain."""
     zlab = zero_label(ps)
     regs = {w: regularize(w, ps) for w in set(words)}
     admissible = {u for reg in regs.values() for _, t in reg.parts
@@ -176,16 +201,18 @@ def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
     if any(z == 0 for z in pts):
         raise DomainError("evaluation at the origin is the regularization point")
     head, turns = _start(pts[0], ps)
-    rest, marks = plan_chain(pts[0], pts[1:], ps)
-    path = head + rest
-    marks = [m + len(head.segments) for m in [-1] + marks]
+    path, marks = head, [-1]
+    if len(pts) > 1:
+        rest, legs = plan_chain(pts[0], pts[1:], ps)
+        path, marks = head + rest, marks + legs
+    marks = [m + len(head.segments) for m in marks]
     if tail is not None:
         path = path + tail
         marks[-1] = len(path.segments) - 1
-    start = series_values(admissible | {(zlab,)}, ps, path.base)
-    start[(zlab,)] += 2j * pi * turns
+    start = series_values(admissible, ps, path.base)
+    start[(zlab,)] = cmath.log(path.base) + 2j * pi * turns
     _, caps = integrate_h_words(
-        path, list(start), Section.standard(ps), cfg,
+        path, start, Section.standard(ps), cfg,
         capture_after=[m for m in marks if m >= 0], start=start)
     rows = [start if m < 0 else caps[m] for m in marks]
     return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}

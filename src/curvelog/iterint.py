@@ -113,11 +113,12 @@ class ArcSeg:
         return (self.center + self.radius * w,
                 1j * (dt * (self.theta1 - self.theta0)) * self.radius * w)
 
-    @property
+    # read once: glueing, sweeps and clearance each ask for the ends
+    @cached_property
     def start(self) -> complex:
         return complex(self.point(0.0))
 
-    @property
+    @cached_property
     def end(self) -> complex:
         return complex(self.point(1.0))
 
@@ -278,13 +279,8 @@ class Path:
         return best
 
     def check_clearance(self, ps: PoleSet):
-        guard = ps.guard
-        for p, lab in zip(ps.as_complex, ps.labels):
-            dmin = self.min_distance_to([p])
-            if dmin < guard:
-                raise PathError(
-                    f"path passes within {dmin:.3g} of the puncture {lab} "
-                    f"(guard {guard:.3g})")
+        _check_distances((self.min_distance_to((p,)) if self.segments else
+                          abs(p - self.base) for p in ps.as_complex), ps)
 
     def to_json(self):
         return {"base": [self.base.real, self.base.imag],
@@ -321,6 +317,16 @@ class Path:
         return cls(tuple(segs), base)
 
 
+def _check_distances(dists: Iterable[float], ps: PoleSet):
+    """PathError at the first puncture, in the pole set's order, whose
+    distance from a path is below the guard."""
+    guard = ps.guard
+    for dmin, lab in zip(dists, ps.labels):
+        if dmin < guard:
+            raise PathError(f"path passes within {dmin:.3g} of the puncture "
+                            f"{lab} (guard {guard:.3g})")
+
+
 def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     """A straight path from a to b, detouring around punctures that sit too
     close to the segment.  Detours are half circles on the left of the travel
@@ -333,21 +339,27 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     if a == b:
         return Path((), a)
     guard = ps.guard
-    u = (b - a) / abs(b - a)
-    seg = LineSeg(a, b)
+    length = abs(b - a)
+    u = (b - a) / length
     detours = []
+    dists = []
     m = ps.min_pairwise_distance
     for p in ps.as_complex:
+        along = ((p - a) * u.conjugate()).real
+        # the distance from p to the segment, as LineSeg.min_distance reads it
+        d = (abs(p - a) if not along > 0 else abs(p - b) if along >= length
+             else abs(p - (a + along * u)))
+        dists.append(d)
         rho = 0.3 * m if math.isfinite(m) else 0.3 * max(1.0, abs(a - p))
         rho = min(rho, 0.8 * abs(a - p), 0.8 * abs(b - p))
-        if rho <= 2 * guard:
-            continue
-        along = ((p - a) * u.conjugate()).real
-        if not (1e-12 < along < abs(b - a) - 1e-12):
-            continue
-        if seg.min_distance(p) >= rho:
+        if (rho <= 2 * guard or not 1e-12 < along < length - 1e-12
+                or d >= rho):
             continue
         detours.append((along, p, rho))
+    if not detours and length > 1e-14:
+        # the segment itself, whose distances are the clearance's
+        _check_distances(dists, ps)
+        return Path((LineSeg(a, b),), a)
     detours.sort(key=lambda item: item[0])
     segs = []
     cur = a
@@ -728,9 +740,9 @@ def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
     runs the full basis itself): clearance, the joint word system with
     letters resolved by form_of, the run from start (the unit when None),
     and every vector unpacked into a dict.  A path without segments builds
-    no system and runs nothing: its endpoint values are the start over the
-    prefix closure, after the same clearance check and letter checks."""
-    cfg = cfg or IntegratorConfig()
+    no system, no config and runs nothing: its endpoint values are the
+    start over the prefix closure, after the same clearance check, with
+    each distinct last letter sent through form_of once."""
     path.check_clearance(poles)
     if not path.segments:
         closure = _prefix_closure(words)
@@ -741,8 +753,8 @@ def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
     system = _WordSystem(words, form_of)
     y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
           np.array([start[w] for w in system.words], dtype=complex))
-    y, captured, rows = _run(system, y0, path, cfg, poles.as_complex,
-                             capture_after, trace)
+    y, captured, rows = _run(system, y0, path, cfg or IntegratorConfig(),
+                             poles.as_complex, capture_after, trace)
 
     def unpack(vec):
         return {w: vec[i] for w, i in system.index.items()}
@@ -777,18 +789,18 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
                       start: dict | None = None):
     """Joint integration of residue-class label words through a section,
     from start, the values at path.base of the words' prefix closure, or by
-    default from the unit (1 on the empty word, 0 elsewhere)."""
-    ps = section.poles
-    forms = {lab: section.form(lab).f for lab in ps.labels}
+    default from the unit (1 on the empty word, 0 elsewhere).  Only the
+    letters the words use are resolved through the section, each once; on
+    a path without segments the values are the start over the closure."""
+    labels = section.poles.labels
 
     def form_of(lab):
-        try:
-            return forms[lab]
-        except KeyError:
-            raise DomainError(f"unknown class letter {lab!r}") from None
+        if lab not in labels:
+            raise DomainError(f"unknown class letter {lab!r}")
+        return section.forms[labels.index(lab)].f
 
-    vals, caps, _ = _integrate(path, words, ps, form_of, cfg, capture_after,
-                               start=start)
+    vals, caps, _ = _integrate(path, words, section.poles, form_of, cfg,
+                               capture_after, start=start)
     return vals, caps
 
 

@@ -154,15 +154,17 @@ def _letter_series(ps: PoleSet, lab: str, center: QI, order: int,
 
 @lru_cache(maxsize=8)
 def _reciprocals_to(size: int) -> np.ndarray:
-    out = 1.0 / np.arange(1, size + 1)
+    out = np.zeros(size + 1)
+    out[1:] = 1.0 / np.arange(1, size + 1)
     out.setflags(write=False)
     return out
 
 
 def _reciprocals(order: int) -> np.ndarray:
-    """1/i for i in 1..order, the termwise integration of x^(i - 1), read
-    off one cached array for orders up to the next power of two."""
-    return _reciprocals_to(1 << order.bit_length())[:order]
+    """0 and then 1/i for i in 1..order, the termwise integration of
+    x^(i - 1), read off one cached array for orders up to the next power of
+    two."""
+    return _reciprocals_to(1 << order.bit_length())[:order + 1]
 
 
 def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
@@ -177,12 +179,22 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
     prod = rows if letter is None else rows @ letter
     m, n = prod.shape
     inv = _reciprocals(n - 1)
-    out = np.zeros((m + 1, n), dtype=complex)
-    acc = 0
-    for k in range(m - 1, -1, -1):
+    if m == 1 and not prod[0, 0]:
+        # one row that gains no log: x^(i-1) integrates to x^i / i
+        out = prod * inv
+        out[0, 0] = 0
+        return out
+    inv = inv[1:]
+    top = prod[m - 1, 0] / m
+    out = np.zeros((m + 1 if top else m, n), dtype=complex)
+    if top:
+        out[m, 0] = top
+    # the top row has no row above it to subtract
+    acc = np.multiply(prod[m - 1, 1:], inv, out=out[m - 1, 1:])
+    for k in range(m - 2, -1, -1):
         out[k + 1, 0] = prod[k, 0] / (k + 1)
         acc = out[k, 1:] = (prod[k, 1:] - (k + 1) * acc) * inv
-    return out if out[m, 0] else out[:m]
+    return out
 
 
 def _series_sum(rows: np.ndarray, x: complex) -> complex:
@@ -225,37 +237,54 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     series is held in u = x / r, where no letter's coefficient exceeds
     one.  Each value is one product of the coefficients with the powers of
     u, smallest term first, and then Horner's rule in the principal log of
-    x."""
+    x; the prefixes of one row, every admissible word's, are summed in one
+    product after the steps."""
     c = QI.of(center)
     c_num = complex(c)
     r_c = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
               default=math.inf)
     order = _series_order(abs(x) / r_c)
     scale = r_c if r_c < math.inf else 1.0
+    # the powers of u from the highest down, so each sum starts at its
+    # smallest term
     powers = np.ones(order + 1, dtype=complex)
-    powers[1:] = np.cumprod(np.full(order, complex(x) / scale))
+    powers[1:] = np.full(order, complex(x) / scale).cumprod()
+    powers = powers[::-1]
     lx = cmath.log(x)
     letters = {}
-    series = {(): np.eye(1, order + 1, dtype=complex)}
+    series = {}
     vals = {(): 1.0 + 0j}
+    single = []  # the prefixes of one row, summed in one product below
     for w in check_prefix_budget(words):
         for k in range(1, len(w) + 1):
             prefix = w[:k]
             if prefix in series:
+                rows = series[prefix]
                 continue
-            lab = prefix[-1]
+            lab = w[k - 1]
             if lab not in letters:
                 letters[lab] = _letter_series(ps, lab, c, order, scale)
-            rows, letter = series[w[:k - 1]], letters[lab]
-            if k == 1 and letter is not None:
+            letter = letters[lab]
+            if k == 1:
                 # the unit row times the letter is the letter's first row
-                rows, letter = letter[:1], None
-            rows = _letter_step(rows, letter)
-            series[prefix] = rows
+                rows = (np.eye(1, order + 1, dtype=complex) if letter is None
+                        else letter[:1])
+                letter = None
+            rows = series[prefix] = _letter_step(rows, letter)
+            vals[prefix] = None
+            if len(rows) == 1:
+                single.append(prefix)
+                continue
             total = 0j
-            for v in (rows[:, ::-1] @ powers[::-1])[::-1].tolist():
+            for v in (rows[:, ::-1] @ powers)[::-1].tolist():
                 total = total * lx + v
             vals[prefix] = total
+    if single:
+        # Horner's rule in the log on one row is 0 * lx + its value
+        zero = 0j * lx
+        rows = np.concatenate([series[p] for p in single])
+        for p, v in zip(single, (rows[:, ::-1] @ powers).tolist()):
+            vals[p] = zero + v
     return vals
 
 

@@ -79,6 +79,16 @@ class ShuffleTensor:
     def from_word(cls, word, coeff=1, alphabet=None) -> "ShuffleTensor":
         return cls({tuple(word): QI.of(coeff)}, alphabet)
 
+    @classmethod
+    def _summed(cls, terms: dict, alphabet=None) -> "ShuffleTensor":
+        """A tensor over terms that are summed already: distinct tuple
+        words over the alphabet, each with a nonzero QI.  They are taken
+        as they are, unchecked."""
+        t = cls.__new__(cls)
+        t._terms = terms
+        t.alphabet = alphabet
+        return t
+
     @property
     def terms(self):
         return MappingProxyType(self._terms)

@@ -13,6 +13,13 @@ settings.register_profile(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the same tests with fresh random draws, for a CI step that explores and
+# gates nothing: pytest -m hypothesis --hypothesis-profile=explore
+settings.register_profile(
+    "explore",
+    parent=settings.get_profile("suite"),
+    derandomize=False,
+)
 settings.load_profile("suite")
 
 

@@ -1,6 +1,7 @@
 """Checks on series values that only the tests need, and the code that
 faster routes replaced, kept as their references."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
 from curvelog.errors import DomainError, NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
-from curvelog.iterint import (_NODES, _RHO_MIN, IntegratorConfig, _halves,
-                              _plan, _run, _spectral, _WordSystem,
-                              check_prefix_budget, integrate_h_words,
-                              label_words, plan_chain)
-from curvelog.local_expansion import series_values
+from curvelog.iterint import (_NODES, _RHO_MIN, ArcSeg, IntegratorConfig,
+                              LineSeg, Path, _halves, _plan, _run, _spectral,
+                              _WordSystem, check_prefix_budget,
+                              integrate_h_words, label_words, plan_chain,
+                              plan_path)
+from curvelog.local_expansion import _MAX_RATIO, series_values
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              default_basepoint, normal_form)
 from curvelog.scalars import QI, accumulate
@@ -326,6 +328,79 @@ def reassemble(reg, ps) -> ShuffleTensor:
             power = shuffle(power, x)
         total = total + shuffle(t, power)
     return total
+
+
+def reference_plan_path(a, b, ps):
+    """``iterint.plan_path`` as it was before a leg without a detour was
+    checked for clearance from the distances read while planning: every
+    leg is checked as a whole path, and each candidate detour reads its
+    own distance."""
+    a, b = complex(a), complex(b)
+    if a == b:
+        return Path((), a)
+    guard = ps.guard
+    u = (b - a) / abs(b - a)
+    seg = LineSeg(a, b)
+    detours = []
+    m = ps.min_pairwise_distance
+    for p in ps.as_complex:
+        rho = 0.3 * m if math.isfinite(m) else 0.3 * max(1.0, abs(a - p))
+        rho = min(rho, 0.8 * abs(a - p), 0.8 * abs(b - p))
+        if rho <= 2 * guard:
+            continue
+        along = ((p - a) * u.conjugate()).real
+        if not (1e-12 < along < abs(b - a) - 1e-12):
+            continue
+        if seg.min_distance(p) >= rho:
+            continue
+        detours.append((along, p, rho))
+    detours.sort(key=lambda item: item[0])
+    segs = []
+    cur = a
+    for _, p, rho in detours:
+        q1 = p - rho * u
+        q2 = p + rho * u
+        if abs(q1 - cur) > 1e-14:
+            segs.append(LineSeg(cur, q1))
+        th1 = cmath.phase(q1 - p)
+        segs.append(ArcSeg(p, rho, th1, th1 - math.pi))
+        cur = q2
+    if abs(b - cur) > 1e-14:
+        segs.append(LineSeg(cur, b))
+    path = Path(tuple(segs), a)
+    path.check_clearance(ps)
+    return path
+
+
+def reference_start(z, ps):
+    """``hyperlog._start`` as it was before a leg without a detour returned
+    at once and ``plan_path`` checked a straight leg's clearance from its
+    own distances: every leg into the disk is closed by its chord and its
+    sweep about each puncture is summed."""
+    z1 = reference_point(ps)
+    leg = plan_path(z1, z, ps)
+    r = 2 * z1.real
+    if abs(z) < r:
+        back = LineSeg(z, z1)
+        if not any(round((leg.sweep(p) + back.sweep(p)) / (2 * math.pi))
+                   for p in ps.as_complex if p != 0):
+            turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * math.pi))
+            return (Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z),
+                    turns)
+    return leg, 0
+
+
+def reference_start_values(words, ps, base, turns) -> dict:
+    """The values a chain starts from as ``hyperlog._evaluate`` built them
+    before the zero letter started at its log: the series values at base
+    of the words' admissible parts and of the zero letter, the zero letter
+    moved by turns."""
+    zlab = zero_label(ps)
+    admissible = {u for w in words for _, t in regularize(w, ps).parts
+                  for u in t.terms}
+    start = series_values(admissible | {(zlab,)}, ps, base)
+    start[(zlab,)] += 2j * math.pi * turns
+    return start
 
 
 def reference_evaluate(words, pts, ps, cfg=None, tail=None):

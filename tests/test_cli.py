@@ -770,6 +770,21 @@ def test_a_point_next_to_a_puncture_reports_its_own_distance(capsys):
     assert "path passes within 1e-320 of the puncture 0" in captured.err
 
 
+@pytest.mark.parametrize("point,dist", [("1e-9", "1e-09"),
+                                        ("0.0005+0.0005i", "0.000707"),
+                                        ("1e-320", "1e-320")])
+def test_a_straight_leg_into_the_guard_is_refused_as_before(capsys, point,
+                                                            dist):
+    # plan_path checks a leg without a detour from the distances it read
+    # while planning; the refusal is the whole path's check, word for word
+    rc = main(["eval", "--poles", "0,1", "--word", "1,0", "--point", point])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert (f"path passes within {dist} of the puncture 0 (guard 0.001)"
+            in captured.err)
+
+
 def test_expand_order_zero_is_rejected(capsys):
     assert main(["expand", "--poles", "0,1", "--word", "0", "--point", "0",
                  "--weight", "0"]) == 2

@@ -39,7 +39,8 @@ from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
 from series_checks import (reassemble, reference_evaluate, reference_integrate,
-                           reference_mzv)
+                           reference_mzv, reference_start,
+                           reference_start_values)
 
 PS = PoleSet.of("0,1")
 
@@ -748,6 +749,64 @@ def test_an_empty_head_gives_the_value_of_the_full_route(monkeypatch):
     assert eval_L(w, z, ps).value == got
     [near] = reference_evaluate([w], [z], ps)
     assert _close(got, near[w])
+
+
+# The start of a chain against the one it replaced: series_checks keeps the
+# start that summed every leg's sweeps and took the zero letter from its
+# series.  The head, its base, its turns and every value the chain starts
+# from must be the same, bit for bit.
+
+def _ring_points(rng, count, lo, hi):
+    """Seeded points at lo to hi times the origin's disk radius r (1 on the
+    pole sets below), off the real axis and 0.05 from every puncture."""
+    pts = []
+    while len(pts) < count:
+        r, t = rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi)
+        z = r * complex(math.cos(t), math.sin(t))
+        if abs(z.imag) >= 0.02 and min(abs(z - 1), abs(z + 1),
+                                       abs(z - 1j)) >= 0.05:
+            pts.append(z)
+    return pts
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_a_chain_starts_as_the_reference_start_did(poles, monkeypatch):
+    ps = PoleSet.of(poles)
+    assert 2 * reference_point(ps).real == 1.0
+    rng = random.Random(37)
+    pts = (_ring_points(rng, 8, 0.25, 0.75) + _ring_points(rng, 4, 0.76, 0.99)
+           + _ring_points(rng, 4, 1.05, 1.5))
+    words = _eval_point_words(ps)
+    real = hyperlog.integrate_h_words
+    seen = []
+
+    def spy(path, words, section, cfg=None, capture_after=(), start=None):
+        seen.append(dict(start))
+        return real(path, words, section, cfg, capture_after, start)
+
+    monkeypatch.setattr(hyperlog, "integrate_h_words", spy)
+    kinds = set()
+    for z in pts:
+        head, turns = hyperlog._start(z, ps)
+        want_head, want_turns = reference_start(z, ps)
+        assert head.segments == want_head.segments, z
+        assert (head.base, turns) == (want_head.base, want_turns), z
+        kinds.add(_start_kind(z, ps))
+        eval_batch(words, [z], ps)
+        assert seen.pop() == reference_start_values(words, ps, head.base,
+                                                    turns), z
+    assert kinds == {"z", "ray", "z1"}
+
+
+@pytest.mark.parametrize("z,kind,turns", [
+    (-0.4 + 0.1j, "z", -1), (0.3 + 0.4j, "z", 0), (-0.6 + 0.5j, "ray", -1),
+    (0.9 + 0.1j, "ray", 0), (1.5 + 1j, "z1", 0)])
+def test_a_start_on_0_1_is_the_reference_start(z, kind, turns):
+    # from the point itself inside 3/4 r, from its ray out to r, and from
+    # the leg from 0.5 beyond r; the legs to the left detour under 0
+    head, got = hyperlog._start(z, PS)
+    assert (_start_kind(z, PS), got) == (kind, turns)
+    assert (head, got) == reference_start(z, PS)
 
 
 # A first point out to three quarters of the origin's disk starts from its

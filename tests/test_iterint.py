@@ -57,9 +57,9 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import (grouplike_residual, reference_integrate,
-                           reference_plan, reference_prefix_closure,
-                           reference_run, reference_tails_within,
-                           section_change)
+                           reference_plan, reference_plan_path,
+                           reference_prefix_closure, reference_run,
+                           reference_tails_within, section_change)
 
 PS0 = PoleSet.of("0")
 
@@ -353,6 +353,49 @@ def test_an_empty_path_still_checks_its_letters_and_its_base():
     for base in (0.5 * PS3.guard, 1 - 0.5j * PS3.guard):
         with pytest.raises(PathError, match="path passes within"):
             integrate_h_words(Path((), base), H_WORDS, sec)
+
+
+def test_an_empty_path_from_a_start_checks_the_same():
+    # the letters are resolved lazily, each once: a spelling the pole set
+    # would accept ("1/1", " 1") is still no class letter, and a start
+    # changes nothing of the clearance check
+    sec = Section.standard(PS3)
+    start = series_values(H_WORDS, PS3, EMPTY.base)
+    for word in [("1", "1/1"), (" 1",), ("0", "-1", "2")]:
+        with pytest.raises(DomainError, match="unknown class letter"):
+            integrate_h_words(EMPTY, [word], sec, start=start)
+    for base in (0.5 * PS3.guard, -1 + 0.5j * PS3.guard):
+        with pytest.raises(PathError, match="path passes within"):
+            integrate_h_words(Path((), base), H_WORDS, sec, start=start)
+
+
+def _planned(a, b, ps, plan):
+    """The planned path, or the text of the PathError that refused it."""
+    try:
+        return plan(a, b, ps)
+    except PathError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_a_planned_path_is_the_reference_plan(poles):
+    # a leg without a detour is cleared from the distances plan_path read
+    # while planning; the path and every refusal must be the whole path's,
+    # next to a puncture (the distance read at an end or mid-leg) and at
+    # the 1e-14 edge, where the leg is no segment and its end is its base
+    ps = PoleSet.of(poles)
+    rng = random.Random(37)
+    ends = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(40)]
+    ends += [1e-9, 0.0005 + 0.0005j, 1e-320, 1.002 + 0.0001j, -0.001 + 0.0005j,
+             0.5 + 5e-15, 0.5 - 5e-15j, 0.5 + 2e-14]
+    refused = detoured = 0
+    for a in (0.5, -0.3 + 0.4j, 1.7 - 0.2j):
+        for b in ends:
+            got = _planned(a, b, ps, plan_path)
+            assert got == _planned(a, b, ps, reference_plan_path), (a, b)
+            refused += isinstance(got, str)
+            detoured += not isinstance(got, str) and len(got.segments) > 1
+    assert refused >= 5 and detoured >= 10
 
 
 def test_word_letters_must_share_the_pole_set():
