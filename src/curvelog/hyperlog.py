@@ -27,7 +27,7 @@ from math import comb, factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (IntegratorConfig, LineSeg, Path, glued,
+from .iterint import (ArcSeg, IntegratorConfig, LineSeg, Path, glued,
                       integrate_h_words, plan_chain, plan_path)
 from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
@@ -169,8 +169,11 @@ def _start(z: complex, ps: PoleSet):
     but the origin, the leg's only effect on the series is n turns of
     log z: the head is then the radial line from z, or from z's ray at the
     radius 3/4 r where the series stops, to z, with n = (the leg's sweep
-    about 0 - arg z) / 2 pi.  A leg without a detour is its own chord and
-    winds about nothing.  Any other leg is the head itself, from z1."""
+    about 0 - arg z) / 2 pi.  A leg without a detour is its own chord, and
+    one whose arcs all circle the origin (radius at most 0.8 z1) lies with
+    it in the disk: only an arc about another puncture, which no sampled
+    point plans, makes the windings about the others worth summing.  Any
+    other leg is the head itself, from z1."""
     z1 = reference_point(ps)
     leg = plan_path(z1, z, ps)
     r = 2 * z1.real
@@ -178,10 +181,12 @@ def _start(z: complex, ps: PoleSet):
         return leg, 0
     turns = 0
     if len(leg.segments) > 1:
-        back = LineSeg(z, z1)
-        if any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
-               for p in ps.as_complex if p != 0):
-            return leg, 0
+        if any(isinstance(seg, ArcSeg) and seg.center != 0
+               for seg in leg.segments):
+            back = LineSeg(z, z1)
+            if any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
+                   for p in ps.as_complex if p != 0):
+                return leg, 0
         turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
     return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
 

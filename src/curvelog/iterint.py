@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -38,6 +38,14 @@ def _bernstein(a: complex, b: complex, p: complex) -> float:
         return math.inf
     t = abs(p - a) / length + abs(p - b) / length
     return t + math.sqrt(max(0.0, (t - 1.0) * (t + 1.0)))
+
+
+def _arc_bernstein(a: float, b: float, q: complex) -> float:
+    """The Bernstein parameter of an arc's angles [a, b] for a puncture's
+    image q (``ArcSeg.image``), at its turn nearest the middle angle."""
+    mid = 0.5 * a + 0.5 * b
+    arg = q.real + 2 * math.pi * round((mid - q.real) / (2 * math.pi))
+    return _bernstein(a, b, complex(arg, q.imag))
 
 
 @dataclass(frozen=True)
@@ -159,14 +167,10 @@ class ArcSeg:
 
     def bernstein(self, p: complex) -> float:
         """The Bernstein parameter of the puncture p for this arc, in its
-        angle: the image of p nearest the middle angle bounds the arc, and
-        the center bounds nothing."""
+        angle (``_arc_bernstein``); the center bounds nothing."""
         if p == self.center:
             return math.inf
-        q = self.image(p)
-        mid = 0.5 * self.theta0 + 0.5 * self.theta1
-        arg = q.real + 2 * math.pi * round((mid - q.real) / (2 * math.pi))
-        return _bernstein(self.theta0, self.theta1, complex(arg, q.imag))
+        return _arc_bernstein(self.theta0, self.theta1, self.image(p))
 
     def reverse(self) -> "ArcSeg":
         return ArcSeg(self.center, self.radius, self.theta1, self.theta0)
@@ -433,7 +437,8 @@ def _spectral():
     of f: its endpoint and its two tail coefficients, ``[ST[:, -1], ST @
     tail]``, and the map from a piece (ta, tb) of a segment to the segment
     parameters of its nodes, ``(ta, tb) @ ends``.  Built from the
-    closed-form DCT-I inverse and the Chebyshev integration recurrence."""
+    closed-form DCT-I inverse and the Chebyshev integration recurrence;
+    the maps that meet complex values are cast to complex once, exactly."""
     n = _NODES - 1
     theta = np.pi * np.arange(n, -1, -1) / n
     E = np.cos(np.outer(theta, np.arange(n + 2)))  # T_j(x_k), j <= n + 1
@@ -451,7 +456,8 @@ def _spectral():
     S[0] = 0.0
     ST, tail = np.ascontiguousarray(S.T), np.ascontiguousarray(C[-2:].T)
     s = 0.5 * (1.0 + E[:, 1])
-    return (E[:, 1], ST, tail, np.column_stack((ST[:, -1], ST @ tail)),
+    reads = np.column_stack((ST[:, -1], ST @ tail))
+    return (E[:, 1], *(a.astype(complex) for a in (ST, tail, reads)),
             np.array((1.0 - s, s)))
 
 
@@ -513,22 +519,14 @@ class _WordSystem:
     @classmethod
     def canonical(cls, ps: PoleSet, weight: int, form_of) -> "_WordSystem":
         """The system on every class word up to ``weight`` in the order of
-        ``word_cuts``, built without a closure: read as base-m label ranks,
-        the words are a complete m-ary tree in breadth-first order, so row
-        r > 0 has parent (r - 1) // m and last-letter slot (r - 1) % m, and
-        level k starts at 1 + m + ... + m^(k-1) and is full.  Without
-        letters the system is the empty word alone."""
+        ``word_cuts``, whose tree it reads.  Without letters the system is
+        the empty word alone."""
         self = cls.__new__(cls)
-        letters = sorted(ps.labels)
-        m = len(letters)
-        self.words = label_words(ps, weight)
-        self.n = len(self.words)
-        rows = np.arange(-1, self.n - 1, dtype=np.intp).clip(0)
-        self.parents, self.slots = np.divmod(rows, max(m, 1))
-        self.evaluators = [form_of(lab).compiled() for lab in letters]
-        ends = list(accumulate(m ** k for k in range(weight + 1)))
-        self.levels = [(lo, hi, (lo - 1) // m, (hi - 1) // m, None)
-                       for lo, hi in zip(ends, ends[1:]) if lo < hi]
+        self.words = label_words(ps, weight)  # refused unbuilt over the cap
+        *_, self.parents, self.slots, levels = word_cuts(ps.labels, weight)
+        self.n, self.levels = len(self.words), list(levels)
+        self.evaluators = [form_of(lab).compiled()
+                           for lab in sorted(ps.labels)]
         return self
 
 
@@ -557,22 +555,31 @@ def _plan(seg, punctures, budget: int) -> list:
     bracket the least of that convex function of the image's position).
     rho only grows on a sub-interval, so the rule is monotone in a piece's
     length and no plan under it has fewer pieces.  Each piece is confirmed
-    by ``bernstein`` as computed (a NaN rho keeps none), shortened by a
-    relative hair, doubled each time, while rounding leaves it under.  A
-    segment the rule accepts whole, as most are, is one piece at once.
+    by rho as its ``bernstein`` computes it (a NaN rho keeps none), from a
+    line's ``point(ta)`` and ``point(tb)`` or an arc's angles against the
+    images, and shortened by a relative hair, doubled each time, while
+    rounding leaves it under.  A segment the rule accepts whole is one
+    piece at once.
     NumericError once the pieces pass the budget or one cannot advance."""
-    def keeps(ta, tb) -> bool:
-        piece = seg.piece(ta, tb)
-        return all(piece.bernstein(p) >= _RHO_MIN for p in punctures)
-
     if budget < 1:
         raise NumericError("integration piece budget exhausted")
-    if keeps(0.0, 1.0):  # a point interval too, which has no direction
-        return [(0.0, 1.0)]
     if isinstance(seg, ArcSeg):
         origin, span = seg.theta0, seg.theta1 - seg.theta0
         marks, turn = [seg.image(p) for p in punctures
                        if p != seg.center], 2 * math.pi
+    else:
+        origin, span = seg.start, seg.end - seg.start
+        marks, turn = punctures, 0.0
+
+    rho = _arc_bernstein if turn else _bernstein
+
+    def keeps(ta, tb) -> bool:
+        a, b = origin + ta * span, origin + tb * span
+        return all(rho(a, b, q) >= _RHO_MIN for q in marks)
+
+    if keeps(0.0, 1.0):  # a point interval too, which has no direction
+        return [(0.0, 1.0)]
+    if turn:
         # a piece longer than a turn covers the real part of an image q of
         # each puncture, where |q - a| + |q - b| <= L + 2 |Im q| caps it at
         # 2 |Im q| / (sqrt(5) - 1): an arc no budget covers is refused here
@@ -580,9 +587,6 @@ def _plan(seg, punctures, budget: int) -> list:
                    for q in marks), default=math.inf)
         if abs(span) > budget * cap:
             raise NumericError("integration piece budget exhausted")
-    else:
-        origin, span = seg.start, seg.end - seg.start
-        marks, turn = punctures, 0.0
     size = abs(span)
     unit = span.conjugate() / size
     plan, ta = [], 0.0
@@ -642,7 +646,9 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     values of the top level (the longest words): unless a trace wants
     them, its endpoints and tail coefficients come straight from the
     parents' node values, through the thin product Y[plo:phi] @
-    (diag(g_a) [ST[:, -1], ST @ tail]), in place of a full GEMM per row."""
+    (diag(g_a) [ST[:, -1], ST @ tail]), in place of a full GEMM per row.
+    Two endpoint buffers swap on each accepted piece, and every view a
+    piece reads or writes, of both, is set up once per run."""
     _, ST, tail, reads, ends = _spectral()
     s = ends[1]  # the nodes' parameters on [0, 1]
     n, m = system.n, len(system.evaluators)
@@ -654,83 +660,97 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     Y = np.empty((kept, _NODES), dtype=complex)
     Y[0] = y[0]
     GB = np.empty((_CHUNK + 1, m, _NODES), dtype=complex)  # last: a half
+    GT = GB.transpose(0, 2, 1)[..., None]  # piece i's g_a(x_k) at [i, k, a]
     M = np.empty((_NODES, m * _NODES), dtype=complex)
     W = np.empty((max((phi - plo for _, _, plo, phi, pick in inner
                        if pick is not None), default=0), m * _NODES),
                  dtype=complex)
-    K = np.empty((_NODES, m, 3), dtype=complex)
-    # the endpoint values before and after the piece, swapped on success
-    y, end = y.copy(), np.empty(n, dtype=complex)
+    bufs = (y.copy(), np.empty(n, dtype=complex))
     T = np.empty((n, 2), dtype=complex)
+    # each level's parent rows, GEMM output, own rows, pick and buffer slices
+    levels = [(Y[plo:phi], W[:phi - plo] if pick is not None else
+               Y[lo:hi].reshape(phi - plo, m * _NODES), Y[lo:hi], pick,
+               [b[lo:hi, None] for b in bufs])
+              for lo, hi, plo, phi, pick in inner]
+    if top:  # the same for the top level, with its product R
+        lo, hi, plo, phi, pick = top
+        K = np.empty((_NODES, m, 3), dtype=complex)
+        R = np.empty((phi - plo, 3 * m), dtype=complex)
+        picked = (R.reshape(-1, 3) if pick is None else
+                  np.empty((hi - lo, 3), dtype=complex))
+        top_views = (Y[plo:phi], K.reshape(_NODES, 3 * m), R, pick, picked,
+                     T[lo:hi], np.empty(hi - lo, dtype=complex),
+                     [b[lo:hi] for b in bufs])
     tail_sum = tail.sum(axis=0)  # a constant's tail: zero but for rounding
+    ST, reads = ST[:, None], reads[:, None]
+    M_blocks, W_rows = M.reshape(_NODES, m, _NODES), W.reshape(-1, _NODES)
+    nodes_end, T_kept, ends_kept = Y[:, -1], T[:kept], [b[:kept] for b in bufs]
 
     def letters(seg, spans, out):
         """Each letter's form times half the velocity at the nodes of the
         pieces spans[i] = (ta, tb) of seg, piece i's into out[i]."""
         z, dz = seg.nodes(spans @ ends, (spans @ _HALF_SPAN)[:, None])
         for j, ev in enumerate(system.evaluators):
-            out[:, j] = ev(z)
-        out *= dz[:, None]
+            np.multiply(ev(z), dz, out=out[:, j])
 
-    def solve(G) -> bool:
-        """Endpoint values of every word on the piece with letters G into
-        end, and node values of every kept row into Y, level by level; True
-        when every row's Chebyshev tail is within the tolerance
-        (``_tails_within``)."""
-        np.multiply(G.T[:, :, None], ST[:, None],
-                    out=M.reshape(_NODES, m, _NODES))
-        for lo, hi, plo, phi, pick in inner:
-            if pick is None:
-                np.matmul(Y[plo:phi], M,
-                          out=Y[lo:hi].reshape(phi - plo, m * _NODES))
-            else:
-                np.matmul(Y[plo:phi], M, out=W[:phi - plo])
-                np.take(W.reshape(-1, _NODES), pick, axis=0, out=Y[lo:hi],
-                        mode="clip")
-            Y[lo:hi] += y[lo:hi, None]
-        end[:kept] = Y[:, -1]
-        np.matmul(Y, tail, out=T[:kept])
+    def solve(G, c: int) -> bool:
+        """Endpoint values of every word on the piece with letters G from
+        buffer c into the other and every kept row's node values into Y;
+        True when ``_tails_within`` accepts every row's Chebyshev tail."""
+        np.multiply(G, ST, out=M_blocks)
+        for parents, out, block, pick, ys in levels:
+            np.matmul(parents, M, out=out)
+            if pick is not None:
+                np.take(W_rows, pick, axis=0, out=block, mode="clip")
+            block += ys[c]
+        np.copyto(ends_kept[1 - c], nodes_end)
+        np.matmul(Y, tail, out=T_kept)
         if top:
-            lo, hi, plo, phi, pick = top
-            np.multiply(G.T[:, :, None], reads[:, None], out=K)
-            R = (Y[plo:phi] @ K.reshape(_NODES, 3 * m)).reshape(-1, 3)
-            R = R if pick is None else R[pick]
-            np.add(R[:, 0], y[lo:hi], out=end[lo:hi])
-            np.add(R[:, 1:], y[lo:hi, None] * tail_sum, out=T[lo:hi])
-        return _tails_within(T, y, end, cfg)
+            parents, KF, R, pick, picked, T_top, scaled, ys = top_views
+            np.multiply(G, reads, out=K)
+            np.matmul(parents, KF, out=R)
+            if pick is not None:
+                np.take(R.reshape(-1, 3), pick, axis=0, out=picked,
+                        mode="clip")
+            np.add(picked[:, 0], ys[c], out=ys[1 - c])
+            for j in (0, 1):  # by column, so that numpy loops down the level
+                np.multiply(ys[c], tail_sum[j], out=scaled)
+                np.add(picked[:, 1 + j], scaled, out=T_top[:, j])
+        return _tails_within(T, bufs[c], bufs[1 - c], cfg)
 
     captured = {}
     rows = []
     capture_after = set(capture_after)
     pieces = 0
+    c = 0  # the buffer that holds the endpoint values so far
     for si, seg in enumerate(path.segments):
         plan = _plan(seg, punctures, cfg.max_steps - pieces)
         pieces += len(plan)
-        for c in range(0, len(plan), _CHUNK):
-            spans = plan[c:c + _CHUNK]
+        for first in range(0, len(plan), _CHUNK):
+            spans = plan[first:first + _CHUNK]
             letters(seg, np.array(spans), GB[:len(spans)])
-            for span, G in zip(spans, GB):
+            for span, G in zip(spans, GT):
                 todo = [(*span, G)]
                 while todo:
                     ta, tb, G = todo.pop()
                     if G is None:
                         letters(seg, np.array([(ta, tb)]), GB[_CHUNK:])
-                        G = GB[_CHUNK]
-                    if not solve(G):
+                        G = GT[_CHUNK]
+                    if not solve(G, c):
                         pieces += 2
                         if pieces > cfg.max_steps:
                             raise NumericError(
                                 "integration piece budget exhausted")
                         todo += [(*half, None) for half in _halves(ta, tb)]
                         continue
-                    y, end = end, y
+                    c = 1 - c
                     if trace:
                         rows.extend((si + ta + (tb - ta) * s[k],
                                      Y[:, k].copy())
                                     for k in range(1, _NODES))
         if si in capture_after:
-            captured[si] = y.copy()
-    return y, captured, rows
+            captured[si] = bufs[c].copy()
+    return bufs[c], captured, rows
 
 
 def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
@@ -884,9 +904,12 @@ class GroupLikeSeries:
     @property
     def matrix(self) -> np.ndarray:
         n = check_view_budget(len(self.letters), self.weight)
-        _, word, prefix, suffix = word_cuts(self.letters, self.weight)
+        _, word, prefix, suffix, *_ = word_cuts(self.letters, self.weight)
+        # gathered first: a copy read off the view while it lives then fills
+        # the gather's freed space below it, not the heap's top above it
+        values = self.vector[prefix]
         m = np.zeros((n, n), dtype=complex)
-        m[word, suffix] = self.vector[prefix]
+        m[word, suffix] = values
         return m
 
     def entry(self, w, v) -> complex:
@@ -916,7 +939,7 @@ class GroupLikeSeries:
         """Push a word-indexed value vector through the operator."""
         cuts = word_cuts(self.letters, self.weight)
         vec = np.array([values[w] for w in cuts[0]], dtype=complex)
-        return dict(zip(cuts[0], cut_sum(cuts, self.vector, vec)))
+        return dict(zip(cuts[0], cut_sum(cuts, self.vector, vec).tolist()))
 
     def unipotence_residual(self) -> float:
         """Largest entry of (M - Id)^(weight + 1); zero for a true action.
@@ -942,10 +965,12 @@ def label_words(ps: PoleSet, weight: int):
 
 @lru_cache(maxsize=8)
 def word_cuts(letters: tuple, weight: int):
-    """The label words up to ``weight`` in word_sort_key order, and every
-    cut w = u v as flat arrays of basis indices (w, u, v), word by word from
-    u = () on.  Read as base-m label ranks c, the length-k word has prefix
-    c // m^(k-j) and suffix c % m^(k-j), offset by the shorter words."""
+    """The label words up to ``weight`` in word_sort_key order, every cut
+    w = u v as flat arrays of basis indices (w, u, v), word by word from
+    u = () on, each word's first cut, and the words as a word system's
+    parents, slots and levels.  Read as base-m label ranks c, the length-k
+    word has prefix c // m^(k-j) and suffix c % m^(k-j), row r > 0 has
+    parent (r - 1) // m and slot (r - 1) % m, and every level is full."""
     m = len(letters)
     basis = tuple(w for k in range(weight + 1)
                   for w in product(sorted(letters), repeat=k))
@@ -957,8 +982,15 @@ def word_cuts(letters: tuple, weight: int):
             start[k] + code, start[j] + code // m ** (k - j),
             start[k - j] + code % m ** (k - j))).reshape(3, -1))
     cuts = np.concatenate(cuts, axis=1)
-    cuts.setflags(write=False)
-    return (basis, *cuts)
+    starts = np.flatnonzero(cuts[1] == 0)
+    tree = np.divmod(np.arange(-1, start[-1] - 1, dtype=np.intp).clip(0),
+                     max(m, 1))
+    for table in (cuts, starts, *tree):
+        table.setflags(write=False)
+    bounds = start.tolist()
+    levels = tuple((lo, hi, (lo - 1) // m, (hi - 1) // m, None)
+                   for lo, hi in zip(bounds[1:], bounds[2:]) if lo < hi)
+    return (basis, *cuts, starts, *tree, levels)
 
 
 @lru_cache(maxsize=8)
@@ -976,9 +1008,10 @@ def antipode_table(letters: tuple, weight: int):
 
 
 def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For every basis word w, the sum over w = u v of a[u] b[v]."""
-    _, _, prefix, suffix = cuts
-    return np.add.reduceat(a[prefix] * b[suffix], np.flatnonzero(prefix == 0))
+    """For every basis word w, the sum over w = u v of a[u] b[v]: one
+    segment of the cut table per word, from the starts it keeps."""
+    _, _, prefix, suffix, starts, *_ = cuts
+    return np.add.reduceat(a[prefix] * b[suffix], starts)
 
 
 # The weight of a series when none is given.

@@ -126,8 +126,9 @@ def loop_around(ps: PoleSet, which, base: complex,
     entry = s + radius * e
     stick = plan_path(base, entry, ps)
     th = cmath.phase(e)
-    circle = Path((ArcSeg(s, radius, th, th + 2 * math.pi * turns),), entry)
-    return Loop(stick + circle + stick.reverse(), _loop_label(ps.label(i), turns))
+    circle = ArcSeg(s, radius, th, th + 2 * math.pi * turns)
+    segs = stick.segments + (circle,) + stick.reverse().segments
+    return Loop(Path(segs, base), _loop_label(ps.label(i), turns))
 
 
 def pairing(loop: Loop, section: Section, weight: int = DEFAULT_WEIGHT,

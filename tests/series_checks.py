@@ -12,9 +12,10 @@ from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
 from curvelog.errors import DomainError, NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
-from curvelog.iterint import (_NODES, _RHO_MIN, ArcSeg, IntegratorConfig,
-                              LineSeg, Path, _halves, _plan, _run, _spectral,
-                              _WordSystem, check_prefix_budget,
+from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
+                              IntegratorConfig, LineSeg, Path, _bernstein,
+                              _halves, _plan, _reach, _run, _spectral,
+                              _tails_within, _WordSystem, check_prefix_budget,
                               integrate_h_words, label_words, plan_chain,
                               plan_path)
 from curvelog.local_expansion import _MAX_RATIO, series_values
@@ -509,6 +510,174 @@ def reference_plan(seg, punctures, budget: int):
         else:
             todo += _halves(ta, tb)
     return plan, examined
+
+
+def reference_bernstein(seg, p) -> float:
+    """``bernstein`` of a line or an arc as it was before the arc's share
+    moved into ``iterint._arc_bernstein``, which the planner calls too:
+    the image of p nearest the middle angle bounds the arc."""
+    if isinstance(seg, LineSeg):
+        return seg.bernstein(p)
+    if p == seg.center:
+        return math.inf
+    q = seg.image(p)
+    mid = 0.5 * seg.theta0 + 0.5 * seg.theta1
+    arg = q.real + 2 * math.pi * round((mid - q.real) / (2 * math.pi))
+    return _bernstein(seg.theta0, seg.theta1, complex(arg, q.imag))
+
+
+def reference_sweep_plan(seg, punctures, budget: int) -> list:
+    """``iterint._plan`` as it was before a piece was confirmed from its
+    segment's own data: the same sweep of closed-form pieces, each
+    confirmed by building ``seg.piece(ta, tb)`` and asking for its
+    Bernstein parameter (``reference_bernstein``) at every puncture,
+    which re-derives an arc's images."""
+    def keeps(ta, tb) -> bool:
+        piece = seg.piece(ta, tb)
+        return all(reference_bernstein(piece, p) >= _RHO_MIN
+                   for p in punctures)
+
+    if budget < 1:
+        raise NumericError("integration piece budget exhausted")
+    if keeps(0.0, 1.0):  # a point interval too, which has no direction
+        return [(0.0, 1.0)]
+    if isinstance(seg, ArcSeg):
+        origin, span = seg.theta0, seg.theta1 - seg.theta0
+        marks, turn = [seg.image(p) for p in punctures
+                       if p != seg.center], 2 * math.pi
+        # a piece longer than a turn covers the real part of an image q of
+        # each puncture, where |q - a| + |q - b| <= L + 2 |Im q| caps it at
+        # 2 |Im q| / (sqrt(5) - 1): an arc no budget covers is refused here
+        cap = min((max(turn, 2 * abs(q.imag) / (math.sqrt(5) - 1))
+                   for q in marks), default=math.inf)
+        if abs(span) > budget * cap:
+            raise NumericError("integration piece budget exhausted")
+    else:
+        origin, span = seg.start, seg.end - seg.start
+        marks, turn = punctures, 0.0
+    size = abs(span)
+    unit = span.conjugate() / size
+    plan, ta = [], 0.0
+    while ta < 1.0:
+        if len(plan) == budget:
+            raise NumericError("integration piece budget exhausted")
+        a, reach = origin + ta * span, math.inf
+        for q in marks:
+            q = (q - a) * unit
+            if turn:  # the images q + turn k: take those about |Im q| / 2
+                k = math.floor((0.5 * abs(q.imag) - q.real) / turn)
+                q += turn * k
+                reach = min(reach, _reach(q), _reach(q + turn))
+            else:
+                reach = min(reach, _reach(q))
+        tb = min(1.0, ta + reach / size)
+        hair = 2.0 ** -40
+        while not (ta < tb and keeps(ta, tb)):
+            if not ta < tb:
+                raise NumericError("integration piece underflow: the "
+                                   "tolerance is below rounding error")
+            tb = ta + (tb - ta) * (1.0 - hair)
+            hair *= 2.0
+        plan.append((ta, tb))
+        ta = tb
+    return plan
+
+
+def reference_level_run(system, y, path, cfg, punctures,
+                        capture_after=(), trace=False):
+    """``iterint._run`` as it was before each run set up its level views
+    once: every piece slices and reshapes each level's parent rows,
+    output block and endpoint columns, and the top level's product, and
+    its pieces come from ``reference_sweep_plan``.  Returns _run's
+    (endpoint, captured, trace rows)."""
+    _, ST, tail, reads, ends = _spectral()
+    s = ends[1]  # the nodes' parameters on [0, 1]
+    n, m = system.n, len(system.evaluators)
+    inner = system.levels
+    top = None
+    if inner and not trace:
+        *inner, top = inner
+    kept = top[0] if top else n  # the rows whose node values are kept
+    Y = np.empty((kept, _NODES), dtype=complex)
+    Y[0] = y[0]
+    GB = np.empty((_CHUNK + 1, m, _NODES), dtype=complex)  # last: a half
+    M = np.empty((_NODES, m * _NODES), dtype=complex)
+    W = np.empty((max((phi - plo for _, _, plo, phi, pick in inner
+                       if pick is not None), default=0), m * _NODES),
+                 dtype=complex)
+    K = np.empty((_NODES, m, 3), dtype=complex)
+    # the endpoint values before and after the piece, swapped on success
+    y, end = y.copy(), np.empty(n, dtype=complex)
+    T = np.empty((n, 2), dtype=complex)
+    tail_sum = tail.sum(axis=0)  # a constant's tail: zero but for rounding
+
+    def letters(seg, spans, out):
+        """Each letter's form times half the velocity at the nodes of the
+        pieces spans[i] = (ta, tb) of seg, piece i's into out[i]."""
+        z, dz = seg.nodes(spans @ ends, (spans @ _HALF_SPAN)[:, None])
+        for j, ev in enumerate(system.evaluators):
+            out[:, j] = ev(z)
+        out *= dz[:, None]
+
+    def solve(G) -> bool:
+        """Endpoint values of every word on the piece with letters G into
+        end, and node values of every kept row into Y, level by level; True
+        when every row's Chebyshev tail is within the tolerance
+        (``_tails_within``)."""
+        np.multiply(G.T[:, :, None], ST[:, None],
+                    out=M.reshape(_NODES, m, _NODES))
+        for lo, hi, plo, phi, pick in inner:
+            if pick is None:
+                np.matmul(Y[plo:phi], M,
+                          out=Y[lo:hi].reshape(phi - plo, m * _NODES))
+            else:
+                np.matmul(Y[plo:phi], M, out=W[:phi - plo])
+                np.take(W.reshape(-1, _NODES), pick, axis=0, out=Y[lo:hi],
+                        mode="clip")
+            Y[lo:hi] += y[lo:hi, None]
+        end[:kept] = Y[:, -1]
+        np.matmul(Y, tail, out=T[:kept])
+        if top:
+            lo, hi, plo, phi, pick = top
+            np.multiply(G.T[:, :, None], reads[:, None], out=K)
+            R = (Y[plo:phi] @ K.reshape(_NODES, 3 * m)).reshape(-1, 3)
+            R = R if pick is None else R[pick]
+            np.add(R[:, 0], y[lo:hi], out=end[lo:hi])
+            np.add(R[:, 1:], y[lo:hi, None] * tail_sum, out=T[lo:hi])
+        return _tails_within(T, y, end, cfg)
+
+    captured = {}
+    rows = []
+    capture_after = set(capture_after)
+    pieces = 0
+    for si, seg in enumerate(path.segments):
+        plan = reference_sweep_plan(seg, punctures, cfg.max_steps - pieces)
+        pieces += len(plan)
+        for c in range(0, len(plan), _CHUNK):
+            spans = plan[c:c + _CHUNK]
+            letters(seg, np.array(spans), GB[:len(spans)])
+            for span, G in zip(spans, GB):
+                todo = [(*span, G)]
+                while todo:
+                    ta, tb, G = todo.pop()
+                    if G is None:
+                        letters(seg, np.array([(ta, tb)]), GB[_CHUNK:])
+                        G = GB[_CHUNK]
+                    if not solve(G):
+                        pieces += 2
+                        if pieces > cfg.max_steps:
+                            raise NumericError(
+                                "integration piece budget exhausted")
+                        todo += [(*half, None) for half in _halves(ta, tb)]
+                        continue
+                    y, end = end, y
+                    if trace:
+                        rows.extend((si + ta + (tb - ta) * s[k],
+                                     Y[:, k].copy())
+                                    for k in range(1, _NODES))
+        if si in capture_after:
+            captured[si] = y.copy()
+    return y, captured, rows
 
 
 def reference_tails_within(T, y, end, cfg) -> bool:

@@ -34,7 +34,7 @@ from curvelog import (
     zero_label,
 )
 from curvelog import hyperlog
-from curvelog.iterint import Path, plan_chain, plan_path
+from curvelog.iterint import ArcSeg, Path, plan_chain, plan_path
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
@@ -807,6 +807,34 @@ def test_a_start_on_0_1_is_the_reference_start(z, kind, turns):
     head, got = hyperlog._start(z, PS)
     assert (_start_kind(z, PS), got) == (kind, turns)
     assert (head, got) == reference_start(z, PS)
+
+
+# the pole sets of the accuracy audit (ROADMAP item 7)
+_AUDIT_POLES = ["0,1", "0,1,-1", "0,1,-1,i", "0,2,1/2", "0,1,1+1/10i",
+                "0,1/10,1", "0,3,-2-i"]
+
+
+@pytest.mark.parametrize("poles", _AUDIT_POLES)
+def test_no_in_disk_leg_detours_around_another_puncture(poles):
+    # _start sums the windings about the other punctures only for a leg
+    # with an arc about one of them; seeded in-disk points, most of them
+    # from 0.71 r out to r, plan none: every arc circles the origin
+    ps = PoleSet.of(poles)
+    z1 = reference_point(ps)
+    r = 2 * z1.real
+    rng = random.Random(71)
+    detoured = 0
+    for k in range(1500):
+        t = rng.uniform(-math.pi, math.pi)
+        z = r * rng.uniform(0.71 if k % 4 else 0.05, 1.0) * cmath.exp(1j * t)
+        if not (abs(z) < r and min(abs(z - p) for p in ps.as_complex)
+                > 2 * ps.guard):
+            continue
+        centers = {seg.center for seg in plan_path(z1, z, ps).segments
+                   if isinstance(seg, ArcSeg)}
+        assert centers <= {0}, z
+        detoured += bool(centers)
+    assert detoured > 20  # 45 to several hundred per pole set
 
 
 # A first point out to three quarters of the origin's disk starts from its

@@ -57,8 +57,9 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
 from series_checks import (grouplike_residual, reference_integrate,
-                           reference_plan, reference_plan_path,
-                           reference_prefix_closure, reference_run,
+                           reference_level_run, reference_plan,
+                           reference_plan_path, reference_prefix_closure,
+                           reference_run, reference_sweep_plan,
                            reference_tails_within, section_change)
 
 PS0 = PoleSet.of("0")
@@ -755,6 +756,38 @@ def test_random_plans_are_the_longest_the_ellipse_rule_accepts(a, b, r, th0,
         _check_plan(seg, ps)
 
 
+@given(_point, _point, st.floats(0.01, 5), st.floats(-7, 7),
+       st.floats(-40, 40), st.lists(_point, min_size=1, max_size=3))
+# found by a seeded search: a line 3 of whose 4 pieces, and an arc of 1.5
+# turns 2 of whose 4, are shortened by the hair before they are confirmed
+@example(-8.117399161206349 + 1.6557601180671018j,
+         8.194081262862046 - 5.706036383286765j, 0.4388766961089667,
+         -1.1455898808093679, -10.373479994918998,
+         [8.957307212181263 - 2.1035300715365306j,
+          -9.034271527463753 + 6.425485839826166j])
+# an arc of 2.3 turns about a puncture at its center, 10 of whose 24
+# pieces are shortened
+@example(-4.004660062726353 + 5.887589630449824j, 3.9798886745914253
+         - 5.118069785556942j, 2.8763743141907683, 0.3527510533603202,
+         15.005499822937153, [-5.880825743613469 + 3.6079994636357178j,
+                              -1.4481538866119426 - 3.7170565924641696j,
+                              -4.004660062726353 + 5.887589630449824j])
+def test_a_plan_is_the_reference_sweep_plan(a, b, r, th0, th1, ps):
+    # each piece is confirmed from the segment's own data, not from a
+    # piece built for the check: the same pieces, every bound equal
+    segs = [seg for seg in (LineSeg(a, b), ArcSeg(a, r, th0, th1))
+            if all(seg.min_distance(p) > 1e-3 for p in ps)]
+    assume(segs)
+    for seg in segs:
+        assert _plan(seg, ps, 100_000) == reference_sweep_plan(seg, ps,
+                                                               100_000)
+        # a budget one piece short is refused alike
+        short = len(reference_sweep_plan(seg, ps, 100_000)) - 1
+        for plan in (_plan, reference_sweep_plan):
+            with pytest.raises(NumericError, match="budget"):
+                plan(seg, ps, short)
+
+
 def test_a_plan_keeps_to_its_budget():
     ps = PoleSet.of("0,1,-1").as_complex
     seg = ArcSeg(0j, 0.45, 0.0, _TWO_PI)
@@ -895,11 +928,15 @@ def _omega_system():
     return ps, lambda letter: letter.f, words, None, path, marks
 
 
-@pytest.mark.parametrize("poles,word", [
+# systems whose levels are not full: eval_L words, and the omega pool
+_PARTIAL_SYSTEMS = [
     ("0,1", ("1", "0", "0")), ("0,1", ("1", "1", "1")),
     ("0,1", ("0", "0", "1", "0")), ("0,1,-1", ("-1", "0", "0", "0", "0")),
     ("0,1,-1", ("0", "0", "1", "0", "0")), ("0,1,-1", ("1", "-1", "1")),
-    ("omega", None)])
+    ("omega", None)]
+
+
+@pytest.mark.parametrize("poles,word", _PARTIAL_SYSTEMS)
 def test_partial_systems_run_the_reference_kernel_bit_for_bit(poles, word):
     # systems whose top level is not full (the eval_L systems, and the
     # sparse omega pool) pick their rows from the per-level GEMM and read
@@ -921,6 +958,69 @@ def test_partial_systems_run_the_reference_kernel_bit_for_bit(poles, word):
     assert caps.keys() == want_caps.keys()
     for si, vec in want_caps.items():
         assert _near(np.array([caps[si][w] for w in system.words]), vec)
+
+
+def _assert_runs_alike(system, y0, path, cfg, ps, capture_after=(),
+                       trace=False):
+    """_run and the reference level run give equal endpoint values,
+    captures and trace rows, every bit."""
+    got = _run(system, y0, path, cfg, ps.as_complex, capture_after, trace)
+    want = reference_level_run(system, y0, path, cfg, ps.as_complex,
+                               capture_after, trace)
+    if trace:  # the pieces solved, splits included
+        assert len(got[2]) % (_NODES - 1) == 0
+    assert np.array_equal(got[0], want[0])
+    assert got[1].keys() == want[1].keys()
+    assert all(np.array_equal(got[1][si], vec) for si, vec in want[1].items())
+    assert [t for t, _ in got[2]] == [t for t, _ in want[2]]
+    assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got[2],
+                                                               want[2]))
+    return len(got[2]) // (_NODES - 1)
+
+
+@pytest.mark.parametrize("label", ["0", "1", "-1"])
+def test_a_run_is_the_reference_level_run_bit_for_bit(label):
+    # views set up once per run against views sliced per piece: canonical
+    # systems at weights 1 to 6 on a loop around each puncture, with
+    # captures and traces, and at a tiny atol that splits tails, so that
+    # halves run between the buffer swaps
+    ps = PoleSet.of("0,1,-1")
+    sec = Section.standard(ps)
+    path = loop_around(ps, label, 0.5 + 0.5j).path
+    marks = range(len(path.segments))
+    planned = sum(len(_plan(seg, ps.as_complex, 1000))
+                  for seg in path.segments)
+    for weight in range(1, 7):
+        system = _WordSystem.canonical(ps, weight,
+                                       lambda lab: sec.form(lab).f)
+        y0 = np.eye(1, system.n, dtype=complex)[0]
+        for cfg in (IntegratorConfig(), IntegratorConfig(rtol=1e-14,
+                                                         atol=1e-300)):
+            _assert_runs_alike(system, y0, path, cfg, ps, marks)
+            if weight in (1, 4):
+                solved = _assert_runs_alike(system, y0, path, cfg, ps,
+                                            marks, trace=True)
+                # the tiny atol splits a tail at weight 4, not at 1
+                tiny = cfg.atol == 1e-300
+                assert (solved > planned) == (tiny and weight == 4)
+
+
+@pytest.mark.parametrize("poles,word", _PARTIAL_SYSTEMS)
+def test_partial_systems_are_the_reference_level_run_bit_for_bit(poles,
+                                                                  word):
+    # levels that pick their rows from the GEMM's scratch block, and a top
+    # level that picks from its thin product, from a start and with a
+    # capture after every leg; traced too, and at a tiny atol
+    ps, form_of, words, start, path, marks = (
+        _omega_system() if word is None else _eval_l_system(poles, word))
+    system = _WordSystem(words, form_of)
+    y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
+          np.array([start[w] for w in system.words], dtype=complex))
+    for cfg in (IntegratorConfig(), IntegratorConfig(rtol=1e-14,
+                                                     atol=1e-300)):
+        _assert_runs_alike(system, y0, path, cfg, ps, marks)
+    _assert_runs_alike(system, y0, path, IntegratorConfig(), ps, marks,
+                       trace=True)
 
 
 def test_trace_keeps_every_row_of_a_full_system():
