@@ -16,10 +16,12 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DomainError, InputError
+from .errors import BudgetError, DomainError, InputError
 from .scalars import QI, _make, exact_str
 
 QI0 = QI.of(0)
+# the largest pole order of a payload: k numerators, lcm(1..k) in _split
+_MAX_POLE_ORDER = 4095
 
 
 def _hash_once(self) -> int:
@@ -322,11 +324,7 @@ class RationalFunction:
     @classmethod
     def from_json(cls, ps: PoleSet, obj) -> "RationalFunction":
         """Read a payload; a pole is named by its label, a string, and a
-        pole order above the largest series order the array cap admits (a
-        letter matrix of 16 (k + 1)^2 bytes, as in ``expand_at``) is
-        refused before any arithmetic."""
-        from .iterint import check_budget
-
+        pole order above _MAX_POLE_ORDER is refused before any arithmetic."""
         poly, principal = obj.get("poly", []), obj.get("principal", [])
         if type(poly) is not list or type(principal) is not list:
             raise InputError("'poly' and 'principal' must be JSON lists")
@@ -342,7 +340,9 @@ class RationalFunction:
             i = ps.index(pole)
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")
-            check_budget(16 * (max(k, 0) + 1) ** 2, f"pole order {k}")
+            if k > _MAX_POLE_ORDER:
+                raise BudgetError(f"pole order {k} exceeds the cap of "
+                                  f"{_MAX_POLE_ORDER} on a principal part")
             pp.append(((i, k), QI.of(item["coeff"])))
         return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 

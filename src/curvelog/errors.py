@@ -18,7 +18,7 @@ class DomainError(CurvelogError, ValueError):
 
 
 class BudgetError(DomainError):
-    """Work refused before it starts: one of its arrays would pass the cap."""
+    """Work refused before it starts: it would pass one of the caps."""
 
 
 class AlphabetError(DomainError):

@@ -171,9 +171,10 @@ def _start(z: complex, ps: PoleSet):
     radius 3/4 r where the series stops, to z, with n = (the leg's sweep
     about 0 - arg z) / 2 pi.  A leg without a detour is its own chord, and
     one whose arcs all circle the origin (radius at most 0.8 z1) lies with
-    it in the disk: only an arc about another puncture, which no sampled
-    point plans, makes the windings about the others worth summing.  Any
-    other leg is the head itself, from z1."""
+    it in the disk: only an arc about another puncture (a point just inside
+    the rim beside a close one plans it) makes the windings about the others
+    worth summing; they came to 0 on every such leg found.  Any other leg is
+    the head itself, from z1."""
     z1 = reference_point(ps)
     leg = plan_path(z1, z, ps)
     r = 2 * z1.real

@@ -48,6 +48,20 @@ def _arc_bernstein(a: float, b: float, q: complex) -> float:
     return _bernstein(a, b, complex(arg, q.imag))
 
 
+def _line_distance(a: complex, b: complex, p: complex) -> tuple:
+    """How far along the line from a to b p projects, and p's distance from
+    the segment [a, b].  The projection is on the unit direction: dividing
+    by the squared length overflows from about 1e154.  One past either end
+    (or NaN, or on a point segment) gives that end's own distance: a + s u
+    can round far from a tiny end, to 0 on the segment from 0.5 to 1e-320."""
+    length = abs(b - a)
+    u = (b - a) / length if length else 0j
+    s = ((p - a) * u.conjugate()).real
+    if not s > 0:
+        return s, abs(p - a)
+    return s, abs(p - (b if s >= length else a + s * u))
+
+
 @dataclass(frozen=True)
 class LineSeg:
     start: complex
@@ -69,21 +83,7 @@ class LineSeg:
         return LineSeg(self.point(ta), self.point(tb))
 
     def min_distance(self, p: complex) -> float:
-        length = self.length
-        if length == 0:
-            return abs(p - self.start)
-        # project on the unit direction: dividing by the squared length
-        # overflows for segments longer than about 1e154.  A projection
-        # past either end (or NaN) gives that endpoint's own distance:
-        # start + length * u can round far from a tiny end, to 0 on the
-        # segment from 0.5 to 1e-320
-        u = (self.end - self.start) / length
-        s = ((p - self.start) * u.conjugate()).real
-        if not s > 0:
-            return abs(p - self.start)
-        if s >= length:
-            return abs(p - self.end)
-        return abs(p - (self.start + s * u))
+        return _line_distance(self.start, self.end, p)[1]
 
     def bernstein(self, p: complex) -> float:
         """The Bernstein parameter of the puncture p for this segment."""
@@ -349,10 +349,7 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     dists = []
     m = ps.min_pairwise_distance
     for p in ps.as_complex:
-        along = ((p - a) * u.conjugate()).real
-        # the distance from p to the segment, as LineSeg.min_distance reads it
-        d = (abs(p - a) if not along > 0 else abs(p - b) if along >= length
-             else abs(p - (a + along * u)))
+        along, d = _line_distance(a, b, p)
         dists.append(d)
         rho = 0.3 * m if math.isfinite(m) else 0.3 * max(1.0, abs(a - p))
         rho = min(rho, 0.8 * abs(a - p), 0.8 * abs(b - p))
@@ -398,19 +395,15 @@ def plan_chain(start: complex, points, ps: PoleSet):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances on the Chebyshev tail of each piece and a budget on pieces:
-    each piece planned and each half of a tail split."""
+    """Tolerances on the Chebyshev tail of each piece."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 200_000
 
     def __post_init__(self):
         for tol in (self.rtol, self.atol):
             if not (math.isfinite(tol) and tol > 0):
                 raise DomainError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise DomainError("bad integrator limits")
 
 
 # Chebyshev-Lobatto nodes per piece, and the Bernstein parameter every
@@ -426,6 +419,8 @@ _RHO_MIN = 2 + math.sqrt(5)
 # half a piece's share of its segment's parameter.
 _CHUNK = 32
 _HALF_SPAN = np.array([-0.5, 0.5])
+# The pieces one run may integrate: each piece planned, each half of a split.
+_MAX_PIECES = 200_000
 
 
 @lru_cache(maxsize=1)
@@ -636,8 +631,8 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     nodes of its pieces are evaluated a chunk at a time, and the pieces are
     solved in order.  A piece whose Chebyshev tail is above the tolerance
     is halved; its halves skip the ellipse test, since rho only grows on a
-    sub-interval, and evaluate their own letters.  The budget counts each
-    piece planned and each half of a tail split.
+    sub-interval, and evaluate their own letters.  The budget, _MAX_PIECES,
+    counts each piece planned and each half of a tail split.
 
     Each level is one GEMM on its parents' node values, Y[plo:phi] @ M with
     M = [diag(g_a) ST]_a over the letters a, built once per piece: written
@@ -724,7 +719,7 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
     pieces = 0
     c = 0  # the buffer that holds the endpoint values so far
     for si, seg in enumerate(path.segments):
-        plan = _plan(seg, punctures, cfg.max_steps - pieces)
+        plan = _plan(seg, punctures, _MAX_PIECES - pieces)
         pieces += len(plan)
         for first in range(0, len(plan), _CHUNK):
             spans = plan[first:first + _CHUNK]
@@ -738,7 +733,7 @@ def _run(system: _WordSystem, y: np.ndarray, path: Path,
                         G = GT[_CHUNK]
                     if not solve(G, c):
                         pieces += 2
-                        if pieces > cfg.max_steps:
+                        if pieces > _MAX_PIECES:
                             raise NumericError(
                                 "integration piece budget exhausted")
                         todo += [(*half, None) for half in _halves(ta, tb)]
@@ -826,8 +821,7 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
 
 # The largest array: a dense complex matrix of 16 n^2 bytes (the view on n
 # words: weight 7 on three punctures, 3,280 words and 172 MB, fits; weight 8
-# does not; an expansion's letter matrix to order n - 1, up to 4,095), or a
-# series' node array or cut table.
+# does not), a series' node array or cut table, or a word's prefix set.
 MATRIX_VIEW_MAX_BYTES = 1 << 28
 
 
@@ -943,13 +937,14 @@ class GroupLikeSeries:
 
     def unipotence_residual(self) -> float:
         """Largest entry of (M - Id)^(weight + 1); zero for a true action.
-        Refused unbuilt when its four dense arrays at once would pass the
-        cap: M - Id and three of its powers, 4.0x the view."""
-        n = count_words(len(self.letters), self.weight)[0]
-        check_budget(4 * 16 * n * n,
-                     f"the unipotence residual on {n:.3g} words")
-        power = np.linalg.matrix_power(self.matrix - np.eye(n),
-                                       self.weight + 1)
+        M - Id is the operator of a, the series less the unit, and s @ t's
+        is the product of theirs: the power's largest entry is the largest
+        value of a's (weight + 1)-th @-power, read with no dense array."""
+        cuts = word_cuts(self.letters, self.weight)
+        power = a = self.vector.copy()
+        a[0] -= 1  # the empty word, first in the basis
+        for _ in range(self.weight):
+            power = cut_sum(cuts, power, a)
         return float(np.max(np.abs(power)))
 
 

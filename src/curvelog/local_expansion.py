@@ -20,14 +20,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .curve_genus0 import PoleSet
-from .errors import DomainError, InputError, NumericError
-from .iterint import IntegratorConfig, check_budget, check_prefix_budget
+from .errors import BudgetError, DomainError, InputError, NumericError
+from .iterint import IntegratorConfig, check_prefix_budget
 from .scalars import QI
 
 _CHECK_TOL = 1e-6
 
-# the expansion order expand_at and the CLI use when none is given
+# the expansion order expand_at and the CLI use when none is given, and the
+# largest expand_at takes: each letter's product costs O(order^2) per row
 DEFAULT_ORDER = 24
+_MAX_ORDER = 4095
 # the order series_values sums to at the ratio one half, where mzv and a
 # chain from the reference point start; at the ratio q it sums
 # SERIES_TERMS ln 2 / -ln q terms, so q to the order stays 2^-80
@@ -307,8 +309,9 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
         ps.index(lab)
     if order < 1:
         raise DomainError("expansion order must be at least one")
-    check_budget(16 * (order + 1) ** 2,
-                 f"the letter matrix of expansion order {order}")
+    if order > _MAX_ORDER:
+        raise BudgetError(f"expansion order {order} exceeds the cap of "
+                          f"{_MAX_ORDER} on the letter product")
     c_exact = QI.of(center)
     try:
         c_num = complex(c_exact)

@@ -205,7 +205,7 @@ def _crit_monodromy(seed: int):
     m0 = monodromy_operator(g0, sec, weight=3, cfg=_TIGHT)
     m1 = monodromy_operator(g1, sec, weight=3, cfg=_TIGHT)
     m01 = monodromy_operator(g0 * g1, sec, weight=3, cfg=_TIGHT)
-    e2 = float(np.max(np.abs(m01.matrix - (m0 @ m1).matrix)))
+    e2 = float(np.max(np.abs(m01.vector - (m0 @ m1).vector)))
     uni = all(unipotence_check(m) for m in (m0, m1, m01))
     resid = max(m.unipotence_residual() for m in (m0, m1, m01))
     ok = e1 < 1e-9 and e2 < 1e-8 and uni and resid < 1e-8

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from curvelog import iterint
 from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
                                    RationalFunction, Section, decompose)
 from curvelog.errors import DomainError, NumericError
@@ -24,6 +25,16 @@ from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
 from curvelog.scalars import QI, accumulate
 from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_words,
                                    word_sort_key)
+
+
+def reference_unipotence_residual(series) -> float:
+    """``GroupLikeSeries.unipotence_residual`` as it was before it stayed in
+    the series algebra: the largest |entry| of the dense view minus the
+    identity, raised to the power weight + 1."""
+    n = len(series.vector)
+    power = np.linalg.matrix_power(series.matrix - np.eye(n),
+                                   series.weight + 1)
+    return float(np.max(np.abs(power)))
 
 
 def grouplike_residual(series) -> float:
@@ -651,7 +662,8 @@ def reference_level_run(system, y, path, cfg, punctures,
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        plan = reference_sweep_plan(seg, punctures, cfg.max_steps - pieces)
+        plan = reference_sweep_plan(seg, punctures,
+                                    iterint._MAX_PIECES - pieces)
         pieces += len(plan)
         for c in range(0, len(plan), _CHUNK):
             spans = plan[c:c + _CHUNK]
@@ -665,7 +677,7 @@ def reference_level_run(system, y, path, cfg, punctures,
                         G = GB[_CHUNK]
                     if not solve(G):
                         pieces += 2
-                        if pieces > cfg.max_steps:
+                        if pieces > iterint._MAX_PIECES:
                             raise NumericError(
                                 "integration piece budget exhausted")
                         todo += [(*half, None) for half in _halves(ta, tb)]
@@ -727,14 +739,14 @@ def reference_run(system, y, path, cfg, punctures, capture_after=(),
     capture_after = set(capture_after)
     pieces = 0
     for si, seg in enumerate(path.segments):
-        plan = _plan(seg, punctures, cfg.max_steps - pieces)
+        plan = _plan(seg, punctures, iterint._MAX_PIECES - pieces)
         pieces += len(plan)
         todo = plan[::-1]
         while todo:
             ta, tb = todo.pop()
             if not solve(seg.piece(ta, tb)):
                 pieces += 2
-                if pieces > cfg.max_steps:
+                if pieces > iterint._MAX_PIECES:
                     raise NumericError("integration piece budget exhausted")
                 todo += _halves(ta, tb)
                 continue

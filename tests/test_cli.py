@@ -383,7 +383,7 @@ def test_pole_orders_over_the_array_cap_are_refused_before_any_work(
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert "MiB array cap" in captured.err
+        assert "cap of 4095 on a principal part" in captured.err
         assert "Traceback" not in captured.err
         assert peak < 8 * 2 ** 20
 
@@ -559,6 +559,36 @@ def test_wrongly_typed_tensor_payloads_are_input_errors(capsys, letter,
     assert main(["reduce", "--poles", "0,1", "--tensor-json", tensor]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+_EVAL = ["eval", "--poles", "0,1", "--word", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_EVAL + ["--point", "0.5", "--rtol", "abc"], "invalid float value"),
+    (["eval", "--poles", "0,1", "--word", ",", "--point", "0.5"],
+     "empty word"),
+    (["reduce", "--poles", "0,1", "--tensor-json", "@{missing}"],
+     "cannot read"),
+    (_EVAL + ["--point", "foo"], "cannot parse point"),
+    (_EVAL + ["--point", "1e5000"], "overflows a float"),
+    (["reduce", "--poles", "0,1", "--tensor-json",
+      '{"terms": [{"word": [{}], "coeff": {"re": "1"}}]}'],
+     "needs a 'pole' or 'rf' key"),
+    (_EVAL + ["--point", "0.5", "--csv"],
+     "the CSV trace needs an explicit --path-json"),
+    (["monodromy", "--poles", "0,1", "--word", "0,1"],
+     "must name a single pole"),
+    (["expand", "--poles", "0,1", "--word", "0"], "expand needs --point"),
+], ids=["rtol", "word", "payload-file", "point", "point-overflow", "letter",
+        "csv", "monodromy-word", "expand-point"])
+def test_a_refused_input_exits_1_with_its_message(capsys, tmp_path, argv,
+                                                  message):
+    missing = str(tmp_path / "missing.json")
+    assert main([a.replace("{missing}", missing) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("pole, label", [(2, "2"), (1, "1"), (0, "0"),
@@ -797,7 +827,7 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
     from curvelog import local_expansion
 
     def never(*args, **kwargs):
-        raise AssertionError("built a letter matrix over the cap")
+        raise AssertionError("stepped a letter over the cap")
 
     monkeypatch.setattr(local_expansion, "_letter_series", never)
     tracemalloc.start()
@@ -810,7 +840,8 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "MiB array cap" in captured.err and "Traceback" not in captured.err
+    assert ("cap of 4095 on the letter product" in captured.err
+            and "Traceback" not in captured.err)
     assert peak < 8 * 2 ** 20
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from curvelog import (
     QI,
+    BudgetError,
     DeRhamClass,
     Differential,
     DomainError,
@@ -101,13 +102,13 @@ def test_rational_function_json_round_trip(ps):
 
 
 def test_pole_orders_over_the_array_cap_are_refused(ps):
-    # order 4095 is the largest series order the one array cap admits
+    # order 4095 is the largest pole order a principal part may have
     def payload(order):
         return {"principal": [{"pole": "0", "order": order, "coeff": "1"}]}
 
     f = RationalFunction.from_json(ps, payload(4095))
     assert f.principal == (((0, 4095), QI(1)),)
-    with pytest.raises(DomainError, match="MiB array cap"):
+    with pytest.raises(BudgetError, match="cap of 4095 on a principal part"):
         RationalFunction.from_json(ps, payload(4096))
 
 

@@ -837,6 +837,28 @@ def test_no_in_disk_leg_detours_around_another_puncture(poles):
     assert detoured > 20  # 45 to several hundred per pole set
 
 
+def test_an_in_disk_leg_can_detour_around_another_puncture():
+    # z lies 1.4e-11 r inside the origin's disk, beside the puncture
+    # 3/200+1/100i: its leg from z1 has an arc about that puncture, so _start
+    # sums the windings about the others; they come to 0, and the head is
+    # the one-segment line in the disk with no turns
+    ps = PoleSet.of("0,4+1/2i,3/200+1/100i")
+    p = ps.as_complex[ps.index("3/200+1/100i")]
+    z = 0.011792203915468738 + 0.013636125799032747j
+    r = 2 * reference_point(ps).real
+    assert 0 < r - abs(z) < 1e-10 * r
+    centers = {seg.center for seg in plan_path(reference_point(ps), z,
+                                               ps).segments
+               if isinstance(seg, ArcSeg)}
+    assert p in centers
+    head, turns = hyperlog._start(z, ps)
+    assert len(head.segments) == 1 and abs(head.base) < r and turns == 0
+    for w in [("3/200+1/100i",), ("0", "3/200+1/100i"),
+              ("3/200+1/100i", "0")]:
+        [want] = reference_evaluate([w], [z], ps)
+        assert _close(eval_L(w, z, ps).value, want[w]), w
+
+
 # A first point out to three quarters of the origin's disk starts from its
 # own series, and one further out from its ray at three quarters; both
 # routes must agree with the one from the reference point and with the

@@ -43,6 +43,7 @@ from curvelog import (
     regularize,
 )
 
+from curvelog import iterint
 from curvelog.hyperlog import reference_point
 from curvelog.iterint import (_NODES, _RHO_MIN, _prefix_closure, _WordSystem,
                               _integrate, _plan, _run, _tails_within,
@@ -306,8 +307,6 @@ def _closure(words):
 @pytest.mark.parametrize("seeded", [False, True])
 def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded,
                                                                  monkeypatch):
-    from curvelog import iterint
-
     def never(*args, **kwargs):
         raise AssertionError("an empty path built or ran a word system")
 
@@ -410,18 +409,18 @@ def test_pole_collision_rejected():
         integrate_words(Path.line(-1, 1), [(dlog(PS0, "0"),)], PS0)
 
 
-def test_step_budget_is_enforced():
-    from curvelog import NumericError
-    cfg = IntegratorConfig(max_steps=2)
+def test_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(iterint, "_MAX_PIECES", 2)
     with pytest.raises(NumericError):
         integrate_words(Path.line(1, 100), [(dlog(PS0, "0"), dlog(PS0, "0"))],
-                        PS0, cfg)
+                        PS0)
 
 
-def test_unreachable_tolerance_fails_promptly():
+def test_unreachable_tolerance_fails_promptly(monkeypatch):
     # with the default budget too: bisection stops at the resolution of t
-    for cfg in (IntegratorConfig(rtol=1e-300, atol=1e-300, max_steps=500),
-                IntegratorConfig(rtol=1e-300, atol=1e-300)):
+    cfg = IntegratorConfig(rtol=1e-300, atol=1e-300)
+    for budget in (500, iterint._MAX_PIECES):
+        monkeypatch.setattr(iterint, "_MAX_PIECES", budget)
         start = time.perf_counter()
         with pytest.raises(NumericError):
             integrate_words(Path.line(1, 2), [(dlog(PS0, "0"),)], PS0, cfg)
@@ -611,7 +610,7 @@ def _near(got, want) -> bool:
             <= 1e-15 * max(1.0, np.abs(want).max()))
 
 
-def test_j_element_agrees_with_the_reference_kernel():
+def test_j_element_agrees_with_the_reference_kernel(monkeypatch):
     # the per-level GEMM, the thin top level and the stick integrated once
     # against the per-row gather and full GEMM on the whole path: the same
     # values to rounding, from the pieces of the path without its retraced
@@ -636,13 +635,14 @@ def test_j_element_agrees_with_the_reference_kernel():
                 # to rounding on the series' scale: an entry that cancels
                 # to 1e-16 carries the rounding of its O(1) summands
                 assert _near(got, want)
-                j_element(path, sec, weight,
-                          IntegratorConfig(rtol=rtol, max_steps=count))
-                short = IntegratorConfig(rtol=rtol, max_steps=count - 1)
-                with pytest.raises(NumericError):
-                    j_element(path, sec, weight, short)
-                with pytest.raises(NumericError):
-                    reference_run(system, y0, head, short, ps.as_complex)
+                with monkeypatch.context() as patch:
+                    patch.setattr(iterint, "_MAX_PIECES", count)
+                    j_element(path, sec, weight, cfg)
+                    patch.setattr(iterint, "_MAX_PIECES", count - 1)
+                    with pytest.raises(NumericError):
+                        j_element(path, sec, weight, cfg)
+                    with pytest.raises(NumericError):
+                        reference_run(system, y0, head, cfg, ps.as_complex)
 
 
 _coord = st.floats(-10, 10)
@@ -875,7 +875,8 @@ def test_the_tail_shortcut_gives_the_full_tests_verdict(where, bad):
             assert _tails_within(*args) == reference_tails_within(*args)
 
 
-def test_a_tiny_atol_splits_pieces_as_the_reference_kernel_does():
+def test_a_tiny_atol_splits_pieces_as_the_reference_kernel_does(
+        monkeypatch):
     # at atol 1e-300 no piece passes by the shortcut: the full test halves
     # the same pieces in both kernels, and the budget counts them alike
     ps = PoleSet.of("0,1,-1")
@@ -895,12 +896,12 @@ def test_a_tiny_atol_splits_pieces_as_the_reference_kernel_does():
                                               ps.as_complex, trace=True)
             assert [t for t, _ in rows] == [t for t, _ in want]
             assert count > planned
-            _run(system, y0, path, IntegratorConfig(
-                rtol=1e-14, atol=1e-300, max_steps=count), ps.as_complex)
-            with pytest.raises(NumericError, match="budget"):
-                _run(system, y0, path, IntegratorConfig(
-                    rtol=1e-14, atol=1e-300, max_steps=count - 1),
-                     ps.as_complex)
+            with monkeypatch.context() as patch:
+                patch.setattr(iterint, "_MAX_PIECES", count)
+                _run(system, y0, path, cfg, ps.as_complex)
+                patch.setattr(iterint, "_MAX_PIECES", count - 1)
+                with pytest.raises(NumericError, match="budget"):
+                    _run(system, y0, path, cfg, ps.as_complex)
 
 
 def _eval_l_system(poles, word):

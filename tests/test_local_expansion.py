@@ -9,6 +9,7 @@ import pytest
 
 from curvelog import (
     QI,
+    BudgetError,
     DomainError,
     IntegratorConfig,
     LogLaurentExpansion,
@@ -223,13 +224,13 @@ def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(local_expansion, "_letter_series", reached)
     monkeypatch.setattr(hyperlog, "eval_batch", reached)
-    # order 4095 is a 4096 x 4096 letter matrix, exactly the cap
+    # order 4095 is exactly the cap on the letter product
     with pytest.raises(Reached):
         expand_at(("1", "0"), PS, 0, order=4095)
     for order in (4096, 100_000):
-        with pytest.raises(DomainError, match="MiB array cap"):
+        with pytest.raises(BudgetError, match="cap of 4095 on the letter"):
             expand_at(("1", "0"), PS, 0, order=order)
-        with pytest.raises(DomainError, match="MiB array cap"):
+        with pytest.raises(BudgetError, match="cap of 4095 on the letter"):
             expand_at(("1", "0"), PS, 1, order=order)
 
 

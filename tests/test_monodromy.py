@@ -1,4 +1,6 @@
 import math
+import random
+import time
 import tracemalloc
 import types
 from dataclasses import replace
@@ -26,7 +28,7 @@ from curvelog import (
 import curvelog
 from curvelog import iterint
 from curvelog.iterint import MATRIX_VIEW_MAX_BYTES, check_view_budget
-from series_checks import grouplike_residual
+from series_checks import grouplike_residual, reference_unipotence_residual
 
 TWO_PI_I = 2j * math.pi
 
@@ -158,26 +160,49 @@ def test_operator_antipode_is_the_reversed_loop():
                     assert np.abs(both.vector - unit).max() <= 1e-13 * scale
 
 
-def test_unipotence_residual_is_refused_over_the_cap(monkeypatch):
-    # weight 7 on three letters: the 172 MB view fits the cap, but the
-    # residual's four arrays of that size do not
+def test_unipotence_residual_builds_no_dense_array():
+    # weight 7 on three letters, whose dense operator is 172 MB: the
+    # residual holds a few series vectors and the cut table
     n = 3280
     unit = GroupLikeSeries(7, ("0", "1", "-1"),
                            np.eye(1, n, dtype=complex)[0])
-
-    def never(*args, **kwargs):
-        raise AssertionError("built the word basis over the cap")
-
-    monkeypatch.setattr(iterint, "word_cuts", never)
+    iterint.word_cuts.cache_clear()
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="MiB array cap"):
-            unit.unipotence_residual()
+        start = time.perf_counter()
+        residual = unit.unipotence_residual()
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 16 * n * n <= MATRIX_VIEW_MAX_BYTES < 4 * 16 * n * n
-    assert peak < 2 ** 20
+    assert residual == 0.0
+    assert elapsed < 1.0
+    assert peak < 8 * 2 ** 20
+
+
+def test_unipotence_residual_is_the_dense_one():
+    # seeded loop operators, and copies corrupted on the empty word or by a
+    # non-finite entry, against the dense matrix power it replaced
+    ps3 = PoleSet.of("0,1,-1")
+    sec3 = Section.standard(ps3)
+    rng = random.Random(39)
+    for weight in range(1, 6):
+        for label in ps3.labels:
+            base = complex(rng.uniform(-0.9, 0.9), rng.uniform(0.3, 0.9))
+            op = monodromy_operator(loop_around(ps3, label, base), sec3,
+                                    weight)
+            assert op.unipotence_residual() == 0.0
+            assert reference_unipotence_residual(op) == 0.0
+            for value in (2.0, 1 + 1e-16j):
+                bad = corrupted(op, {(): value})
+                got = bad.unipotence_residual()
+                want = reference_unipotence_residual(bad)
+                assert got > 0 and abs(got - want) <= 1e-12 * want
+            for value in (np.nan, np.inf):  # inf times a zero is NaN
+                bad = corrupted(op, {op.basis[-1]: value})
+                with np.errstate(invalid="ignore"):
+                    assert math.isnan(bad.unipotence_residual())
+                    assert math.isnan(reference_unipotence_residual(bad))
 
 
 def corrupted(op, values: dict):
