@@ -283,8 +283,8 @@ class Path:
         return best
 
     def check_clearance(self, ps: PoleSet):
-        _check_distances((self.min_distance_to((p,)) if self.segments else
-                          abs(p - self.base) for p in ps.as_complex), ps)
+        _check_distances((self.min_distance_to((p,)) for p in ps.as_complex),
+                         ps)
 
     def to_json(self):
         return {"base": [self.base.real, self.base.imag],
@@ -517,8 +517,8 @@ class _WordSystem:
         ``word_cuts``, whose tree it reads.  Without letters the system is
         the empty word alone."""
         self = cls.__new__(cls)
-        self.words = label_words(ps, weight)  # refused unbuilt over the cap
-        *_, self.parents, self.slots, levels = word_cuts(ps.labels, weight)
+        self.words = label_words(ps, weight)  # checked before word_cuts builds
+        self.parents, self.slots, levels = word_cuts(ps.labels, weight)[5:8]
         self.n, self.levels = len(self.words), list(levels)
         self.evaluators = [form_of(lab).compiled()
                            for lab in sorted(ps.labels)]
@@ -854,6 +854,20 @@ def count_words(letters: int, weight: int) -> tuple[int, int]:
     return sum(sizes), sum((k + 1) * size for k, size in enumerate(sizes))
 
 
+def check_series_budget(letters: int, weight: int) -> int:
+    """The number of words up to ``weight`` over ``letters`` letters, counted
+    without building them; DomainError for a negative weight, and
+    BudgetError when the node array (16 bytes per node and word) or the cut
+    table (24 bytes per cut) of a series on them would pass the cap.  Every
+    word basis and every series passes here before ``word_cuts`` builds."""
+    if weight < 0:
+        raise DomainError("the weight of a series cannot be negative")
+    n, cuts = count_words(letters, weight)
+    check_budget(max(16 * _NODES * n, 24 * cuts),
+                 f"a series on {n:.3g} words")
+    return n
+
+
 def check_view_budget(letters: int, weight: int) -> int:
     """The number of words up to ``weight`` over ``letters`` letters, counted
     without building them; DomainError when the dense operator on them would
@@ -882,7 +896,7 @@ class GroupLikeSeries:
     vector: np.ndarray
 
     def __post_init__(self):
-        n = count_words(len(self.letters), self.weight)[0]
+        n = check_series_budget(len(self.letters), self.weight)
         if self.vector.shape != (n,):
             raise DomainError("series vector does not match its word basis")
 
@@ -925,7 +939,7 @@ class GroupLikeSeries:
     def inverse(self) -> "GroupLikeSeries":
         """Series of the reversed path, by the antipode:
         S(a)(w) = (-1)^|w| a(reverse w)."""
-        sign, rev = antipode_table(self.letters, self.weight)
+        *_, sign, rev = word_cuts(self.letters, self.weight)
         return GroupLikeSeries(self.weight, self.letters,
                                sign * self.vector[rev])
 
@@ -939,22 +953,22 @@ class GroupLikeSeries:
         """Largest entry of (M - Id)^(weight + 1); zero for a true action.
         M - Id is the operator of a, the series less the unit, and s @ t's
         is the product of theirs: the power's largest entry is the largest
-        value of a's (weight + 1)-th @-power, read with no dense array."""
+        value of a's (weight + 1)-th @-power, read with no dense array and
+        taken by squaring, in about 2 log2(weight + 1) cut sums."""
         cuts = word_cuts(self.letters, self.weight)
         power = a = self.vector.copy()
         a[0] -= 1  # the empty word, first in the basis
-        for _ in range(self.weight):
-            power = cut_sum(cuts, power, a)
+        for bit in bin(self.weight + 1)[3:]:  # the bits after the top one
+            power = cut_sum(cuts, power, power)
+            if bit == "1":
+                power = cut_sum(cuts, power, a)
         return float(np.max(np.abs(power)))
 
 
 def label_words(ps: PoleSet, weight: int):
     """All class words of weight at most ``weight``, canonically ordered;
-    refused unbuilt when the node array (16 bytes per node and word) or the
-    cut table (24 bytes per cut) of a series on them would pass the cap."""
-    n, cuts = count_words(len(ps.labels), weight)
-    check_budget(max(16 * _NODES * n, 24 * cuts),
-                 f"a series on {n:.3g} words")
+    refused unbuilt by ``check_series_budget``."""
+    check_series_budget(len(ps.labels), weight)
     return list(word_cuts(ps.labels, weight)[0])
 
 
@@ -962,44 +976,42 @@ def label_words(ps: PoleSet, weight: int):
 def word_cuts(letters: tuple, weight: int):
     """The label words up to ``weight`` in word_sort_key order, every cut
     w = u v as flat arrays of basis indices (w, u, v), word by word from
-    u = () on, each word's first cut, and the words as a word system's
-    parents, slots and levels.  Read as base-m label ranks c, the length-k
-    word has prefix c // m^(k-j) and suffix c % m^(k-j), row r > 0 has
-    parent (r - 1) // m and slot (r - 1) % m, and every level is full."""
+    u = () on, each word's first cut, the words as a word system's
+    parents, slots and levels, and the antipode as a signed gather,
+    S(a) = sign * a[rev], with sign (-1)^|w| and rev each word's reversal.
+    Read as base-m label ranks c, the length-k word has prefix
+    c // m^(k-j) and suffix c % m^(k-j), row r > 0 has parent (r - 1) // m
+    and slot (r - 1) % m, every level is full, and a word's reversal is
+    its slot followed by its parent's reversal.  Without letters the basis
+    is the empty word alone."""
     m = len(letters)
+    weight = weight if m else 0
+    sizes = [m ** k for k in range(weight + 1)]
+    start = np.cumsum([0] + sizes)  # level k is rows start[k]:start[k + 1]
     basis = tuple(w for k in range(weight + 1)
                   for w in product(sorted(letters), repeat=k))
-    start = np.array([sum(m ** i for i in range(k)) for k in range(weight + 2)])
     cuts = []
     for k in range(weight + 1):
-        code, j = np.arange(m ** k)[:, None], np.arange(k + 1)
+        code, j = np.arange(sizes[k])[:, None], np.arange(k + 1)
         cuts.append(np.stack(np.broadcast_arrays(
             start[k] + code, start[j] + code // m ** (k - j),
             start[k - j] + code % m ** (k - j))).reshape(3, -1))
     cuts = np.concatenate(cuts, axis=1)
     starts = np.flatnonzero(cuts[1] == 0)
-    tree = np.divmod(np.arange(-1, start[-1] - 1, dtype=np.intp).clip(0),
-                     max(m, 1))
-    for table in (cuts, starts, *tree):
+    parent, slot = np.divmod(
+        np.arange(-1, start[-1] - 1, dtype=np.intp).clip(0), max(m, 1))
+    sign = np.repeat((-1.0) ** np.arange(weight + 1), sizes)
+    rev = np.zeros(len(basis), dtype=np.intp)
+    for k in range(1, weight + 1):
+        lo, hi = start[k], start[k + 1]
+        rev[lo:hi] = (lo - start[k - 1] + slot[lo:hi] * sizes[k - 1]
+                      + rev[parent[lo:hi]])
+    for table in (cuts, starts, parent, slot, sign, rev):
         table.setflags(write=False)
     bounds = start.tolist()
     levels = tuple((lo, hi, (lo - 1) // m, (hi - 1) // m, None)
-                   for lo, hi in zip(bounds[1:], bounds[2:]) if lo < hi)
-    return (basis, *cuts, starts, *tree, levels)
-
-
-@lru_cache(maxsize=8)
-def antipode_table(letters: tuple, weight: int):
-    """The antipode on the basis of ``word_cuts`` as a signed gather,
-    S(a) = sign * a[rev]: rev maps each word to its reversal, and sign is
-    (-1)^|w|."""
-    basis = word_cuts(letters, weight)[0]
-    index = {w: i for i, w in enumerate(basis)}
-    rev = np.array([index[w[::-1]] for w in basis], dtype=np.intp)
-    sign = np.array([(-1.0) ** len(w) for w in basis])
-    sign.setflags(write=False)
-    rev.setflags(write=False)
-    return sign, rev
+                   for lo, hi in zip(bounds[1:], bounds[2:]))
+    return (basis, *cuts, starts, parent, slot, levels, sign, rev)
 
 
 def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1027,7 +1039,8 @@ def j_element(path: Path, section: Section, weight: int,
               cfg: IntegratorConfig | None = None) -> GroupLikeSeries:
     """The universal group-like element: endpoint values of every class word
     up to the weight, integrated through the section straight into the
-    series vector; refused unbuilt over the cap (``label_words``).
+    series vector; refused unbuilt at a negative weight or over the cap
+    (``check_series_budget``).
 
     Through the standard section, a path that ends by retracing its first
     k segments (a based loop's stick, see ``retraced_tail``) integrates
@@ -1039,8 +1052,6 @@ def j_element(path: Path, section: Section, weight: int,
     close the loop with the stick's integration error in place of the
     retraced pieces' (5e-10 of the series' scale at weight 6 in the test
     suite's corrected section)."""
-    if weight < 0:
-        raise DomainError("the weight of a series cannot be negative")
     cfg = cfg or IntegratorConfig()
     ps = section.poles
     system = _WordSystem.canonical(ps, weight,

@@ -237,10 +237,9 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     prefixes are stepped once.  The order follows the ratio of |x| to the
     distance r to the nearest other puncture (_series_order), and the
     series is held in u = x / r, where no letter's coefficient exceeds
-    one.  Each value is one product of the coefficients with the powers of
-    u, smallest term first, and then Horner's rule in the principal log of
-    x; the prefixes of one row, every admissible word's, are summed in one
-    product after the steps."""
+    one.  Every prefix is stepped first; then one product of all their
+    coefficients with the powers of u, smallest term first, sums each row,
+    and Horner's rule in the principal log of x sums each prefix's rows."""
     c = QI.of(center)
     c_num = complex(c)
     r_c = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
@@ -255,8 +254,6 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     lx = cmath.log(x)
     letters = {}
     series = {}
-    vals = {(): 1.0 + 0j}
-    single = []  # the prefixes of one row, summed in one product below
     for w in check_prefix_budget(words):
         for k in range(1, len(w) + 1):
             prefix = w[:k]
@@ -273,20 +270,17 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
                         else letter[:1])
                 letter = None
             rows = series[prefix] = _letter_step(rows, letter)
-            vals[prefix] = None
-            if len(rows) == 1:
-                single.append(prefix)
-                continue
-            total = 0j
-            for v in (rows[:, ::-1] @ powers)[::-1].tolist():
-                total = total * lx + v
-            vals[prefix] = total
-    if single:
-        # Horner's rule in the log on one row is 0 * lx + its value
-        zero = 0j * lx
-        rows = np.concatenate([series[p] for p in single])
-        for p, v in zip(single, (rows[:, ::-1] @ powers).tolist()):
-            vals[p] = zero + v
+    vals = {(): 1.0 + 0j}
+    if not series:
+        return vals
+    sums = (np.concatenate(list(series.values()))[:, ::-1] @ powers).tolist()
+    end = 0
+    for prefix, rows in series.items():
+        end += len(rows)
+        total = 0j
+        for v in reversed(sums[end - len(rows):end]):
+            total = total * lx + v
+        vals[prefix] = total
     return vals
 
 

@@ -19,7 +19,9 @@ from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
                               _tails_within, _WordSystem, check_prefix_budget,
                               integrate_h_words, label_words, plan_chain,
                               plan_path)
-from curvelog.local_expansion import _MAX_RATIO, series_values
+from curvelog.local_expansion import (_MAX_RATIO, _letter_series,
+                                      _letter_step, _series_order,
+                                      series_values)
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              default_basepoint, normal_form)
 from curvelog.scalars import QI, accumulate
@@ -501,6 +503,68 @@ def reference_letter_step(rows, letter):
     if not out[-1].any():
         out = out[:-1]
     return out
+
+
+def reference_series_values(words, ps, x, center=0) -> dict:
+    """``local_expansion.series_values`` as it was before every prefix was
+    summed in one pass: a prefix of more than one row is summed as it is
+    stepped, its own product with the powers and then Horner's rule in the
+    log, and the one-row prefixes hold a place in the result until one
+    product after the steps sums them."""
+    c = QI.of(center)
+    c_num = complex(c)
+    r_c = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
+              default=math.inf)
+    order = _series_order(abs(x) / r_c)
+    scale = r_c if r_c < math.inf else 1.0
+    powers = np.ones(order + 1, dtype=complex)
+    powers[1:] = np.full(order, complex(x) / scale).cumprod()
+    powers = powers[::-1]
+    lx = cmath.log(x)
+    letters = {}
+    series = {}
+    vals = {(): 1.0 + 0j}
+    single = []
+    for w in check_prefix_budget(words):
+        for k in range(1, len(w) + 1):
+            prefix = w[:k]
+            if prefix in series:
+                rows = series[prefix]
+                continue
+            lab = w[k - 1]
+            if lab not in letters:
+                letters[lab] = _letter_series(ps, lab, c, order, scale)
+            letter = letters[lab]
+            if k == 1:
+                rows = (np.eye(1, order + 1, dtype=complex) if letter is None
+                        else letter[:1])
+                letter = None
+            rows = series[prefix] = _letter_step(rows, letter)
+            vals[prefix] = None
+            if len(rows) == 1:
+                single.append(prefix)
+                continue
+            total = 0j
+            for v in (rows[:, ::-1] @ powers)[::-1].tolist():
+                total = total * lx + v
+            vals[prefix] = total
+    if single:
+        zero = 0j * lx
+        rows = np.concatenate([series[p] for p in single])
+        for p, v in zip(single, (rows[:, ::-1] @ powers).tolist()):
+            vals[p] = zero + v
+    return vals
+
+
+def reference_antipode_table(letters, weight):
+    """The antipode's signed gather as ``iterint.antipode_table`` built it
+    before it became two tables of ``word_cuts``: rev looks up each basis
+    word's reversal in a dict of the basis, and sign is (-1)^|w|."""
+    basis = iterint.word_cuts(letters, weight)[0]
+    index = {w: i for i, w in enumerate(basis)}
+    rev = np.array([index[w[::-1]] for w in basis], dtype=np.intp)
+    sign = np.array([(-1.0) ** len(w) for w in basis])
+    return sign, rev
 
 
 def reference_plan(seg, punctures, budget: int):

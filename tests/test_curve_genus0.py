@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -468,3 +469,27 @@ def test_foreign_operands_raise_type_error(ps):
     # exact scalars still scale and shift
     assert f * 2 == f + f == 2 * f
     assert f + Fraction(1, 2) - QI(0, 1) == f + QI(Fraction(1, 2), -1)
+
+
+_PS2, _PS3 = PoleSet.of("0,1"), PoleSet.of("0,1,-1")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _PS2.index(5), "pole index 5 out of range"),
+    (lambda: _PS2.index(0.5), "cannot resolve pole 0.5"),
+    (lambda: RationalFunction.const(_PS2, 1) + RationalFunction.const(_PS3, 1),
+     "pole set mismatch between rational functions"),
+    (lambda: DeRhamClass(_PS2, (1,)),
+     "class vector length does not match the pole set"),
+    (lambda: DeRhamClass.zero(_PS2) + DeRhamClass.zero(_PS3),
+     "pole set mismatch between classes"),
+    (lambda: Section(_PS2, (RationalFunction.zero(_PS2),)),
+     "need one correction per puncture"),
+    (lambda: decompose(dlog(_PS2, "1"), Section.standard(_PS3)),
+     "class and section live over different pole sets"),
+], ids=["index-out-of-range", "index-of-a-float", "function-plus-other-poles",
+        "class-of-wrong-length", "class-plus-other-poles",
+        "section-short-of-corrections", "decompose-other-section"])
+def test_a_refusal_names_its_cause(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -9,6 +9,7 @@ import sys
 import time
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,8 +40,8 @@ from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
 from series_checks import (reassemble, reference_evaluate, reference_integrate,
-                           reference_mzv, reference_start,
-                           reference_start_values)
+                           reference_mzv, reference_series_values,
+                           reference_start, reference_start_values)
 
 PS = PoleSet.of("0,1")
 
@@ -968,3 +969,31 @@ def test_points_in_the_guard_still_raise():
             eval_L(("0", "1"), z, PS)
         with pytest.raises(PathError):
             eval_batch([("0", "1")], [z, 0.3], PS)
+
+
+def test_a_value_reads_its_modulus_and_shows_its_provenance():
+    v = HyperlogValue(3 - 4j, ("0",), 0.3 + 0j, "principal")
+    assert abs(v) == 5.0
+    assert repr(v) == ("HyperlogValue((3-4j), word=('0',), point=(0.3+0j), "
+                       "path_class='principal')")
+    assert eval_batch([("0", "1")], [], PS) == []
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_in_disk_values_and_mzv_are_the_reference_summation_bit_for_bit(
+        monkeypatch, poles):
+    # every eval-points family at seeded in-disk points, and mzv, against
+    # series_checks.reference_series_values, which sums on two paths
+    ps = PoleSet.of(poles)
+    pts = _seeded_points(random.Random(40), 4)
+    words = _eval_point_words(ps)
+    limits = [("1", "0"), ("1", "0", "0"), ("1", "1", "0"),
+              ("0", "1", "0", "0", "1", "0"), ("1",) * 4 + ("0",) * 2]
+
+    def values():
+        return np.array([eval_L(w, z, ps).value for w in words for z in pts]
+                        + [mzv(w) for w in limits])
+
+    got = values()
+    monkeypatch.setattr(hyperlog, "series_values", reference_series_values)
+    assert got.tobytes() == values().tobytes()

@@ -57,11 +57,12 @@ from curvelog.selftest import (DEFAULT_SEED, _letter_pool_omega,
                                shuffle_identity_check)
 from curvelog.shuffle_core import word_sort_key
 from oracles import LOG2
-from series_checks import (grouplike_residual, reference_integrate,
-                           reference_level_run, reference_plan,
-                           reference_plan_path, reference_prefix_closure,
-                           reference_run, reference_sweep_plan,
-                           reference_tails_within, section_change)
+from series_checks import (grouplike_residual, reference_antipode_table,
+                           reference_integrate, reference_level_run,
+                           reference_plan, reference_plan_path,
+                           reference_prefix_closure, reference_run,
+                           reference_sweep_plan, reference_tails_within,
+                           section_change)
 
 PS0 = PoleSet.of("0")
 
@@ -129,6 +130,9 @@ def test_path_json_round_trip():
     assert abs(back.end - p.end) < 1e-15
     for t in (0.0, 0.3, 1.0):
         assert abs(back.segments[1].point(t) - arc.point(t)) < 1e-15
+    with pytest.raises(PathError,
+                       match="^malformed path payload: 'segment kind'$"):
+        Path.from_json({"base": [0, 0], "segments": [{"spiral": [1, 2]}]})
 
 
 def test_clearance_guard():
@@ -446,9 +450,15 @@ def test_integrator_config_validation():
 
 
 def test_j_element_refuses_a_negative_weight():
+    # as does every word basis and every series, before anything is built
     sec = Section.standard(PS0)
-    with pytest.raises(DomainError):
+    message = "^the weight of a series cannot be negative$"
+    with pytest.raises(DomainError, match=message):
         j_element(Path.line(1, 2), sec, -1)
+    with pytest.raises(DomainError, match=message):
+        label_words(PS0, -1)
+    with pytest.raises(DomainError, match=message):
+        GroupLikeSeries(-1, ("0",), np.ones(0))
     assert j_element(Path.line(1, 2), sec, 0).vector.tolist() == [1]
 
 
@@ -1109,3 +1119,17 @@ def test_kz_restriction_collapses():
         kz_specialization_check(("1/2", "1/2", "3"))
     with pytest.raises(DomainError):
         kz_specialization_check(("1/2",))
+
+
+def test_the_antipode_tables_are_the_reversed_word_gather():
+    # word_cuts' sign and rev, read off the tree, against the gather that
+    # looked up each reversed word in a dict of the basis
+    for m in range(1, 5):
+        letters = tuple(str(i) for i in range(m))
+        for weight in range(8):
+            *_, sign, rev = iterint.word_cuts(letters, weight)
+            want_sign, want_rev = reference_antipode_table(letters, weight)
+            assert np.array_equal(rev, want_rev), (m, weight)
+            assert sign.tobytes() == want_sign.tobytes(), (m, weight)
+            assert not (sign.flags.writeable or rev.flags.writeable)
+    assert [t.tolist() for t in iterint.word_cuts((), 5)[-2:]] == [[1.0], [0]]

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,7 @@ from curvelog import (
 from curvelog import local_expansion
 from curvelog.local_expansion import (SERIES_TERMS, _letter_series, _letter_step,
                                       _series_order, series_values)
-from series_checks import reference_letter_step
+from series_checks import reference_letter_step, reference_series_values
 
 PS = PoleSet.of("0,1")
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
@@ -388,3 +389,28 @@ def test_series_values_scale_to_the_nearest_puncture():
         power = complex(mpmath.log(1 - mpmath.mpc(x) / a) ** 3 / 6)
         assert abs(vals[("1/100000", "0")] - li2) <= 1e-15
         assert abs(vals[("1/100000",) * 3] - power) <= 1e-15
+
+
+def _bits(vals: dict) -> tuple:
+    """A value dict's keys in order and its values' bytes."""
+    return list(vals), np.array(list(vals.values()), dtype=complex).tobytes()
+
+
+def test_series_values_are_the_two_path_reference_bit_for_bit():
+    # seeded calls: five pole sets, centers 0 and 1, 1 to 5 words of 1 to 6
+    # letters and |x| / r from 0.05 to 0.74, against
+    # series_checks.reference_series_values, which summed a prefix of one
+    # row after the steps and any other as it was stepped
+    rng = random.Random(40)
+    pole_sets = [PoleSet.of(p) for p in
+                 ("0,1", "0,1,-1", "0,1,-1,i", "0,1/2,2", "0,1/100,1")]
+    for _ in range(300):
+        ps, center = rng.choice(pole_sets), rng.choice((0, 1))
+        words = [tuple(rng.choice(ps.labels) for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(1, 5))]
+        r = min(abs(p - center) for p in ps.as_complex if p != center)
+        x = rng.uniform(0.05, 0.74) * r * cmath.exp(1j * rng.uniform(-3, 3))
+        got = series_values(words, ps, x, center)
+        assert _bits(got) == _bits(
+            reference_series_values(words, ps, x, center))
+    assert series_values([()], PS, 0.25) == {(): 1.0 + 0j}

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 import types
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from curvelog import (
+    BudgetError,
     DomainError,
     GroupLikeSeries,
     IntegratorConfig,
     Loop,
+    PathError,
     PoleSet,
     RationalFunction,
     Section,
@@ -27,7 +30,8 @@ from curvelog import (
 )
 import curvelog
 from curvelog import iterint
-from curvelog.iterint import MATRIX_VIEW_MAX_BYTES, check_view_budget
+from curvelog.iterint import (MATRIX_VIEW_MAX_BYTES, check_view_budget,
+                              count_words)
 from series_checks import grouplike_residual, reference_unipotence_residual
 
 TWO_PI_I = 2j * math.pi
@@ -178,6 +182,34 @@ def test_unipotence_residual_builds_no_dense_array():
     assert residual == 0.0
     assert elapsed < 1.0
     assert peak < 8 * 2 ** 20
+
+
+def test_a_hand_built_series_over_the_cap_is_refused_when_built():
+    # one letter at weight 5000: 5001 words but 12,507,501 cuts, 286 MiB
+    # of cut table, refused before word_cuts builds any of it
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="MiB array cap"):
+            GroupLikeSeries(5000, ("0",), np.ones(5001, dtype=complex))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("weight, letters", [(100_000, ()), (1000, ("0",))])
+def test_unipotence_residual_takes_its_power_by_squaring(weight, letters):
+    # a letterless basis is the empty word alone at any weight, and one
+    # letter at weight 1000 has about 500,000 cuts: about 2 log2(weight + 1)
+    # cut sums, not weight of them
+    n = count_words(len(letters), weight)[0]
+    series = GroupLikeSeries(weight, letters, np.eye(1, n, dtype=complex)[0]
+                             + 0.5 * np.arange(n) / n)
+    start = time.perf_counter()
+    residual = series.unipotence_residual()
+    elapsed = time.perf_counter() - start
+    assert residual == 0.0
+    assert elapsed < 1.0
 
 
 def test_unipotence_residual_is_the_dense_one():
@@ -401,3 +433,24 @@ def test_series_over_the_array_cap_is_refused_before_building(
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ps: circle_loop(ps, "0", turns=0), DomainError,
+     "a zero-turn circle is not a loop"),
+    (lambda ps: circle_loop(ps, "0", radius=0.0), DomainError,
+     "loop radius must be positive"),
+    (lambda ps: circle_loop(ps, "0", radius=-0.25), DomainError,
+     "loop radius must be positive"),
+    (lambda ps: circle_loop(ps, "0", radius=0.5 * ps.guard), DomainError,
+     "loop radius falls inside the puncture guard zone"),
+    (lambda ps: loop_around(ps, "1", 0.5, turns=0), DomainError,
+     "a zero-turn loop is trivial; refuse to build it"),
+    (lambda ps: loop_around(ps, "1", 1), PathError,
+     "cannot base a loop at the puncture it encircles"),
+], ids=["circle-of-no-turn", "circle-of-radius-zero",
+        "circle-of-negative-radius", "circle-inside-the-guard",
+        "loop-of-no-turn", "loop-based-on-its-puncture"])
+def test_a_loop_refusal_names_its_cause(ps, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(ps)

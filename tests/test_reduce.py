@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -625,3 +626,27 @@ def test_a_long_section_word_is_its_own_normal_form():
     t = ShuffleTensor.from_word(SEC.word(labels), QI(3))
     assert normal_form(t, SEC, X0).terms == (
         (labels, RationalFunction.const(PS, 3)),)
+
+
+_PS3 = PoleSet.of("0,1,-1")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NormalForm(PS, SEC, X0, ((("0",), RationalFunction.const(PS, 1)),
+                                      (("0",), RationalFunction.const(PS, 2)))),
+     "normal form with a repeated word"),
+    (lambda: NormalForm(PS, SEC, X0, ((("0",),
+                                       RationalFunction.const(_PS3, 1)),)),
+     "coefficients must live over the pole set"),
+    (lambda: normal_form([dlog(PS, "0"), "1"], SEC, X0),
+     "not a differential letter: '1'"),
+    (lambda: normal_form(ShuffleTensor.from_word((dlog(PS, "0"), "1")), SEC,
+                         X0),
+     "not a differential letter: '1'"),
+    (lambda: normal_form(dlog(_PS3, "1"), SEC, X0),
+     "letter declared over a different pole set"),
+], ids=["repeated-word", "coefficient-over-other-poles",
+        "letter-in-an-iterable", "letter-in-a-tensor", "letter-other-poles"])
+def test_a_refusal_names_its_cause(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

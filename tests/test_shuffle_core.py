@@ -215,3 +215,11 @@ def test_contraction_is_a_shuffle_derivation(a, b):
     lhs = r_xi(shuffle(a, b), xi)
     rhs = shuffle(r_xi(a, xi), b) + shuffle(a, r_xi(b, xi))
     assert lhs == rhs
+
+
+def test_a_tensor_times_a_tensor_shuffles_and_times_a_scalar_scales():
+    a = ShuffleTensor.from_word(("a", "b"), QI(2))
+    b = ShuffleTensor.from_word(("c",), QI(0, 1))
+    assert a * b == shuffle(a, b)
+    assert a * QI(3, -1) == a.scale(QI(3, -1))
+    assert a * Fraction(1, 2) == a.scale(Fraction(1, 2))
