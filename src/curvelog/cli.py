@@ -15,15 +15,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import selftest as _selftest
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
 from .errors import (BudgetError, CurvelogError, DomainError, InputError,
                      NumericError)
 from .hyperlog import eval_L, mzv
-from .iterint import (DEFAULT_WEIGHT, IntegratorConfig, Path,
-                      check_view_budget, integrate_words)
+from .iterint import DEFAULT_WEIGHT, IntegratorConfig, Path, integrate_words
 from .local_expansion import DEFAULT_ORDER, expand_at
 from .monodromy import Loop, circle_loop, monodromy_operator, period_matrix
 from .reduce import default_basepoint, normal_form
@@ -32,17 +29,6 @@ from .shuffle_core import tensor_from_json, word_label, word_sort_key
 
 def _c2j(z: complex):
     return [z.real, z.imag]
-
-
-def _emit_with_matrix(head: dict, m) -> None:
-    """Print head with a last "matrix" key of [re, im] pairs, written row by
-    row; the bytes equal those of _emit on the whole object."""
-    out = sys.stdout
-    out.write(json.dumps(head)[:-1] + ', "matrix": [')
-    for i, r in enumerate(m):
-        out.write((", " if i else "")
-                  + json.dumps(np.stack((r.real, r.imag), -1).tolist()))
-    out.write("]}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +216,6 @@ def _cmd_kernel(args) -> int:
 def _cmd_monodromy(args) -> int:
     ps = _require_poles(args)
     cfg = _make_cfg(args)
-    check_view_budget(len(ps.labels), args.weight)
     if args.path_json:
         loop = Loop(_parse_path(args))
     else:
@@ -239,15 +224,16 @@ def _cmd_monodromy(args) -> int:
             raise InputError("--word must name a single pole to encircle")
         loop = circle_loop(ps, word[0])
     op = monodromy_operator(loop, Section.standard(ps), args.weight, cfg)
-    _emit_with_matrix({"loop": loop.label,
-                       "basis": [list(w) for w in op.basis]}, op.matrix)
+    _emit({"loop": loop.label, "basis": [list(w) for w in op.basis],
+           "values": [_c2j(z) for z in op.vector.tolist()]})
     return 0
 
 
 def _cmd_periods(args) -> int:
     ps = _require_poles(args)
     P = period_matrix(Section.standard(ps), cfg=_make_cfg(args))
-    _emit_with_matrix({"poles": list(ps.labels)}, P)
+    _emit({"poles": list(ps.labels),
+           "matrix": [[_c2j(z) for z in row] for row in P.tolist()]})
     return 0
 
 

@@ -173,8 +173,10 @@ def _start(z: complex, ps: PoleSet):
     one whose arcs all circle the origin (radius at most 0.8 z1) lies with
     it in the disk: only an arc about another puncture (a point just inside
     the rim beside a close one plans it) makes the windings about the others
-    worth summing; they came to 0 on every such leg found.  Any other leg is
-    the head itself, from z1."""
+    worth summing.  They come to 0 when that puncture lies right of the
+    chord, and to one turn when it lies left of it, since the detour always
+    passes on the left.  A leg that winds so, and any other leg, is the
+    head itself, from z1."""
     z1 = reference_point(ps)
     leg = plan_path(z1, z, ps)
     r = 2 * z1.real

@@ -271,20 +271,28 @@ class Path:
         the winding number around p when the path is closed."""
         return sum(seg.sweep(p) for seg in self.segments)
 
-    def min_distance_to(self, points: Iterable[complex]) -> float:
-        best = math.inf
+    def _distances(self, points: Iterable[complex]):
+        """The path's least distance to each point in turn (the base's when
+        it has no segments), folded as min(best, d) from math.inf, so that
+        a NaN distance is skipped; spelled as a comparison, which is what
+        min does with two arguments, without the call."""
+        segments, base = self.segments, self.base
         for p in points:
             p = complex(p)
-            if not self.segments:
-                best = min(best, abs(p - self.base))
-                continue
-            for seg in self.segments:
-                best = min(best, seg.min_distance(p))
-        return best
+            best = math.inf
+            if not segments:
+                d = abs(p - base)
+                best = d if d < best else best
+            for seg in segments:
+                d = seg.min_distance(p)
+                best = d if d < best else best
+            yield best
+
+    def min_distance_to(self, points: Iterable[complex]) -> float:
+        return min(self._distances(points), default=math.inf)
 
     def check_clearance(self, ps: PoleSet):
-        _check_distances((self.min_distance_to((p,)) for p in ps.as_complex),
-                         ps)
+        _check_distances(self._distances(ps.as_complex), ps)
 
     def to_json(self):
         return {"base": [self.base.real, self.base.imag],
@@ -868,15 +876,6 @@ def check_series_budget(letters: int, weight: int) -> int:
     return n
 
 
-def check_view_budget(letters: int, weight: int) -> int:
-    """The number of words up to ``weight`` over ``letters`` letters, counted
-    without building them; DomainError when the dense operator on them would
-    pass MATRIX_VIEW_MAX_BYTES."""
-    n = count_words(letters, weight)[0]
-    check_budget(16 * n * n, f"a dense operator on {n:.3g} words")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class GroupLikeSeries:
     """A path's Chen series: endpoint values of all class words up to a
@@ -886,9 +885,10 @@ class GroupLikeSeries:
     of two words to the product of their values (group-likeness).
 
     A loop's series is its monodromy operator on class words: the entry at
-    (w, v) is the value of the prefix u when w = u v, and zero when v is
-    not a suffix of w.  ``matrix`` is that dense view, built on each read,
-    not kept, and refused above MATRIX_VIEW_MAX_BYTES.
+    (w, v) is ``values[u]`` when w = u v, and zero when v is not a suffix
+    of w.  ``matrix`` is that dense view, kept only for the benchmark's
+    reader: built on each read, not kept, and refused before it allocates
+    above MATRIX_VIEW_MAX_BYTES.
     """
 
     weight: int
@@ -911,7 +911,8 @@ class GroupLikeSeries:
 
     @property
     def matrix(self) -> np.ndarray:
-        n = check_view_budget(len(self.letters), self.weight)
+        n = len(self.vector)
+        check_budget(16 * n * n, f"a dense operator on {n:.3g} words")
         _, word, prefix, suffix, *_ = word_cuts(self.letters, self.weight)
         # gathered first: a copy read off the view while it lives then fills
         # the gather's freed space below it, not the heap's top above it
@@ -919,13 +920,6 @@ class GroupLikeSeries:
         m = np.zeros((n, n), dtype=complex)
         m[word, suffix] = values
         return m
-
-    def entry(self, w, v) -> complex:
-        w, v = tuple(w), tuple(v)
-        values, k = self.values, len(w) - len(v)
-        if w not in values or v not in values:
-            raise KeyError((w, v))
-        return values[w[:k]] if k >= 0 and w[k:] == v else 0j
 
     def __matmul__(self, other: "GroupLikeSeries") -> "GroupLikeSeries":
         """Series of the concatenated path, self's first, via the

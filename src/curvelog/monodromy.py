@@ -3,8 +3,10 @@
 A closed loop acts on class words through its Chen series, the loop
 integrals of all words: w = u v picks up u's value times v (unipotent, and
 contravariant in loop concatenation).  The operator is that series, an
-``iterint.GroupLikeSeries``; its dense matrix is a view built on each read
-and not kept, capped at MATRIX_VIEW_MAX_BYTES.
+``iterint.GroupLikeSeries``, one value per class word; ``curvelog
+monodromy`` prints it as such.  Its dense matrix, entry (w, v) the value of
+u when w = u v and 0 otherwise, is a view built on each read for the
+benchmark's reader and not kept, capped at MATRIX_VIEW_MAX_BYTES.
 """
 
 from __future__ import annotations

@@ -132,9 +132,8 @@ def test_monodromy_command(capsys):
                     "--weight", "1")
     assert data["loop"] == "ccw(0)"
     basis = [tuple(w) for w in data["basis"]]
-    i = basis.index(("0",))
-    j = basis.index(())
-    re, im = data["matrix"][i][j]
+    assert len(data["values"]) == len(basis)
+    re, im = data["values"][basis.index(("0",))]
     assert abs(re) < 1e-8 and abs(im - 2 * math.pi) < 1e-8
 
 
@@ -142,17 +141,18 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
         capsys, monkeypatch):
     import tracemalloc
 
-    from curvelog import cli, iterint
+    from curvelog import iterint
 
     def never(*args, **kwargs):
-        raise AssertionError("integrated a basis over the matrix cap")
+        raise AssertionError("built or integrated a basis over the cap")
 
+    # weight 12 on three letters is the first past the series cap
     monkeypatch.setattr(iterint, "_run", never)
-    monkeypatch.setattr(cli, "monodromy_operator", never)
+    monkeypatch.setattr(iterint, "word_cuts", never)
     tracemalloc.start()
     try:
         rc = main(["monodromy", "--poles", "0,1,-1", "--word", "0",
-                   "--weight", "10"])
+                   "--weight", "12"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,7 +164,7 @@ def test_monodromy_over_the_matrix_cap_is_refused_before_integrating(
     assert peak < 8 * 2 ** 20
 
 
-def test_matrix_output_is_streamed_byte_identically(capsys):
+def test_series_output_rebuilds_the_dense_operator(capsys):
     from curvelog import PoleSet, Section, circle_loop, monodromy_operator
 
     rc, out = run_cli(capsys, "monodromy", "--poles", "0,1,-1", "--word",
@@ -173,42 +173,31 @@ def test_matrix_output_is_streamed_byte_identically(capsys):
     ps = PoleSet.of("0,1,-1")
     loop = circle_loop(ps, "0")
     op = monodromy_operator(loop, Section.standard(ps), 3)
-    m = op.matrix
     full = {"loop": loop.label, "basis": [list(w) for w in op.basis],
-            "matrix": [[[m[i, j].real, m[i, j].imag]
-                        for j in range(m.shape[1])]
-                       for i in range(m.shape[0])]}
+            "values": [[z.real, z.imag] for z in op.vector.tolist()]}
     assert out == json.dumps(full) + "\n"
+    # the reading rule: entry (w, v) is the value of u when w = u v, else 0
+    data = json.loads(out)
+    basis = [tuple(w) for w in data["basis"]]
+    values = {w: complex(*z) for w, z in zip(basis, data["values"])}
+    m = op.matrix
+    for i, w in enumerate(basis):
+        for j, v in enumerate(basis):
+            k = len(w) - len(v)
+            want = values[w[:k]] if k >= 0 and w[k:] == v else 0j
+            assert m[i, j] == want
 
 
-def test_matrix_output_builds_no_nested_lists(monkeypatch):
-    import sys
-    import tracemalloc
-
-    class Sink:
-        size = 0
-
-        def write(self, text):
-            self.size += len(text)
-            return len(text)
-
-        def flush(self):
-            pass
-
-    sink = Sink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        rc = main(["monodromy", "--poles", "0,1,-1", "--word", "0",
-                   "--weight", "5"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.mark.parametrize("weight, words", [(7, 3280), (8, 9841)])
+def test_monodromy_past_the_old_dense_cap_prints_under_a_megabyte(
+        capsys, weight, words):
+    rc, out = run_cli(capsys, "monodromy", "--poles", "0,1,-1", "--word",
+                      "0", "--weight", str(weight))
     assert rc == 0
-    assert sink.size > 10 ** 6
-    # the 364 x 364 complex matrix is 2.1 MB; nested lists of its entries
-    # and the whole JSON string held at once take over 20 MB
-    assert peak < 8 * 2 ** 20
+    # the dense view on these bases is 172 MB and 1.5 GB of complex entries
+    assert len(out.encode()) < 10 ** 6
+    data = json.loads(out)
+    assert len(data["basis"]) == len(data["values"]) == words
 
 
 def test_expand_command(capsys):

@@ -67,6 +67,9 @@ def test_rational_function_partial_fractions(ps):
     # products raise the pole order
     sq = rf_pole(ps, "0", 1) * rf_pole(ps, "0", 1)
     assert sq == rf_pole(ps, "0", 2)
+    # a principal part given as a mapping reads as its items
+    assert RationalFunction(ps, principal={(0, 2): 1}) == sq
+    assert str(RationalFunction.zero(ps)) == "0"
 
 
 def test_a_cancelling_bad_principal_key_is_still_rejected(ps):
@@ -116,6 +119,7 @@ def test_pole_orders_over_the_array_cap_are_refused(ps):
 def test_differential_labels(ps):
     w = dlog(ps, "0")
     assert w.label == "((1)/(z-(0)))dz"
+    assert str(w) == w.label
     assert w.poles is ps
     assert w.project() == DeRhamClass.basis(ps, "0")
 
@@ -176,6 +180,8 @@ def test_de_rham_class_algebra(ps):
     b = DeRhamClass.basis(ps, "1")
     assert (a + b - a) == b
     assert a.scale(QI(0)).is_zero
+    assert str(a.scale(QI(0))) == "0"
+    assert str(a + b.scale(QI(2))) == "(1)*h[0] + (2)*h[1]"
     assert set(dict((a + b.scale(QI(2))).nonzero())) == {ps.index("0"),
                                                         ps.index("1")}
 

@@ -838,26 +838,45 @@ def test_no_in_disk_leg_detours_around_another_puncture(poles):
     assert detoured > 20  # 45 to several hundred per pole set
 
 
+def _start_beside(poles, label, z):
+    """hyperlog._start at z, just inside the origin's disk beside the
+    puncture ``label``, whose leg from z1 has an arc about that puncture;
+    its three words checked against reference_evaluate.  Returns the
+    disk's radius, the leg and _start's head and turns."""
+    ps = PoleSet.of(poles)
+    p = ps.as_complex[ps.index(label)]
+    r = 2 * reference_point(ps).real
+    assert 0 < r - abs(z) < 1e-10 * r
+    leg = plan_path(reference_point(ps), z, ps)
+    assert p in {seg.center for seg in leg.segments
+                 if isinstance(seg, ArcSeg)}
+    for w in [(label,), ("0", label), (label, "0")]:
+        [want] = reference_evaluate([w], [z], ps)
+        assert _close(eval_L(w, z, ps).value, want[w]), w
+    return (r, leg, *hyperlog._start(z, ps))
+
+
 def test_an_in_disk_leg_can_detour_around_another_puncture():
     # z lies 1.4e-11 r inside the origin's disk, beside the puncture
     # 3/200+1/100i: its leg from z1 has an arc about that puncture, so _start
     # sums the windings about the others; they come to 0, and the head is
     # the one-segment line in the disk with no turns
-    ps = PoleSet.of("0,4+1/2i,3/200+1/100i")
-    p = ps.as_complex[ps.index("3/200+1/100i")]
     z = 0.011792203915468738 + 0.013636125799032747j
-    r = 2 * reference_point(ps).real
-    assert 0 < r - abs(z) < 1e-10 * r
-    centers = {seg.center for seg in plan_path(reference_point(ps), z,
-                                               ps).segments
-               if isinstance(seg, ArcSeg)}
-    assert p in centers
-    head, turns = hyperlog._start(z, ps)
+    r, _, head, turns = _start_beside("0,4+1/2i,3/200+1/100i",
+                                      "3/200+1/100i", z)
     assert len(head.segments) == 1 and abs(head.base) < r and turns == 0
-    for w in [("3/200+1/100i",), ("0", "3/200+1/100i"),
-              ("3/200+1/100i", "0")]:
-        [want] = reference_evaluate([w], [z], ps)
-        assert _close(eval_L(w, z, ps).value, want[w]), w
+
+
+def test_an_in_disk_leg_that_winds_about_another_puncture_is_the_head():
+    # the same geometry mirrored in the real axis: the detour still passes
+    # to the left, now about 3/200-1/100i, which lies left of the chord, so
+    # the leg closed by the chord winds once about it and _start keeps the
+    # whole three-segment leg from z1 as the head, with no turns
+    z = 0.011792203915468738 - 0.013636125799032747j
+    _, leg, head, turns = _start_beside("0,4-1/2i,3/200-1/100i",
+                                        "3/200-1/100i", z)
+    assert len(leg.segments) == 3
+    assert head.segments == leg.segments and turns == 0
 
 
 # A first point out to three quarters of the origin's disk starts from its

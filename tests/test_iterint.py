@@ -141,6 +141,22 @@ def test_clearance_guard():
     with pytest.raises(PathError):
         bad.check_clearance(ps)
     assert bad.min_distance_to(ps.as_complex) == 0.0
+    # one distance per point, the least over the segments (or the base's)
+    ps = PoleSet.of("0,1,-1,i")
+    for path in (Path((), 0.3 + 0.2j), plan_path(-2 + 0.5j, 2 - 0.5j, ps)):
+        per_point = [min([seg.min_distance(p) for seg in path.segments]
+                         or [abs(p - path.base)]) for p in ps.as_complex]
+        assert path.min_distance_to(ps.as_complex) == min(per_point)
+        path.check_clearance(ps)
+    with pytest.raises(PathError, match="^path passes within 1e-12 of the "
+                       "puncture 1 "):
+        Path((), 1 + 1e-12j).check_clearance(ps)
+    # min(best, d) from inf keeps best when d is NaN
+    nan = complex(math.nan, 0)
+    assert Path((), 0.5).min_distance_to([nan, 1]) == 0.5
+    assert Path.line(0.5, 0.25).min_distance_to([nan, 1]) == 0.5
+    assert Path((), 0.5).min_distance_to([nan]) == math.inf
+    assert Path((), 0.5).min_distance_to([]) == math.inf
 
 
 def test_plan_path_straight_when_clear():

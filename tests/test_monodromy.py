@@ -30,8 +30,7 @@ from curvelog import (
 )
 import curvelog
 from curvelog import iterint
-from curvelog.iterint import (MATRIX_VIEW_MAX_BYTES, check_view_budget,
-                              count_words)
+from curvelog.iterint import MATRIX_VIEW_MAX_BYTES, count_words
 from series_checks import grouplike_residual, reference_unipotence_residual
 
 TWO_PI_I = 2j * math.pi
@@ -89,10 +88,11 @@ def test_loop_around_far_base_shrinks(ps, sec):
 def test_monodromy_operator_weight_one(ps, sec):
     op = monodromy_operator(circle_loop(ps, "0"), sec, weight=1)
     assert op.basis == tuple(label_words(ps, 1))
-    assert abs(op.entry((), ()) - 1) < 1e-12
-    assert abs(op.entry(("0",), ()) - TWO_PI_I) < 1e-9
-    assert abs(op.entry(("0",), ("0",)) - 1) < 1e-9
-    assert abs(op.entry(("1",), ())) < 1e-9
+    m = op.matrix
+    assert abs(op.values[()] - 1) < 1e-12
+    assert abs(op.values[("0",)] - TWO_PI_I) < 1e-9
+    assert abs(m[1, 1] - 1) < 1e-9 and m[1, 0] == op.values[("0",)]
+    assert abs(op.values[("1",)]) < 1e-9
     assert unipotence_check(op)
 
 
@@ -289,9 +289,8 @@ def test_operator_shape_validation(ps, sec):
             for w in (1, 2))
     with pytest.raises(DomainError):
         a @ b
-    assert a.entry(("0",), ("0",)) == 1 and a.entry(("0",), ("1",)) == 0
-    with pytest.raises(KeyError):
-        a.entry(("0",), ("2",))
+    i, j = a.basis.index(("0",)), a.basis.index(("1",))
+    assert a.matrix[i, i] == 1 and a.matrix[i, j] == 0
     # a series vector is over its whole canonical basis, and series over
     # other letters do not compose
     with pytest.raises(DomainError):
@@ -351,7 +350,9 @@ def test_series_operator_matches_the_dense_reference():
         assert np.array_equal(m.matrix, ref)
         for i, w in enumerate(m.basis):
             for j, v in enumerate(m.basis):
-                assert m.entry(w, v) == ref[i, j]
+                k = len(w) - len(v)
+                want = m.values[w[:k]] if k >= 0 and w[k:] == v else 0j
+                assert want == ref[i, j]
     product = refs[0] @ refs[1]
     scale = np.max(np.abs(product))
     assert np.max(np.abs((m0 @ m1).matrix - product)) <= 1e-14 * scale
@@ -361,8 +362,6 @@ def test_series_operator_matches_the_dense_reference():
     moved = m0.act(vec)
     got = np.array([moved[w] for w in m0.basis])
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    with pytest.raises(KeyError):
-        m0.entry(("0",), ("2",))
 
 
 def test_weight_eight_operator_builds_no_dense_matrix():
@@ -377,14 +376,11 @@ def test_weight_eight_operator_builds_no_dense_matrix():
         m1 = monodromy_operator(loop_around(ps3, "1", base), sec3, weight=8)
         both = m0 @ m1
         moved = both.act({w: 1.0 for w in both.basis})
-        e = both.entry(("0", "1", "0"), ("0",))
         ok = unipotence_check(both) and unipotence_check(m0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ok
-    assert e == both.values[("0", "1")]
-    assert both.entry(("0",), ("1",)) == 0
     assert len(moved) == n
     for op in (m0, m1, both):
         assert "matrix" not in vars(op)
@@ -405,12 +401,22 @@ def test_dense_view_is_built_on_each_read_and_not_kept():
 
 def test_matrix_view_budget():
     # weight 7 on three letters is the largest benchmark view: 172 MB
-    assert check_view_budget(3, 7) == 3280
+    assert count_words(3, 7)[0] == 3280
     assert 16 * 3280 ** 2 <= MATRIX_VIEW_MAX_BYTES
-    for letters, weight in ((3, 8), (3, 10), (2, 10 ** 9), (1, 10 ** 9)):
-        with pytest.raises(DomainError):
-            check_view_budget(letters, weight)
-    assert check_view_budget(0, 10 ** 9) == 1
+    assert count_words(0, 10 ** 9)[0] == 1
+    ps3 = PoleSet.of("0,1,-1")
+    op = monodromy_operator(circle_loop(ps3, "0"), Section.standard(ps3),
+                            weight=8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=re.escape(
+                "a dense operator on 9.84e+03 words exceeds the 256 MiB "
+                "array cap")):
+            op.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("poles, weight", [("0,1,-1", 12), ("0,1", 40)])

@@ -121,6 +121,10 @@ def test_d_map_with_constant_function_vanishes():
     one = RationalFunction.const(PS, 1)
     s = ShuffleTensor.from_word((omega("0"),))
     assert d_map(s, one, s).is_zero
+    # the zero function: every product with it cancels, on either side
+    assert d_map(s, RationalFunction.zero(PS), s).is_zero
+    # a zero right factor
+    assert d_map(s, one, ShuffleTensor.zero()).is_zero
 
 
 def test_d_map_rejects_empty_right_words():
@@ -190,6 +194,8 @@ def test_decompose_subker_on_a_generator():
     sub, ker = decompose_subker(gen, SEC, X0)
     assert sub.is_zero
     assert ker == gen
+    nf = normal_form(gen, SEC, X0)
+    assert nf.is_zero and str(nf) == "0" and nf.evaluate(0.5) == 0j
 
 
 def test_decompose_subker_mixed():
@@ -289,6 +295,17 @@ def test_normal_form_json_round_trip():
     assert back.terms == nf.terms
     assert back.basepoint == nf.basepoint
     assert "section" not in nf.to_json()
+    # through the corrected section (1/(z - 1), z) the payload keeps it
+    sec = Section(PS, (rf_pole("1", 1), f))
+    t = (ShuffleTensor.from_word((mixed, omega("1")))
+         + ShuffleTensor.from_word((omega("0"),)))
+    nf = normal_form(t, sec, X0)
+    obj = nf.to_json()
+    assert len(obj["section"]) == 2
+    back = NormalForm.from_json(obj)
+    assert back.terms == nf.terms and back.section == nf.section
+    assert back.basepoint == nf.basepoint
+    assert back.evaluate(0.4 + 0.7j) == nf.evaluate(0.4 + 0.7j)
 
 
 @pytest.mark.parametrize("word", ["-1", ["7"], ["0", 1]])

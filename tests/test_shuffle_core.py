@@ -152,8 +152,8 @@ def test_coradical_degree_of_a_word_is_its_length(word):
     t = ShuffleTensor.from_word(word)
     n = len(word)
     assert coradical_member(t, n)
-    if n:
-        assert not coradical_member(t, n - 1)
+    # for the empty word, degree -1, which holds only zero
+    assert not coradical_member(t, n - 1)
 
 
 def test_coradical_sees_cancellation():
@@ -164,6 +164,8 @@ def test_coradical_sees_cancellation():
     assert not coradical_member(sym, 1)
     assert not coradical_member(com, 1)
     assert coradical_member(sym - sym, 0)
+    assert coradical_member(sym - sym, -1)
+    assert repr(sym - sym) == "0"
 
 
 def test_json_round_trip():
