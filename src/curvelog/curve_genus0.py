@@ -404,10 +404,21 @@ def _pole_ints(ps: PoleSet) -> tuple:
                    for t in S] for s in S]
 
 
-@lru_cache(maxsize=64)
 def _section_vectors(section: "Section") -> tuple:
     """The vectors of g_s - g_s(0) by pole (None where zero, and for all
-    when every one is) and of each form by label, for the kernels."""
+    when every one is) and of each form by label, for the kernels: the
+    standard section's in closed form, 1/(z - s_i) at pole i, and a
+    corrected section's through _corrected_vectors."""
+    if section.is_standard:
+        return None, {lab: (1, (), ((i, ((1, 0),)),))
+                      for i, lab in enumerate(section.poles.labels)}
+    return _corrected_vectors(section)
+
+
+@lru_cache(maxsize=64)
+def _corrected_vectors(section: "Section") -> tuple:
+    """_section_vectors of a section with a nonzero correction, built
+    through RationalFunction arithmetic once per section."""
     corr = [None if h.is_zero else h.vec
             for h in (g - g.constant_term for g in section.corrections)]
     return corr if any(corr) else None, {

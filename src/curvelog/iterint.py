@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 from typing import Iterable
 
@@ -966,7 +967,33 @@ def label_words(ps: PoleSet, weight: int):
     return list(word_cuts(ps.labels, weight)[0])
 
 
-@lru_cache(maxsize=8)
+def _bytes_bounded(build):
+    """Memoize build, least recently used out first: a miss keeps the new
+    table and drops the oldest others while the summed nbytes of the
+    arrays kept pass MATRIX_VIEW_MAX_BYTES, so the cache holds about one
+    cap's worth together, not one per table; a hit allocates nothing and
+    only marks its table as the most recently used."""
+    kept: OrderedDict = OrderedDict()  # arguments -> (table, its nbytes)
+
+    @wraps(build)
+    def cached(*args):
+        entry = kept.get(args)
+        if entry is not None:
+            kept.move_to_end(args)
+            return entry[0]
+        table = build(*args)
+        kept[args] = table, sum(a.nbytes for a in table
+                                if isinstance(a, np.ndarray))
+        total = sum(nbytes for _, nbytes in kept.values())
+        while total > MATRIX_VIEW_MAX_BYTES and len(kept) > 1:
+            total -= kept.popitem(last=False)[1][1]
+        return table
+
+    cached.cache_clear = kept.clear
+    return cached
+
+
+@_bytes_bounded
 def word_cuts(letters: tuple, weight: int):
     """The label words up to ``weight`` in word_sort_key order, every cut
     w = u v as flat arrays of basis indices (w, u, v), word by word from

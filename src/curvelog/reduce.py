@@ -342,8 +342,15 @@ class KernelWitness:
 
 def kernel_member(t, section: Section, x0=None) -> bool:
     """Exact membership test: the tensor integrates to zero identically
-    precisely when its normal form vanishes."""
-    return normal_form(t, section, x0).is_zero
+    precisely when its normal form vanishes, that is when the parts of
+    every class word at the fold's root sum to zero; the first word whose
+    sum is not zero decides, and no normal form is built."""
+    root, _ = _fold(t, section, x0)
+    for parts in root.values():
+        _, P, Q = _vtotal(parts)
+        if P or Q:
+            return False
+    return True
 
 
 def decompose_subker(t, section: Section, x0=None):
@@ -361,8 +368,11 @@ def decompose_subker(t, section: Section, x0=None):
     acc, fold = _fold(t, section, x0)
     ps, x0, pts, _, forms = fold
     sub_terms: list = []
+    keys: dict = {}  # each word's sort key, computed once
     while acc:
-        u = max(acc, key=word_sort_key)
+        for w in acc.keys() - keys.keys():
+            keys[w] = word_sort_key(w)
+        u = max(acc, key=keys.__getitem__)
         D, P, Q = _vtotal(acc.pop(u))
         c = _make(*(P[0] if P else _Z), D)
         fp = (D, P[1:] and [_Z, *P[1:]], Q) if P[1:] or Q else None

@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 
 from curvelog import iterint
-from curvelog.curve_genus0 import (QI0, DeRhamClass, Differential, PoleSet,
-                                   RationalFunction, Section, decompose)
+from curvelog.curve_genus0 import (_Z, QI0, DeRhamClass, Differential,
+                                   PoleSet, RationalFunction, Section, _rf,
+                                   _veval, _vmul, _vtotal, d, decompose)
 from curvelog.errors import DomainError, NumericError
 from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
@@ -23,8 +24,9 @@ from curvelog.local_expansion import (_MAX_RATIO, _letter_series,
                                       _letter_step, _series_order,
                                       series_values)
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
-                             default_basepoint, normal_form)
-from curvelog.scalars import QI, accumulate
+                             _fold, _integrate_term, default_basepoint,
+                             normal_form)
+from curvelog.scalars import QI, _make, accumulate
 from curvelog.shuffle_core import (ShuffleTensor, shuffle, shuffle_words,
                                    word_sort_key)
 
@@ -329,6 +331,47 @@ def reference_decompose_subker(t, section, x0=None):
     sub = ShuffleTensor(sub_terms)
     ker = t - sub
     return sub, ker
+
+
+def reference_section_vectors(section) -> tuple:
+    """``curve_genus0._section_vectors`` as it was before the standard
+    section's vectors came in closed form: every section through
+    RationalFunction arithmetic, each correction less its constant term
+    and each form as ``Section.forms`` builds it."""
+    corr = [None if h.is_zero else h.vec
+            for h in (g - g.constant_term for g in section.corrections)]
+    return corr if any(corr) else None, {
+        lab: w.f.vec for lab, w in zip(section.poles.labels, section.forms)}
+
+
+def reference_kernel_member(t, section, x0=None) -> bool:
+    """``reduce.kernel_member`` as it was before it read the fold's root:
+    the whole normal form built, then asked whether it vanishes."""
+    return normal_form(t, section, x0).is_zero
+
+
+def reference_subker_sweep(t, section, x0=None):
+    """``reduce.decompose_subker`` as it was before it kept each word's
+    sort key: the same sweep over the one fold, with the top word taken
+    by max(acc, key=word_sort_key) afresh on every pass."""
+    t = _as_omega_tensor(t)
+    acc, fold = _fold(t, section, x0)
+    ps, x0, pts, _, forms = fold
+    sub_terms: list = []
+    while acc:
+        u = max(acc, key=word_sort_key)
+        D, P, Q = _vtotal(acc.pop(u))
+        c = _make(*(P[0] if P else _Z), D)
+        fp = (D, P[1:] and [_Z, *P[1:]], Q) if P[1:] or Q else None
+        if fp and u:
+            _integrate_term(u[:-1], _vmul(fp, forms[u[-1]], pts), acc, fold)
+        elif fp:
+            c = c + _make(*_veval(fp, x0, ps))
+        sub_terms.append((section.word(u), c))
+        if fp:
+            sub_terms.append((section.word(u) + (d(_rf(ps, fp)),), 1))
+    sub = ShuffleTensor(sub_terms)
+    return sub, t - sub
 
 
 def reassemble(reg, ps) -> ShuffleTensor:

@@ -237,6 +237,21 @@ def test_exit_code_input_errors(capsys):
         assert "the criteria are 1,2,3,4,5,6,7,8,9,10,11,12" in captured.err
 
 
+def test_a_bare_curvelog_error_exits_2_with_its_message(capsys, monkeypatch):
+    from curvelog.cli import _SUBCOMMANDS
+    from curvelog.errors import CurvelogError
+
+    def refused(args):
+        raise CurvelogError("no handler for this")
+
+    monkeypatch.setitem(_SUBCOMMANDS, "kz-check",
+                        (refused, *_SUBCOMMANDS["kz-check"][1:]))
+    assert main(["kz-check", "--poles", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no handler for this\n"
+
+
 # The flags each subcommand reads; argparse refuses every other flag.
 _ROWS = {
     "eval": ["--poles", "--word", "--point", "--path-json", "--rtol",

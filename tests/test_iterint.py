@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -1149,3 +1150,40 @@ def test_the_antipode_tables_are_the_reversed_word_gather():
             assert sign.tobytes() == want_sign.tobytes(), (m, weight)
             assert not (sign.flags.writeable or rev.flags.writeable)
     assert [t.tolist() for t in iterint.word_cuts((), 5)[-2:]] == [[1.0], [0]]
+
+
+def _table_bytes(table) -> int:
+    return sum(a.nbytes for a in table if isinstance(a, np.ndarray))
+
+
+def test_word_cuts_keeps_its_tables_within_one_cap_together(monkeypatch):
+    cuts, letters = iterint.word_cuts, ("0", "1")
+    size = {w: _table_bytes(cuts(letters, w)) for w in (3, 4, 5)}
+    assert size[3] < size[4] < size[5]
+    cuts.cache_clear()
+    monkeypatch.setattr(iterint, "MATRIX_VIEW_MAX_BYTES", size[4] + size[5])
+    try:
+        t3, t4 = cuts(letters, 3), cuts(letters, 4)
+        assert cuts(letters, 3) is t3  # a hit: 3 is now the most recent
+        t5 = cuts(letters, 5)  # 3 + 4 + 5 pass the cap: 4, the oldest, goes
+        assert cuts(letters, 3) is t3 and cuts(letters, 5) is t5
+        again = cuts(letters, 4)  # rebuilt, and 3, now the oldest, goes
+        assert again is not t4
+        assert all(np.array_equal(a, b) for a, b in zip(again[1:7], t4[1:7]))
+        assert cuts(letters, 5) is t5 and cuts(letters, 3) is not t3
+        # a hit allocates nothing
+        cuts(letters, 4)
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                cuts(letters, 4)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        # under a cap below one table, the newest alone stays
+        monkeypatch.setattr(iterint, "MATRIX_VIEW_MAX_BYTES", 1)
+        t2 = cuts(letters, 2)
+        assert cuts(letters, 2) is t2 and cuts(letters, 4) is not again
+    finally:
+        cuts.cache_clear()

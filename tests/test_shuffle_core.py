@@ -106,6 +106,9 @@ def test_tensor_container_behavior():
     assert ShuffleTensor.unit().counit() == QI(1)
     # zero coefficients are never stored
     assert ShuffleTensor({("a",): 0}).is_zero
+    # a foreign operand is left to its own __eq__
+    assert ShuffleTensor.unit().__eq__(1) is NotImplemented
+    assert (ShuffleTensor.unit() == 1) is False
 
 
 def test_word_helpers():
