@@ -11,12 +11,13 @@ point's sheet is always that of the planned path to it from the reference
 point.  Near the origin the local monodromy only moves log z by 2 pi i, so
 a first point in the origin's disk starts from its own series (or, past
 three quarters of the disk's radius, from its ray there), with the zero
-letter moved by that path's turns about 0; a planned leg without a detour
-winds about nothing.
+letter moved by that path's turns about 0.  The turns come from the
+planner's detour test on the chord from the reference point, and the leg
+is built only where that test cannot tell them.
 A lone point that starts from its own series integrates along an empty
-path, which builds no word system and returns its series values.  Such a
-point still pays for its planned leg, the split of its word, the series of
-the admissible pieces and the empty path's clearance and letter checks.
+path, and the integrator is asked for no word there: the call only checks
+the point's clearance.  Such a point pays for the detour test, the split
+of its word and the series of the admissible pieces.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from math import comb, factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (ArcSeg, IntegratorConfig, LineSeg, Path, glued,
-                      integrate_h_words, plan_chain, plan_path)
+from .iterint import (_MAX_MODULUS, ArcSeg, IntegratorConfig, LineSeg, Path,
+                      _check_distances, _detours, glued, integrate_h_words,
+                      plan_chain, plan_path)
 from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
 from .scalars import QI, _make
@@ -159,6 +161,37 @@ def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
     return total
 
 
+def _chord_turns(z1: complex, z: complex, ps: PoleSet, slack: float):
+    """The turns about 0 of the planned leg from z1 to a point z in the
+    origin's disk, read off the planner's detour test (``_detours``)
+    without building the leg, or None when only the planned leg can tell.
+
+    Without a detour the leg is its chord, whose distances are checked as
+    ``plan_path`` checks them, and it turns about nothing.  A lone half
+    circle about 0 of radius rho runs from q1 = -rho u to q2 = rho u, for
+    the chord's direction u, and the leg's sweep about 0 is that of its
+    three pieces, summed as ``Path.sweep`` sums them.  Its clearance then
+    follows from the geometry once rho is more than the slack.  The half
+    circle keeps rho from 0, and each line piece 0.6 rho: its far end lies
+    at least rho / 0.8 from 0, so it either projects past the half circle,
+    or lies more than 0.75 rho off the line through 0 along u, and then the
+    piece's line passes at least rho 0.75 / 1.25 from 0.  Each piece is at
+    least a fifth of its far end's modulus long, so the planner keeps it.
+    Any other detour (one about another puncture beside the rim) is None."""
+    u, detours, dists = _detours(z1, z, ps)
+    if not detours:
+        _check_distances(dists, ps)
+        return 0
+    _, p, rho = detours[0]
+    if not (len(detours) == 1 and p == 0 and rho > slack):
+        return None
+    q1, q2 = p - rho * u, p + rho * u  # as plan_path, signed zeros too
+    th1 = cmath.phase(q1 - p)
+    sweep = (cmath.phase(q1 / z1) + ((th1 - pi) - th1)
+             + cmath.phase(z / q2))
+    return round((sweep - cmath.phase(z)) / (2 * pi))
+
+
 def _start(z: complex, ps: PoleSet):
     """The head of a chain to its first point z and the winding about the
     origin to add to the zero letter's value at the head's start.
@@ -169,19 +202,34 @@ def _start(z: complex, ps: PoleSet):
     but the origin, the leg's only effect on the series is n turns of
     log z: the head is then the radial line from z, or from z's ray at the
     radius 3/4 r where the series stops, to z, with n = (the leg's sweep
-    about 0 - arg z) / 2 pi.  A leg without a detour is its own chord, and
-    one whose arcs all circle the origin (radius at most 0.8 z1) lies with
-    it in the disk: only an arc about another puncture (a point just inside
-    the rim beside a close one plans it) makes the windings about the others
-    worth summing.  They come to 0 when that puncture lies right of the
-    chord, and to one turn when it lies left of it, since the detour always
-    passes on the left.  A leg that winds so, and any other leg, is the
-    head itself, from z1."""
+    about 0 - arg z) / 2 pi.
+
+    The leg is not built when the planner's detour test tells n
+    (``_chord_turns``) and the geometry implies every check the planner
+    would make: z lies more than the slack, four guards and 1e-12 r for
+    rounding, inside the rim, so that the leg and the head clear the other
+    punctures; more than 1e-14 from z1 and, past 3/4 r, from its ray
+    point, so that the planner drops no piece; and r is within the
+    planner's modulus.  The head is then planned, and no detour fires on
+    it.  Otherwise the leg is planned, and only an arc about another
+    puncture (a point just inside the rim beside a close one plans it)
+    makes the windings about the others worth summing.  They come to 0
+    when that puncture lies right of the chord, and to one turn when it
+    lies left of it, since the detour always passes on the left.  A leg
+    that winds so, and any leg to a point outside the disk, is the head
+    itself, from z1."""
     z1 = reference_point(ps)
-    leg = plan_path(z1, z, ps)
     r = 2 * z1.real
     if not abs(z) < r:
-        return leg, 0
+        return plan_path(z1, z, ps), 0
+    base = z * min(1.0, _MAX_RATIO * r / abs(z))
+    slack = 4 * ps.guard + 1e-12 * r
+    if (r <= _MAX_MODULUS and r - abs(z) > slack and abs(z - z1) > 1e-14
+            and not 0 < abs(z - base) <= 1e-14):
+        turns = _chord_turns(z1, z, ps, slack)
+        if turns is not None:
+            return plan_path(base, z, ps), turns
+    leg = plan_path(z1, z, ps)
     turns = 0
     if len(leg.segments) > 1:
         if any(isinstance(seg, ArcSeg) and seg.center != 0
@@ -191,7 +239,7 @@ def _start(z: complex, ps: PoleSet):
                    for p in ps.as_complex if p != 0):
                 return leg, 0
         turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
-    return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
+    return Path.line(base, z), turns
 
 
 def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
@@ -219,8 +267,9 @@ def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
         marks[-1] = len(path.segments) - 1
     start = series_values(admissible, ps, path.base)
     start[(zlab,)] = cmath.log(path.base) + 2j * pi * turns
+    # an empty path's rows are all start: the call only checks clearance
     _, caps = integrate_h_words(
-        path, start, Section.standard(ps), cfg,
+        path, start if path.segments else (), Section.standard(ps), cfg,
         capture_after=[m for m in marks if m >= 0], start=start)
     rows = [start if m < 0 else caps[m] for m in marks]
     return [{w: _combine(regs[w], vals, vals[(zlab,)]) for w in words}

@@ -340,17 +340,14 @@ def _check_distances(dists: Iterable[float], ps: PoleSet):
                             f"{lab} (guard {guard:.3g})")
 
 
-def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
-    """A straight path from a to b, detouring around punctures that sit too
-    close to the segment.  Detours are half circles on the left of the travel
-    direction, which is above the poles for rightward travel."""
-    a, b = complex(a), complex(b)
-    if not (math.hypot(a.real, a.imag) <= _MAX_MODULUS
-            and math.hypot(b.real, b.imag) <= _MAX_MODULUS):
-        raise DomainError(f"cannot plan a path from {a!r} to {b!r}: its "
-                          f"ends must lie within modulus {_MAX_MODULUS:.0e}")
-    if a == b:
-        return Path((), a)
+def _detours(a: complex, b: complex, ps: PoleSet):
+    """The planner's detour test on the chord from a to b (a != b): its
+    unit direction, the detours (along, p, rho) it takes, sorted along the
+    chord, and its distance to each puncture in the pole set's order.  A
+    puncture gets a half circle of radius rho, 0.3 times the least pairwise
+    distance and at most 0.8 times its distance to either end, when rho is
+    more than two guards and the chord passes within rho of it strictly
+    between its ends."""
     guard = ps.guard
     length = abs(b - a)
     u = (b - a) / length
@@ -366,11 +363,27 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
                 or d >= rho):
             continue
         detours.append((along, p, rho))
-    if not detours and length > 1e-14:
+    detours.sort(key=lambda item: item[0])
+    return u, detours, dists
+
+
+def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
+    """A straight path from a to b, detouring around punctures that sit too
+    close to the segment (``_detours``).  Detours are half circles on the
+    left of the travel direction, which is above the poles for rightward
+    travel."""
+    a, b = complex(a), complex(b)
+    if not (math.hypot(a.real, a.imag) <= _MAX_MODULUS
+            and math.hypot(b.real, b.imag) <= _MAX_MODULUS):
+        raise DomainError(f"cannot plan a path from {a!r} to {b!r}: its "
+                          f"ends must lie within modulus {_MAX_MODULUS:.0e}")
+    if a == b:
+        return Path((), a)
+    u, detours, dists = _detours(a, b, ps)
+    if not detours and abs(b - a) > 1e-14:
         # the segment itself, whose distances are the clearance's
         _check_distances(dists, ps)
         return Path((LineSeg(a, b),), a)
-    detours.sort(key=lambda item: item[0])
     segs = []
     cur = a
     for _, p, rho in detours:

@@ -169,18 +169,21 @@ def _reciprocals(order: int) -> np.ndarray:
     return _reciprocals_to(1 << order.bit_length())[:order + 1]
 
 
-def _letter_step(rows: np.ndarray, letter: np.ndarray | None) -> np.ndarray:
+def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
+                 inv: np.ndarray | None = None) -> np.ndarray:
     """Multiply a series by one letter's series (by nothing when the letter
     is None, the center's own 1/x), then integrate termwise from the center
     with a zero constant.  rows[k, j] is the coefficient of x^j log(x)^k; a
-    new top row that stays zero is dropped.
+    new top row that stays zero is dropped.  inv is ``_reciprocals`` of
+    the order, read here when the caller has not.
 
     x^-1 log^k integrates to log^(k+1) / (k+1).  The integral of x^(i-1)
     times sum_k p_k log^k is x^i times sum_k a_k log^k, where by parts
     i a_k + (k+1) a_(k+1) = p_k: one pass from the top power down."""
     prod = rows if letter is None else rows @ letter
     m, n = prod.shape
-    inv = _reciprocals(n - 1)
+    if inv is None:
+        inv = _reciprocals(n - 1)
     if m == 1 and not prod[0, 0]:
         # one row that gains no log: x^(i-1) integrates to x^i / i
         out = prod * inv
@@ -248,10 +251,12 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     scale = r_c if r_c < math.inf else 1.0
     # the powers of u from the highest down, so each sum starts at its
     # smallest term
-    powers = np.ones(order + 1, dtype=complex)
-    powers[1:] = np.full(order, complex(x) / scale).cumprod()
+    powers = np.full(order + 1, complex(x) / scale)
+    powers[0] = 1
+    np.multiply.accumulate(powers[1:], out=powers[1:])
     powers = powers[::-1]
     lx = cmath.log(x)
+    inv = _reciprocals(order)
     letters = {}
     series = {}
     for w in check_prefix_budget(words):
@@ -269,14 +274,18 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
                 rows = (np.eye(1, order + 1, dtype=complex) if letter is None
                         else letter[:1])
                 letter = None
-            rows = series[prefix] = _letter_step(rows, letter)
+            rows = series[prefix] = _letter_step(rows, letter, inv)
     vals = {(): 1.0 + 0j}
     if not series:
         return vals
     sums = (np.concatenate(list(series.values()))[:, ::-1] @ powers).tolist()
+    zero = 0j * lx  # Horner's first step, all a one-row prefix takes
     end = 0
     for prefix, rows in series.items():
         end += len(rows)
+        if len(rows) == 1:
+            vals[prefix] = zero + sums[end - 1]
+            continue
         total = 0j
         for v in reversed(sums[end - len(rows):end]):
             total = total * lx + v

@@ -447,6 +447,28 @@ def reference_start(z, ps):
     return leg, 0
 
 
+def reference_leg_start(z, ps):
+    """``hyperlog._start`` as it was before a point in the origin's disk
+    took its turns from the planner's detour test: the leg from z1 is
+    planned for every first point, a leg without a detour turns about
+    nothing, and a detoured one has its sweeps summed."""
+    z1 = reference_point(ps)
+    leg = plan_path(z1, z, ps)
+    r = 2 * z1.real
+    if not abs(z) < r:
+        return leg, 0
+    turns = 0
+    if len(leg.segments) > 1:
+        if any(isinstance(seg, ArcSeg) and seg.center != 0
+               for seg in leg.segments):
+            back = LineSeg(z, z1)
+            if any(round((leg.sweep(p) + back.sweep(p)) / (2 * math.pi))
+                   for p in ps.as_complex if p != 0):
+                return leg, 0
+        turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * math.pi))
+    return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
+
+
 def reference_start_values(words, ps, base, turns) -> dict:
     """The values a chain starts from as ``hyperlog._evaluate`` built them
     before the zero letter started at its log: the series values at base

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import runpy
 import shutil
 import subprocess
 import sys
@@ -235,6 +236,22 @@ def test_exit_code_input_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "the criteria are 1,2,3,4,5,6,7,8,9,10,11,12" in captured.err
+
+
+@pytest.mark.filterwarnings(
+    "ignore:'curvelog.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("argv,code", [(["mzv", "--word", "1,0"], 0),
+                                       (["mzv", "--word", "1"], 2)])
+def test_the_module_run_as_a_script_exits_with_mains_code(argv, code, capsys,
+                                                          monkeypatch):
+    # python -m curvelog.cli, in process: the __main__ guard passes main's
+    # return value to sys.exit
+    monkeypatch.setattr(sys, "argv", ["curvelog", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("curvelog.cli", run_name="__main__")
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert bool(out) == (code == 0) and bool(err) == (code != 0)
 
 
 def test_a_bare_curvelog_error_exits_2_with_its_message(capsys, monkeypatch):

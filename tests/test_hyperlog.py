@@ -35,13 +35,15 @@ from curvelog import (
     zero_label,
 )
 from curvelog import hyperlog
-from curvelog.iterint import ArcSeg, Path, plan_chain, plan_path
+from curvelog.errors import CurvelogError
+from curvelog.iterint import ArcSeg, Path, _detours, plan_chain, plan_path
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
 from series_checks import (reassemble, reference_evaluate, reference_integrate,
-                           reference_mzv, reference_series_values,
-                           reference_start, reference_start_values)
+                           reference_leg_start, reference_mzv,
+                           reference_series_values, reference_start,
+                           reference_start_values)
 
 PS = PoleSet.of("0,1")
 
@@ -877,6 +879,150 @@ def test_an_in_disk_leg_that_winds_about_another_puncture_is_the_head():
                                         "3/200-1/100i", z)
     assert len(leg.segments) == 3
     assert head.segments == leg.segments and turns == 0
+
+
+# A first point in the origin's disk takes its turns from the planner's
+# detour test and plans only its head; series_checks.reference_leg_start
+# plans the leg from z1 for every first point.  Head, base, turns and any
+# refusal must be the same, bit for bit.
+
+_START_POLES = _AUDIT_POLES + ["0,1/1000,1", "0,1,1/1000i"]
+
+
+def _start_outcome(start, z, ps):
+    try:
+        head, turns = start(z, ps)
+    except CurvelogError as exc:
+        return type(exc), str(exc)
+    return head.segments, head.base, turns
+
+
+def _start_route(z, ps, monkeypatch):
+    """How hyperlog._start found z's turns, told from the paths it plans:
+    "leg" when it planned the leg from z1, "chord" or "detour" when it did
+    not and the chord from z1 has no detour or has one; and its outcome."""
+    z1 = reference_point(ps)
+    planned = []
+
+    def spy(a, b, ps):
+        planned.append(a)
+        return plan_path(a, b, ps)
+
+    with monkeypatch.context() as m:
+        m.setattr(hyperlog, "plan_path", spy)
+        got = _start_outcome(hyperlog._start, z, ps)
+    if not abs(z) < 2 * z1.real:
+        route = "outside"
+    elif z1 in planned:
+        route = "leg"
+    else:
+        route = "detour" if _detours(z1, z, ps)[1] else "chord"
+    return route, got
+
+
+def _start_points(ps, rng):
+    """Seeded points near the origin, near the rim on both sides, across
+    the disk and on the chord through 0 (the negative real axis, on either
+    signed zero and 1e-12 off it)."""
+    r = 2 * reference_point(ps).real
+
+    def polar(radius):
+        return radius * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+    pts = [polar(r * 10 ** rng.uniform(-9, -1)) for _ in range(40)]
+    pts += [polar(r * (1 - 10 ** rng.uniform(-15, -1))) for _ in range(40)]
+    pts += [polar(r * (1 + 10 ** rng.uniform(-15, -1))) for _ in range(8)]
+    pts += [polar(r * rng.uniform(0, 1)) for _ in range(40)]
+    for t in (1e-9, 0.004, 0.3, 0.74, 0.9, 1 - 1e-9):
+        pts += [complex(-t * r, y) for y in (0.0, -0.0, 1e-12, -1e-12)]
+    return pts
+
+
+@pytest.mark.parametrize("poles", _START_POLES)
+def test_start_is_the_leg_start(poles, monkeypatch):
+    ps = PoleSet.of(poles)
+    routes = set()
+    for z in _start_points(ps, random.Random(44)):
+        route, got = _start_route(z, ps, monkeypatch)
+        routes.add(route)
+        assert got == _start_outcome(reference_leg_start, z, ps), (z, route)
+    assert routes == {"chord", "detour", "leg", "outside"}
+
+
+def _fallback_points():
+    """(pole set, point) for every reason _start plans the leg from z1 for
+    a point in the disk, each named."""
+    ps = PoleSet.of("0,1")
+    z1, r, g = reference_point(ps), 1.0, ps.guard
+    beside = 0.010290739302202706 + 0.014713959858203736j
+    return {
+        # within four guards of the rim
+        "rim": ("0,1", (1 - 1e-9) * cmath.exp(1j)),
+        "rim, chord within the guard of 1": ("0,1", 1 - 2e-4 + 1e-5j),
+        # within 1e-14 of z1, where the planner drops the piece
+        "at z1": ("0,1", z1),
+        "beside z1": ("0,1", z1 + 1e-15j),
+        # so close past its ray point that the planner would drop the head
+        "at the ray point": ("0,1", 0.75 * r * (1 + 5e-15) * cmath.exp(1j)),
+        # the disk passes the planner's modulus: planned, refused, or not
+        "far out": ("0,15e305", 1.2e306 * cmath.exp(1j)),
+        "far in": ("0,15e305", 5e305 * cmath.exp(3j)),
+        # a detour about 0 whose radius is within the slack
+        "small detour": ("0,1", 4 * g * cmath.exp(3j)),
+        # a detour about another puncture, which winds about it or not
+        "about another": ("0,4+1/2i,3/200+1/100i", beside),
+        "winds about another": ("0,4-1/2i,3/200-1/100i", beside.conjugate()),
+    }
+
+
+@pytest.mark.parametrize("name", list(_fallback_points()))
+def test_each_fallback_plans_the_leg_as_the_leg_start_did(name, monkeypatch):
+    poles, z = _fallback_points()[name]
+    ps = PoleSet.of(poles)
+    assert abs(z) < 2 * reference_point(ps).real
+    route, got = _start_route(z, ps, monkeypatch)
+    assert route == "leg"
+    assert got == _start_outcome(reference_leg_start, z, ps)
+
+
+@pytest.mark.parametrize("poles,z", [
+    # the chord from 0.5 passes 0.025 from the origin
+    ("0,1,-1", -0.5 + 0.05j),
+    # the chord's far end projects within the half circle's radius of 0,
+    # so the last line piece comes nearest to 0 inside, still 0.6 rho off
+    ("0,1", 0.01 * cmath.exp(2.4j))])
+def test_a_detour_about_the_origin_builds_no_arc(poles, z, monkeypatch):
+    ps = PoleSet.of(poles)
+    built = []
+    init = ArcSeg.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ArcSeg, "__init__", spy)
+    assert _detours(reference_point(ps), z, ps)[1]
+    head, turns = hyperlog._start(z, ps)
+    eval_L(("0", ps.labels[-1], "0"), z, ps)
+    assert not built and not head.segments and turns == -1
+    assert reference_leg_start(z, ps) == (head, turns)
+    assert len(built) == 1  # the reference's leg has its arc
+
+
+@given(st.sampled_from(_START_POLES), st.floats(0.75, 1.0, exclude_min=True,
+                                                 exclude_max=True),
+       st.floats(-math.pi, math.pi))
+def test_a_head_from_the_ray_is_its_one_line(poles, ratio, angle):
+    # no other puncture lies within r of 0, so no detour fires on the
+    # radial line from the ray point at 3/4 r out to z, and plan_path gives
+    # the line Path.line builds; from z to itself it gives the empty path
+    ps = PoleSet.of(poles)
+    r = 2 * reference_point(ps).real
+    z = ratio * r * cmath.exp(1j * angle)
+    base = z * (0.75 * r / abs(z))
+    if abs(z - base) > 1e-14:
+        assert plan_path(base, z, ps) == Path.line(base, z)
+    assert plan_path(z, z, ps) == Path((), z)
 
 
 # A first point out to three quarters of the origin's disk starts from its

@@ -398,18 +398,21 @@ def _bits(vals: dict) -> tuple:
 
 def test_series_values_are_the_two_path_reference_bit_for_bit():
     # seeded calls: five pole sets, centers 0 and 1, 1 to 5 words of 1 to 6
-    # letters and |x| / r from 0.05 to 0.74, against
-    # series_checks.reference_series_values, which summed a prefix of one
-    # row after the steps and any other as it was stepped
+    # letters and |x| / r from 0.05 to 0.74, one call in four on the real
+    # axis with either signed zero, where a value's zero parts keep their
+    # signs, against series_checks.reference_series_values, which summed a
+    # prefix of one row after the steps and any other as it was stepped
     rng = random.Random(40)
     pole_sets = [PoleSet.of(p) for p in
                  ("0,1", "0,1,-1", "0,1,-1,i", "0,1/2,2", "0,1/100,1")]
-    for _ in range(300):
+    for k in range(400):
         ps, center = rng.choice(pole_sets), rng.choice((0, 1))
         words = [tuple(rng.choice(ps.labels) for _ in range(rng.randint(1, 6)))
                  for _ in range(rng.randint(1, 5))]
         r = min(abs(p - center) for p in ps.as_complex if p != center)
         x = rng.uniform(0.05, 0.74) * r * cmath.exp(1j * rng.uniform(-3, 3))
+        if k % 4 == 0:
+            x = complex(math.copysign(abs(x), x.real), rng.choice((0.0, -0.0)))
         got = series_values(words, ps, x, center)
         assert _bits(got) == _bits(
             reference_series_values(words, ps, x, center))
