@@ -11,9 +11,10 @@ point's sheet is always that of the planned path to it from the reference
 point.  Near the origin the local monodromy only moves log z by 2 pi i, so
 a first point in the origin's disk starts from its own series (or, past
 three quarters of the disk's radius, from its ray there), with the zero
-letter moved by that path's turns about 0.  The turns come from the
-planner's detour test on the chord from the reference point, and the leg
-is built only where that test cannot tell them.
+letter moved by that path's turns about 0, whenever the planner's detour
+test on the chord from the reference point tells those turns without the
+leg.  Every other first point starts at the reference point, and the
+planned leg from there is the head of its chain.
 A lone point that starts from its own series integrates along an empty
 path, and the integrator is asked for no word there: the call only checks
 the point's clearance.  Such a point pays for the detour test, the split
@@ -28,8 +29,8 @@ from math import comb, factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
-from .iterint import (_MAX_MODULUS, ArcSeg, IntegratorConfig, LineSeg, Path,
-                      _check_distances, _detours, glued, integrate_h_words,
+from .iterint import (_MAX_MODULUS, IntegratorConfig, Path, _check_distances,
+                      _detours, check_budget, glued, integrate_h_words,
                       plan_chain, plan_path)
 from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
@@ -135,9 +136,9 @@ def regularize(word, ps: PoleSet) -> RegularizedWord:
 def reference_point(ps: PoleSet) -> complex:
     """A safe real point inside the disk around the origin that is free of
     other punctures: half the distance to the nearest one.  Planned paths
-    from it fix the sheet of every value, and a chain starts here when its
-    first point lies outside that disk or its planned leg winds about
-    another puncture."""
+    from it fix the sheet of every value, and a chain starts here, along
+    the planned leg, when the detour test cannot tell its first point's
+    turns about 0 (always for a point outside that disk)."""
     zero_label(ps)
     r = min((abs(p) for p in ps.as_complex if p != 0), default=2.0)
     return complex(r / 2.0)
@@ -164,7 +165,7 @@ def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
 def _chord_turns(z1: complex, z: complex, ps: PoleSet, slack: float):
     """The turns about 0 of the planned leg from z1 to a point z in the
     origin's disk, read off the planner's detour test (``_detours``)
-    without building the leg, or None when only the planned leg can tell.
+    without building the leg, or None when that test cannot place them.
 
     Without a detour the leg is its chord, whose distances are checked as
     ``plan_path`` checks them, and it turns about nothing.  A lone half
@@ -197,49 +198,30 @@ def _start(z: complex, ps: PoleSet):
     origin to add to the zero letter's value at the head's start.
 
     The planned leg from the reference point z1 is the path that fixes z's
-    sheet.  When z lies in the disk |z| < r = 2 z1 free of other punctures
-    and the leg, closed by the chord back to z1, winds about no puncture
-    but the origin, the leg's only effect on the series is n turns of
-    log z: the head is then the radial line from z, or from z's ray at the
-    radius 3/4 r where the series stops, to z, with n = (the leg's sweep
-    about 0 - arg z) / 2 pi.
-
-    The leg is not built when the planner's detour test tells n
-    (``_chord_turns``) and the geometry implies every check the planner
-    would make: z lies more than the slack, four guards and 1e-12 r for
-    rounding, inside the rim, so that the leg and the head clear the other
-    punctures; more than 1e-14 from z1 and, past 3/4 r, from its ray
-    point, so that the planner drops no piece; and r is within the
-    planner's modulus.  The head is then planned, and no detour fires on
-    it.  Otherwise the leg is planned, and only an arc about another
-    puncture (a point just inside the rim beside a close one plans it)
-    makes the windings about the others worth summing.  They come to 0
-    when that puncture lies right of the chord, and to one turn when it
-    lies left of it, since the detour always passes on the left.  A leg
-    that winds so, and any leg to a point outside the disk, is the head
-    itself, from z1."""
+    sheet, and a chain starts in one of two ways.  When z lies in the disk
+    |z| < r = 2 z1 free of other punctures and the planner's detour test
+    tells the leg's turns n about 0 (``_chord_turns``), the leg's only
+    effect on the series is n turns of log z: the head is then the radial
+    line from z, or from z's ray at the radius 3/4 r where the series
+    stops, to z.  The geometry must also imply every check the planner
+    would make on the leg: z lies more than the slack, four guards and
+    1e-12 r for rounding, inside the rim, so that the leg and the head
+    clear the other punctures; more than 1e-14 from z1 and, past 3/4 r,
+    from its ray point, so that the planner drops no piece; and r is
+    within the planner's modulus.  The head is then planned, and no detour
+    fires on it.  Otherwise, and for any point outside the disk, the head
+    is the planned leg itself, from z1, with no turns."""
     z1 = reference_point(ps)
     r = 2 * z1.real
-    if not abs(z) < r:
-        return plan_path(z1, z, ps), 0
-    base = z * min(1.0, _MAX_RATIO * r / abs(z))
-    slack = 4 * ps.guard + 1e-12 * r
-    if (r <= _MAX_MODULUS and r - abs(z) > slack and abs(z - z1) > 1e-14
-            and not 0 < abs(z - base) <= 1e-14):
-        turns = _chord_turns(z1, z, ps, slack)
-        if turns is not None:
-            return plan_path(base, z, ps), turns
-    leg = plan_path(z1, z, ps)
-    turns = 0
-    if len(leg.segments) > 1:
-        if any(isinstance(seg, ArcSeg) and seg.center != 0
-               for seg in leg.segments):
-            back = LineSeg(z, z1)
-            if any(round((leg.sweep(p) + back.sweep(p)) / (2 * pi))
-                   for p in ps.as_complex if p != 0):
-                return leg, 0
-        turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * pi))
-    return Path.line(base, z), turns
+    if abs(z) < r:
+        base = z * min(1.0, _MAX_RATIO * r / abs(z))
+        slack = 4 * ps.guard + 1e-12 * r
+        if (r <= _MAX_MODULUS and r - abs(z) > slack and abs(z - z1) > 1e-14
+                and not 0 < abs(z - base) <= 1e-14):
+            turns = _chord_turns(z1, z, ps, slack)
+            if turns is not None:
+                return plan_path(base, z, ps), turns
+    return plan_path(z1, z, ps), 0
 
 
 def _evaluate(words, pts, ps: PoleSet, cfg, tail: Path | None = None):
@@ -340,12 +322,20 @@ def mzv(word) -> complex:
 
 def word_for_exponents(ks) -> tuple:
     """The label word whose limit at one is (-1)^depth times the nested sum
-    with the given exponents (outermost exponent first)."""
-    ks = tuple(int(k) for k in ks)
-    if not ks or any(k < 1 for k in ks):
+    with the given exponents (outermost exponent first).  A non-integral
+    exponent is refused, not truncated, and so is a word whose prefix set
+    would pass the array cap, before any letter is built."""
+    ks = tuple(ks)
+    try:
+        ints = tuple(int(k) for k in ks)
+    except (TypeError, ValueError, OverflowError):
+        ints = ()
+    if not ints or ints != ks or any(k < 1 for k in ints):
         raise DomainError("exponents must be positive integers")
+    n = sum(ints)
+    check_budget(4 * n * (n + 1), f"the prefix set of a {n}-letter word")
     word = []
-    for k in reversed(ks):
+    for k in reversed(ints):
         word.append("1")
         word.extend("0" * (k - 1))
     return tuple(word)

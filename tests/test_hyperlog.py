@@ -423,10 +423,30 @@ def test_word_for_exponents():
     assert word_for_exponents((3,)) == ("1", "0", "0")
     assert word_for_exponents((2, 1)) == ("1", "1", "0")
     assert word_for_exponents([3, 2]) == ("1", "0", "1", "0", "0")
+    assert word_for_exponents((2.0,)) == ("1", "0")
     with pytest.raises(DomainError):
         word_for_exponents(())
     with pytest.raises(DomainError):
         word_for_exponents((0,))
+
+
+@pytest.mark.parametrize("ks", [(2.5,), (100_000.5,), (3, 0.5), ("2",),
+                                (math.inf,), (math.nan,)])
+def test_word_for_exponents_refuses_a_non_integral_exponent(ks):
+    # int() would truncate 2.5 to the word for zeta(2)
+    with pytest.raises(DomainError) as info:
+        word_for_exponents(ks)
+    assert type(info.value) is DomainError
+
+
+def test_word_for_exponents_has_a_size_budget():
+    # a word of n letters is refused, before it is built, when its prefix
+    # set (4 n (n + 1) bytes) would pass the cap: n = 8,191 fits the 256 MiB
+    # cap and n = 8,192 does not; k = 100,000 would be a word of about 1 MB
+    assert len(word_for_exponents((8190, 1))) == 8191
+    for ks in [(100_000,), (8191, 1), (4096, 4096)]:
+        with pytest.raises(BudgetError, match=r"a \d+-letter word exceeds"):
+            word_for_exponents(ks)
 
 
 def test_mzv_against_exponent_encoding():
@@ -819,9 +839,10 @@ _AUDIT_POLES = ["0,1", "0,1,-1", "0,1,-1,i", "0,2,1/2", "0,1,1+1/10i",
 
 @pytest.mark.parametrize("poles", _AUDIT_POLES)
 def test_no_in_disk_leg_detours_around_another_puncture(poles):
-    # _start sums the windings about the other punctures only for a leg
-    # with an arc about one of them; seeded in-disk points, most of them
-    # from 0.71 r out to r, plan none: every arc circles the origin
+    # a leg with an arc about another puncture is the head of its chain,
+    # from z1, since the detour test cannot tell its turns; seeded in-disk
+    # points, most of them from 0.71 r out to r, plan none: every arc
+    # circles the origin
     ps = PoleSet.of(poles)
     z1 = reference_point(ps)
     r = 2 * z1.real
@@ -843,8 +864,8 @@ def test_no_in_disk_leg_detours_around_another_puncture(poles):
 def _start_beside(poles, label, z):
     """hyperlog._start at z, just inside the origin's disk beside the
     puncture ``label``, whose leg from z1 has an arc about that puncture;
-    its three words checked against reference_evaluate.  Returns the
-    disk's radius, the leg and _start's head and turns."""
+    its three words checked against reference_evaluate, bit for bit.
+    Returns the leg and _start's head and turns."""
     ps = PoleSet.of(poles)
     p = ps.as_complex[ps.index(label)]
     r = 2 * reference_point(ps).real
@@ -854,37 +875,40 @@ def _start_beside(poles, label, z):
                  if isinstance(seg, ArcSeg)}
     for w in [(label,), ("0", label), (label, "0")]:
         [want] = reference_evaluate([w], [z], ps)
-        assert _close(eval_L(w, z, ps).value, want[w]), w
-    return (r, leg, *hyperlog._start(z, ps))
+        assert eval_L(w, z, ps).value == want[w], w
+    return (leg, *hyperlog._start(z, ps))
 
 
 def test_an_in_disk_leg_can_detour_around_another_puncture():
     # z lies 1.4e-11 r inside the origin's disk, beside the puncture
-    # 3/200+1/100i: its leg from z1 has an arc about that puncture, so _start
-    # sums the windings about the others; they come to 0, and the head is
-    # the one-segment line in the disk with no turns
+    # 3/200+1/100i: its leg from z1 has an arc about that puncture, which
+    # the detour test cannot place, so the whole three-segment leg from z1
+    # is the head, with no turns
     z = 0.011792203915468738 + 0.013636125799032747j
-    r, _, head, turns = _start_beside("0,4+1/2i,3/200+1/100i",
-                                      "3/200+1/100i", z)
-    assert len(head.segments) == 1 and abs(head.base) < r and turns == 0
+    leg, head, turns = _start_beside("0,4+1/2i,3/200+1/100i",
+                                     "3/200+1/100i", z)
+    assert len(leg.segments) == 3
+    assert head == leg and turns == 0
 
 
 def test_an_in_disk_leg_that_winds_about_another_puncture_is_the_head():
     # the same geometry mirrored in the real axis: the detour still passes
     # to the left, now about 3/200-1/100i, which lies left of the chord, so
-    # the leg closed by the chord winds once about it and _start keeps the
-    # whole three-segment leg from z1 as the head, with no turns
+    # the leg closed by the chord winds once about it; the head is again
+    # the whole three-segment leg from z1, with no turns
     z = 0.011792203915468738 - 0.013636125799032747j
-    _, leg, head, turns = _start_beside("0,4-1/2i,3/200-1/100i",
-                                        "3/200-1/100i", z)
+    leg, head, turns = _start_beside("0,4-1/2i,3/200-1/100i",
+                                     "3/200-1/100i", z)
     assert len(leg.segments) == 3
-    assert head.segments == leg.segments and turns == 0
+    assert head == leg and turns == 0
 
 
 # A first point in the origin's disk takes its turns from the planner's
 # detour test and plans only its head; series_checks.reference_leg_start
-# plans the leg from z1 for every first point.  Head, base, turns and any
-# refusal must be the same, bit for bit.
+# plans the leg from z1 for every first point.  Where the test tells the
+# turns, and outside the disk, head, base, turns and any refusal must be
+# the same, bit for bit.  Where it cannot, the head is the leg from z1 with
+# no turns, and eval_L is reference_evaluate, bit for bit, refusals too.
 
 _START_POLES = _AUDIT_POLES + ["0,1/1000,1", "0,1,1/1000i"]
 
@@ -898,9 +922,10 @@ def _start_outcome(start, z, ps):
 
 
 def _start_route(z, ps, monkeypatch):
-    """How hyperlog._start found z's turns, told from the paths it plans:
-    "leg" when it planned the leg from z1, "chord" or "detour" when it did
-    not and the chord from z1 has no detour or has one; and its outcome."""
+    """How hyperlog._start started z's chain, told from the paths it plans:
+    "leg" when it planned the leg from z1 for a point in the disk, "chord"
+    or "detour" when it did not and the chord from z1 has no detour or has
+    one, "outside" for a point outside the disk; and its outcome."""
     z1 = reference_point(ps)
     planned = []
 
@@ -938,6 +963,27 @@ def _start_points(ps, rng):
     return pts
 
 
+def _check_leg_route(z, ps, got):
+    """A point on the "leg" route: _start's outcome ``got`` is the planned
+    leg from z1 with no turns, and eval_L of three words at z, or its
+    refusal, is reference_evaluate's, bit for bit."""
+    z1 = reference_point(ps)
+    assert got == _start_outcome(lambda z, ps: (plan_path(z1, z, ps), 0),
+                                 z, ps), z
+
+    def outcome(evaluate):
+        try:
+            return evaluate()
+        except CurvelogError as exc:
+            return type(exc), str(exc)
+
+    near = min((p for p in ps.as_complex if p != 0), key=abs)
+    a = ps.labels[ps.as_complex.index(near)]
+    for w in [(a,), ("0", a), (a, "0")]:
+        assert (outcome(lambda: eval_L(w, z, ps).value) == outcome(
+            lambda: reference_evaluate([w], [z], ps)[0][w])), (z, w)
+
+
 @pytest.mark.parametrize("poles", _START_POLES)
 def test_start_is_the_leg_start(poles, monkeypatch):
     ps = PoleSet.of(poles)
@@ -945,13 +991,17 @@ def test_start_is_the_leg_start(poles, monkeypatch):
     for z in _start_points(ps, random.Random(44)):
         route, got = _start_route(z, ps, monkeypatch)
         routes.add(route)
-        assert got == _start_outcome(reference_leg_start, z, ps), (z, route)
+        if route == "leg":
+            _check_leg_route(z, ps, got)
+        else:
+            assert got == _start_outcome(reference_leg_start, z, ps), (z,
+                                                                        route)
     assert routes == {"chord", "detour", "leg", "outside"}
 
 
 def _fallback_points():
-    """(pole set, point) for every reason _start plans the leg from z1 for
-    a point in the disk, each named."""
+    """(pole set, point) for every reason _start starts a point in the disk
+    along the planned leg from z1, each named."""
     ps = PoleSet.of("0,1")
     z1, r, g = reference_point(ps), 1.0, ps.guard
     beside = 0.010290739302202706 + 0.014713959858203736j
@@ -982,7 +1032,7 @@ def test_each_fallback_plans_the_leg_as_the_leg_start_did(name, monkeypatch):
     assert abs(z) < 2 * reference_point(ps).real
     route, got = _start_route(z, ps, monkeypatch)
     assert route == "leg"
-    assert got == _start_outcome(reference_leg_start, z, ps)
+    _check_leg_route(z, ps, got)
 
 
 @pytest.mark.parametrize("poles,z", [
