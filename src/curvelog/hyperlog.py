@@ -13,8 +13,10 @@ a first point in the origin's disk starts from its own series (or, past
 three quarters of the disk's radius, from its ray there), with the zero
 letter moved by that path's turns about 0, whenever the planner's detour
 test on the chord from the reference point tells those turns without the
-leg.  Every other first point starts at the reference point, and the
-planned leg from there is the head of its chain.
+leg: none without a detour, and past a lone half circle about 0, which
+passes below it, one turn down for a point above the real axis.  Every
+other first point starts at the reference point, and the planned leg from
+there is the head of its chain.
 A lone point that starts from its own series integrates along an empty
 path, and the integrator is asked for no word there: the call only checks
 the point's clearance.  Such a point pays for the detour test, the split
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, factorial, pi
+from math import comb, copysign, factorial, pi
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
@@ -162,55 +164,37 @@ def _combine(reg: RegularizedWord, vals: dict, logz: complex) -> complex:
     return total
 
 
-def _chord_turns(z1: complex, z: complex, ps: PoleSet, slack: float):
-    """The turns about 0 of the planned leg from z1 to a point z in the
-    origin's disk, read off the planner's detour test (``_detours``)
-    without building the leg, or None when that test cannot place them.
-
-    Without a detour the leg is its chord, whose distances are checked as
-    ``plan_path`` checks them, and it turns about nothing.  A lone half
-    circle about 0 of radius rho runs from q1 = -rho u to q2 = rho u, for
-    the chord's direction u, and the leg's sweep about 0 is that of its
-    three pieces, summed as ``Path.sweep`` sums them.  Its clearance then
-    follows from the geometry once rho is more than the slack.  The half
-    circle keeps rho from 0, and each line piece 0.6 rho: its far end lies
-    at least rho / 0.8 from 0, so it either projects past the half circle,
-    or lies more than 0.75 rho off the line through 0 along u, and then the
-    piece's line passes at least rho 0.75 / 1.25 from 0.  Each piece is at
-    least a fifth of its far end's modulus long, so the planner keeps it.
-    Any other detour (one about another puncture beside the rim) is None."""
-    u, detours, dists = _detours(z1, z, ps)
-    if not detours:
-        _check_distances(dists, ps)
-        return 0
-    _, p, rho = detours[0]
-    if not (len(detours) == 1 and p == 0 and rho > slack):
-        return None
-    q1, q2 = p - rho * u, p + rho * u  # as plan_path, signed zeros too
-    th1 = cmath.phase(q1 - p)
-    sweep = (cmath.phase(q1 / z1) + ((th1 - pi) - th1)
-             + cmath.phase(z / q2))
-    return round((sweep - cmath.phase(z)) / (2 * pi))
-
-
 def _start(z: complex, ps: PoleSet):
     """The head of a chain to its first point z and the winding about the
     origin to add to the zero letter's value at the head's start.
 
     The planned leg from the reference point z1 is the path that fixes z's
     sheet, and a chain starts in one of two ways.  When z lies in the disk
-    |z| < r = 2 z1 free of other punctures and the planner's detour test
-    tells the leg's turns n about 0 (``_chord_turns``), the leg's only
-    effect on the series is n turns of log z: the head is then the radial
-    line from z, or from z's ray at the radius 3/4 r where the series
-    stops, to z.  The geometry must also imply every check the planner
-    would make on the leg: z lies more than the slack, four guards and
-    1e-12 r for rounding, inside the rim, so that the leg and the head
+    |z| < r = 2 z1 free of other punctures and the planner's detour test on
+    the chord from z1 (``_detours``) tells the leg's turns n about 0, the
+    leg's only effect on the series is n turns of log z: the head is then
+    the radial line from z, or from z's ray at the radius 3/4 r where the
+    series stops, to z.  Without a detour the leg is the chord, whose
+    distances are checked as ``plan_path`` checks them, and n is 0.  With a
+    lone half circle about 0 of radius rho above the slack, 0 projects
+    strictly inside the chord, so the chord from z1 runs leftward past 0,
+    and the half circle, on the left of travel, passes below it: n is -1
+    when z lies above the real axis (+0.0 on its negative half too) and 0
+    otherwise.  That leg's clearance follows from the geometry: the half
+    circle keeps rho from 0, and each line piece 0.6 rho, since its far end
+    lies at least rho / 0.8 from 0, so it either projects past the half
+    circle, or lies more than 0.75 rho off the line through 0 along the
+    chord, and then the piece's line passes at least rho 0.75 / 1.25 from
+    0; each piece is at least a fifth of its far end's modulus long, so the
+    planner keeps it.  Any other detour (one about another puncture beside
+    the rim) leaves n untold.  The geometry must also imply every check the
+    planner would make on the leg: z lies more than the slack, four guards
+    and 1e-12 r for rounding, inside the rim, so that the leg and the head
     clear the other punctures; more than 1e-14 from z1 and, past 3/4 r,
-    from its ray point, so that the planner drops no piece; and r is
-    within the planner's modulus.  The head is then planned, and no detour
-    fires on it.  Otherwise, and for any point outside the disk, the head
-    is the planned leg itself, from z1, with no turns."""
+    from its ray point, so that the planner drops no piece; and r is within
+    the planner's modulus.  The head is then planned, and no detour fires
+    on it.  Otherwise, and for any point outside the disk, the head is the
+    planned leg itself, from z1, with no turns."""
     z1 = reference_point(ps)
     r = 2 * z1.real
     if abs(z) < r:
@@ -218,9 +202,14 @@ def _start(z: complex, ps: PoleSet):
         slack = 4 * ps.guard + 1e-12 * r
         if (r <= _MAX_MODULUS and r - abs(z) > slack and abs(z - z1) > 1e-14
                 and not 0 < abs(z - base) <= 1e-14):
-            turns = _chord_turns(z1, z, ps, slack)
-            if turns is not None:
-                return plan_path(base, z, ps), turns
+            _, detours, dists = _detours(z1, z, ps)
+            if not detours:
+                _check_distances(dists, ps)
+                return plan_path(base, z, ps), 0
+            _, p, rho = detours[0]
+            if len(detours) == 1 and p == 0 and rho > slack:
+                return (plan_path(base, z, ps),
+                        -1 if copysign(1.0, z.imag) > 0 else 0)
     return plan_path(z1, z, ps), 0
 
 

@@ -328,7 +328,8 @@ def _crit_coradical(seed: int):
             for n in range(6):
                 if coradical_member(t, n) != (length <= n):
                     ok = False
-    return ok, "membership matches word degree for all 31 words, degrees 0..5"
+    return ok, ("membership matches word degree for all 31 words, degrees "
+                f"0..5: {ok}")
 
 
 def kz_specialization_check(points) -> bool:

@@ -4,6 +4,7 @@ faster routes replaced, kept as their references."""
 import cmath
 import math
 from fractions import Fraction
+from math import pi
 
 import numpy as np
 
@@ -16,8 +17,9 @@ from curvelog.hyperlog import (_combine, reference_point, regularize,
                                zero_label)
 from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
                               IntegratorConfig, LineSeg, Path, _bernstein,
-                              _halves, _plan, _reach, _run, _spectral,
-                              _tails_within, _WordSystem, check_prefix_budget,
+                              _check_distances, _detours, _halves, _plan,
+                              _reach, _run, _spectral, _tails_within,
+                              _WordSystem, check_prefix_budget,
                               integrate_h_words, label_words, plan_chain,
                               plan_path)
 from curvelog.local_expansion import (_MAX_RATIO, _letter_series,
@@ -467,6 +469,41 @@ def reference_leg_start(z, ps):
                 return leg, 0
         turns = round((leg.sweep(0j) - cmath.phase(z)) / (2 * math.pi))
     return Path.line(z * min(1.0, _MAX_RATIO * r / abs(z)), z), turns
+
+
+def reference_chord_turns(z1: complex, z: complex, ps: PoleSet,
+                          slack: float):
+    """``hyperlog._chord_turns``, which ``_start`` called before it took a
+    lone half circle's turns from z's half-plane, kept verbatim.
+
+    The turns about 0 of the planned leg from z1 to a point z in the
+    origin's disk, read off the planner's detour test (``_detours``)
+    without building the leg, or None when that test cannot place them.
+
+    Without a detour the leg is its chord, whose distances are checked as
+    ``plan_path`` checks them, and it turns about nothing.  A lone half
+    circle about 0 of radius rho runs from q1 = -rho u to q2 = rho u, for
+    the chord's direction u, and the leg's sweep about 0 is that of its
+    three pieces, summed as ``Path.sweep`` sums them.  Its clearance then
+    follows from the geometry once rho is more than the slack.  The half
+    circle keeps rho from 0, and each line piece 0.6 rho: its far end lies
+    at least rho / 0.8 from 0, so it either projects past the half circle,
+    or lies more than 0.75 rho off the line through 0 along u, and then the
+    piece's line passes at least rho 0.75 / 1.25 from 0.  Each piece is at
+    least a fifth of its far end's modulus long, so the planner keeps it.
+    Any other detour (one about another puncture beside the rim) is None."""
+    u, detours, dists = _detours(z1, z, ps)
+    if not detours:
+        _check_distances(dists, ps)
+        return 0
+    _, p, rho = detours[0]
+    if not (len(detours) == 1 and p == 0 and rho > slack):
+        return None
+    q1, q2 = p - rho * u, p + rho * u  # as plan_path, signed zeros too
+    th1 = cmath.phase(q1 - p)
+    sweep = (cmath.phase(q1 / z1) + ((th1 - pi) - th1)
+             + cmath.phase(z / q2))
+    return round((sweep - cmath.phase(z)) / (2 * pi))
 
 
 def reference_start_values(words, ps, base, turns) -> dict:

@@ -40,7 +40,8 @@ from curvelog.iterint import ArcSeg, Path, _detours, plan_chain, plan_path
 from curvelog.local_expansion import series_values
 
 from oracles import LI2_HALF, LOG2, ZETA2, ZETA3, li2, li3, zeta
-from series_checks import (reassemble, reference_evaluate, reference_integrate,
+from series_checks import (reassemble, reference_chord_turns,
+                           reference_evaluate, reference_integrate,
                            reference_leg_start, reference_mzv,
                            reference_series_values, reference_start,
                            reference_start_values)
@@ -1057,6 +1058,53 @@ def test_a_detour_about_the_origin_builds_no_arc(poles, z, monkeypatch):
     assert not built and not head.segments and turns == -1
     assert reference_leg_start(z, ps) == (head, turns)
     assert len(built) == 1  # the reference's leg has its arc
+
+
+def _negative_axis_points(ps, rng, count):
+    """Seeded points of the origin's disk within 1 radian of its
+    negative real axis, where the chord from z1 may pass 0 close enough to
+    detour, then points on that axis on either signed zero and 1e-300 and
+    1e-12 off it."""
+    r = 2 * reference_point(ps).real
+    pts = [r * min(10 ** rng.uniform(-3, 0), 1 - 1e-6)
+           * cmath.exp(1j * (math.pi + rng.uniform(-1, 1)))
+           for _ in range(count)]
+    for t in (1e-9, 0.004, 0.3, 0.74, 0.9, 1 - 1e-9):
+        pts += [complex(-t * r, y)
+                for y in (0.0, -0.0, 1e-300, -1e-300, 1e-12, -1e-12)]
+    return pts
+
+
+def test_a_lone_half_circle_about_0_takes_its_turns_from_the_half_plane():
+    # a first point that starts past a detour without planning the leg
+    # from z1 (a lone half circle about 0) takes the turns that
+    # series_checks.reference_chord_turns sums from the half circle's
+    # ends; off the real axis the planned leg closed by the chord back
+    # winds once, below 0, about it exactly when z lies above the axis.
+    # A refused first point is one whose leg from z1 is refused.
+    rng = random.Random(46)
+    cases, seen = 0, set()
+    for poles in _START_POLES + ["0,2+i", "0,1/3,-5", "0,15e305"]:
+        ps = PoleSet.of(poles)
+        z1 = reference_point(ps)
+        slack = 4 * ps.guard + 1e-12 * 2 * z1.real
+        for z in _negative_axis_points(ps, rng, 2400):
+            try:
+                head, turns = hyperlog._start(z, ps)
+            except CurvelogError:
+                with pytest.raises(CurvelogError):
+                    plan_path(z1, z, ps)
+                continue
+            if head.base == z1 or not _detours(z1, z, ps)[1]:
+                continue
+            cases += 1
+            seen.add(turns)
+            assert turns == reference_chord_turns(z1, z, ps, slack), z
+            if z.imag:
+                loop = plan_path(z1, z, ps) + Path.line(z, z1)
+                assert round(loop.sweep(0j) / (2 * math.pi)) == (
+                    -1 if z.imag > 0 else 0), z
+    assert cases > 19_000 and seen == {-1, 0}
 
 
 @given(st.sampled_from(_START_POLES), st.floats(0.75, 1.0, exclude_min=True,
