@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from numbers import Integral
 from typing import Iterable, Mapping
 
 from .errors import BudgetError, DomainError, InputError
 from .scalars import QI, _make, exact_str
 
 QI0 = QI.of(0)
-# the largest pole order of a payload: k numerators, lcm(1..k) in _split
+# the largest order of a principal part: k numerators, lcm(1..k) in _split
 _MAX_POLE_ORDER = 4095
 
 
@@ -153,7 +154,12 @@ class RationalFunction:
                 principal, Mapping):
             principal = principal.items()
         for key, c in principal:
+            if not all(isinstance(n, Integral) for n in key[:2]):
+                raise DomainError(f"principal key {key!r} is not two integers")
             i, k, (a, b, d) = int(key[0]), int(key[1]), QI.of(c)._abd
+            if k > _MAX_POLE_ORDER:
+                raise BudgetError(f"pole order {k} exceeds the cap of "
+                                  f"{_MAX_POLE_ORDER} on a principal part")
             if not (a or b):
                 continue
             # every key is checked before summing, even one that cancels
@@ -323,8 +329,7 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, ps: PoleSet, obj) -> "RationalFunction":
-        """Read a payload; a pole is named by its label, a string, and a
-        pole order above _MAX_POLE_ORDER is refused before any arithmetic."""
+        """Read a payload: a pole by its label string, an order by an int."""
         poly, principal = obj.get("poly", []), obj.get("principal", [])
         if type(poly) is not list or type(principal) is not list:
             raise InputError("'poly' and 'principal' must be JSON lists")
@@ -340,9 +345,6 @@ class RationalFunction:
             i = ps.index(pole)
             if type(k) is not int:
                 raise InputError(f"pole order {k!r} is not an integer")
-            if k > _MAX_POLE_ORDER:
-                raise BudgetError(f"pole order {k} exceeds the cap of "
-                                  f"{_MAX_POLE_ORDER} on a principal part")
             pp.append(((i, k), QI.of(item["coeff"])))
         return cls(ps, tuple(QI.of(c) for c in poly), tuple(pp))
 

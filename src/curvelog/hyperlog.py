@@ -32,7 +32,7 @@ from math import comb, copysign, factorial, pi
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
 from .iterint import (_MAX_MODULUS, IntegratorConfig, Path, _check_distances,
-                      _detours, check_budget, glued, integrate_h_words,
+                      _detours, check_word_length, glued, integrate_h_words,
                       plan_chain, plan_path)
 from .local_expansion import _MAX_RATIO, series_values
 from .monodromy import Loop
@@ -321,10 +321,5 @@ def word_for_exponents(ks) -> tuple:
         ints = ()
     if not ints or ints != ks or any(k < 1 for k in ints):
         raise DomainError("exponents must be positive integers")
-    n = sum(ints)
-    check_budget(4 * n * (n + 1), f"the prefix set of a {n}-letter word")
-    word = []
-    for k in reversed(ints):
-        word.append("1")
-        word.extend("0" * (k - 1))
-    return tuple(word)
+    check_word_length(sum(ints))
+    return tuple(lab for k in reversed(ints) for lab in "1" + "0" * (k - 1))

@@ -21,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import product
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -856,13 +857,16 @@ def check_budget(nbytes: int, what: str) -> None:
                           f"{MATRIX_VIEW_MAX_BYTES >> 20} MiB array cap")
 
 
-def check_prefix_budget(words: Iterable[tuple]) -> list:
-    """The words as tuples; BudgetError, before a prefix is built, when the
-    prefix tuples of one word (8 bytes a letter of each) would pass
-    MATRIX_VIEW_MAX_BYTES."""
-    words = [tuple(w) for w in words]
-    n = max(map(len, words), default=0)
+def check_word_length(n: int) -> None:
+    """BudgetError when the prefix tuples of an n-letter word (8 bytes a
+    letter of each) would pass MATRIX_VIEW_MAX_BYTES."""
     check_budget(4 * n * (n + 1), f"the prefix set of a {n}-letter word")
+
+
+def check_prefix_budget(words: Iterable[tuple]) -> list:
+    """The words as tuples, the longest refused unbuilt as one too long."""
+    words = [tuple(w) for w in words]
+    check_word_length(max(map(len, words), default=0))
     return words
 
 
@@ -878,10 +882,12 @@ def count_words(letters: int, weight: int) -> tuple[int, int]:
 
 def check_series_budget(letters: int, weight: int) -> int:
     """The number of words up to ``weight`` over ``letters`` letters, counted
-    without building them; DomainError for a negative weight, and
-    BudgetError when the node array (16 bytes per node and word) or the cut
-    table (24 bytes per cut) of a series on them would pass the cap.  Every
+    without building them; DomainError unless the weight is a nonnegative
+    integer, and BudgetError when the node array (16 bytes per node and
+    word) or the cut table (24 bytes per cut) would pass the cap.  Every
     word basis and every series passes here before ``word_cuts`` builds."""
+    if not isinstance(weight, Integral):
+        raise DomainError(f"the weight of a series is no integer: {weight!r}")
     if weight < 0:
         raise DomainError("the weight of a series cannot be negative")
     n, cuts = count_words(letters, weight)

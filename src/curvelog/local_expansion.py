@@ -5,9 +5,10 @@ local logarithm with holomorphic coefficients: a finite double sum of
 x^j log(x)^k over j at least zero.  This is the package's one series
 engine: a series is held densely as one coefficient array over j for each
 power of the logarithm, each letter multiplies by its own series and
-integrates termwise, and one routine sums the result.  With zero constants
-a series is the regularized integral from its center; at a center other
-than the origin expand_at matches them against the continued function.
+integrates termwise, and one routine sums the result, in x / r for r the
+center's distance to the nearest other puncture.  With zero constants a
+series is the regularized integral from its center; elsewhere expand_at
+matches them where its series is exact, whatever the order asked for.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -79,7 +81,7 @@ class LogLaurentExpansion:
             raise DomainError(
                 f"point lies outside the disk of radius {self.radius:.3g} "
                 f"around {self.center}")
-        return _series_sum(self.rows, x)
+        return _series_sum(self.rows, x, cmath.log(x))
 
     def substitute_log_shift(self, delta: complex) -> "LogLaurentExpansion":
         """Replace log(x) by log(x) + delta and re-expand binomially: the
@@ -119,9 +121,8 @@ def _letter_coeffs(ps: PoleSet, lab: str, center: QI, size: int,
     # of w are doubled in blocks, so each is about 2 log2(m) roundings
     # from exact
     w, powers = scale / complex(p - center), np.ones(1, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(powers) < size:
-            powers = np.concatenate((powers, powers * (powers[-1] * w)))
+    while len(powers) < size:
+        powers = np.concatenate((powers, powers * (powers[-1] * w)))
     out = np.zeros(2 * size - 1, dtype=complex)
     out[size:] = -powers[1:]
     out.setflags(write=False)
@@ -129,25 +130,21 @@ def _letter_coeffs(ps: PoleSet, lab: str, center: QI, size: int,
 
 
 def _letter_series(ps: PoleSet, lab: str, center: QI, order: int,
-                   scale: float = 1.0):
+                   scale: float):
     """Multiplication by the letter dz/(z - pole), which is du/(u - e) in
     u = x / scale for e = (pole - center) / scale, as the matrix taking
     coefficients over u^j to coefficients over u^(i - 1), for i and j in
     0..order: entry (j, i) is the coefficient of u^(i - 1 - j) in
-    1/(u - e).  It is a read-only Toeplitz view of the letter's cached
-    coefficients, which serve every order up to the next power of two, so
-    no matrix is kept.  A coefficient past the float range is refused.
-    The letter at the center is 1/x itself, whose matrix is the identity:
-    None then, and the step multiplies by nothing."""
+    1/(u - e), none above one when the scale is the center's distance to
+    the nearest other puncture.  It is a read-only Toeplitz view of the
+    letter's cached coefficients, which serve every order up to the next
+    power of two.  The letter at the center is 1/x itself, whose matrix is
+    the identity: None then, and the step multiplies by nothing."""
     n = order + 1
     size = 1 << order.bit_length()
     coeffs = _letter_coeffs(ps, lab, center, size, scale)
     if coeffs is None:
         return None
-    # |w^m| is monotone in m, so the last coefficient overflows first
-    if not cmath.isfinite(coeffs[size + order - 1]):
-        raise DomainError(f"the series of the letter {lab} at order {order} "
-                          "overflows a float")
     # entry (j, i) is coeffs[size - 1 - j + i]
     step = coeffs.itemsize
     return np.ndarray((n, n), complex, coeffs, (size - 1) * step,
@@ -173,7 +170,7 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
                  inv: np.ndarray | None = None) -> np.ndarray:
     """Multiply a series by one letter's series (by nothing when the letter
     is None, the center's own 1/x), then integrate termwise from the center
-    with a zero constant.  rows[k, j] is the coefficient of x^j log(x)^k; a
+    with a zero constant.  rows[k, j] is the coefficient of u^j log(x)^k; a
     new top row that stays zero is dropped.  inv is ``_reciprocals`` of
     the order, read here when the caller has not.
 
@@ -202,15 +199,14 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
     return out
 
 
-def _series_sum(rows: np.ndarray, x: complex) -> complex:
-    """The value of the sum of rows[k, j] x^j log(x)^k at a nonzero
-    displacement x, by Horner's rule in x and then in the principal log."""
-    lx = cmath.log(x)
+def _series_sum(rows: np.ndarray, u: complex, lx: complex) -> complex:
+    """The sum of rows[k, j] u^j lx^k, a series' value at its variable u and
+    the log lx of the displacement, by Horner's rule in u and then in lx."""
     total = 0j
     for row in rows[::-1]:
         acc = 0j
         for c in reversed(row.tolist()):
-            acc = acc * x + c
+            acc = acc * u + c
         total = total * lx + acc
     return total
 
@@ -295,23 +291,24 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
 
 def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
               cfg: IntegratorConfig | None = None) -> LogLaurentExpansion:
-    """Expand a label word around an exact center.
+    """Expand a label word around an exact center to an order.
 
-    At the origin every integration constant vanishes by the regularization
-    convention, so the result is exact up to rounding.  At any other center
-    the constants are matched against the function continued to the point
-    half a radius to the right of the center, and a second in-disk point
-    cross-checks the match, within _CHECK_TOL or, where it is larger, the
-    truncation remainder the order implies there.
-    """
+    The series is stepped in u = x / r, r the center's distance to the
+    nearest other puncture; its coefficients over x^j are those over u^j
+    divided by r^j, and one that overflows a float is refused.  At the
+    origin every constant is zero.  Elsewhere the series is stepped to the
+    order series_values sums at u = 1/4 if that is longer, and each
+    prefix's constant is matched there by Chen's composition, so none
+    depends on the order; a second in-disk point checks that series
+    against the continued function within _CHECK_TOL."""
     from .hyperlog import eval_batch, zero_label
 
     ps = PoleSet.of(poles)
     word = tuple(word)
     for lab in word:
         ps.index(lab)
-    if order < 1:
-        raise DomainError("expansion order must be at least one")
+    if not isinstance(order, Integral) or order < 1:
+        raise DomainError(f"expansion order {order!r} is no positive integer")
     if order > _MAX_ORDER:
         raise BudgetError(f"expansion order {order} exceeds the cap of "
                           f"{_MAX_ORDER} on the letter product")
@@ -321,39 +318,38 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
     except OverflowError as exc:
         raise InputError(f"center {center!r} overflows a float") from exc
     zero_label(ps)  # regularization needs the origin among the poles
-    dists = [abs(c_num - p) for p in ps.as_complex if abs(c_num - p) > 0]
-    radius = 0.5 * min(dists) if dists else 1.0
+    r = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
+            default=math.inf)
+    scale, radius = (r, 0.5 * r) if r < math.inf else (1.0, 1.0)
 
-    at_origin = c_exact == QI.of(0)
-    prefixes = [word[:k] for k in range(1, len(word) + 1)]
-    x_ref = radius / 2.0
-    if not at_origin and prefixes:
-        z_ref = c_num + x_ref
-        z_chk = c_num + 0.45 * radius * cmath.exp(0.25j * math.pi)
-        vals_ref, vals_chk = eval_batch(prefixes, [z_ref, z_chk], ps, cfg)
+    matched = c_exact != QI.of(0) and word
+    steps = order = int(order)
+    if matched:
+        x_ref = radius / 2.0
+        x_chk = 0.45 * radius * cmath.exp(0.25j * math.pi)
+        vals_ref, vals_chk = eval_batch(
+            [word[:k] for k in range(1, len(word) + 1)],
+            [c_num + x_ref, c_num + x_chk], ps, cfg)
+        steps = max(order, _series_order(x_ref / scale))
 
-    rows = np.eye(1, order + 1, dtype=complex)
-    for n, lab in enumerate(word):
-        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, order))
-        if not at_origin:
-            rows[0, 0] += vals_ref[word[:n + 1]] - _series_sum(rows, x_ref)
-    exp = LogLaurentExpansion(word, c_num, radius, order, rows)
-    if not at_origin and word:
-        got = exp.evaluate(z_chk)
+    rows = np.eye(1, steps + 1, dtype=complex)
+    for n, lab in enumerate(word, 1):
+        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, steps,
+                                                 scale))
+        if matched:
+            rows[0, 0] += vals_ref[word[:n]] - _series_sum(
+                rows, x_ref / scale, cmath.log(x_ref))
+    if matched:
+        got = _series_sum(rows, x_chk / scale, cmath.log(x_chk))
         want = vals_chk[word]
-        # A letter 1/(z - p) cut at the order leaves u^(order+1)/(1-u) of
-        # itself at u = |x| / |center - p|; the matched constants carry the
-        # cut at the reference point into the control point, and a factor
-        # (letters + 1)^2 covers the tails each step inherits (observed
-        # errors stay below a third of this on words up to ten letters).
-        rho = min((d for d in (abs(c_num - ps.as_complex[ps.index(lab)])
-                               for lab in word) if d > 0), default=math.inf)
-        rem = (len(word) + 1) ** 2 * sum(
-            u ** (order + 1) / (1 - u)
-            for u in (x_ref / rho, abs(z_chk - c_num) / rho))
-        if abs(got - want) > max(_CHECK_TOL, rem) * max(1.0, abs(want)):
+        if abs(got - want) > _CHECK_TOL * max(1.0, abs(want)):
             raise NumericError(
                 "local expansion disagrees with the continued function at a "
                 f"control point (difference {abs(got - want):.3g})")
-    return exp
-
+    rows = rows[:, :order + 1]
+    with np.errstate(all="ignore"):
+        coeffs = np.where(rows == 0, 0, rows / scale ** np.arange(order + 1))
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"the expansion's coefficients at order {order} "
+                          "overflow a float")
+    return LogLaurentExpansion(word, c_num, radius, order, coeffs)

@@ -12,9 +12,9 @@ from curvelog import iterint
 from curvelog.curve_genus0 import (_Z, QI0, DeRhamClass, Differential,
                                    PoleSet, RationalFunction, Section, _rf,
                                    _veval, _vmul, _vtotal, d, decompose)
-from curvelog.errors import DomainError, NumericError
-from curvelog.hyperlog import (_combine, reference_point, regularize,
-                               zero_label)
+from curvelog.errors import BudgetError, DomainError, InputError, NumericError
+from curvelog.hyperlog import (_combine, eval_batch, reference_point,
+                               regularize, zero_label)
 from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
                               IntegratorConfig, LineSeg, Path, _bernstein,
                               _check_distances, _detours, _halves, _plan,
@@ -22,8 +22,9 @@ from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
                               _WordSystem, check_prefix_budget,
                               integrate_h_words, label_words, plan_chain,
                               plan_path)
-from curvelog.local_expansion import (_MAX_RATIO, _letter_series,
-                                      _letter_step, _series_order,
+from curvelog.local_expansion import (_CHECK_TOL, _MAX_ORDER, _MAX_RATIO,
+                                      LogLaurentExpansion, _letter_series,
+                                      _letter_step, _series_order, _series_sum,
                                       series_values)
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              _fold, _integrate_term, default_basepoint,
@@ -605,6 +606,60 @@ def reference_letter_step(rows, letter):
     if not out[-1].any():
         out = out[:-1]
     return out
+
+
+def reference_expand_at(word, poles, center, order=24, cfg=None):
+    """``local_expansion.expand_at`` as it was while it stepped in x to the
+    order asked for: each constant matched on that truncated series, so it
+    carried the order's truncation error at the reference point, and the
+    control point admitted a hand-fitted (letters + 1)^2 multiple of the
+    truncation remainder."""
+    ps = PoleSet.of(poles)
+    word = tuple(word)
+    for lab in word:
+        ps.index(lab)
+    if order < 1:
+        raise DomainError("expansion order must be at least one")
+    if order > _MAX_ORDER:
+        raise BudgetError(f"expansion order {order} exceeds the cap of "
+                          f"{_MAX_ORDER} on the letter product")
+    c_exact = QI.of(center)
+    try:
+        c_num = complex(c_exact)
+    except OverflowError as exc:
+        raise InputError(f"center {center!r} overflows a float") from exc
+    zero_label(ps)  # regularization needs the origin among the poles
+    dists = [abs(c_num - p) for p in ps.as_complex if abs(c_num - p) > 0]
+    radius = 0.5 * min(dists) if dists else 1.0
+
+    at_origin = c_exact == QI.of(0)
+    prefixes = [word[:k] for k in range(1, len(word) + 1)]
+    x_ref = radius / 2.0
+    if not at_origin and prefixes:
+        z_ref = c_num + x_ref
+        z_chk = c_num + 0.45 * radius * cmath.exp(0.25j * math.pi)
+        vals_ref, vals_chk = eval_batch(prefixes, [z_ref, z_chk], ps, cfg)
+
+    rows = np.eye(1, order + 1, dtype=complex)
+    for n, lab in enumerate(word):
+        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, order, 1.0))
+        if not at_origin:
+            rows[0, 0] += vals_ref[word[:n + 1]] - _series_sum(
+                rows, x_ref, cmath.log(x_ref))
+    exp = LogLaurentExpansion(word, c_num, radius, order, rows)
+    if not at_origin and word:
+        got = exp.evaluate(z_chk)
+        want = vals_chk[word]
+        rho = min((d for d in (abs(c_num - ps.as_complex[ps.index(lab)])
+                               for lab in word) if d > 0), default=math.inf)
+        rem = (len(word) + 1) ** 2 * sum(
+            u ** (order + 1) / (1 - u)
+            for u in (x_ref / rho, abs(z_chk - c_num) / rho))
+        if abs(got - want) > max(_CHECK_TOL, rem) * max(1.0, abs(want)):
+            raise NumericError(
+                "local expansion disagrees with the continued function at a "
+                f"control point (difference {abs(got - want):.3g})")
+    return exp
 
 
 def reference_series_values(words, ps, x, center=0) -> dict:

@@ -116,6 +116,37 @@ def test_pole_orders_over_the_array_cap_are_refused(ps):
         RationalFunction.from_json(ps, payload(4096))
 
 
+@pytest.mark.parametrize("index, order", [
+    (0, 2.5), (0, 1.5), (0, "2"), (0, Fraction(2)), (0, 2.0), (0.0, 1),
+    ("0", 1)])
+def test_a_principal_key_that_is_not_two_integers_is_refused(ps, index,
+                                                             order):
+    # int() read 2.5 as 2, 1.5 as 1 and the string "2" as 2
+    with pytest.raises(DomainError, match="is not two integers"):
+        RationalFunction(ps, (), (((index, order), 1),))
+    with pytest.raises(DomainError, match="is not two integers"):
+        RationalFunction(ps, principal={(index, order): 0})
+
+
+@pytest.mark.parametrize("order", [4096, 5000, 10 ** 6])
+def test_the_constructor_refuses_a_pole_order_over_the_cap_unbuilt(ps, order):
+    # order 5,000 was accepted, and squaring it took seconds
+    import tracemalloc
+
+    assert RationalFunction.pole_power(ps, 0, 4095).principal == (
+        ((0, 4095), QI(1)),)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="cap of 4095 on a principal"):
+            RationalFunction.pole_power(ps, 0, order)
+        with pytest.raises(BudgetError, match="cap of 4095 on a principal"):
+            RationalFunction(ps, (), (((1, order), 0),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_differential_labels(ps):
     w = dlog(ps, "0")
     assert w.label == "((1)/(z-(0)))dz"

@@ -479,6 +479,17 @@ def test_j_element_refuses_a_negative_weight():
     assert j_element(Path.line(1, 2), sec, 0).vector.tolist() == [1]
 
 
+@pytest.mark.parametrize("weight", [2.5, 2.0, "2", Fraction(2)])
+def test_a_non_integral_weight_is_refused_as_a_negative_one_is(weight):
+    # range() raised a bare TypeError while the words were counted
+    sec = Section.standard(PS0)
+    message = "^the weight of a series is no integer: "
+    with pytest.raises(DomainError, match=message):
+        j_element(Path.line(1, 2), sec, weight)
+    with pytest.raises(DomainError, match=message):
+        label_words(PS0, weight)
+
+
 def test_j_element_is_group_like():
     sec = Section.standard(PS0)
     series = j_element(Path.line(1, 2), sec, 3)

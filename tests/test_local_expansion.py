@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import random
@@ -19,12 +20,14 @@ from curvelog import (
     eval_L,
     expand_at,
     loop_around,
+    mzv,
     regularize,
 )
 from curvelog import local_expansion
 from curvelog.local_expansion import (SERIES_TERMS, _letter_series, _letter_step,
                                       _series_order, series_values)
-from series_checks import reference_letter_step, reference_series_values
+from series_checks import (reference_expand_at, reference_letter_step,
+                           reference_series_values)
 
 PS = PoleSet.of("0,1")
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
@@ -125,16 +128,20 @@ def test_domain_errors():
         expand_at(("1",), PoleSet.of("1,2"), 1)  # origin must be a puncture
 
 
-def test_low_orders_are_checked_against_their_truncation_remainder(
-        capsys, monkeypatch):
+def test_every_order_is_checked_within_the_same_tolerance(capsys,
+                                                         monkeypatch):
     from curvelog import hyperlog
     from curvelog.cli import main
 
-    # cut at order 3 the series is about 1e-4 off at the control point, the
-    # remainder of the order and not a mismatch
+    # at order 3 the constants are matched on the series the default order
+    # matches them on, so the control point holds within 1e-6 at every order
     assert main(["expand", "--poles", "0,1,-1", "--word", "-1", "--point",
                  "1", "--weight", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["order"] == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["order"] == 3
+    ps = PoleSet.of("0,1,-1")
+    want = expand_at(("-1",), ps, 1, order=3).to_json()
+    assert out["terms"] == want["terms"]
     batch = hyperlog.eval_batch
 
     def corrupted(delta):
@@ -143,11 +150,77 @@ def test_low_orders_are_checked_against_their_truncation_remainder(
             return {w: v + delta for w, v in ref.items()}, chk
         return shifted
 
-    ps = PoleSet.of("0,1,-1")
-    for kwargs, delta in (({"order": 3}, 1e-2), ({}, 1e-2), ({}, 1e-5)):
+    # a shift of 1e-5 at order 3 passed the truncation remainder (1.8e-3)
+    # that the control point admitted there before
+    for kwargs, delta in (({"order": 3}, 1e-2), ({}, 1e-2), ({}, 1e-5),
+                          ({"order": 3}, 1e-5)):
         monkeypatch.setattr(hyperlog, "eval_batch", corrupted(delta))
         with pytest.raises(NumericError, match="control point"):
             expand_at(("-1",), ps, 1, **kwargs)
+
+
+def _convergent_words(n):
+    """Every word of one to n letters over 0 and 1 that converges at one."""
+    return [w for k in range(1, n + 1)
+            for w in itertools.product("01", repeat=k) if w[-1] != "1"]
+
+
+@pytest.mark.parametrize("order", [1, 4, 8, 24])
+def test_the_constant_at_one_is_the_zeta_value_at_every_order(order):
+    # the constants were matched on the series cut at the order asked for,
+    # and at order 1 the constant term was 0.71 away from mzv
+    for w in _convergent_words(6):
+        v = mzv(w)
+        got = expand_at(w, "0,1", 1, order=order).coeff(0, 0)
+        assert abs(got - v) <= 1e-15 * max(1.0, abs(v)), w
+
+
+def _center_words():
+    """The words of one and two letters over {0, 1, -1, i} and twelve
+    seeded ones of three to five."""
+    rng = random.Random(47)
+    ps = PoleSet.of("0,1,-1,i")
+    return ps, [w for n in (1, 2) for w in itertools.product(ps.labels,
+                                                            repeat=n)] + [
+        tuple(rng.choice(ps.labels) for _ in range(n))
+        for n in (3, 4, 5) for _ in range(4)]
+
+
+@pytest.mark.parametrize("center", [1, -1, "i", Fraction(1, 3)])
+def test_an_expansion_is_the_leading_columns_of_a_longer_one(center):
+    ps, words = _center_words()
+    for w in words:
+        full = expand_at(w, ps, center, order=60).rows
+        for order in (1, 4, 8, 24, 40):
+            got = expand_at(w, ps, center, order=order).rows
+            want = full[:, :order + 1]
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want)
+                          <= 1e-15 * np.maximum(1.0, np.abs(want))), (w, order)
+
+
+@pytest.mark.parametrize("center", [1, -1, "i", Fraction(1, 3)])
+def test_from_order_40_the_expansion_is_the_reference_one(center):
+    # series_checks.reference_expand_at stepped in x to the order asked for;
+    # from order 40 its constants are as exact as the new ones.  Both are
+    # compared on the scale of the series in x / r: at 1/3 the coefficients
+    # of a word through 0 cancel far below that scale, so neither holds its
+    # high coefficients to their own relative accuracy
+    ps, words = _center_words()
+    for w in words:
+        for order in (40, 60):
+            got = expand_at(w, ps, center, order=order)
+            want = reference_expand_at(w, ps, center, order=order).rows
+            powers = (2 * got.radius) ** np.arange(order + 1)
+            scale = max(1.0, np.max(np.abs(want) * powers))
+            assert np.max(np.abs(got.rows - want) * powers) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("order", [2.5, 1e3, "24", Fraction(24)])
+def test_a_non_integral_order_is_refused(order):
+    for center in (0, 1):
+        with pytest.raises(DomainError, match="integer"):
+            expand_at(("1", "0"), PS, center, order=order)
 
 
 def test_evaluate_guards_the_disk():
@@ -245,7 +318,7 @@ def _steps(word, ps, center, order):
     letter's matrix, identity for the center's own letter, new output)."""
     rows = np.eye(1, order + 1, dtype=complex)
     for lab in word:
-        letter = _letter_series(ps, lab, center, order)
+        letter = _letter_series(ps, lab, center, order, 1.0)
         out = _letter_step(rows, letter)
         yield rows, np.eye(order + 1) if letter is None else letter, out
         rows = out
@@ -307,13 +380,13 @@ def test_a_many_row_step_agrees_with_the_reference_step(order, poles, center,
 
 
 def test_the_centers_own_letter_has_no_matrix():
-    assert _letter_series(PS, "0", QI.of(0), 24) is None
-    assert _letter_series(PS, "1", QI.of(1), 24) is None
-    assert _letter_series(PS, "1", QI.of(0), 24).shape == (25, 25)
+    assert _letter_series(PS, "0", QI.of(0), 24, 1.0) is None
+    assert _letter_series(PS, "1", QI.of(1), 24, 1.0) is None
+    assert _letter_series(PS, "1", QI.of(0), 24, 1.0).shape == (25, 25)
 
 
 def test_a_letter_matrix_is_a_read_only_view_of_one_vector():
-    letter = _letter_series(PS, "1", QI.of(0), 80)
+    letter = _letter_series(PS, "1", QI.of(0), 80, 1.0)
     assert letter.shape == (81, 81) and not letter.flags.writeable
     assert letter.base.shape == (255,)
     # entry (j, i) is the coefficient -1 of x^(i - 1 - j), zero below
@@ -321,14 +394,18 @@ def test_a_letter_matrix_is_a_read_only_view_of_one_vector():
     assert np.array_equal(letter, np.where(lag >= 0, -1.0, 0.0))
 
 
-def test_a_letter_whose_series_overflows_is_refused():
-    # 1/(z - 1/100) has the coefficient -100^(m + 1) at x^m
+def test_an_expansion_whose_coefficients_overflow_is_refused():
+    # 1/(z - 1/100) has the coefficient -100^(m + 1) at x^m; the series in
+    # x / r has none above one, and an expansion is refused where its
+    # coefficients over x overflow
     ps = PoleSet.of("0,1/100")
-    assert _letter_series(ps, "1/100", QI.of(0), 150).shape == (151, 151)
-    with pytest.raises(DomainError, match="overflows"):
-        _letter_series(ps, "1/100", QI.of(0), 160)
-    with pytest.raises(DomainError, match="overflows"):
-        expand_at(("1/100",), ps, 0, order=1000)
+    exp = expand_at(("1/100",), ps, 0, order=150)
+    assert exp.coeff(150, 0) == pytest.approx(-(100.0 ** 150) / 150)
+    for order in (160, 1000):
+        with pytest.raises(DomainError, match="overflow"):
+            expand_at(("1/100",), ps, 0, order=order)
+    # a coefficient zero in x / r stays zero where (1/100)^j underflows
+    assert expand_at(("0", "0"), ps, 0, order=1000).coeffs == {(0, 2): 0.5}
 
 
 def test_expand_at_keeps_no_letter_matrix():

@@ -419,6 +419,12 @@ def test_matrix_view_budget():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("weight", [2.5, 1e3])
+def test_a_non_integral_weight_is_refused(ps, sec, weight):
+    with pytest.raises(DomainError, match="is no integer"):
+        monodromy_operator(circle_loop(ps, "0"), sec, weight=weight)
+
+
 @pytest.mark.parametrize("poles, weight", [("0,1,-1", 12), ("0,1", 40)])
 def test_series_over_the_array_cap_is_refused_before_building(
         monkeypatch, poles, weight):
