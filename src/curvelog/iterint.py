@@ -780,9 +780,12 @@ def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
     and every vector unpacked into a dict.  A path without segments builds
     no system, no config and runs nothing: its endpoint values are the
     start over the prefix closure, after the same clearance check, with
-    each distinct last letter sent through form_of once."""
+    each distinct last letter sent through form_of once; asked for no
+    word, it returns the empty word's value right after that check."""
     path.check_clearance(poles)
     if not path.segments:
+        if not words:
+            return {(): 1 + 0j if start is None else start[()]}, {}, []
         closure = _prefix_closure(words)
         _resolve_letters(closure, form_of)
         if start is None:

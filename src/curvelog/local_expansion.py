@@ -29,9 +29,14 @@ from .scalars import QI
 _CHECK_TOL = 1e-6
 
 # the expansion order expand_at and the CLI use when none is given, and the
-# largest expand_at takes: each letter's product costs O(order^2) per row
+# largest expand_at takes, which keeps each of a letter's cached vectors
+# (_letter_coeffs, _letter_sums) within 2^13 entries, 128 KiB
 DEFAULT_ORDER = 24
 _MAX_ORDER = 4095
+# the least |w|^k within one block of a letter's running sum, so that the
+# powers w^-j it multiplies by stay below 2^400, far from overflow for
+# coefficients of at most one
+_SUM_FLOOR = 2.0 ** -400
 # the order series_values sums to at the ratio one half, where mzv and a
 # chain from the reference point start; at the ratio q it sums
 # SERIES_TERMS ln 2 / -ln q terms, so q to the order stays 2^-80
@@ -106,25 +111,31 @@ class LogLaurentExpansion:
         }
 
 
+def _powers(w: complex, size: int) -> np.ndarray:
+    """w^j for j below size, doubled in blocks, so that each is about
+    2 log2(j) roundings from exact."""
+    powers = np.ones(1, dtype=complex)
+    while len(powers) < size:
+        powers = np.concatenate((powers, powers * (powers[-1] * w)))
+    return powers[:size]
+
+
 @lru_cache(maxsize=32)
 def _letter_coeffs(ps: PoleSet, lab: str, center: QI, size: int,
                    scale: float):
     """After size zeros, the coefficients over u^m of 1/(u - e), for m
     below size - 1, where u = x / scale and e = (pole - center) / scale;
-    None for the center's own letter, which is 1/x itself."""
+    None for the center's own letter, which is 1/x itself.  This vector is
+    the buffer of every letter matrix up to order size - 1; the running
+    sums of its step are cached apart (_letter_sums)."""
     p = ps.points[ps.index(lab)]
     if p == center:
         return None
     if complex(center - p) == 0:
         raise DomainError("a pole and the center coincide as floats")
-    # 1/(u - e) is minus the sum of w^(m + 1) u^m for w = 1/e; the powers
-    # of w are doubled in blocks, so each is about 2 log2(m) roundings
-    # from exact
-    w, powers = scale / complex(p - center), np.ones(1, dtype=complex)
-    while len(powers) < size:
-        powers = np.concatenate((powers, powers * (powers[-1] * w)))
+    # 1/(u - e) is minus the sum of w^(m + 1) u^m for w = 1/e
     out = np.zeros(2 * size - 1, dtype=complex)
-    out[size:] = -powers[1:]
+    out[size:] = -_powers(scale / complex(p - center), size)[1:]
     out.setflags(write=False)
     return out
 
@@ -135,10 +146,12 @@ def _letter_series(ps: PoleSet, lab: str, center: QI, order: int,
     u = x / scale for e = (pole - center) / scale, as the matrix taking
     coefficients over u^j to coefficients over u^(i - 1), for i and j in
     0..order: entry (j, i) is the coefficient of u^(i - 1 - j) in
-    1/(u - e), none above one when the scale is the center's distance to
-    the nearest other puncture.  It is a read-only Toeplitz view of the
+    1/(u - e), which is -w^(i - j) for w = 1/e above the diagonal and zero
+    on and below it, none above one when the scale is the center's distance
+    to the nearest other puncture.  It is a read-only Toeplitz view of the
     letter's cached coefficients, which serve every order up to the next
-    power of two.  The letter at the center is 1/x itself, whose matrix is
+    power of two; its row 0, (0, -w, -w^2, ...), is all that _letter_step
+    reads of it.  The letter at the center is 1/x itself, whose matrix is
     the identity: None then, and the step multiplies by nothing."""
     n = order + 1
     size = 1 << order.bit_length()
@@ -166,6 +179,49 @@ def _reciprocals(order: int) -> np.ndarray:
     return _reciprocals_to(1 << order.bit_length())[:order + 1]
 
 
+@lru_cache(maxsize=32)
+def _letter_sums(w: complex, size: int):
+    """What a letter step with w = 1/e needs beside the letter's row 0,
+    for orders below size: the length k of a block of its running sum,
+    w^-j for j below k, and (0, -w, -w^2/2, ..., -w^i/i, ...), the row
+    times the reciprocals.  k is size unless |w|^k would fall below
+    _SUM_FLOOR, so that no w^-j passes 1 / _SUM_FLOOR."""
+    a = abs(w)
+    if a ** size >= _SUM_FLOOR:
+        k = size
+    else:  # a w that underflows to zero has no terms to sum
+        k = max(1, int(math.log(_SUM_FLOOR) / math.log(a))) if a else 1
+    down = _powers(1 / w, k) if k > 1 else np.ones(1, dtype=complex)
+    fold = -_powers(w, size) * _reciprocals_to(size)[:size]
+    down.setflags(write=False)
+    fold.setflags(write=False)
+    return k, down, fold
+
+
+def _letter_product(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:
+    """rows @ letter without the n x n product: column i is -w^i times the
+    sum over j < i of rows[:, j] w^-j, one running sum along each row,
+    started again every k columns of _letter_sums from the column before,
+    which is minus the sum carried so far.  Its rounding is bounded as the
+    dot product's.  Where w is 1, -1, i or -i every product by a power of
+    w is exact, so each sum adds the same terms in the same order as one
+    row's product with the matrix, and the result is that product's, bit
+    for bit."""
+    m, n = rows.shape
+    row = letter[0]
+    k, down, _ = _letter_sums(-row[1], 1 << (n - 1).bit_length())
+    prod = np.empty((m, n), dtype=complex)
+    prod[:, 0] = 0
+    for b in range(0, n - 1, k):
+        e = min(b + k, n - 1)
+        acc = rows[:, b:e] * down[:e - b]
+        if b:
+            acc[:, 0] -= prod[:, b]
+        np.add.accumulate(acc, axis=1, out=acc)
+        np.multiply(acc, row[1:e - b + 1], out=prod[:, b + 1:e + 1])
+    return prod
+
+
 def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
                  inv: np.ndarray | None = None) -> np.ndarray:
     """Multiply a series by one letter's series (by nothing when the letter
@@ -174,11 +230,25 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
     new top row that stays zero is dropped.  inv is ``_reciprocals`` of
     the order, read here when the caller has not.
 
+    The product is a running sum (_letter_product), O(order) per row.  One
+    row times a letter gains no log, and its sum in one block is multiplied
+    once by the cached -w^i / i: the product and the integration in one.
     x^-1 log^k integrates to log^(k+1) / (k+1).  The integral of x^(i-1)
     times sum_k p_k log^k is x^i times sum_k a_k log^k, where by parts
     i a_k + (k+1) a_(k+1) = p_k: one pass from the top power down."""
-    prod = rows if letter is None else rows @ letter
-    m, n = prod.shape
+    m, n = rows.shape
+    if letter is None:
+        prod = rows
+    else:
+        k, down, fold = _letter_sums(-letter[0, 1], 1 << (n - 1).bit_length())
+        if m == 1 and k >= n - 1:
+            acc = rows[0, :-1] * down[:n - 1]
+            np.add.accumulate(acc, out=acc)
+            out = np.empty((1, n), dtype=complex)
+            out[0, 0] = 0
+            np.multiply(acc, fold[1:n], out=out[0, 1:])
+            return out
+        prod = _letter_product(rows, letter)
     if inv is None:
         inv = _reciprocals(n - 1)
     if m == 1 and not prod[0, 0]:

@@ -608,6 +608,41 @@ def reference_letter_step(rows, letter):
     return out
 
 
+def letter_product_bound(rows, letter):
+    """An elementwise bound on the distance from a letter's running-sum
+    product (``local_expansion._letter_product``) to rows @ letter.  Each
+    column is a sum of at most n terms, each a row entry times a power of w
+    that is about 2 log2(n) roundings from exact on either side, so the two
+    lie within 4 n eps (|rows| @ |letter|) of each other, plus n times the
+    smallest subnormal per unit of sum |rows| where a term underflows
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 2 and 4)."""
+    n = rows.shape[1]
+    # |letter| is Toeplitz too: entry (j, i) is |letter[0, i - j]|
+    absprod = np.array([np.convolve(np.abs(r), np.abs(letter[0]))[:n]
+                        for r in rows])
+    return 4 * n * (np.finfo(float).eps / 2 * absprod
+                    + np.finfo(float).smallest_subnormal
+                    * np.abs(rows).sum(axis=1)[:, None])
+
+
+def letter_step_bound(rows, letter):
+    """An elementwise bound on the distance from a letter step to
+    reference_letter_step, in its shape before it drops a zero top row:
+    letter_product_bound carried through the closed-form integration in
+    absolute values, whose own roundings, a few per log power, fit in the
+    same margin."""
+    n = rows.shape[1]
+    inv = 1.0 / np.arange(1, n)
+    out = np.zeros((len(rows) + 1, n))
+    for k, p in enumerate(letter_product_bound(rows, letter)):
+        out[k + 1, 0] = p[0] / (k + 1)
+        term = p[1:] * inv
+        for m in range(k + 1):
+            out[k - m, 1:] += term
+            term = term * ((k - m) * inv)
+    return out
+
+
 def reference_expand_at(word, poles, center, order=24, cfg=None):
     """``local_expansion.expand_at`` as it was while it stepped in x to the
     order asked for: each constant matched on that truncated series, so it

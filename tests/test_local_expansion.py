@@ -26,7 +26,8 @@ from curvelog import (
 from curvelog import local_expansion
 from curvelog.local_expansion import (SERIES_TERMS, _letter_series, _letter_step,
                                       _series_order, series_values)
-from series_checks import (reference_expand_at, reference_letter_step,
+from series_checks import (letter_product_bound, letter_step_bound,
+                           reference_expand_at, reference_letter_step,
                            reference_series_values)
 
 PS = PoleSet.of("0,1")
@@ -377,6 +378,107 @@ def test_a_many_row_step_agrees_with_the_reference_step(order, poles, center,
                 (j, k): c for k, row in enumerate(out.tolist())
                 for j, c in enumerate(row) if c != 0}
     assert deepest >= 3
+
+
+# A letter step multiplies by a running sum (local_expansion._letter_product)
+# where the reference multiplies by the letter's matrix: within the dot
+# product's rounding bound (series_checks.letter_step_bound) for any letter,
+# bit for bit for the letters 1, -1, i and -i of eval-points at the origin.
+
+BOUND_POLE_SETS = ("0,1/2,2", "0,1,3", "0,1/100,1", "0,1+i,3-2i", "0,1,-1,i")
+
+
+def _random_rows(rng, m, n):
+    return rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
+
+
+def _assert_within_bound(rows, letter):
+    out = _letter_step(rows, letter)
+    want = reference_letter_step(rows, letter)
+    assert out.shape == want.shape and np.isfinite(out).all()
+    bound = letter_step_bound(rows, letter)[:len(want)]
+    assert np.all(np.abs(out - want) <= bound)
+
+
+@pytest.mark.parametrize("order", [24, 193, 1000])
+@pytest.mark.parametrize("center", [0, 1])
+@pytest.mark.parametrize("poles", BOUND_POLE_SETS)
+def test_a_letter_step_is_the_reference_within_the_rounding_bound(
+        poles, center, order):
+    ps, c = PoleSet.of(poles), QI.of(center)
+    scale = min(abs(p - center) for p in ps.as_complex if p != center)
+    rng = np.random.default_rng(48)
+    checked = 0
+    for lab in ps.labels:
+        letter = _letter_series(ps, lab, c, order, scale)
+        if letter is None:
+            continue
+        for m in (1, 3):
+            _assert_within_bound(_random_rows(rng, m, order + 1), letter)
+            checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_the_eval_points_letters_step_bit_for_bit(poles):
+    # numpy's product of several rows by a view from 129 columns on copies
+    # it and sums in another order, so several rows are checked against
+    # one product per row, whose sum runs over j in order
+    ps = PoleSet.of(poles)
+    rng = np.random.default_rng(48)
+    for order in (40, 63, 64, 80, 127, 128, 150, 193):
+        for lab in ps.labels[1:]:
+            letter = _letter_series(ps, lab, QI.of(0), order, 1.0)
+            row = _random_rows(rng, 1, order + 1)
+            assert np.array_equal(_letter_step(row, letter),
+                                  reference_letter_step(row, letter))
+            rows = _random_rows(rng, 3, order + 1)
+            assert np.array_equal(local_expansion._letter_product(rows, letter),
+                                  np.stack([r @ letter for r in rows]))
+
+
+@pytest.mark.parametrize("order", [193, 4095])
+def test_the_running_sum_restarts_in_blocks_where_w_is_small(order):
+    # on {0, 1/100, 1} at the origin the letter 1 has w = 1/100, so w^-j
+    # passes 2^400 after 60 terms; each block of 60 starts from the last
+    # column, and nothing overflows
+    ps = PoleSet.of("0,1/100,1")
+    letter = _letter_series(ps, "1", QI.of(0), order, 0.01)
+    size = 1 << order.bit_length()
+    assert local_expansion._letter_sums(-letter[0, 1], size)[0] == 60
+    rng = np.random.default_rng(48)
+    _assert_within_bound(_random_rows(rng, 1, order + 1), letter)
+    # several rows by the reference's one product per row, since numpy's
+    # product of several rows would copy the 4096 x 4096 view
+    rows = _random_rows(rng, 3, order + 1)
+    got = local_expansion._letter_product(rows, letter)
+    want = np.stack([r @ letter for r in rows])
+    assert np.isfinite(got).all()
+    assert np.all(np.abs(got - want) <= letter_product_bound(rows, letter))
+
+
+@pytest.mark.parametrize("word,poles,center,order", [
+    (("1", "1", "1", "1"), "0,1,-1", 0, 4095),
+    (("1", "-1", "i"), "0,1,-1,i", 0, 1000),
+    (("-1", "1", "0"), "0,1,-1", 1, 1000),
+])
+def test_expand_at_is_the_expansion_stepped_by_the_reference(
+        monkeypatch, word, poles, center, order):
+    got = expand_at(word, poles, center, order)
+
+    def reference_step(rows, letter, inv=None):
+        if letter is None:  # an identity view, not an n x n array
+            n = rows.shape[1]
+            one = np.zeros(2 * n - 1, dtype=complex)
+            one[n - 1] = 1
+            letter = np.lib.stride_tricks.as_strided(
+                one[n - 1:], (n, n), (-one.itemsize, one.itemsize))
+        return reference_letter_step(rows, letter)
+
+    monkeypatch.setattr(local_expansion, "_letter_step", reference_step)
+    want = expand_at(word, poles, center, order)
+    assert got.rows.shape == want.rows.shape
+    assert np.all(np.abs(got.rows - want.rows) <= 1e-15 * np.abs(want.rows))
 
 
 def test_the_centers_own_letter_has_no_matrix():
