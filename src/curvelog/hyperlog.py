@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import comb, copysign, factorial, pi
+from numbers import Integral
 
 from .curve_genus0 import PoleSet, Section
 from .errors import DomainError
@@ -311,15 +312,13 @@ def mzv(word) -> complex:
 
 def word_for_exponents(ks) -> tuple:
     """The label word whose limit at one is (-1)^depth times the nested sum
-    with the given exponents (outermost exponent first).  A non-integral
-    exponent is refused, not truncated, and so is a word whose prefix set
-    would pass the array cap, before any letter is built."""
+    with the given exponents (outermost exponent first).  An exponent that
+    is not an Integral is refused, not truncated: 2.5, and 2.0 or
+    Fraction(2) too, as every integer argument of the package is.  So is a
+    word whose prefix set would pass the array cap, before any letter is
+    built."""
     ks = tuple(ks)
-    try:
-        ints = tuple(int(k) for k in ks)
-    except (TypeError, ValueError, OverflowError):
-        ints = ()
-    if not ints or ints != ks or any(k < 1 for k in ints):
+    if not ks or not all(isinstance(k, Integral) and k >= 1 for k in ks):
         raise DomainError("exponents must be positive integers")
-    check_word_length(sum(ints))
-    return tuple(lab for k in reversed(ints) for lab in "1" + "0" * (k - 1))
+    check_word_length(sum(ks))
+    return tuple(lab for k in reversed(ks) for lab in "1" + "0" * (k - 1))

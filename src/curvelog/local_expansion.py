@@ -30,7 +30,7 @@ _CHECK_TOL = 1e-6
 
 # the expansion order expand_at and the CLI use when none is given, and the
 # largest expand_at takes, which keeps each of a letter's cached vectors
-# (_letter_coeffs, _letter_sums) within 2^13 entries, 128 KiB
+# (_letter) within 2^12 entries, 64 KiB
 DEFAULT_ORDER = 24
 _MAX_ORDER = 4095
 # the least |w|^k within one block of a letter's running sum, so that the
@@ -120,50 +120,6 @@ def _powers(w: complex, size: int) -> np.ndarray:
     return powers[:size]
 
 
-@lru_cache(maxsize=32)
-def _letter_coeffs(ps: PoleSet, lab: str, center: QI, size: int,
-                   scale: float):
-    """After size zeros, the coefficients over u^m of 1/(u - e), for m
-    below size - 1, where u = x / scale and e = (pole - center) / scale;
-    None for the center's own letter, which is 1/x itself.  This vector is
-    the buffer of every letter matrix up to order size - 1; the running
-    sums of its step are cached apart (_letter_sums)."""
-    p = ps.points[ps.index(lab)]
-    if p == center:
-        return None
-    if complex(center - p) == 0:
-        raise DomainError("a pole and the center coincide as floats")
-    # 1/(u - e) is minus the sum of w^(m + 1) u^m for w = 1/e
-    out = np.zeros(2 * size - 1, dtype=complex)
-    out[size:] = -_powers(scale / complex(p - center), size)[1:]
-    out.setflags(write=False)
-    return out
-
-
-def _letter_series(ps: PoleSet, lab: str, center: QI, order: int,
-                   scale: float):
-    """Multiplication by the letter dz/(z - pole), which is du/(u - e) in
-    u = x / scale for e = (pole - center) / scale, as the matrix taking
-    coefficients over u^j to coefficients over u^(i - 1), for i and j in
-    0..order: entry (j, i) is the coefficient of u^(i - 1 - j) in
-    1/(u - e), which is -w^(i - j) for w = 1/e above the diagonal and zero
-    on and below it, none above one when the scale is the center's distance
-    to the nearest other puncture.  It is a read-only Toeplitz view of the
-    letter's cached coefficients, which serve every order up to the next
-    power of two; its row 0, (0, -w, -w^2, ...), is all that _letter_step
-    reads of it.  The letter at the center is 1/x itself, whose matrix is
-    the identity: None then, and the step multiplies by nothing."""
-    n = order + 1
-    size = 1 << order.bit_length()
-    coeffs = _letter_coeffs(ps, lab, center, size, scale)
-    if coeffs is None:
-        return None
-    # entry (j, i) is coeffs[size - 1 - j + i]
-    step = coeffs.itemsize
-    return np.ndarray((n, n), complex, coeffs, (size - 1) * step,
-                      (-step, step))
-
-
 @lru_cache(maxsize=8)
 def _reciprocals_to(size: int) -> np.ndarray:
     out = np.zeros(size + 1)
@@ -180,36 +136,48 @@ def _reciprocals(order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _letter_sums(w: complex, size: int):
-    """What a letter step with w = 1/e needs beside the letter's row 0,
-    for orders below size: the length k of a block of its running sum,
-    w^-j for j below k, and (0, -w, -w^2/2, ..., -w^i/i, ...), the row
-    times the reciprocals.  k is size unless |w|^k would fall below
-    _SUM_FLOOR, so that no w^-j passes 1 / _SUM_FLOOR."""
+def _letter(ps: PoleSet, lab: str, center: QI, size: int, scale: float):
+    """The letter dz/(z - pole) about the center for orders below size: in
+    u = x / scale it is du/(u - e) for e = (pole - center) / scale, whose
+    series is -sum w^(m+1) u^m for w = 1/e, none above one when the scale
+    is the center's distance to the nearest other puncture.  None for the
+    center's own letter, which is 1/x itself; otherwise the read-only
+    tables a step reads: the length k of a block of its running sum, w^-j
+    for j below k, the row (0, -w, -w^2, ...) and the row times 1/i.  k is
+    size unless |w|^k would fall below _SUM_FLOOR, so that no w^-j passes
+    1 / _SUM_FLOOR."""
+    p = ps.points[ps.index(lab)]
+    if p == center:
+        return None
+    if complex(center - p) == 0:
+        raise DomainError("a pole and the center coincide as floats")
+    w = np.complex128(scale / complex(p - center))
     a = abs(w)
     if a ** size >= _SUM_FLOOR:
         k = size
     else:  # a w that underflows to zero has no terms to sum
         k = max(1, int(math.log(_SUM_FLOOR) / math.log(a))) if a else 1
     down = _powers(1 / w, k) if k > 1 else np.ones(1, dtype=complex)
-    fold = -_powers(w, size) * _reciprocals_to(size)[:size]
-    down.setflags(write=False)
-    fold.setflags(write=False)
-    return k, down, fold
+    row = -_powers(w, size)
+    row[0] = 0
+    fold = row * _reciprocals_to(size)[:size]
+    for table in (down, row, fold):
+        table.setflags(write=False)
+    return k, down, row, fold
 
 
-def _letter_product(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:
-    """rows @ letter without the n x n product: column i is -w^i times the
-    sum over j < i of rows[:, j] w^-j, one running sum along each row,
-    started again every k columns of _letter_sums from the column before,
-    which is minus the sum carried so far.  Its rounding is bounded as the
-    dot product's.  Where w is 1, -1, i or -i every product by a power of
-    w is exact, so each sum adds the same terms in the same order as one
-    row's product with the matrix, and the result is that product's, bit
-    for bit."""
+def _letter_product(rows: np.ndarray, letter: tuple) -> np.ndarray:
+    """The rows times the letter's series, column i holding the coefficient
+    of u^(i - 1): -w^i times the sum over j < i of rows[:, j] w^-j, one
+    running sum along each row, started again every k columns of the
+    letter's tables from the column before, which is minus the sum carried
+    so far.  Its rounding is bounded as a dot product's.  Where w is 1,
+    -1, i or -i every product by a power of w is exact, so each sum adds
+    the same terms in the same order as one row's dot product with the
+    letter's coefficients, and the result is that product's, bit for
+    bit."""
     m, n = rows.shape
-    row = letter[0]
-    k, down, _ = _letter_sums(-row[1], 1 << (n - 1).bit_length())
+    k, down, row, _ = letter
     prod = np.empty((m, n), dtype=complex)
     prod[:, 0] = 0
     for b in range(0, n - 1, k):
@@ -222,13 +190,13 @@ def _letter_product(rows: np.ndarray, letter: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
+def _letter_step(rows: np.ndarray, letter: tuple | None,
                  inv: np.ndarray | None = None) -> np.ndarray:
-    """Multiply a series by one letter's series (by nothing when the letter
-    is None, the center's own 1/x), then integrate termwise from the center
-    with a zero constant.  rows[k, j] is the coefficient of u^j log(x)^k; a
-    new top row that stays zero is dropped.  inv is ``_reciprocals`` of
-    the order, read here when the caller has not.
+    """Multiply a series by one letter's series (_letter; by nothing when
+    the letter is None, the center's own 1/x), then integrate termwise from
+    the center with a zero constant.  rows[k, j] is the coefficient of
+    u^j log(x)^k; a new top row that stays zero is dropped.  inv is
+    ``_reciprocals`` of the order, read here when the caller has not.
 
     The product is a running sum (_letter_product), O(order) per row.  One
     row times a letter gains no log, and its sum in one block is multiplied
@@ -240,7 +208,7 @@ def _letter_step(rows: np.ndarray, letter: np.ndarray | None,
     if letter is None:
         prod = rows
     else:
-        k, down, fold = _letter_sums(-letter[0, 1], 1 << (n - 1).bit_length())
+        k, down, _, fold = letter
         if m == 1 and k >= n - 1:
             acc = rows[0, :-1] * down[:n - 1]
             np.add.accumulate(acc, out=acc)
@@ -299,6 +267,15 @@ def _series_order(q: float) -> int:
                math.ceil(SERIES_TERMS * math.log(2) / -math.log(q)))
 
 
+def _center_scale(ps: PoleSet, c_num: complex):
+    """The center's distance r to the nearest other puncture, infinite
+    where there is none, and the scale of the series' variable u = x /
+    scale: r, or 1 where r is infinite."""
+    r = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
+            default=math.inf)
+    return r, (r if r < math.inf else 1.0)
+
+
 def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     """Values at the displacement x from an exact center of every prefix of
     the words, summed from their series there with every integration
@@ -310,11 +287,9 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
     coefficients with the powers of u, smallest term first, sums each row,
     and Horner's rule in the principal log of x sums each prefix's rows."""
     c = QI.of(center)
-    c_num = complex(c)
-    r_c = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
-              default=math.inf)
+    r_c, scale = _center_scale(ps, complex(c))
     order = _series_order(abs(x) / r_c)
-    scale = r_c if r_c < math.inf else 1.0
+    size = 1 << order.bit_length()
     # the powers of u from the highest down, so each sum starts at its
     # smallest term
     powers = np.full(order + 1, complex(x) / scale)
@@ -333,14 +308,16 @@ def series_values(words, ps: PoleSet, x: complex, center=0) -> dict:
                 continue
             lab = w[k - 1]
             if lab not in letters:
-                letters[lab] = _letter_series(ps, lab, c, order, scale)
+                letters[lab] = _letter(ps, lab, c, size, scale)
             letter = letters[lab]
-            if k == 1:
-                # the unit row times the letter is the letter's first row
-                rows = (np.eye(1, order + 1, dtype=complex) if letter is None
-                        else letter[:1])
-                letter = None
-            rows = series[prefix] = _letter_step(rows, letter, inv)
+            if k == 1 and letter is not None:
+                # the unit row times the letter is the letter's row, whose
+                # integral is the row over i
+                rows = letter[3][None, :order + 1]
+            else:
+                rows = _letter_step(np.eye(1, order + 1, dtype=complex)
+                                    if k == 1 else rows, letter, inv)
+            series[prefix] = rows
     vals = {(): 1.0 + 0j}
     if not series:
         return vals
@@ -388,9 +365,8 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
     except OverflowError as exc:
         raise InputError(f"center {center!r} overflows a float") from exc
     zero_label(ps)  # regularization needs the origin among the poles
-    r = min((abs(p - c_num) for p in ps.as_complex if p != c_num),
-            default=math.inf)
-    scale, radius = (r, 0.5 * r) if r < math.inf else (1.0, 1.0)
+    r, scale = _center_scale(ps, c_num)
+    radius = 0.5 * r if r < math.inf else 1.0
 
     matched = c_exact != QI.of(0) and word
     steps = order = int(order)
@@ -402,10 +378,10 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
             [c_num + x_ref, c_num + x_chk], ps, cfg)
         steps = max(order, _series_order(x_ref / scale))
 
+    size = 1 << steps.bit_length()
     rows = np.eye(1, steps + 1, dtype=complex)
     for n, lab in enumerate(word, 1):
-        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, steps,
-                                                 scale))
+        rows = _letter_step(rows, _letter(ps, lab, c_exact, size, scale))
         if matched:
             rows[0, 0] += vals_ref[word[:n]] - _series_sum(
                 rows, x_ref / scale, cmath.log(x_ref))

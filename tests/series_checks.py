@@ -4,6 +4,7 @@ faster routes replaced, kept as their references."""
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -23,8 +24,10 @@ from curvelog.iterint import (_CHUNK, _HALF_SPAN, _NODES, _RHO_MIN, ArcSeg,
                               integrate_h_words, label_words, plan_chain,
                               plan_path)
 from curvelog.local_expansion import (_CHECK_TOL, _MAX_ORDER, _MAX_RATIO,
-                                      LogLaurentExpansion, _letter_series,
-                                      _letter_step, _series_order, _series_sum,
+                                      _SUM_FLOOR, LogLaurentExpansion,
+                                      _letter, _letter_step, _powers,
+                                      _reciprocals, _reciprocals_to,
+                                      _series_order, _series_sum,
                                       series_values)
 from curvelog.reduce import (NormalForm, _as_omega_tensor, _check_basepoint,
                              _fold, _integrate_term, default_basepoint,
@@ -588,6 +591,127 @@ def reference_prefix_closure(words) -> list:
     return sorted(closure, key=len) or [()]
 
 
+@lru_cache(maxsize=32)
+def _reference_letter_coeffs(ps, lab, center, size, scale):
+    """After size zeros, the coefficients over u^m of 1/(u - e), for m
+    below size - 1, where u = x / scale and e = (pole - center) / scale;
+    None for the center's own letter, which is 1/x itself.  This vector is
+    the buffer of every letter matrix up to order size - 1."""
+    p = ps.points[ps.index(lab)]
+    if p == center:
+        return None
+    if complex(center - p) == 0:
+        raise DomainError("a pole and the center coincide as floats")
+    # 1/(u - e) is minus the sum of w^(m + 1) u^m for w = 1/e
+    out = np.zeros(2 * size - 1, dtype=complex)
+    out[size:] = -_powers(scale / complex(p - center), size)[1:]
+    out.setflags(write=False)
+    return out
+
+
+def reference_letter_matrix(ps, lab, center, order, scale):
+    """``local_expansion._letter_series`` as it was while a letter was a
+    matrix, before ``_letter`` kept only its ratio w's tables.
+    Multiplication by the letter dz/(z - pole), which is du/(u - e) in
+    u = x / scale for e = (pole - center) / scale, as the matrix taking
+    coefficients over u^j to coefficients over u^(i - 1), for i and j in
+    0..order: entry (j, i) is the coefficient of u^(i - 1 - j) in
+    1/(u - e), which is -w^(i - j) for w = 1/e above the diagonal and zero
+    on and below it.  It is a read-only Toeplitz view of the letter's
+    cached coefficients, which serve every order up to the next power of
+    two.  The letter at the center is 1/x itself, whose matrix is the
+    identity: None then."""
+    n = order + 1
+    size = 1 << order.bit_length()
+    coeffs = _reference_letter_coeffs(ps, lab, center, size, scale)
+    if coeffs is None:
+        return None
+    # entry (j, i) is coeffs[size - 1 - j + i]
+    step = coeffs.itemsize
+    return np.ndarray((n, n), complex, coeffs, (size - 1) * step,
+                      (-step, step))
+
+
+@lru_cache(maxsize=32)
+def _reference_letter_sums(w, size):
+    """What a letter step with w = 1/e needs beside the letter's row 0,
+    for orders below size: the length k of a block of its running sum,
+    w^-j for j below k, and (0, -w, -w^2/2, ..., -w^i/i, ...), the row
+    times the reciprocals.  k is size unless |w|^k would fall below
+    _SUM_FLOOR, so that no w^-j passes 1 / _SUM_FLOOR."""
+    a = abs(w)
+    if a ** size >= _SUM_FLOOR:
+        k = size
+    else:  # a w that underflows to zero has no terms to sum
+        k = max(1, int(math.log(_SUM_FLOOR) / math.log(a))) if a else 1
+    down = _powers(1 / w, k) if k > 1 else np.ones(1, dtype=complex)
+    fold = -_powers(w, size) * _reciprocals_to(size)[:size]
+    down.setflags(write=False)
+    fold.setflags(write=False)
+    return k, down, fold
+
+
+def reference_running_sum_product(rows, letter):
+    """``local_expansion._letter_product`` as it was while it read w off
+    the letter's matrix (reference_letter_matrix): rows @ letter without
+    the n x n product, column i -w^i times the sum over j < i of
+    rows[:, j] w^-j, restarted every k columns of _reference_letter_sums
+    from the column before."""
+    m, n = rows.shape
+    row = letter[0]
+    k, down, _ = _reference_letter_sums(-row[1], 1 << (n - 1).bit_length())
+    prod = np.empty((m, n), dtype=complex)
+    prod[:, 0] = 0
+    for b in range(0, n - 1, k):
+        e = min(b + k, n - 1)
+        acc = rows[:, b:e] * down[:e - b]
+        if b:
+            acc[:, 0] -= prod[:, b]
+        np.add.accumulate(acc, axis=1, out=acc)
+        np.multiply(acc, row[1:e - b + 1], out=prod[:, b + 1:e + 1])
+    return prod
+
+
+def reference_running_sum_step(rows, letter, inv=None):
+    """``local_expansion._letter_step`` as it was while a letter was its
+    matrix (reference_letter_matrix, or None for the center's own 1/x),
+    whose row 0 gave w and whose running sums were cached apart by w: the
+    product is reference_running_sum_product, and one row in one block is
+    multiplied once by the cached -w^i / i."""
+    m, n = rows.shape
+    if letter is None:
+        prod = rows
+    else:
+        k, down, fold = _reference_letter_sums(-letter[0, 1],
+                                               1 << (n - 1).bit_length())
+        if m == 1 and k >= n - 1:
+            acc = rows[0, :-1] * down[:n - 1]
+            np.add.accumulate(acc, out=acc)
+            out = np.empty((1, n), dtype=complex)
+            out[0, 0] = 0
+            np.multiply(acc, fold[1:n], out=out[0, 1:])
+            return out
+        prod = reference_running_sum_product(rows, letter)
+    if inv is None:
+        inv = _reciprocals(n - 1)
+    if m == 1 and not prod[0, 0]:
+        # one row that gains no log: x^(i-1) integrates to x^i / i
+        out = prod * inv
+        out[0, 0] = 0
+        return out
+    inv = inv[1:]
+    top = prod[m - 1, 0] / m
+    out = np.zeros((m + 1 if top else m, n), dtype=complex)
+    if top:
+        out[m, 0] = top
+    # the top row has no row above it to subtract
+    acc = np.multiply(prod[m - 1, 1:], inv, out=out[m - 1, 1:])
+    for k in range(m - 2, -1, -1):
+        out[k + 1, 0] = prod[k, 0] / (k + 1)
+        acc = out[k, 1:] = (prod[k, 1:] - (k + 1) * acc) * inv
+    return out
+
+
 def reference_letter_step(rows, letter):
     """``local_expansion._letter_step`` as it was before the termwise
     integration became one by-parts pass: every letter, the center's own
@@ -610,7 +734,8 @@ def reference_letter_step(rows, letter):
 
 def letter_product_bound(rows, letter):
     """An elementwise bound on the distance from a letter's running-sum
-    product (``local_expansion._letter_product``) to rows @ letter.  Each
+    product (``local_expansion._letter_product``) to rows @ letter, for
+    the letter's matrix (reference_letter_matrix).  Each
     column is a sum of at most n terms, each a row entry times a power of w
     that is about 2 log2(n) roundings from exact on either side, so the two
     lie within 4 n eps (|rows| @ |letter|) of each other, plus n times the
@@ -676,8 +801,9 @@ def reference_expand_at(word, poles, center, order=24, cfg=None):
         vals_ref, vals_chk = eval_batch(prefixes, [z_ref, z_chk], ps, cfg)
 
     rows = np.eye(1, order + 1, dtype=complex)
+    size = 1 << order.bit_length()
     for n, lab in enumerate(word):
-        rows = _letter_step(rows, _letter_series(ps, lab, c_exact, order, 1.0))
+        rows = _letter_step(rows, _letter(ps, lab, c_exact, size, 1.0))
         if not at_origin:
             rows[0, 0] += vals_ref[word[:n + 1]] - _series_sum(
                 rows, x_ref, cmath.log(x_ref))
@@ -709,6 +835,7 @@ def reference_series_values(words, ps, x, center=0) -> dict:
               default=math.inf)
     order = _series_order(abs(x) / r_c)
     scale = r_c if r_c < math.inf else 1.0
+    size = 1 << order.bit_length()
     powers = np.ones(order + 1, dtype=complex)
     powers[1:] = np.full(order, complex(x) / scale).cumprod()
     powers = powers[::-1]
@@ -725,11 +852,13 @@ def reference_series_values(words, ps, x, center=0) -> dict:
                 continue
             lab = w[k - 1]
             if lab not in letters:
-                letters[lab] = _letter_series(ps, lab, c, order, scale)
+                letters[lab] = _letter(ps, lab, c, size, scale)
             letter = letters[lab]
             if k == 1:
+                # the letter's row (0, -w, -w^2, ...) is the unit row times
+                # the letter's matrix
                 rows = (np.eye(1, order + 1, dtype=complex) if letter is None
-                        else letter[:1])
+                        else letter[2][None, :order + 1])
                 letter = None
             rows = series[prefix] = _letter_step(rows, letter)
             vals[prefix] = None

@@ -850,7 +850,7 @@ def test_expand_order_over_the_matrix_cap_is_refused(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("stepped a letter over the cap")
 
-    monkeypatch.setattr(local_expansion, "_letter_series", never)
+    monkeypatch.setattr(local_expansion, "_letter", never)
     tracemalloc.start()
     try:
         rc = main(["expand", "--poles", "0,1", "--word", "1,0", "--point",

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -424,7 +425,6 @@ def test_word_for_exponents():
     assert word_for_exponents((3,)) == ("1", "0", "0")
     assert word_for_exponents((2, 1)) == ("1", "1", "0")
     assert word_for_exponents([3, 2]) == ("1", "0", "1", "0", "0")
-    assert word_for_exponents((2.0,)) == ("1", "0")
     with pytest.raises(DomainError):
         word_for_exponents(())
     with pytest.raises(DomainError):
@@ -432,9 +432,11 @@ def test_word_for_exponents():
 
 
 @pytest.mark.parametrize("ks", [(2.5,), (100_000.5,), (3, 0.5), ("2",),
-                                (math.inf,), (math.nan,)])
+                                (math.inf,), (math.nan,), (2.0,),
+                                (Fraction(2),)])
 def test_word_for_exponents_refuses_a_non_integral_exponent(ks):
-    # int() would truncate 2.5 to the word for zeta(2)
+    # int() would truncate 2.5 to the word for zeta(2); an integral float or
+    # Fraction is refused as expand_at's order and a series weight are
     with pytest.raises(DomainError) as info:
         word_for_exponents(ks)
     assert type(info.value) is DomainError

@@ -24,10 +24,11 @@ from curvelog import (
     regularize,
 )
 from curvelog import local_expansion
-from curvelog.local_expansion import (SERIES_TERMS, _letter_series, _letter_step,
+from curvelog.local_expansion import (SERIES_TERMS, _letter, _letter_step,
                                       _series_order, series_values)
 from series_checks import (letter_product_bound, letter_step_bound,
-                           reference_expand_at, reference_letter_step,
+                           reference_expand_at, reference_letter_matrix,
+                           reference_letter_step, reference_running_sum_step,
                            reference_series_values)
 
 PS = PoleSet.of("0,1")
@@ -297,7 +298,7 @@ def test_orders_over_the_matrix_cap_are_refused_before_any_work(monkeypatch):
     def reached(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(local_expansion, "_letter_series", reached)
+    monkeypatch.setattr(local_expansion, "_letter", reached)
     monkeypatch.setattr(hyperlog, "eval_batch", reached)
     # order 4095 is exactly the cap on the letter product
     with pytest.raises(Reached):
@@ -318,10 +319,11 @@ def _steps(word, ps, center, order):
     """Each step of the word's series at the center: (input rows, the
     letter's matrix, identity for the center's own letter, new output)."""
     rows = np.eye(1, order + 1, dtype=complex)
+    size = 1 << order.bit_length()
     for lab in word:
-        letter = _letter_series(ps, lab, center, order, 1.0)
-        out = _letter_step(rows, letter)
-        yield rows, np.eye(order + 1) if letter is None else letter, out
+        out = _letter_step(rows, _letter(ps, lab, center, size, 1.0))
+        matrix = reference_letter_matrix(ps, lab, center, order, 1.0)
+        yield rows, np.eye(order + 1) if matrix is None else matrix, out
         rows = out
 
 
@@ -392,11 +394,11 @@ def _random_rows(rng, m, n):
     return rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
 
 
-def _assert_within_bound(rows, letter):
+def _assert_within_bound(rows, letter, matrix):
     out = _letter_step(rows, letter)
-    want = reference_letter_step(rows, letter)
+    want = reference_letter_step(rows, matrix)
     assert out.shape == want.shape and np.isfinite(out).all()
-    bound = letter_step_bound(rows, letter)[:len(want)]
+    bound = letter_step_bound(rows, matrix)[:len(want)]
     assert np.all(np.abs(out - want) <= bound)
 
 
@@ -410,11 +412,13 @@ def test_a_letter_step_is_the_reference_within_the_rounding_bound(
     rng = np.random.default_rng(48)
     checked = 0
     for lab in ps.labels:
-        letter = _letter_series(ps, lab, c, order, scale)
+        letter = _letter(ps, lab, c, 1 << order.bit_length(), scale)
         if letter is None:
             continue
+        matrix = reference_letter_matrix(ps, lab, c, order, scale)
         for m in (1, 3):
-            _assert_within_bound(_random_rows(rng, m, order + 1), letter)
+            _assert_within_bound(_random_rows(rng, m, order + 1), letter,
+                                 matrix)
             checked += 1
     assert checked >= 4
 
@@ -428,13 +432,14 @@ def test_the_eval_points_letters_step_bit_for_bit(poles):
     rng = np.random.default_rng(48)
     for order in (40, 63, 64, 80, 127, 128, 150, 193):
         for lab in ps.labels[1:]:
-            letter = _letter_series(ps, lab, QI.of(0), order, 1.0)
+            letter = _letter(ps, lab, QI.of(0), 1 << order.bit_length(), 1.0)
+            matrix = reference_letter_matrix(ps, lab, QI.of(0), order, 1.0)
             row = _random_rows(rng, 1, order + 1)
             assert np.array_equal(_letter_step(row, letter),
-                                  reference_letter_step(row, letter))
+                                  reference_letter_step(row, matrix))
             rows = _random_rows(rng, 3, order + 1)
             assert np.array_equal(local_expansion._letter_product(rows, letter),
-                                  np.stack([r @ letter for r in rows]))
+                                  np.stack([r @ matrix for r in rows]))
 
 
 @pytest.mark.parametrize("order", [193, 4095])
@@ -443,18 +448,51 @@ def test_the_running_sum_restarts_in_blocks_where_w_is_small(order):
     # passes 2^400 after 60 terms; each block of 60 starts from the last
     # column, and nothing overflows
     ps = PoleSet.of("0,1/100,1")
-    letter = _letter_series(ps, "1", QI.of(0), order, 0.01)
-    size = 1 << order.bit_length()
-    assert local_expansion._letter_sums(-letter[0, 1], size)[0] == 60
+    letter = _letter(ps, "1", QI.of(0), 1 << order.bit_length(), 0.01)
+    matrix = reference_letter_matrix(ps, "1", QI.of(0), order, 0.01)
+    assert letter[0] == 60
     rng = np.random.default_rng(48)
-    _assert_within_bound(_random_rows(rng, 1, order + 1), letter)
+    _assert_within_bound(_random_rows(rng, 1, order + 1), letter, matrix)
     # several rows by the reference's one product per row, since numpy's
     # product of several rows would copy the 4096 x 4096 view
     rows = _random_rows(rng, 3, order + 1)
     got = local_expansion._letter_product(rows, letter)
-    want = np.stack([r @ letter for r in rows])
+    want = np.stack([r @ matrix for r in rows])
     assert np.isfinite(got).all()
-    assert np.all(np.abs(got - want) <= letter_product_bound(rows, letter))
+    assert np.all(np.abs(got - want) <= letter_product_bound(rows, matrix))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [24, 193, 1000, 4095])
+@pytest.mark.parametrize("center", [0, 1])
+@pytest.mark.parametrize("poles", BOUND_POLE_SETS)
+def test_a_letter_step_is_the_matrix_letters_step_bit_for_bit(
+        poles, center, order):
+    # a letter keeps only the tables of its ratio w; the step that read w
+    # off the letter's matrix gives the same bits, signs of zero included
+    ps, c = PoleSet.of(poles), QI.of(center)
+    scale = min(abs(p - center) for p in ps.as_complex if p != center)
+    rng = np.random.default_rng(49)
+    checked = 0
+    for lab in ps.labels:
+        letter = _letter(ps, lab, c, 1 << order.bit_length(), scale)
+        matrix = reference_letter_matrix(ps, lab, c, order, scale)
+        assert (letter is None) == (matrix is None)
+        if letter is None:
+            continue
+        # series_values' first letter: the row over i is the step of the
+        # unit row times the matrix
+        assert _same_bits(letter[3][None, :order + 1],
+                          reference_running_sum_step(matrix[:1], None))
+        for m in (1, 3):
+            rows = _random_rows(rng, m, order + 1)
+            assert _same_bits(_letter_step(rows, letter),
+                              reference_running_sum_step(rows, matrix))
+            checked += 1
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("word,poles,center,order", [
@@ -467,13 +505,18 @@ def test_expand_at_is_the_expansion_stepped_by_the_reference(
     got = expand_at(word, poles, center, order)
 
     def reference_step(rows, letter, inv=None):
-        if letter is None:  # an identity view, not an n x n array
-            n = rows.shape[1]
-            one = np.zeros(2 * n - 1, dtype=complex)
-            one[n - 1] = 1
-            letter = np.lib.stride_tricks.as_strided(
-                one[n - 1:], (n, n), (-one.itemsize, one.itemsize))
-        return reference_letter_step(rows, letter)
+        # the letter's matrix as a Toeplitz view of its row (0, -w, ...),
+        # or an identity view for the center's own letter, not an n x n
+        # array
+        n = rows.shape[1]
+        buf = np.zeros(2 * n - 1, dtype=complex)
+        if letter is None:
+            buf[n - 1] = 1
+        else:
+            buf[n - 1:] = letter[2][:n]
+        matrix = np.lib.stride_tricks.as_strided(
+            buf[n - 1:], (n, n), (-buf.itemsize, buf.itemsize))
+        return reference_letter_step(rows, matrix)
 
     monkeypatch.setattr(local_expansion, "_letter_step", reference_step)
     want = expand_at(word, poles, center, order)
@@ -481,19 +524,27 @@ def test_expand_at_is_the_expansion_stepped_by_the_reference(
     assert np.all(np.abs(got.rows - want.rows) <= 1e-15 * np.abs(want.rows))
 
 
-def test_the_centers_own_letter_has_no_matrix():
-    assert _letter_series(PS, "0", QI.of(0), 24, 1.0) is None
-    assert _letter_series(PS, "1", QI.of(1), 24, 1.0) is None
-    assert _letter_series(PS, "1", QI.of(0), 24, 1.0).shape == (25, 25)
+def test_the_centers_own_letter_has_no_tables():
+    assert _letter(PS, "0", QI.of(0), 32, 1.0) is None
+    assert _letter(PS, "1", QI.of(1), 32, 1.0) is None
+    k, down, row, fold = _letter(PS, "1", QI.of(0), 32, 1.0)
+    assert k == 32 and down.shape == row.shape == fold.shape == (32,)
 
 
-def test_a_letter_matrix_is_a_read_only_view_of_one_vector():
-    letter = _letter_series(PS, "1", QI.of(0), 80, 1.0)
-    assert letter.shape == (81, 81) and not letter.flags.writeable
-    assert letter.base.shape == (255,)
-    # entry (j, i) is the coefficient -1 of x^(i - 1 - j), zero below
+def test_a_letter_is_read_only_tables_of_its_ratio():
+    k, down, row, fold = letter = _letter(PS, "1", QI.of(0), 128, 1.0)
+    assert not any(t.flags.writeable for t in (down, row, fold))
+    # w = 1: w^-j is 1, the row is (0, -1, -1, ...) and fold is the row / i
+    assert k == 128 and np.array_equal(down, np.ones(128))
+    assert np.array_equal(row, np.r_[0.0, -np.ones(127)])
+    assert np.array_equal(fold, np.r_[0.0, -1.0 / np.arange(1, 128)])
+    # the product of the unit rows is the letter's matrix: entry (j, i) is
+    # the coefficient -1 of x^(i - 1 - j), zero below
+    prod = local_expansion._letter_product(np.eye(81, dtype=complex), letter)
     lag = np.arange(81) - np.arange(1, 82)[:, None]
-    assert np.array_equal(letter, np.where(lag >= 0, -1.0, 0.0))
+    assert np.array_equal(prod, np.where(lag >= 0, -1.0, 0.0))
+    assert np.array_equal(
+        prod, reference_letter_matrix(PS, "1", QI.of(0), 80, 1.0))
 
 
 def test_an_expansion_whose_coefficients_overflow_is_refused():
@@ -515,7 +566,7 @@ def test_expand_at_keeps_no_letter_matrix():
     # about 2.5 times that; only coefficient vectors may stay cached
     import tracemalloc
 
-    local_expansion._letter_coeffs.cache_clear()
+    local_expansion._letter.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
