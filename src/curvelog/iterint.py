@@ -380,11 +380,7 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
                           f"ends must lie within modulus {_MAX_MODULUS:.0e}")
     if a == b:
         return Path((), a)
-    u, detours, dists = _detours(a, b, ps)
-    if not detours and abs(b - a) > 1e-14:
-        # the segment itself, whose distances are the clearance's
-        _check_distances(dists, ps)
-        return Path((LineSeg(a, b),), a)
+    u, detours, _ = _detours(a, b, ps)
     segs = []
     cur = a
     for _, p, rho in detours:
@@ -493,13 +489,6 @@ def _prefix_closure(words: Iterable[tuple]) -> list:
     return sorted(closure, key=len)
 
 
-def _resolve_letters(closure: list, form_of) -> dict:
-    """The distinct last letters of a prefix closure, in order, each sent
-    through form_of once so that a letter it rejects raises here."""
-    return {letter: form_of(letter)
-            for letter in dict.fromkeys(w[-1] for w in closure[1:])}
-
-
 class _WordSystem:
     """The triangular linear system y'_w = y_{parent(w)} * form_w(z) z',
     with words sorted by length so that each level is a contiguous block.
@@ -514,9 +503,10 @@ class _WordSystem:
         self.words = order
         self.index = {w: i for i, w in enumerate(order)}
         self.n = len(order)
-        forms = _resolve_letters(order, form_of)
-        slot = {letter: i for i, letter in enumerate(forms)}
-        self.evaluators = [f.compiled() for f in forms.values()]
+        # the distinct last letters in order, each sent through form_of once
+        slot = {letter: i for i, letter in
+                enumerate(dict.fromkeys(w[-1] for w in order[1:]))}
+        self.evaluators = [form_of(letter).compiled() for letter in slot]
         parents = [0] + [self.index[w[:-1]] for w in order[1:]]
         slots = [0] + [slot[w[-1]] for w in order[1:]]
         self.parents = np.asarray(parents, dtype=np.intp)
@@ -777,20 +767,14 @@ def _integrate(path: Path, words: Iterable[tuple], poles: PoleSet, form_of,
     """The integration body behind the word-list front doors (``j_element``
     runs the full basis itself): clearance, the joint word system with
     letters resolved by form_of, the run from start (the unit when None),
-    and every vector unpacked into a dict.  A path without segments builds
-    no system, no config and runs nothing: its endpoint values are the
-    start over the prefix closure, after the same clearance check, with
-    each distinct last letter sent through form_of once; asked for no
-    word, it returns the empty word's value right after that check."""
+    and every vector unpacked into a dict.  A path without segments asked
+    for no word (every ``eval_L`` in the origin's disk) builds no system
+    and runs nothing: it returns the empty word's value right after the
+    clearance check.  With words, its run plans no piece and returns the
+    start over the prefix closure."""
     path.check_clearance(poles)
-    if not path.segments:
-        if not words:
-            return {(): 1 + 0j if start is None else start[()]}, {}, []
-        closure = _prefix_closure(words)
-        _resolve_letters(closure, form_of)
-        if start is None:
-            return {w: 0j if w else 1 + 0j for w in closure}, {}, []
-        return {w: start[w] for w in closure}, {}, []
+    if not path.segments and not words:
+        return {(): 1 + 0j if start is None else start[()]}, {}, []
     system = _WordSystem(words, form_of)
     y0 = (np.eye(1, system.n, dtype=complex)[0] if start is None else
           np.array([start[w] for w in system.words], dtype=complex))
@@ -831,8 +815,9 @@ def integrate_h_words(path: Path, words: Iterable[tuple], section: Section,
     """Joint integration of residue-class label words through a section,
     from start, the values at path.base of the words' prefix closure, or by
     default from the unit (1 on the empty word, 0 elsewhere).  Only the
-    letters the words use are resolved through the section, each once; on
-    a path without segments the values are the start over the closure."""
+    letters the words use are resolved through the section, each once; a
+    path without segments runs no piece, so its values are the start over
+    the closure."""
     labels = section.poles.labels
 
     def form_of(lab):

@@ -342,7 +342,8 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
 
     The series is stepped in u = x / r, r the center's distance to the
     nearest other puncture; its coefficients over x^j are those over u^j
-    divided by r^j, and one that overflows a float is refused.  At the
+    divided by r^j; one that overflows a float is refused, and so is one
+    that underflows where its term could matter in the disk.  At the
     origin every constant is zero.  Elsewhere the series is stepped to the
     order series_values sums at u = 1/4 if that is longer, and each
     prefix's constant is matched there by Chen's composition, so none
@@ -393,9 +394,17 @@ def expand_at(word, poles, center, order: int = DEFAULT_ORDER,
                 "local expansion disagrees with the continued function at a "
                 f"control point (difference {abs(got - want):.3g})")
     rows = rows[:, :order + 1]
+    j = np.arange(order + 1)
     with np.errstate(all="ignore"):
-        coeffs = np.where(rows == 0, 0, rows / scale ** np.arange(order + 1))
+        coeffs = np.where(rows == 0, 0, rows / scale ** j)
     if not np.isfinite(coeffs).all():
         raise DomainError(f"the expansion's coefficients at order {order} "
                           "overflow a float")
+    # in the disk |u| < 1/2, so term j is at most |u_j| 2^-j: a coefficient
+    # that underflows is refused unless its term is below rounding there
+    bound = np.ldexp(np.abs(rows), -j)
+    lost = (rows != 0) & (np.abs(coeffs) < np.finfo(float).tiny)
+    if (bound[lost] > 2.0 ** -53 * bound.max()).any():
+        raise DomainError(f"the expansion's coefficients at order {order} "
+                          "underflow a float where their terms matter")
     return LogLaurentExpansion(word, c_num, radius, order, coeffs)

@@ -394,10 +394,9 @@ def reassemble(reg, ps) -> ShuffleTensor:
 
 
 def reference_plan_path(a, b, ps):
-    """``iterint.plan_path`` as it was before a leg without a detour was
-    checked for clearance from the distances read while planning: every
-    leg is checked as a whole path, and each candidate detour reads its
-    own distance."""
+    """``iterint.plan_path`` with the detour test spelled out: each
+    candidate detour reads its own distance, where ``plan_path`` reads
+    them all from ``_detours``."""
     a, b = complex(a), complex(b)
     if a == b:
         return Path((), a)
@@ -563,9 +562,9 @@ def reference_mzv(word) -> complex:
 
 def reference_integrate(path, words, poles, form_of, cfg, capture_after=(),
                         trace=False, start=None):
-    """``iterint._integrate`` as it was before a path without segments
-    skipped its word system: every call builds the system, runs it from
-    start (the unit when None) and unpacks every vector into a dict."""
+    """``iterint._integrate`` without its shortcut for an empty path asked
+    for no word: every call builds the system, runs it from start (the
+    unit when None) and unpacks every vector into a dict."""
     cfg = cfg or IntegratorConfig()
     path.check_clearance(poles)
     system = _WordSystem(words, form_of)

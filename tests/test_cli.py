@@ -761,6 +761,13 @@ def test_poles_that_overflow_a_float_are_domain_errors(capsys):
         assert "overflows a float" in err
 
 
+def test_an_expansion_whose_coefficients_underflow_is_refused(capsys):
+    p = "1" + "0" * 200
+    err = _refused(capsys, ["expand", "--poles", "0," + p, "--word", p,
+                            "--point", "0"])
+    assert "underflow" in err
+
+
 def test_poles_that_coincide_as_floats_are_refused_by_numeric_commands(
         capsys):
     for argv in (["eval", "--word", "1e-400", "--point", "0.5"],

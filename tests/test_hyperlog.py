@@ -35,7 +35,7 @@ from curvelog import (
     word_for_exponents,
     zero_label,
 )
-from curvelog import hyperlog
+from curvelog import hyperlog, iterint
 from curvelog.errors import CurvelogError
 from curvelog.iterint import ArcSeg, Path, _detours, plan_chain, plan_path
 from curvelog.local_expansion import series_values
@@ -1262,3 +1262,63 @@ def test_in_disk_values_and_mzv_are_the_reference_summation_bit_for_bit(
     got = values()
     monkeypatch.setattr(hyperlog, "series_values", reference_series_values)
     assert got.tobytes() == values().tobytes()
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
+def test_an_in_disk_value_builds_no_word_system(monkeypatch, poles):
+    # a first point within 3/4 r is its own series: its path has no segment
+    # and asks _integrate for no word, so no word system is built or run
+    def never(*args, **kwargs):
+        raise AssertionError("an in-disk value built or ran a word system")
+
+    ps = PoleSet.of(poles)
+    pts = _seeded_points(random.Random(50), 6)
+    assert {_start_kind(z, ps) for z in pts} == {"z"}
+    words = _eval_point_words(ps)
+    want = [eval_L(w, z, ps).value for w in words for z in pts]
+    monkeypatch.setattr(iterint, "_WordSystem", never)
+    monkeypatch.setattr(iterint, "_run", never)
+    assert [eval_L(w, z, ps).value for w in words for z in pts] == want
+
+
+# eval_L switches routes at 3/4 r, from the point's own series to the radial
+# line from its ray point, and at the slack inside the rim r, from that line
+# to the planned leg from the reference point.  A value just past either
+# seam must continue the two just inside it; 0.6 r, inside one route, is
+# the control.
+
+def _seam_angles(rng, ps, count):
+    """Seeded directions off the real axis (|sin| > 0.2) and 0.3 away from
+    the direction of every puncture, so that the rim stays clear of them."""
+    dirs = [cmath.phase(p) for p in ps.as_complex if p != 0]
+    out = []
+    while len(out) < count:
+        t = rng.uniform(-math.pi, math.pi)
+        if abs(math.sin(t)) > 0.2 and all(
+                abs(cmath.phase(cmath.exp(1j * (t - d)))) > 0.3 for d in dirs):
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i", "0,3,-2-i"])
+def test_values_are_continuous_where_eval_l_switches_routes(poles):
+    # the value past a seam against the line through the values 1e-10 r and
+    # 2e-10 r inside it: the largest gap over these points, relative to
+    # max(1, |value|), was 2.3e-15 (on 0,3,-2-i; 1.4e-15 on the others).
+    # Nearer a puncture's direction it grows: 9.8e-15 at the rim of
+    # 0,3,-2-i, within 0.05 of the direction of -2-i
+    ps = PoleSet.of(poles)
+    r = 2 * reference_point(ps).real
+    d = 1e-10 * r
+    seams = {0.6 * r: ["z", "z", "z"], 0.75 * r: ["z", "z", "ray"],
+             r - 4 * ps.guard - 1e-12 * r: ["ray", "ray", "z1"]}
+    words = _eval_point_words(ps)
+    for t in _seam_angles(random.Random(7), ps, 6):
+        e = cmath.exp(1j * t)
+        for seam, kinds in seams.items():
+            zs = [(seam - 2 * d) * e, (seam - d) * e, (seam + d) * e]
+            assert [_start_kind(z, ps) for z in zs] == kinds
+            for w in words:
+                a, b, c = (eval_L(w, z, ps).value for z in zs)
+                assert abs(c - (3 * b - 2 * a)) <= 5e-15 * max(1.0, abs(c)), (
+                    w, t, seam)

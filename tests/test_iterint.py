@@ -44,7 +44,7 @@ from curvelog import (
     regularize,
 )
 
-from curvelog import iterint
+from curvelog import iterint, monodromy
 from curvelog.hyperlog import reference_point
 from curvelog.iterint import (_NODES, _RHO_MIN, _prefix_closure, _WordSystem,
                               _integrate, _plan, _run, _tails_within,
@@ -312,9 +312,8 @@ def test_integrate_words_capture_and_trace():
     assert traced[-1][1][w] == vals[w]
 
 
-# A path without segments builds no word system: its endpoint values are
-# its start over the words' prefix closure.  series_checks.reference_integrate
-# is the route that built and ran the system anyway.
+# A path without segments runs no piece: its endpoint values are its start
+# over the words' prefix closure, as series_checks.reference_integrate's.
 
 EMPTY = Path((), 0.3 + 0.2j)
 PS3 = PoleSet.of("0,1,-1")
@@ -326,16 +325,10 @@ def _closure(words):
 
 
 @pytest.mark.parametrize("seeded", [False, True])
-def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded,
-                                                                 monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("an empty path built or ran a word system")
-
+def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded):
     sec = Section.standard(PS3)
     start = (series_values(H_WORDS, PS3, EMPTY.base)
              if seeded else None)
-    monkeypatch.setattr(iterint, "_WordSystem", never)
-    monkeypatch.setattr(iterint, "_run", never)
     vals, caps = integrate_h_words(EMPTY, H_WORDS, sec, capture_after=[0],
                                    start=start)
     assert set(vals) == _closure(H_WORDS)
@@ -344,7 +337,9 @@ def test_an_empty_path_returns_its_start_over_the_prefix_closure(seeded,
         EMPTY, H_WORDS, PS3, lambda lab: sec.form(lab).f, None, [0],
         start=start)
     assert vals == want and want_caps == {}
-    if not seeded:
+    if seeded:
+        assert vals == {w: start[w] for w in vals}
+    else:
         assert vals == {w: 0j if w else 1 + 0j for w in vals}
 
 
@@ -399,11 +394,11 @@ def _planned(a, b, ps, plan):
 
 
 @pytest.mark.parametrize("poles", ["0,1", "0,1,-1", "0,1,-1,i"])
-def test_a_planned_path_is_the_reference_plan(poles):
-    # a leg without a detour is cleared from the distances plan_path read
-    # while planning; the path and every refusal must be the whole path's,
-    # next to a puncture (the distance read at an end or mid-leg) and at
-    # the 1e-14 edge, where the leg is no segment and its end is its base
+def test_a_planned_path_is_the_reference_plan(poles, monkeypatch):
+    # the path and every refusal must be the reference's, next to a
+    # puncture (the distance read at an end or mid-leg), at the 1e-14
+    # edge, where the leg is no segment and its end is its base, and on
+    # the straight sticks of the monodromy-loops benchmark's loops
     ps = PoleSet.of(poles)
     rng = random.Random(37)
     ends = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(40)]
@@ -417,6 +412,31 @@ def test_a_planned_path_is_the_reference_plan(poles):
             refused += isinstance(got, str)
             detoured += not isinstance(got, str) and len(got.segments) > 1
     assert refused >= 5 and detoured >= 10
+    if poles == "0,1,-1":
+        for a, b in _loop_sticks(ps, random.Random(50), 30, monkeypatch):
+            got = _planned(a, b, ps, plan_path)
+            assert got == _planned(a, b, ps, reference_plan_path), (a, b)
+            assert len(got.segments) == 1
+
+
+def _loop_sticks(ps, rng, count, monkeypatch):
+    """The legs loop_around plans for loops based as the monodromy-loops
+    benchmark bases them: at distance 1 from a puncture, at an angle of
+    pi / 3 to 2 pi / 3 above or below it."""
+    legs = []
+
+    def recording(a, b, ps):
+        legs.append((a, b))
+        return plan_path(a, b, ps)
+
+    monkeypatch.setattr(monodromy, "plan_path", recording)
+    for _ in range(count):
+        label = rng.choice(ps.labels)
+        theta = rng.choice((1, -1)) * rng.uniform(math.pi / 3, 2 * math.pi / 3)
+        loop_around(ps, label, ps.as_complex[ps.index(label)]
+                    + cmath.exp(1j * theta))
+    assert len(legs) == count
+    return legs
 
 
 def test_word_letters_must_share_the_pole_set():

@@ -561,6 +561,32 @@ def test_an_expansion_whose_coefficients_overflow_is_refused():
     assert expand_at(("0", "0"), ps, 0, order=1000).coeffs == {(0, 2): 0.5}
 
 
+P200 = "1" + "0" * 200  # 10^200, exactly
+
+
+def test_an_expansion_whose_coefficients_underflow_is_refused():
+    # log(1 - x / P) has the coefficient -1 / (j P^j) at x^j, below a float
+    # from j = 2 while its term at |x| = P / 2 is 2^-j / j: dropped, the
+    # sum at 1e199 was -0.1 where log 0.9 is -0.10536...
+    ps = PoleSet.of("0," + P200)
+    exp = expand_at((P200,), ps, 0, order=1)
+    assert exp.coeffs == {(1, 0): -1e-200}
+    with pytest.raises(DomainError, match="underflow"):
+        expand_at((P200,), ps, 0, order=24)
+
+
+@pytest.mark.parametrize("word, poles", [(("2",), "0,2"),
+                                         (("3", "0", "-2-i"), "0,3,-2-i")])
+def test_a_coefficient_that_underflows_below_rounding_is_dropped(word, poles):
+    # r^j overflows from j = 1024 on {0, 2}, where the term 2^-j / j of
+    # log(1 - x / 2) is far below rounding: the expansion stands
+    exp = expand_at(word, poles, 0, order=4095)
+    assert max(j for j, _ in exp.coeffs) < 4095
+    z = 0.45 * exp.radius * cmath.exp(1j)
+    want = eval_L(word, z, poles).value
+    assert abs(exp.evaluate(z) - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_expand_at_keeps_no_letter_matrix():
     # a dense letter matrix of order 1023 is 16 MiB, and building one takes
     # about 2.5 times that; only coefficient vectors may stay cached

@@ -14,66 +14,15 @@ A line run only in a subprocess counts as untraced.  Tracing makes the
 suite run about twice as long; it changes no test's outcome.
 """
 
-import importlib.util
-import os
-import pathlib
 import sys
 import threading
-import types
 
-_PACKAGE = pathlib.Path(
-    importlib.util.find_spec("curvelog").submodule_search_locations[0])
-_PREFIX = os.path.join(str(_PACKAGE), "")
+from workload_lines import tracer, unrun_rows
+
 _hits: dict = {}
-
-
-def _line(frame, event, arg):
-    if event == "line":
-        _hits[frame.f_code.co_filename].add(frame.f_lineno)
-    return _line
-
-
-def _call(frame, event, arg):
-    name = frame.f_code.co_filename
-    if not name.startswith(_PREFIX):
-        return None
-    _hits.setdefault(name, set()).add(frame.f_lineno)
-    return _line
-
-
+_call = tracer(_hits)
 sys.settrace(_call)
 threading.settrace(_call)
-
-
-def _executable(path: pathlib.Path) -> set:
-    """The lines the compiler gives an instruction, in every code object."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
-    while todo:
-        code = todo.pop()
-        lines.update(line for *_, line in code.co_lines() if line)
-        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-    return lines
-
-
-def _ranges(lines) -> str:
-    """Sorted line numbers as runs: 3, 7-9, 12."""
-    runs = []
-    for line in sorted(lines):
-        if runs and line == runs[-1][1] + 1:
-            runs[-1][1] = line
-        else:
-            runs.append([line, line])
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
-
-
-def report() -> list:
-    """One line per module of the package that has untraced lines."""
-    out = []
-    for path in sorted(_PACKAGE.glob("*.py")):
-        missed = _executable(path) - _hits.get(str(path), set())
-        if missed:
-            out.append(f"- `{path.name}` ({len(missed)}): {_ranges(missed)}")
-    return out
 
 
 def pytest_addoption(parser):
@@ -87,7 +36,7 @@ def pytest_sessionfinish(session):
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    lines = report() or ["- none"]
+    lines = unrun_rows(_hits) or ["- none"]
     terminalreporter.write_sep("=", "curvelog lines no test runs")
     for line in lines:
         terminalreporter.write_line(line)
