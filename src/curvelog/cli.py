@@ -3,6 +3,9 @@
 One executable, one subcommand per job.  Output is JSON on stdout (CSV for
 integration traces), diagnostics go to stderr.  Exit codes: 0 success,
 1 malformed input, 2 domain violation, 3 numeric failure.
+
+Each handler imports the numeric modules it needs when it runs, so the
+exact subcommands (``reduce``, ``kernel``, ``kz-check``) never load numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +18,13 @@ import math
 import os
 import sys
 
-from . import selftest as _selftest
-from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import (BudgetError, CurvelogError, DomainError, InputError,
-                     NumericError)
-from .hyperlog import eval_L, mzv
-from .iterint import DEFAULT_WEIGHT, IntegratorConfig, Path, integrate_words
-from .local_expansion import DEFAULT_ORDER, expand_at
-from .monodromy import Loop, circle_loop, monodromy_operator, period_matrix
+from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
+                           kz_specialization_check)
+from .errors import (DEFAULT_ATOL, DEFAULT_ORDER, DEFAULT_RTOL, DEFAULT_SEED,
+                     DEFAULT_WEIGHT, BudgetError, CurvelogError, DomainError,
+                     InputError, NumericError)
 from .reduce import default_basepoint, normal_form
+from .scalars import parse_exact_complex
 from .shuffle_core import tensor_from_json, word_label, word_sort_key
 
 
@@ -61,7 +62,8 @@ def _finite(text: str) -> float:
     return x
 
 
-def _make_cfg(args) -> IntegratorConfig:
+def _make_cfg(args):
+    from .iterint import IntegratorConfig
     return IntegratorConfig(rtol=args.rtol, atol=args.atol)
 
 
@@ -105,7 +107,6 @@ def _payload(text: str) -> dict:
 
 
 def _parse_point(text: str) -> complex:
-    from .scalars import parse_exact_complex
     try:
         return complex(parse_exact_complex(text))
     except CurvelogError:
@@ -121,7 +122,8 @@ def _parse_point(text: str) -> complex:
     return z
 
 
-def _parse_path(args) -> Path:
+def _parse_path(args):
+    from .iterint import Path
     try:
         return Path.from_json(_payload(args.path_json))
     except DomainError as exc:
@@ -159,6 +161,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .hyperlog import eval_L
+    from .iterint import integrate_words
     ps = _require_poles(args)
     word = _require_word(args, ps)
     cfg = _make_cfg(args)
@@ -192,6 +196,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mzv(args) -> int:
+    from .hyperlog import mzv
     word = _require_word(args)
     _emit({"value": _c2j(mzv(word)), "word": list(word)})
     return 0
@@ -214,6 +219,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
+    from .monodromy import Loop, circle_loop, monodromy_operator
     ps = _require_poles(args)
     cfg = _make_cfg(args)
     if args.path_json:
@@ -230,6 +236,7 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_periods(args) -> int:
+    from .monodromy import period_matrix
     ps = _require_poles(args)
     P = period_matrix(Section.standard(ps), cfg=_make_cfg(args))
     _emit({"poles": list(ps.labels),
@@ -238,6 +245,7 @@ def _cmd_periods(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .local_expansion import expand_at
     ps = _require_poles(args)
     word = _require_word(args, ps)
     if not args.point:
@@ -249,21 +257,22 @@ def _cmd_expand(args) -> int:
 
 def _cmd_kz_check(args) -> int:
     ps = _require_poles(args)
-    _emit({"ok": bool(_selftest.kz_specialization_check(ps.points)),
+    _emit({"ok": bool(kz_specialization_check(ps.points)),
            "points": list(ps.labels)})
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
     numbers = None
     if args.criteria is not None:
-        known = [str(num) for num, _, _ in _selftest.CRITERIA]
+        known = [str(num) for num, _, _ in selftest.CRITERIA]
         items = [x.strip() for x in args.criteria.split(",")]
         if not set(items) <= set(known):
             raise InputError(f"bad --criteria list {args.criteria!r}: the "
                              f"criteria are {','.join(known)}")
         numbers = [int(x) for x in items]
-    results = _selftest.run(numbers, args.seed)
+    results = selftest.run(numbers, args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"ACCEPTANCE {r.number}: {status} - {r.label} ({r.detail})")
@@ -283,12 +292,12 @@ _FLAGS = {
                "help": "truncation weight, default %(default)s"},
     "order": {"dest": "weight", "type": int, "default": DEFAULT_ORDER,
               "help": "expansion order, default %(default)s"},
-    "rtol": {"type": _finite, "default": IntegratorConfig().rtol,
+    "rtol": {"type": _finite, "default": DEFAULT_RTOL,
              "help": "relative integrator tolerance, default %(default)s"},
-    "atol": {"type": _finite, "default": IntegratorConfig().atol,
+    "atol": {"type": _finite, "default": DEFAULT_ATOL,
              "help": "absolute integrator tolerance, default %(default)s"},
     "csv": {"action": "store_true", "help": "emit the path trace as CSV"},
-    "seed": {"type": int, "default": _selftest.DEFAULT_SEED,
+    "seed": {"type": int, "default": DEFAULT_SEED,
              "help": "seed for randomized checks, default %(default)s"},
     "criteria": {"help": "comma-separated subset to run"},
 }

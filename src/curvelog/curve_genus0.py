@@ -5,6 +5,8 @@ partial fraction normal form: a polynomial part plus principal parts at the
 poles.  Differentials are f(z) dz.  The first de Rham space is spanned by
 one residue class per puncture, and a section chooses a differential
 representative for each class; the standard section picks dz/(z - s).
+``kz_specialization_check`` restricts the pairwise connection on the
+configuration space of marked points to the curve, exactly.
 """
 
 from __future__ import annotations
@@ -743,3 +745,42 @@ def decompose(w: Differential, section: Section):
     object.__setattr__(h, "coeffs", tuple(
         _make(*res.get(i, _Z), v[0]) for i in range(len(ps))))
     return h, _rf(ps, f)
+
+
+def kz_specialization_check(points) -> bool:
+    """Restrict the symmetric pairwise-difference connection to a fiber where
+    all coordinates but the last are frozen, and verify exactly that it
+    collapses to the tautological one-variable connection.
+
+    The pairwise sum runs over unordered index pairs.  For each pair the
+    candidate restricted form is certified against the pair's difference
+    function by exact cross multiplication, so a wrong residue or a sign
+    slip cannot sneak through.  Repeated points are rejected.
+    """
+    pts = [QI.of(p) for p in points]
+    if len(pts) < 2:
+        raise DomainError("need at least two marked points")
+    if len({p.sort_key() for p in pts}) != len(pts):
+        raise DomainError("marked points must be pairwise distinct")
+    ps = PoleSet(tuple(pts))
+    n = len(pts)
+    moving = n  # index of the free coordinate
+    expected = {frozenset({i, moving}): RationalFunction.pole_power(ps, i, 1)
+                for i in range(n)}
+    restricted: dict = {}
+    for j in range(n + 1):
+        for k in range(j + 1, n + 1):
+            if k < n:
+                diff = RationalFunction.const(ps, pts[j] - pts[k])
+            else:
+                diff = RationalFunction.coordinate(ps) \
+                    - RationalFunction.const(ps, pts[j])
+            ddiff = diff.differentiate()
+            if ddiff.is_zero:
+                # both coordinates frozen: the term dies on the fiber
+                continue
+            omega = RationalFunction.pole_power(ps, j, 1)
+            if not (omega * diff - ddiff).is_zero:
+                return False
+            restricted[frozenset({j, k})] = omega
+    return restricted == expected

@@ -27,7 +27,9 @@ from typing import Iterable
 import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import BudgetError, DomainError, NumericError, PathError
+from .errors import DEFAULT_WEIGHT  # noqa: F401 (re-exported: its old home)
+from .errors import (DEFAULT_ATOL, DEFAULT_RTOL, BudgetError, DomainError,
+                     NumericError, PathError)
 
 
 def _bernstein(a: complex, b: complex, p: complex) -> float:
@@ -374,6 +376,9 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
     left of the travel direction, which is above the poles for rightward
     travel."""
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"cannot plan a path from {a!r} to {b!r}: an "
+                          "end is not finite")
     if not (math.hypot(a.real, a.imag) <= _MAX_MODULUS
             and math.hypot(b.real, b.imag) <= _MAX_MODULUS):
         raise DomainError(f"cannot plan a path from {a!r} to {b!r}: its "
@@ -416,8 +421,8 @@ def plan_chain(start: complex, points, ps: PoleSet):
 class IntegratorConfig:
     """Tolerances on the Chebyshev tail of each piece."""
 
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         for tol in (self.rtol, self.atol):
@@ -1047,10 +1052,6 @@ def cut_sum(cuts, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     segment of the cut table per word, from the starts it keeps."""
     _, _, prefix, suffix, starts, *_ = cuts
     return np.add.reduceat(a[prefix] * b[suffix], starts)
-
-
-# The weight of a series when none is given.
-DEFAULT_WEIGHT = 6
 
 
 def retraced_tail(segments) -> int:

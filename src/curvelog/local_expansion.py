@@ -22,16 +22,16 @@ from numbers import Integral
 import numpy as np
 
 from .curve_genus0 import PoleSet
-from .errors import BudgetError, DomainError, InputError, NumericError
+from .errors import (DEFAULT_ORDER, BudgetError, DomainError, InputError,
+                     NumericError)
 from .iterint import IntegratorConfig, check_prefix_budget
 from .scalars import QI
 
 _CHECK_TOL = 1e-6
 
-# the expansion order expand_at and the CLI use when none is given, and the
-# largest expand_at takes, which keeps each of a letter's cached vectors
-# (_letter) within 2^12 entries, 64 KiB
-DEFAULT_ORDER = 24
+# the largest order expand_at takes, which keeps each of a letter's cached
+# vectors (_letter) within 2^12 entries, 64 KiB; DEFAULT_ORDER, the order
+# expand_at and the CLI use when none is given, lives in errors
 _MAX_ORDER = 4095
 # the least |w|^k within one block of a letter's running sum, so that the
 # powers w^-j it multiplies by stay below 2^400, far from overflow for

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_genus0 import PoleSet, Section
-from .errors import DomainError, PathError
-from .iterint import (DEFAULT_WEIGHT, ArcSeg, GroupLikeSeries,
-                      IntegratorConfig, Path, glued, integrate_h_words,
-                      j_element, plan_path)
+from .errors import DEFAULT_WEIGHT, DomainError, PathError
+from .iterint import (ArcSeg, GroupLikeSeries, IntegratorConfig, Path, glued,
+                      integrate_h_words, j_element, plan_path)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ form times a function splits against the section into class letters plus an
 exact part, and the exact part is integrated by parts, one letter shorter
 each turn, all in exact arithmetic.  On top of that sit the kernel
 generators, the membership test, and the splitting of a tensor into a
-canonical complement plus a kernel part.
+canonical complement plus a kernel part.  All of it is exact: only
+``NormalForm.evaluate`` integrates, and it loads the numeric layer itself.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .curve_genus0 import (_Z, Differential, PoleSet, RationalFunction,
                            Section, _pole_ints, _rf, _section_vectors, _split,
                            _vconst, _veval, _vmul, _vtotal, d)
 from .errors import DomainError, InputError
-from .iterint import (IntegratorConfig, Path, glued, integrate_h_words,
-                      plan_path)
 from .scalars import QI, _make, exact_str
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, word_label,
                            word_sort_key)
@@ -95,6 +94,7 @@ class NormalForm:
                  cfg: IntegratorConfig | None = None) -> complex:
         """Numeric value: coefficients at z times class-word integrals from
         the basepoint, along the given path or a planned one."""
+        from .iterint import glued, integrate_h_words, plan_path
         z = complex(z)
         if self.is_zero:
             return 0j

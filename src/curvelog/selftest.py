@@ -19,8 +19,9 @@ from itertools import product
 
 import numpy as np
 
-from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import DomainError
+from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
+                           kz_specialization_check)
+from .errors import DEFAULT_SEED
 from .hyperlog import _tensor_value, eval_L, eval_batch, mzv
 from .iterint import (IntegratorConfig, Path, integrate_words,
                       integrate_h_words, plan_chain, plan_path)
@@ -32,8 +33,6 @@ from .reduce import (d_map, decompose_subker, default_basepoint, nabla_sigma,
 from .scalars import QI
 from .shuffle_core import (ShuffleTensor, coradical_member, shuffle,
                            word_sort_key)
-
-DEFAULT_SEED = 1729
 
 # numeric criteria at 1e-8 or tighter lean on a stricter integrator tolerance
 _TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
@@ -330,45 +329,6 @@ def _crit_coradical(seed: int):
                     ok = False
     return ok, ("membership matches word degree for all 31 words, degrees "
                 f"0..5: {ok}")
-
-
-def kz_specialization_check(points) -> bool:
-    """Restrict the symmetric pairwise-difference connection to a fiber where
-    all coordinates but the last are frozen, and verify exactly that it
-    collapses to the tautological one-variable connection.
-
-    The pairwise sum runs over unordered index pairs.  For each pair the
-    candidate restricted form is certified against the pair's difference
-    function by exact cross multiplication, so a wrong residue or a sign
-    slip cannot sneak through.  Repeated points are rejected.
-    """
-    pts = [QI.of(p) for p in points]
-    if len(pts) < 2:
-        raise DomainError("need at least two marked points")
-    if len({p.sort_key() for p in pts}) != len(pts):
-        raise DomainError("marked points must be pairwise distinct")
-    ps = PoleSet(tuple(pts))
-    n = len(pts)
-    moving = n  # index of the free coordinate
-    expected = {frozenset({i, moving}): RationalFunction.pole_power(ps, i, 1)
-                for i in range(n)}
-    restricted: dict = {}
-    for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            if k < n:
-                diff = RationalFunction.const(ps, pts[j] - pts[k])
-            else:
-                diff = RationalFunction.coordinate(ps) \
-                    - RationalFunction.const(ps, pts[j])
-            ddiff = diff.differentiate()
-            if ddiff.is_zero:
-                # both coordinates frozen: the term dies on the fiber
-                continue
-            omega = RationalFunction.pole_power(ps, j, 1)
-            if not (omega * diff - ddiff).is_zero:
-                return False
-            restricted[frozenset({j, k})] = omega
-    return restricted == expected
 
 
 def _crit_kz(seed: int):

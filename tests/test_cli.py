@@ -685,6 +685,9 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["eval", "--poles", "0,1", "--word", "0,1",
                  "--point", "nan"]) == 2
     assert capsys.readouterr().out == ""
+    err = _refused(capsys, ["eval", "--poles", "0,1", "--word", "1",
+                            "--point", "nan+1i"])
+    assert "an end is not finite" in err
     assert main(["eval", "--poles", "0,1", "--word", "0,1",
                  "--point", "1e400"]) == 1
     capsys.readouterr()
@@ -899,7 +902,7 @@ def test_a_20000_letter_word_is_refused_before_its_prefixes(argv, capsys):
 def test_exit_code_numeric_errors(monkeypatch, capsys):
     def boom(word):
         raise NumericError("forced")
-    monkeypatch.setattr("curvelog.cli.mzv", boom)
+    monkeypatch.setattr("curvelog.hyperlog.mzv", boom)
     assert main(["mzv", "--word", "1,0"]) == 3
     capsys.readouterr()
 
