@@ -44,23 +44,8 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# the public names, without the submodules (the values of _EXPORTS, sorted)
-__all__ = [
-    "AlphabetError", "ArcSeg", "BudgetError", "CurvelogError", "DeRhamClass",
-    "Differential", "DomainError", "GroupLikeSeries", "HyperlogValue",
-    "InputError", "IntegratorConfig", "KernelWitness", "LineSeg",
-    "LogLaurentExpansion", "Loop", "NormalForm", "NumericError", "Path",
-    "PathError", "PoleSet", "QI", "RationalFunction", "RegularizedWord",
-    "Section", "ShuffleTensor", "antipode", "circle_loop", "coradical_member",
-    "d", "d_map", "decompose", "decompose_subker", "default_basepoint", "dlog",
-    "eval_L", "eval_batch", "expand_at", "integrate_h_words",
-    "integrate_words", "j_element", "kernel_member", "label_words",
-    "loop_around", "monodromy_operator", "mzv", "nabla_sigma", "normal_form",
-    "pairing", "parse_exact_complex", "period_matrix", "plan_path", "r_xi",
-    "reference_point", "regularize", "shuffle", "shuffle_words",
-    "tensor_from_json", "tensor_to_json", "unipotence_check",
-    "word_for_exponents", "word_label", "word_sort_key", "zero_label",
-]
+# the public names, without the submodules
+__all__ = sorted(_HOME)
 
 
 class _Package(_ModuleType):

@@ -90,10 +90,10 @@ class NormalForm:
     def coefficient(self, word) -> RationalFunction:
         return self.terms_map.get(tuple(word), RationalFunction.zero(self.poles))
 
-    def evaluate(self, z: complex, path: Path | None = None,
-                 cfg: IntegratorConfig | None = None) -> complex:
+    def evaluate(self, z: complex, path=None, cfg=None) -> complex:
         """Numeric value: coefficients at z times class-word integrals from
-        the basepoint, along the given path or a planned one."""
+        the basepoint, along the given ``iterint.Path`` or a planned one,
+        under an ``iterint.IntegratorConfig`` or the default."""
         from .iterint import glued, integrate_h_words, plan_path
         z = complex(z)
         if self.is_zero:

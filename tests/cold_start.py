@@ -8,19 +8,22 @@ subcommand on its README example, run as ``python -m curvelog.cli``.  The
 package is byte-compiled first, so no launch pays for compiling it.  The
 report goes to stdout as markdown, with the median wall time of each row:
 
-    PYTHONPATH=src python tests/cold_start.py [--launches N]
+    PYTHONPATH=src python tests/cold_start.py
 
 It needs nothing beyond the standard library and the package's own
 dependencies.
 """
 
-import argparse
 import compileall
 import importlib.util
 import statistics
 import subprocess
 import sys
 import time
+
+# the launches of each row: enough for a median that a busy machine's
+# outliers do not move
+LAUNCHES = 15
 
 # the README's kernel example: three words whose normal form is zero
 KERNEL_TENSOR = """{"terms": [
@@ -90,7 +93,4 @@ def report(rounds: int) -> list:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--launches", type=int, default=15,
-                        help="launches of each row, default %(default)s")
-    print("\n".join(report(parser.parse_args().launches)))
+    print("\n".join(report(LAUNCHES)))
