@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 from .curve_genus0 import (Differential, PoleSet, RationalFunction, Section,
@@ -113,11 +114,17 @@ def _parse_point(text: str) -> complex:
         pass
     except OverflowError as exc:
         raise InputError(f"point {text!r} overflows a float") from exc
+    # an i is the imaginary unit unless it spells inf or infinity, which
+    # parse as non-finite points, refused where a path is planned, like nan
+    literal = re.sub(r"inf(?:inity)?|i",
+                     lambda m: m[0] if len(m[0]) > 1 else "j", text,
+                     flags=re.I)
     try:
-        z = complex(text.replace("i", "j"))
+        z = complex(literal)
     except ValueError as exc:
         raise InputError(f"cannot parse point {text!r}") from exc
-    if cmath.isinf(z):   # a literal past the exact parser's digit limit
+    if cmath.isinf(z) and "inf" not in literal.lower():
+        # a literal past the exact parser's digit limit
         raise InputError(f"point {text!r} overflows a float")
     return z
 

@@ -385,7 +385,12 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
                           f"ends must lie within modulus {_MAX_MODULUS:.0e}")
     if a == b:
         return Path((), a)
-    u, detours, _ = _detours(a, b, ps)
+    u, detours, dists = _detours(a, b, ps)
+    if not detours and abs(b - a) > 1e-14:
+        # the chord, whose distances _detours measured as its min_distance
+        # does (a NaN one is skipped either way)
+        _check_distances(dists, ps)
+        return Path((LineSeg(a, b),), a)
     segs = []
     cur = a
     for _, p, rho in detours:
@@ -951,7 +956,13 @@ class GroupLikeSeries:
                                sign * self.vector[rev])
 
     def act(self, values: dict) -> dict:
-        """Push a word-indexed value vector through the operator."""
+        """Push a word-indexed value vector through the operator: the
+        value of w is the sum over w = u v of self's u times values' v.
+        That is ``self @ other`` on a vector: the loop is traversed first,
+        then the path whose values are given.  A value continued around
+        the loop after its path is the other side, the sum of values' u
+        times self's v (Chen's formula; ``tests/test_symmetries.py``
+        checks it against ``eval_L(..., loop=...)``)."""
         cuts = word_cuts(self.letters, self.weight)
         vec = np.array([values[w] for w in cuts[0]], dtype=complex)
         return dict(zip(cuts[0], cut_sum(cuts, self.vector, vec).tolist()))

@@ -688,12 +688,18 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     err = _refused(capsys, ["eval", "--poles", "0,1", "--word", "1",
                             "--point", "nan+1i"])
     assert "an end is not finite" in err
+    # the infinities are spelled with an i, which is not the imaginary unit
+    for point in ("inf", "-inf", "1+infi"):
+        err = _refused(capsys, ["eval", "--poles", "0,1", "--word", "0,1",
+                                f"--point={point}"])
+        assert "an end is not finite" in err
     assert main(["eval", "--poles", "0,1", "--word", "0,1",
                  "--point", "1e400"]) == 1
-    capsys.readouterr()
+    assert "overflows a float" in capsys.readouterr().err
+    # joined with =, or argparse reads the leading minus as a flag
     assert main(["eval", "--poles", "0,1", "--word", "1",
-                 "--point", "-1e400+2i"]) == 1
-    capsys.readouterr()
+                 "--point=-1e400+2i"]) == 1
+    assert "overflows a float" in capsys.readouterr().err
     assert main(["eval", "--poles", "0,1", "--word", "1",
                  "--point", "1e300"]) in (0, 2)
     capsys.readouterr()

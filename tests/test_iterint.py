@@ -419,6 +419,24 @@ def test_a_planned_path_is_the_reference_plan(poles, monkeypatch):
             assert len(got.segments) == 1
 
 
+def test_a_refused_path_names_the_first_puncture_within_the_guard():
+    # a chord is refused on the distances its detour test measured, a
+    # detoured path on its own; each names the first puncture, in the pole
+    # set's order, that the path passes within the guard of
+    ps = PoleSet.of("0,1")
+    with pytest.raises(PathError) as chord:
+        plan_path(0.5, 1e-9, ps)
+    assert str(chord.value) == ("path passes within 1e-09 of the puncture 0 "
+                                "(guard 0.001)")
+    with pytest.raises(PathError) as detoured:
+        plan_path(-1, 1 - 1e-9, ps)
+    assert str(detoured.value) == ("path passes within 1e-09 of the puncture "
+                                   "1 (guard 0.001)")
+    # the chord itself passes through 0, which the detour keeps clear of
+    with pytest.raises(PathError, match="within 0 of the puncture 0"):
+        Path.line(-1, 1 - 1e-9).check_clearance(ps)
+
+
 def _loop_sticks(ps, rng, count, monkeypatch):
     """The legs loop_around plans for loops based as the monodromy-loops
     benchmark bases them: at distance 1 from a puncture, at an angle of
