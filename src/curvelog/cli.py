@@ -123,8 +123,9 @@ def _parse_point(text: str) -> complex:
         z = complex(literal)
     except ValueError as exc:
         raise InputError(f"cannot parse point {text!r}") from exc
-    if cmath.isinf(z) and "inf" not in literal.lower():
-        # a literal past the exact parser's digit limit
+    if cmath.isinf(complex(re.sub(r"inf(?:inity)?", "0", literal,
+                                  flags=re.I))):
+        # a part spelled in digits past the exact parser's digit limit
         raise InputError(f"point {text!r} overflows a float")
     return z
 

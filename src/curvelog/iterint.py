@@ -385,12 +385,7 @@ def plan_path(a: complex, b: complex, ps: PoleSet) -> Path:
                           f"ends must lie within modulus {_MAX_MODULUS:.0e}")
     if a == b:
         return Path((), a)
-    u, detours, dists = _detours(a, b, ps)
-    if not detours and abs(b - a) > 1e-14:
-        # the chord, whose distances _detours measured as its min_distance
-        # does (a NaN one is skipped either way)
-        _check_distances(dists, ps)
-        return Path((LineSeg(a, b),), a)
+    u, detours, _ = _detours(a, b, ps)
     segs = []
     cur = a
     for _, p, rho in detours:

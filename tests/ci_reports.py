@@ -50,28 +50,16 @@ import tokenize  # noqa: E402
 import numpy as np  # noqa: E402
 
 import curvelog  # noqa: E402
+from workload_lines import BENCH, bench_workloads as workloads  # noqa: E402
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH = ROOT / "bench"
 PACKAGE = pathlib.Path(curvelog.__file__).resolve().parent
 SEED_LINES = 3814
 # the SHA-256 over the 540 exact-reduce results of seeds 1, 3 and 11, five
 # cycles each, in plan order
 DIGEST = "c3a94200f2660c54de754b68e69fcc967d3cdb281a84ce6173fce6968404b6b5"
-DIGEST_SEEDS = (1, 3, 11)
-DIGEST_COUNT = 540
 
 
 # ---------------------------------------------------------------- helpers
-
-def workloads():
-    """``bench/workloads``, imported from the checkout: its seeded plans
-    (``build_plan``) and their operations (``execute``)."""
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    import workloads as wl
-    return wl
-
 
 def best(call, repeat: int) -> float:
     """The least wall time of repeat calls, in seconds."""
@@ -432,12 +420,13 @@ def options() -> list:
 
 # ------------------------------------------------------------------ gates
 
-def exact_digest() -> tuple:
-    """How many exact-reduce results the digest covers, and their SHA-256
-    over seeds 1, 3 and 11, five cycles each, in plan order."""
+def digest() -> tuple:
+    """The SHA-256 over the exact-reduce results of seeds 1, 3 and 11, five
+    cycles each, in plan order: its line, and whether it is the kept one
+    over 540 results."""
     wl = workloads()
-    digest, count = hashlib.sha256(), 0
-    for seed in DIGEST_SEEDS:
+    sha, count = hashlib.sha256(), 0
+    for seed in (1, 3, 11):
         ops = wl.build_plan("exact-reduce", seed, 5)
         for op in ops.ops:
             result, kind = wl.execute(ops, op), op.shape[0]
@@ -449,16 +438,11 @@ def exact_digest() -> tuple:
                        for part in result]
             else:
                 obj = bool(result)
-            digest.update(json.dumps(obj, sort_keys=True).encode())
+            sha.update(json.dumps(obj, sort_keys=True).encode())
             count += 1
-    return count, digest.hexdigest()
-
-
-def digest() -> tuple:
-    """The digest's line, and whether it is the kept one."""
-    count, got = exact_digest()
+    got = sha.hexdigest()
     return ([f"{count} exact-reduce results: sha256 {got}"],
-            count == DIGEST_COUNT and got == DIGEST)
+            count == 540 and got == DIGEST)
 
 
 def smoke_rows(workload: str, last: str) -> tuple:

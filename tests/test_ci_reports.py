@@ -5,6 +5,7 @@ that renaming a name it reads fails tier-1, not only the report's CI step.
 """
 
 import json
+import os
 import re
 
 import pytest
@@ -12,6 +13,9 @@ import pytest
 import ci_reports
 
 MS = r"\d+\.\d+ ms"
+# the child reads its peak from /proc, and exits non-zero where there is none
+PEAK = (r"\d+\.\d MB" if os.path.exists("/proc/self/status")
+        else r"exit \d+")
 KINDS = ("normal_form", "decompose_subker", "kernel_member+",
          "kernel_member-")
 
@@ -124,7 +128,7 @@ def test_the_series_report_keeps_its_layout():
             rf"order 1,000: {MS}",
             r"eval_L of \(1, 0\^999\) at 1/2, one wall time: \d+\.\d ms",
             r"peak resident set of a process running mzv of \(1, 0\^3999\): "
-            r"\d+\.\d MB",
+            + PEAK,
             r"curvelog mzv on 20,000 letters: exit \d in \d+\.\d\d s, \d+ "
             r"bytes on stdout"]})
 

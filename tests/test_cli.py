@@ -700,6 +700,10 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["eval", "--poles", "0,1", "--word", "1",
                  "--point=-1e400+2i"]) == 1
     assert "overflows a float" in capsys.readouterr().err
+    # an infinite part does not hide one that overflows
+    assert main(["eval", "--poles", "0,1", "--word", "1",
+                 "--point=1e400+infi"]) == 1
+    assert "overflows a float" in capsys.readouterr().err
     assert main(["eval", "--poles", "0,1", "--word", "1",
                  "--point", "1e300"]) in (0, 2)
     capsys.readouterr()

@@ -21,9 +21,18 @@ import sys
 import types
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
-WORKLOADS = ("eval-points", "monodromy-loops", "exact-reduce")
 SEEDS = (1, 2, 3)
 CYCLES = 2
+
+
+def bench_workloads():
+    """``bench/workloads``, imported from the checkout: its workload names
+    (``WORKLOADS``), seeded plans (``build_plan``) and their operations
+    (``execute``, ``extract``)."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+    return workloads
 
 
 def package_dir() -> pathlib.Path:
@@ -90,15 +99,12 @@ def tracer(hits: dict):
 def trace_workloads() -> dict:
     """The lines of the package each file ran, by file name, while each
     workload's plan was built and its operations run, for every seed."""
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    import workloads as wl
-
+    wl = bench_workloads()
     hits: dict = {}
     previous = sys.gettrace()
     sys.settrace(tracer(hits))
     try:
-        for workload in WORKLOADS:
+        for workload in wl.WORKLOADS:
             for seed in SEEDS:
                 plan = wl.build_plan(workload, seed, CYCLES)
                 for op in plan.warmup + plan.ops:
@@ -113,7 +119,7 @@ def report() -> list:
     that no workload ran inside its functions."""
     hits = trace_workloads()
     return [f"curvelog lines no benchmark workload runs "
-            f"({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
+            f"({', '.join(bench_workloads().WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
             f"cycles {CYCLES} after a warm-up; function bodies only):", "",
             *unrun_rows(hits, bodies=False)]
 
