@@ -332,9 +332,28 @@ _SUBCOMMANDS = {
 }
 
 
+# flags whose value may start with a minus (a pole, a letter, a point),
+# which argparse reads as a flag unless it is a plain negative decimal
+_SIGNED = ("--poles", "--word", "--point")
+
+
+def _bind_signed(argv) -> list:
+    """argv with each value that starts with one minus joined to the
+    --poles, --word or --point before it, as --flag=value."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in _SIGNED and tok.startswith("-")
+                and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _bind_signed(sys.argv[1:] if argv is None else argv))
         code = _SUBCOMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code

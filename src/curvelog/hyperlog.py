@@ -301,12 +301,12 @@ def mzv(word) -> complex:
     if word and word[-1] == "1":
         raise DomainError("word ends at the puncture 1; the limit diverges")
     ps = PoleSet.of("0,1")
-    n, rev = len(word), word[::-1]
-    # keep the head's values, not its prefix keys, while rev's are built
-    head = series_values([word], ps, 0.5)
-    head = [head[word[:k]] for k in range(n + 1)]
-    tail = series_values([rev], ps, -0.5, center=1)
-    return sum((head[k] * (-1) ** (n - k) * tail[rev[:n - k]]
+    n = len(word)
+    # one word's prefix values come shortest first; the head's dict is
+    # dropped before rev's is built
+    head = list(series_values([word], ps, 0.5).values())
+    tail = list(series_values([word[::-1]], ps, -0.5, center=1).values())
+    return sum((head[k] * (-1) ** (n - k) * tail[n - k]
                 for k in range(n + 1)), 0j)
 
 

@@ -27,7 +27,6 @@ from typing import Iterable
 import numpy as np
 
 from .curve_genus0 import Differential, PoleSet, RationalFunction, Section
-from .errors import DEFAULT_WEIGHT  # noqa: F401 (re-exported: its old home)
 from .errors import (DEFAULT_ATOL, DEFAULT_RTOL, BudgetError, DomainError,
                      NumericError, PathError)
 

@@ -6,6 +6,8 @@ Each step prints markdown to stdout, which CI appends to the job summary:
 
 The steps, by the workflow step that runs them:
 
+- ``workload-lines``: Lines no benchmark workload runs
+- ``cold``: Cold start
 - ``lines``: Source line count
 - ``monodromy``: monodromy_operator by weight
 - ``systems``: eval_L partial systems and selftest
@@ -18,21 +20,26 @@ The steps, by the workflow step that runs them:
 
 A report gates nothing; a gate exits 1 when its check fails.  Run as a
 script, the steps pin BLAS to one thread before numpy loads, so that a
-timing row does not depend on the runner's core count.  Each report takes
-its repeat count as an argument; only the tier-1 test of its layout passes
-one, at the smallest size.  The seeded plans are ``bench/workloads``';
-nothing under ``bench/`` is changed.  The commands run as
-``python -m curvelog.cli``, so no install is needed.
+timing row does not depend on the runner's core count; the cold-start
+launches alone run in the environment the script started with.  Each
+report takes its repeat count as an argument; only the tier-1 test of its
+layout passes one, at the smallest size.  The seeded plans are
+``bench/workloads``'; nothing under ``bench/`` is changed.  The commands
+run as ``python -m curvelog.cli``, so no install is needed.
 """
 
 import os
 
+# the environment before the BLAS pins, for the cold-start launches, whose
+# medians stay comparable with those of a plain process
+START_ENV = dict(os.environ)
 if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
 import ast  # noqa: E402
 import cmath  # noqa: E402
+import compileall  # noqa: E402
 import dataclasses  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
@@ -50,7 +57,8 @@ import tokenize  # noqa: E402
 import numpy as np  # noqa: E402
 
 import curvelog  # noqa: E402
-from workload_lines import BENCH, bench_workloads as workloads  # noqa: E402
+from workload_lines import (BENCH, bench_workloads as workloads,  # noqa: E402
+                            tracer, unrun_rows)
 
 PACKAGE = pathlib.Path(curvelog.__file__).resolve().parent
 SEED_LINES = 3814
@@ -76,10 +84,12 @@ def block(head: str, rows) -> list:
     return [head, "", *(f"- {row}" for row in rows)]
 
 
-def python(*args, **kw):
+def python(*args, env=None, **kw):
     """A fresh Python process on args that finds the package this module
-    imported, and its wall time in seconds."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    imported, in env (this process's environment by default), and its wall
+    time in seconds."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(PACKAGE.parent))
     t = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           env=env, **kw)
@@ -108,6 +118,92 @@ def code_only_lines(text: str) -> int:
 
 
 # ---------------------------------------------------------------- reports
+
+# the plans the workload-lines trace runs: each workload's at every seed, a
+# warm-up cycle and then the timed cycles
+SEEDS = (1, 2, 3)
+CYCLES = 2
+
+
+def workload_lines() -> list:
+    """The lines of the package that no benchmark workload runs: each
+    workload's seeded plan is built and run through ``execute`` and
+    ``extract``, as the benchmark's worker runs it, under
+    ``sys.settrace``; then, per module, the lines inside its functions
+    that none of it ran (module and class bodies run on import)."""
+    wl = workloads()
+    hits: dict = {}
+    previous = sys.gettrace()
+    sys.settrace(tracer(hits))
+    try:
+        for workload in wl.WORKLOADS:
+            for seed in SEEDS:
+                plan = wl.build_plan(workload, seed, CYCLES)
+                for op in plan.warmup + plan.ops:
+                    wl.extract(plan, op, wl.execute(plan, op))
+    finally:
+        sys.settrace(previous)
+    return [f"curvelog lines no benchmark workload runs "
+            f"({', '.join(wl.WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
+            f"cycles {CYCLES} after a warm-up; function bodies only):", "",
+            *unrun_rows(hits, bodies=False)]
+
+
+# the README's kernel example: three words whose normal form is zero
+KERNEL_TENSOR = """{"terms": [
+  {"word": [{"pole": "0"}, {"rf": {"poly": ["1"], "principal": []}},
+            {"pole": "1"}],                          "coeff": {"re": "1"}},
+  {"word": [{"pole": "0"},
+            {"rf": {"poly": ["1"],
+                    "principal": [{"pole": "1", "order": 1, "coeff": "1"}]}}],
+                                                     "coeff": {"re": "-1"}},
+  {"word": [{"rf": {"poly": ["1"], "principal": []}}, {"pole": "1"}],
+                                                     "coeff": {"re": "1"}}]}"""
+
+# the README's reduce example: the one-letter word dz / z^2
+REDUCE_TENSOR = ('{"terms": [{"word": [{"rf": {"poly": [], "principal": '
+                 '[{"pole": "0", "order": 2, "coeff": "1"}]}}], '
+                 '"coeff": {"re": "1"}}]}')
+
+# each subcommand's arguments in the README's examples
+EXAMPLES = {
+    "eval": ["--poles", "0,1", "--word", "0,1", "--point", "1/2"],
+    "mzv": ["--word", "1,0"],
+    "reduce": ["--poles", "0", "--tensor-json", REDUCE_TENSOR],
+    "kernel": ["--poles", "0,1", "--tensor-json", KERNEL_TENSOR],
+    "monodromy": ["--poles", "0,1", "--word", "0", "--weight", "1"],
+    "periods": ["--poles", "0,1"],
+    "expand": ["--poles", "0,1", "--word", "0,1", "--point", "0",
+               "--weight", "4"],
+    "kz-check": ["--poles", "1/3,1/2"],
+    "selftest": ["--criteria", "1,2"],
+}
+
+# the arguments of each cold-start row, by its name in the report
+COLD_ROWS = {"python -c pass": ["-c", "pass"],
+             "import numpy": ["-c", "import numpy"],
+             "import curvelog": ["-c", "import curvelog"],
+             **{f"curvelog {command}": ["-m", "curvelog.cli", command, *args]
+                for command, args in EXAMPLES.items()}}
+
+
+def cold(repeat: int = 15) -> list:
+    """The median wall time of a fresh process per row, over repeat
+    interleaved rounds: every round launches each row once, in a fixed
+    order, so a drift of the machine's speed hits every row alike.  The
+    package is byte-compiled first, so no launch pays for compiling it;
+    a launch that exits with an error stops the report."""
+    compileall.compile_dir(str(PACKAGE), quiet=1)
+    times = {name: [] for name in COLD_ROWS}
+    for _ in range(repeat):
+        for name, args in COLD_ROWS.items():
+            times[name].append(python(*args, env=START_ENV, check=True)[1])
+    return block(f"cold start, median wall time of {repeat} interleaved "
+                 f"launches per row (a new process each, python -m "
+                 f"curvelog.cli for a subcommand):",
+                 (f"{name}: {1e3 * statistics.median(t):.1f} ms"
+                  for name, t in times.items()))
+
 
 def lines() -> list:
     """Lines, code-only lines (in total and per module), settable values
@@ -479,7 +575,8 @@ def smoke() -> tuple:
 
 REPORTS = {"lines": lines, "monodromy": monodromy, "systems": systems,
            "disk": disk, "series": series, "exact": exact,
-           "options": options}
+           "options": options, "workload-lines": workload_lines,
+           "cold": cold}
 GATES = {"digest": digest, "smoke": smoke}
 
 

@@ -6,7 +6,10 @@ that renaming a name it reads fails tier-1, not only the report's CI step.
 
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,8 @@ PEAK = (r"\d+\.\d MB" if os.path.exists("/proc/self/status")
         else r"exit \d+")
 KINDS = ("normal_form", "decompose_subker", "kernel_member+",
          "kernel_member-")
+HERE = pathlib.Path(__file__).resolve().parent
+ROW = re.compile(r"- `(\w+\.py)` \((\d+)\): (\d+(?:-\d+)?(?:, \d+(?:-\d+)?)*)")
 
 
 def blocks(out: list) -> dict:
@@ -44,6 +49,38 @@ def assert_layout(out: list, layout: dict):
         assert len(rows) == len(patterns), head
         for row, pattern in zip(rows, patterns):
             assert re.fullmatch(pattern, row), (head, row)
+
+
+def test_the_workload_line_report_keeps_its_layout():
+    # in a child process as CI runs it: the tracer sees only the report's
+    # run, and the suite's own tracing is left alone
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "ci_reports.py"), "workload-lines"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ci_reports.PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    head, blank, *rows, end = proc.stdout.splitlines()
+    assert head == ("curvelog lines no benchmark workload runs (eval-points,"
+                    " monodromy-loops, exact-reduce; seeds 1, 2, 3; cycles 2"
+                    " after a warm-up; function bodies only):")
+    assert blank == end == ""
+    names = []
+    for row in rows:
+        name, count, runs = ROW.fullmatch(row).groups()
+        spans = [[int(x) for x in run.split("-")] for run in runs.split(", ")]
+        assert int(count) == sum(run[-1] - run[0] + 1 for run in spans)
+        names.append(name)
+    assert names == sorted(names)
+    # no workload runs the CLI
+    assert "cli.py" in names
+
+
+def test_the_cold_start_report_keeps_its_layout():
+    assert_layout(ci_reports.cold(1), {
+        "cold start, median wall time of 1 interleaved launches per row (a "
+        "new process each, python -m curvelog.cli for a subcommand):":
+            [rf"{re.escape(name)}: \d+\.\d ms"
+             for name in ci_reports.COLD_ROWS]})
 
 
 def test_the_source_line_report_keeps_its_layout():
@@ -185,3 +222,12 @@ def test_an_unknown_step_is_a_usage_error(capsys):
     assert ci_reports.main(["bogus"]) == 2
     assert ci_reports.main([]) == 2
     assert "usage: ci_reports.py {lines," in capsys.readouterr().err
+
+
+def test_each_workflow_step_runs_one_report_or_gate():
+    # every tests/ci_reports.py command of tier1.yml names a step, and
+    # every step runs in one of them
+    workflow = HERE.parent / ".github" / "workflows" / "tier1.yml"
+    steps = re.findall(r"^\s+run: .*tests/ci_reports\.py (\S+)",
+                       workflow.read_text(), re.MULTILINE)
+    assert sorted(steps) == sorted([*ci_reports.REPORTS, *ci_reports.GATES])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from curvelog import IntegratorConfig, NumericError, selftest
 from curvelog.cli import _FLAGS, main
-from curvelog.iterint import DEFAULT_WEIGHT
+from curvelog.errors import DEFAULT_WEIGHT
 from curvelog.local_expansion import DEFAULT_ORDER
 
 from oracles import LOG2, ZETA2
@@ -696,9 +696,8 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["eval", "--poles", "0,1", "--word", "0,1",
                  "--point", "1e400"]) == 1
     assert "overflows a float" in capsys.readouterr().err
-    # joined with =, or argparse reads the leading minus as a flag
     assert main(["eval", "--poles", "0,1", "--word", "1",
-                 "--point=-1e400+2i"]) == 1
+                 "--point", "-1e400+2i"]) == 1
     assert "overflows a float" in capsys.readouterr().err
     # an infinite part does not hide one that overflows
     assert main(["eval", "--poles", "0,1", "--word", "1",
@@ -710,6 +709,22 @@ def test_exit_codes_for_non_finite_and_overflowing_points(capsys):
     assert main(["expand", "--poles", "0,1", "--word", "0",
                  "--point", "1e400"]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--word", "-1,0", ["--poles", "0,1,-1", "--point", "0.5"]),
+    ("--poles", "-1,0,1", ["--word", "1", "--point", "0.5"]),
+    ("--point", "-0.5+0.3i", ["--poles", "0,1", "--word", "1"])])
+def test_a_value_with_a_leading_minus_is_its_own_argument(capsys, flag,
+                                                          value, rest):
+    joined = run_cli(capsys, "eval", *rest, f"{flag}={value}")
+    assert joined[0] == 0
+    assert run_cli(capsys, "eval", *rest, flag, value) == joined
+
+
+def test_a_flag_is_never_taken_for_a_value(capsys):
+    assert main(["eval", "--poles", "0,1", "--point", "--word", "1"]) == 1
+    assert "--point: expected one argument" in capsys.readouterr().err
 
 
 def test_points_past_the_modulus_bound_are_refused(capsys):

@@ -4,14 +4,13 @@ import importlib
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
 import pytest
 
+import ci_reports
 import curvelog
-import cold_start
 
 HERE = pathlib.Path(__file__).resolve().parent
 SRC = pathlib.Path(curvelog.__file__).resolve().parent.parent
@@ -74,7 +73,7 @@ print(json.dumps([modules, blocked]))
 
 
 def test_exact_subcommands_run_without_numpy():
-    argvs = {command: [command, *cold_start.EXAMPLES[command]]
+    argvs = {command: [command, *ci_reports.EXAMPLES[command]]
              for command in EXACT_STDOUT}
     results, modules = child(NO_NUMPY + f"""
 import contextlib
@@ -147,15 +146,3 @@ after = [name for name in curvelog.__all__
 print(json.dumps([during, after]))
 """)
     assert during and after == []
-
-
-def test_the_cold_start_report_keeps_its_layout(monkeypatch):
-    # the launches find the package through PYTHONPATH, as in the CI step
-    monkeypatch.setenv("PYTHONPATH", str(SRC))
-    head, blank, *rows = cold_start.report(1)
-    assert head == ("cold start, median wall time of 1 interleaved launches "
-                    "per row (a new process each, python -m curvelog.cli "
-                    "for a subcommand):")
-    assert blank == ""
-    names = [re.fullmatch(r"- (.+): \d+\.\d ms", row).group(1) for row in rows]
-    assert names == list(cold_start.launches())

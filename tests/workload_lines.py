@@ -1,16 +1,12 @@
-"""The lines of the curvelog package that no benchmark workload runs.
+"""Line tracing of the curvelog package, and the one loader of ``bench/``.
 
-Each workload's seeded plan (``bench/workloads.build_plan``: a warm-up
-cycle, then the timed cycles) is built and run through ``execute`` and
-``extract``, as the benchmark's worker runs it, under ``sys.settrace``.
-For each module of the package the lines inside its functions that none
-of it ran are then listed; module and class bodies, which run on import,
-are left out.  It imports ``bench/`` and changes nothing there:
-
-    PYTHONPATH=src python tests/workload_lines.py
-
-The report goes to stdout as markdown.  It needs nothing beyond the
-standard library and the package's own dependencies.
+``tracer`` records, by file name, the lines the package runs under
+``sys.settrace``; ``unrun_rows`` lists per module the executable lines,
+read off the compiled code objects, that it did not record.  Importing
+this module loads neither curvelog nor numpy, so
+``tests/untraced_lines.py`` can install the tracer before the package
+loads.  The report of the lines no benchmark workload runs is
+``tests/ci_reports.py workload-lines``.
 """
 
 import importlib.util
@@ -21,8 +17,6 @@ import sys
 import types
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
-SEEDS = (1, 2, 3)
-CYCLES = 2
 
 
 def bench_workloads():
@@ -94,35 +88,3 @@ def tracer(hits: dict):
         return line
 
     return call
-
-
-def trace_workloads() -> dict:
-    """The lines of the package each file ran, by file name, while each
-    workload's plan was built and its operations run, for every seed."""
-    wl = bench_workloads()
-    hits: dict = {}
-    previous = sys.gettrace()
-    sys.settrace(tracer(hits))
-    try:
-        for workload in wl.WORKLOADS:
-            for seed in SEEDS:
-                plan = wl.build_plan(workload, seed, CYCLES)
-                for op in plan.warmup + plan.ops:
-                    wl.extract(plan, op, wl.execute(plan, op))
-    finally:
-        sys.settrace(previous)
-    return hits
-
-
-def report() -> list:
-    """The report's lines: a header, then one line per module with lines
-    that no workload ran inside its functions."""
-    hits = trace_workloads()
-    return [f"curvelog lines no benchmark workload runs "
-            f"({', '.join(bench_workloads().WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}; "
-            f"cycles {CYCLES} after a warm-up; function bodies only):", "",
-            *unrun_rows(hits, bodies=False)]
-
-
-if __name__ == "__main__":
-    print("\n".join(report()))
