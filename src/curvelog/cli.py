@@ -34,7 +34,15 @@ def _c2j(z: complex):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as input errors (exit 1)."""
+    """argparse that reports usage problems as input errors (exit 1), and
+    reads a token that starts with one minus as the value of the flag
+    before it (a pole, a letter, a point or a tolerance may be negative)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's rule for a negative number; set once -h is registered,
+        # since an option that matches the rule would turn it off
+        self._negative_number_matcher = re.compile(r"^-(?!-)")
 
     def error(self, message):
         raise InputError(message)
@@ -332,28 +340,9 @@ _SUBCOMMANDS = {
 }
 
 
-# flags whose value may start with a minus (a pole, a letter, a point),
-# which argparse reads as a flag unless it is a plain negative decimal
-_SIGNED = ("--poles", "--word", "--point")
-
-
-def _bind_signed(argv) -> list:
-    """argv with each value that starts with one minus joined to the
-    --poles, --word or --point before it, as --flag=value."""
-    out = []
-    for tok in argv:
-        if (out and out[-1] in _SIGNED and tok.startswith("-")
-                and not tok.startswith("--")):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(
-            _bind_signed(sys.argv[1:] if argv is None else argv))
+        args = _build_parser().parse_args(argv)
         code = _SUBCOMMANDS[args.command][0](args)
         sys.stdout.flush()
         return code

@@ -585,7 +585,7 @@ class Differential:
     def label(self) -> str:
         return f"({self.f})dz"
 
-    @property
+    @cached_property
     def alphabet(self) -> str:
         return "omega:" + self.f.poles.key
 

@@ -22,9 +22,11 @@ from .curve_genus0 import (_Z, Differential, PoleSet, RationalFunction,
                            Section, _pole_ints, _rf, _section_vectors, _split,
                            _vconst, _veval, _vmul, _vtotal, d)
 from .errors import DomainError, InputError
-from .scalars import QI, _make, exact_str
+from .scalars import QI, _make, accumulate, exact_str
 from .shuffle_core import (ShuffleTensor, _letter_label, r_xi, word_label,
                            word_sort_key)
+
+_ONE = QI.of(1)
 
 
 def default_basepoint(ps: PoleSet) -> QI:
@@ -367,7 +369,7 @@ def decompose_subker(t, section: Section, x0=None):
     t = _as_omega_tensor(t)
     acc, fold = _fold(t, section, x0)
     ps, x0, pts, _, forms = fold
-    sub_terms: list = []
+    pieces: list = []
     keys: dict = {}  # each word's sort key, computed once
     while acc:
         for w in acc.keys() - keys.keys():
@@ -380,8 +382,12 @@ def decompose_subker(t, section: Section, x0=None):
             _integrate_term(u[:-1], _vmul(fp, forms[u[-1]], pts), acc, fold)
         elif fp:
             c = c + _make(*_veval(fp, x0, ps))  # fp(x0) moves into c
-        sub_terms.append((section.word(u), c))  # a zero c is skipped
+        pieces.append((section.word(u), c))  # a zero c is skipped
         if fp:
-            sub_terms.append((section.word(u) + (d(_rf(ps, fp)),), 1))
-    sub = ShuffleTensor(sub_terms)
-    return sub, t - sub
+            pieces.append((section.word(u) + (d(_rf(ps, fp)),), _ONE))
+    # the alphabets that ShuffleTensor(pieces) and t - sub would set: every
+    # letter is over ps, so sub's is that of a nonzero piece with a letter
+    sub = ShuffleTensor._summed(accumulate(pieces), next(
+        (w[0].alphabet for w, c in pieces if w and not c.is_zero), None))
+    ker = accumulate(((w, -c) for w, c in sub.terms.items()), dict(t.terms))
+    return sub, ShuffleTensor._summed(ker, t._join_alphabet(sub))

@@ -510,8 +510,11 @@ _VALUES = {
 _NEEDED = {"--poles", "--word", "--point", "--tensor-json", "--criteria"}
 
 
-def _arg(flag, value) -> str:
-    return flag if value is None else f"{flag}={value}"
+def _arg(data, flag, value) -> list:
+    """The option as --flag=value or as the two tokens flag, value."""
+    if value is None:
+        return [flag]
+    return data.draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -522,15 +525,16 @@ def test_fuzzed_subcommands_never_end_in_a_traceback(command, data):
         {flag: _VALUES[flag] for flag in row if flag in _NEEDED},
         optional={flag: _VALUES[flag] for flag in row
                   if flag not in _NEEDED}))
-    argv = [command] + [_arg(flag, value) for flag, value in options.items()]
+    argv = [command] + [tok for flag, value in options.items()
+                        for tok in _arg(data, flag, value)]
     stray = data.draw(st.none() | st.sampled_from(
         [flag for flag in _VALUES if flag not in row]))
     if stray is None:
         run_fuzzed(argv)
         return
     # a flag from outside the row is refused before any work
-    argv.insert(data.draw(st.integers(1, len(argv))),
-                _arg(stray, data.draw(_VALUES[stray])))
+    at = data.draw(st.integers(1, len(argv)))
+    argv[at:at] = _arg(data, stray, data.draw(_VALUES[stray]))
     assert run_fuzzed(argv) == (1, "")
 
 
@@ -720,6 +724,57 @@ def test_a_value_with_a_leading_minus_is_its_own_argument(capsys, flag,
     joined = run_cli(capsys, "eval", *rest, f"{flag}={value}")
     assert joined[0] == 0
     assert run_cli(capsys, "eval", *rest, flag, value) == joined
+
+
+# A value with a leading minus for every flag that takes one, and the flags
+# each subcommand needs besides, in the = spelling
+_MINUS = {"--poles": "-1,0,1", "--word": "-1", "--point": "-0.5+0.3i",
+          "--path-json": "-1", "--tensor-json": "-1", "--weight": "-1",
+          "--rtol": "-1e-3", "--atol": "-1e-9", "--seed": "-2",
+          "--criteria": "-9"}
+_TENSOR = json.dumps({"terms": [{"word": [{"pole": "-1"}, {"pole": "0"}],
+                                 "coeff": {"re": "-1/2"}}]})
+_NEEDS = {
+    "eval": ["--poles=0,1,-1", "--word=1", "--point=0.5"],
+    "mzv": ["--word=1,0"],
+    "reduce": ["--poles=0,1,-1", f"--tensor-json={_TENSOR}"],
+    "kernel": ["--poles=0,1,-1", f"--tensor-json={_TENSOR}"],
+    "monodromy": ["--poles=0,1,-1", "--word=0", "--weight=2"],
+    "periods": ["--poles=0,1"],
+    "expand": ["--poles=0,1,-1", "--word=1", "--point=0", "--weight=2"],
+    "kz-check": ["--poles=0,1"],
+    "selftest": ["--criteria=9"],
+}
+
+
+def _abbreviation(flag, row) -> str:
+    """The shortest prefix of flag that no other option of its row starts
+    with, so that argparse reads it as flag."""
+    others = [other for other in row + ["--help"] if other != flag]
+    return next(flag[:n] for n in range(3, len(flag))
+                if not any(other.startswith(flag[:n]) for other in others))
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, row in _ROWS.items() for flag in row
+    if flag != "--csv"])
+def test_every_flag_value_may_start_with_a_minus(capsys, command, flag):
+    # a token that starts with one minus is the value of the flag before it,
+    # under its full name or an abbreviation, as in the = spelling
+    value = _MINUS[flag]
+    rest = [arg for arg in _NEEDS[command] if not arg.startswith(flag + "=")]
+    want = main([command, *rest, f"{flag}={value}"]), capsys.readouterr()
+    for name in (flag, _abbreviation(flag, _ROWS[command])):
+        assert (main([command, *rest, name, value]),
+                capsys.readouterr()) == want
+
+
+def test_argparse_still_has_the_negative_number_rule():
+    import argparse
+
+    # the parsers replace this attribute; were it renamed, argparse would
+    # ignore the replacement and take a leading-minus value for a flag
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
 
 
 def test_a_flag_is_never_taken_for_a_value(capsys):
